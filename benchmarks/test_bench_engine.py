@@ -218,11 +218,11 @@ def test_engine_lane_batched_grid_speedup(benchmark):
 
 
 def test_engine_lane_batched_sweep_roundtrip(benchmark):
-    """End-to-end: run_sweep(lane_batch=True) over the bench grid, serial
+    """End-to-end: run_sweep over the bench grid, serial
     backend, one vectorized batch (sanity on the sweep-layer plumbing)."""
     grid = _lane_grid()
     results = benchmark.pedantic(
-        lambda: run_sweep(grid, backend="serial", lane_batch=True),
+        lambda: run_sweep(grid, backend="serial"),
         rounds=1,
         iterations=1,
     )

@@ -22,6 +22,7 @@ Quickstart::
 
 from __future__ import annotations
 
+import warnings
 from typing import Any
 
 from .sim._sweep import run_sweep as _run_sweep
@@ -73,10 +74,22 @@ def sweep(
     ``process``); ``backend`` picks the kernel backend every config runs
     on (``None`` keeps each config's own ``engine.backend``).  ``store``
     enables caching and resumability.  Remaining keyword arguments
-    (``lane_batch``, ``dispatch``, ``on_error``, ``checkpoint_every``,
+    (``lane_width``, ``dispatch``, ``on_error``, ``checkpoint_every``,
     ...) forward to :func:`repro.sim._sweep.run_sweep`, the engine-level
-    entry point behind this facade.
+    entry point behind this facade.  Every sweep lane-batches
+    structurally compatible configs, so the old ``lane_batch`` and
+    ``batch_replicates`` switches are accepted and ignored with a
+    :class:`DeprecationWarning`.
     """
+    for name in ("lane_batch", "batch_replicates"):
+        if name in kwargs:
+            del kwargs[name]
+            warnings.warn(
+                f"sweep({name}=...) is deprecated and has no effect: every "
+                f"sweep lane-batches structurally compatible configs",
+                DeprecationWarning,
+                stacklevel=2,
+            )
     return _run_sweep(
         configs,
         backend=executor,

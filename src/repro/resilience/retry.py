@@ -81,13 +81,14 @@ class RetryPolicy:
                     delay = next(delays)
                 except StopIteration:
                     raise exc from None
-                self._count_retry(site)
+                self.count_retry(site)
                 if on_retry is not None:
                     on_retry(attempt, exc)
                 if delay > 0:
                     sleep(delay)
 
-    def _count_retry(self, site: str) -> None:
+    def count_retry(self, site: str) -> None:
+        """Count one retry at ``site`` (``resilience_retries_total``)."""
         tracer = get_tracer()
         if tracer.enabled:
             tracer.metrics.counter(

@@ -16,10 +16,12 @@ units are shared across jobs — because that is where the service's
   raises :class:`QueueFull` *before* enqueueing anything (admission is
   atomic: a rejected job leaves no partial units behind).
 
-Workers are asyncio tasks that drain the unit queue in small batches and
-execute them through :func:`repro.sim.sweep.run_sweep` (serial backend,
-store-persisting) on a thread pool — NumPy releases the GIL in the
-kernels, so worker threads overlap compute.  The sweep's
+Workers are asyncio tasks that drain the unit queue in batches of up to
+``batch_width`` units and execute each through
+:func:`repro.sim._sweep.run_sweep` (serial executor, store-persisting) on
+a thread pool, so a claimed batch's structurally compatible configs run
+as one lane batch — NumPy releases the GIL in the kernels, so worker
+threads overlap compute.  The sweep's
 :class:`~repro.sim._sweep.SweepProgress` callback fires as each config
 lands and is hopped onto the event loop, where unit resolution updates
 every waiting job and publishes its SSE events.  All manager state is
@@ -457,7 +459,8 @@ class JobManager:
         progress: Callable,
         on_failure: Callable,
     ) -> None:
-        """Execute configs via :func:`run_sweep` (serial, store-backed).
+        """Execute configs via :func:`run_sweep` (serial, store-backed):
+        compatible configs of the claimed batch run as one lane batch.
 
         Runs with ``on_error="quarantine"``: one poisonous config costs
         its own slot (a quarantine artifact plus an ``on_failure``

@@ -1,47 +1,46 @@
-"""Parameter sweeps with pluggable parallel backends and a run cache.
+"""Parameter sweeps: one lane planner, pluggable executors, a run cache.
 
-A sweep is a list of :class:`SimulationConfig`; each runs independently
-with its own seeded RNG, so execution order and backend never change the
-numbers.  Backends:
+A sweep is a list of :class:`SimulationConfig`; each config runs with
+its own seeded RNG, so neither the plan nor the executor changes the
+numbers.
 
-* ``serial``  — plain loop (debugging, deterministic profiling);
+Every sweep goes through the **lane planner** (:func:`plan_lane_batches`):
+the pending configs are partitioned into maximal *structurally
+compatible* batches (:func:`repro.sim.lanes.structural_key` — same
+population size, article count, step counts, scheme class, overlay kind
+...) and each batch runs as one heterogeneous-lane
+:class:`repro.sim.engine.BatchedSimulation`, so a grid over seeds,
+temperatures, scheme constants, population mixes or adversary knobs
+vectorizes across the sweep axis itself.  A config alone in its group is
+a width-1 batch on the solo engine path; event-collecting configs always
+run solo.  Batched == sequential holds lane for lane, so every result
+(and its per-config cache entry) is bit-identical to a solo run.
+
+The executor (``backend`` argument) runs the planned tasks:
+
+* ``serial``  — one task after another in the calling thread;
 * ``thread``  — ``ThreadPoolExecutor``; NumPy releases the GIL in the big
   kernels, so threads help despite Python-level stepping;
-* ``process`` — ``ProcessPoolExecutor``; true parallelism, the default for
-  multi-config experiment grids.
+* ``process`` — ``ProcessPoolExecutor``; true parallelism.
 
-Orthogonally to the backend, ``batch_replicates=True`` collapses
-seed-replicate groups (configs identical except ``seed``) into single
-:class:`repro.sim.engine.BatchedSimulation` tasks: the ensemble advances
-as stacked ``(R, N)`` arrays in one process, amortizing the Python
-per-step cost over all replicates while producing bit-identical results
-(each replicate keeps its own RNG stream).  On few-core machines this
-beats process fan-out; the two compose — grid points fan out across
-processes, their seed ensembles vectorize within each.
-
-``lane_batch=True`` goes further: the **lane planner** partitions the
-whole grid into maximal *structurally compatible* batches
-(:func:`repro.sim.lanes.structural_key` — same population size, article
-count, step counts, scheme class, overlay kind ...) and runs each batch
-as one heterogeneous-lane :class:`BatchedSimulation`, so a sweep over
-temperatures, scheme constants, population mixes or adversary knobs
-vectorizes across the *sweep axis itself*, not just across seeds.
-Event-collecting configs fall back to solo sequential tasks.  Results
-stay bit-identical per config and are cached per config, so lane-batched,
-replicate-batched and sequential sweeps all share one store.
+Pools split the plan evenly across their workers (at most
+``ceil(G / workers)`` lanes per task for a group of ``G``), so a grid
+keeps its fan-out; an explicit ``lane_width`` overrides that split.
 
 With a :class:`repro.store.RunStore` attached (``store=`` argument, or the
 ambient default installed via :func:`set_default_store`), a sweep becomes
 *incremental and resumable*: configs already in the store are served from
 cache without executing, duplicate configs within one grid execute once,
-and every freshly finished run is persisted the moment it completes — an
+and every freshly finished task is persisted the moment it completes — an
 interrupted sweep re-run against the same store only executes the missing
-configs.  Execution uses a submit/``as_completed`` loop so persistence and
-progress reporting happen as results land, not after the whole grid.
+configs.  Results are persisted and reported as tasks land, not after the
+whole grid.
 
 Worker failures are wrapped in :class:`SweepWorkerError`, which names the
-failing config's position and content hash; remaining queued work is
-cancelled (results persisted before the failure stay in the store).
+failing config's position and content hash (a failed multi-lane task is
+split into solo tasks first, so the error names the lane that fails
+alone); remaining queued work is cancelled (results persisted before the
+failure stay in the store).
 
 Progress callbacks receive a :class:`SweepProgress` tail argument —
 elapsed seconds, an ETA, and the cached-vs-computed slot split — in
@@ -69,6 +68,7 @@ import inspect
 import os
 import threading
 import traceback as traceback_mod
+from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
@@ -320,7 +320,7 @@ def _task_worker(
     configs: list[SimulationConfig],
     snapshot: tuple[str, int] | None = None,
 ) -> list[SimulationResult]:
-    """Execute one sweep task: a solo run or a batched replicate group.
+    """Execute one planned sweep task: a solo run or a lane batch.
 
     ``snapshot`` is ``(store_root, checkpoint_every)``; when given (and
     no lane collects events) the task runs through
@@ -369,28 +369,27 @@ def _task_worker(
         raise
 
 
-def _group_replicates(
-    pending: list[tuple[SimulationConfig, list[int]]],
-) -> list[list[tuple[SimulationConfig, list[int]]]]:
-    """Group pending configs that differ only in their seed.
+class _InlineExecutor:
+    """Executor that runs each submission at once, in the calling thread.
 
-    Each group becomes one :class:`~repro.sim.engine.BatchedSimulation`
-    task; event-collecting configs keep solo tasks (the batched engine
-    does not record events).  Group order follows first appearance, and
-    results still land in input order via the per-config index lists.
+    Serial sweeps (and pools narrowed to one task at a time) share the
+    pool drive loop through it; a task still lands — and persists —
+    before the next one starts.
     """
-    groups: dict[SimulationConfig, list[tuple[SimulationConfig, list[int]]]] = {}
-    order: list[list[tuple[SimulationConfig, list[int]]]] = []
-    for cfg, indices in pending:
-        if cfg.collect_events:
-            order.append([(cfg, indices)])
-            continue
-        key = cfg.with_(seed=0)
-        if key not in groups:
-            groups[key] = []
-            order.append(groups[key])
-        groups[key].append((cfg, indices))
-    return order
+
+    def __enter__(self) -> "_InlineExecutor":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+    def submit(self, fn: Callable, *args: Any) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def default_lane_width(
@@ -414,6 +413,7 @@ def plan_lane_batches(
     pending: list[tuple[SimulationConfig, list[int]]],
     lane_width: int | None = None,
     memory_budget: int = DEFAULT_LANE_MEMORY_BUDGET,
+    workers: int = 1,
 ) -> list[list[tuple[SimulationConfig, list[int]]]]:
     """Partition pending configs into maximal lane-compatible batches.
 
@@ -439,9 +439,19 @@ def plan_lane_batches(
     (:func:`default_lane_width`); small-footprint grids keep maximal
     batches, memory-heavy ones are chunked instead of exhausting RAM.
     An explicit ``lane_width`` always wins over the derived cap.
+
+    ``workers`` is the width of the pool that will run the plan.  Without
+    an explicit ``lane_width``, batches are then cut into near-equal
+    consecutive parts — always the one whose parts are widest — until
+    there is one task per worker or every task is solo: ``G`` compatible
+    configs on ``W`` workers become ``min(W, G)`` tasks of at most
+    ``ceil(G / W)`` lanes, so no worker idles while another runs a wide
+    batch.
     """
     if lane_width is not None and lane_width < 1:
         raise ValueError("lane_width must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     groups: dict[tuple, list[tuple[SimulationConfig, list[int]]]] = {}
     widths: dict[tuple, int] = {}
     order: list[list[tuple[SimulationConfig, list[int]]]] = []
@@ -469,7 +479,21 @@ def plan_lane_batches(
         else:
             widths[key] = min(widths[key], own)
         batch.append((cfg, indices))
-    return order
+    if lane_width is not None or workers <= len(order):
+        return order
+    parts = [1] * len(order)
+    for _ in range(workers - len(order)):
+        widest = max(range(len(order)), key=lambda i: -(-len(order[i]) // parts[i]))
+        if len(order[widest]) <= parts[widest]:
+            break  # every task is already solo
+        parts[widest] += 1
+    tasks: list[list[tuple[SimulationConfig, list[int]]]] = []
+    for batch, k in zip(order, parts):
+        q, r = divmod(len(batch), k)
+        # Part j holds q lanes, plus one while j < r (wider parts first).
+        bounds = [j * q + min(j, r) for j in range(k + 1)]
+        tasks.extend(batch[a:b] for a, b in zip(bounds, bounds[1:]))
+    return tasks
 
 
 def run_sweep(
@@ -478,8 +502,6 @@ def run_sweep(
     workers: int | None = None,
     store: Any = None,
     progress: ProgressCallback | None = None,
-    batch_replicates: bool = False,
-    lane_batch: bool = False,
     lane_width: int | None = None,
     dispatch: str | None = None,
     lease_expiry_s: float | None = None,
@@ -493,6 +515,14 @@ def run_sweep(
 
     ``store`` (or the ambient default) enables cache-skip and immediate
     persistence; ``progress`` observes each completed slot.
+
+    The pending configs run as the tasks :func:`plan_lane_batches`
+    plans: structurally compatible configs share one lane-batched
+    :class:`BatchedSimulation`, bit-identical lane for lane to solo
+    runs.  ``thread``/``process`` pools of ``workers`` (default
+    :func:`available_workers`) split the plan so every worker gets a
+    task; ``lane_width`` caps the lanes per task instead, bounding
+    per-batch memory on large grids.
 
     ``kernel_backend`` (``None`` keeps each config's own ``engine``
     setting) rewrites every config's ``engine.backend`` before
@@ -510,15 +540,18 @@ def run_sweep(
     on exhaustion is *quarantined*: an ``errors/<hash>.json`` artifact
     persists the error, remote traceback and fault context, the slot is
     left ``None`` in the returned list, and the sweep keeps draining —
-    every healthy config still completes exactly once.  A failing
-    multi-lane batch is first split back into solo tasks so only the
-    truly poisonous configs quarantine.  Failures are enumerated via
-    ``on_failure`` (one :class:`SweepFailure` per quarantined config)
-    and :func:`last_sweep_failures`; the progress callback never fires
-    for failed slots.  An explicit ``compute_retry``
+    every healthy config still completes exactly once.  Failures are
+    enumerated via ``on_failure`` (one :class:`SweepFailure` per
+    quarantined config) and :func:`last_sweep_failures`; the progress
+    callback never fires for failed slots.  An explicit ``compute_retry``
     (:class:`repro.resilience.RetryPolicy`) also engages retries under
     ``on_error="raise"`` — the error only propagates once the budget is
-    exhausted.
+    exhausted.  Under either policy a failed multi-lane task is split
+    into solo tasks at once, its attempt counting as one for each lane:
+    a poisonous config costs exactly its budget (but always gets one solo
+    attempt), its healthy siblings land once, and a raised
+    :class:`SweepWorkerError` names the config that fails alone.  Compute
+    retries resubmit without the policy's backoff delay.
 
     ``checkpoint_every=N`` (requires a store) makes tasks resumable:
     every ``N`` steps each running task persists a full-state snapshot
@@ -540,24 +573,6 @@ def run_sweep(
     ``lease_expiry_s`` tunes how long a crashed peer's claim survives
     before survivors reclaim it.  ``dispatch=None`` (or ``"local"``)
     keeps the classic single-invocation behaviour.
-
-    ``batch_replicates=True`` routes seed-replicate groups (configs
-    identical except for ``seed`` — exactly what :func:`replicate`
-    derives) through the replicate-axis :class:`BatchedSimulation`, so an
-    ensemble runs as stacked arrays in one process instead of one
-    process per seed.  Results are bit-identical either way and are
-    cached per config, so batched and per-seed sweeps share the store.
-
-    ``lane_batch=True`` engages the lane planner
-    (:func:`plan_lane_batches`): the whole grid is partitioned into
-    maximal structurally-compatible batches, each vectorized as one
-    heterogeneous-lane :class:`BatchedSimulation` — the sweep axis
-    itself batches, not just the seed axis.  Subsumes
-    ``batch_replicates`` (seed replicates are trivially compatible);
-    results and cache entries are identical to any other execution
-    spelling of the same grid.  ``lane_width`` chunks oversized batches
-    (see :func:`plan_lane_batches`) so large grids keep multi-process
-    fan-out and bounded per-batch memory.
 
     Example::
 
@@ -915,20 +930,13 @@ def run_sweep(
             )
 
     if pending:
-        if lane_batch:
-            tasks = plan_lane_batches(pending, lane_width=lane_width)
-        elif batch_replicates:
-            tasks = _group_replicates(pending)
-        else:
-            tasks = [[item] for item in pending]
-
-        def complete_task(
-            task: list[tuple[SimulationConfig, list[int]]],
-            task_results: list[SimulationResult],
-        ) -> None:
-            """Book every (config, result) pair of one finished task."""
-            for (cfg, indices), result in zip(task, task_results):
-                complete(cfg, indices, result)
+        pooled = backend != "serial"
+        if pooled:
+            workers = max(1, workers if workers is not None else available_workers())
+        tasks = plan_lane_batches(
+            pending, lane_width=lane_width, workers=workers if pooled else 1
+        )
+        width = min(workers, len(tasks)) if pooled else 1
 
         def book_task_metrics(
             task: list[tuple[SimulationConfig, list[int]]],
@@ -954,133 +962,70 @@ def run_sweep(
                 "Submit-to-completion time not spent executing",
             ).observe(max(0.0, turnaround_s - exec_s))
 
-        def snapshot_spec(
-            task: list[tuple[SimulationConfig, list[int]]]
-        ) -> tuple[str, int] | None:
-            """The ``_task_worker`` snapshot argument for one task."""
-            if snap_root is None or any(c.collect_events for c, _ in task):
-                return None
-            return (snap_root, checkpoint_every)
-
-        if backend == "serial" or len(tasks) == 1:
-
-            def execute_task(
-                task: list[tuple[SimulationConfig, list[int]]]
-            ) -> list[SimulationResult]:
-                """One retry-wrapped execution of a task, in-process."""
-                cfgs = [cfg for cfg, _ in task]
-                spec = snapshot_spec(task)
-                if retry_policy is None:
-                    return _task_worker(cfgs, spec)
-                return retry_policy.call(
-                    lambda: _task_worker(cfgs, spec), site="sweep/compute"
-                )
-
-            for task in tasks:
-                task_watch = Stopwatch()
-                try:
-                    task_results = execute_task(task)
-                except Exception as exc:
-                    if not quarantine:
-                        raise SweepWorkerError(task[0][1][0], task[0][0], exc) from exc
-                    if len(task) > 1:
-                        # Blast-radius isolation: one poisoned lane
-                        # failed the whole batch; rerun each lane solo
-                        # so only the truly failing configs quarantine
-                        # and the healthy lanes still land.
-                        drop_task_snapshot(task)
-                        for item in task:
-                            try:
-                                solo = execute_task([item])
-                            except Exception as solo_exc:
-                                record_failure(
-                                    item[0], item[1][0], solo_exc, attempts_budget
-                                )
-                                continue
-                            complete(item[0], item[1], solo[0])
-                    else:
-                        record_failure(
-                            task[0][0], task[0][1][0], exc, attempts_budget
-                        )
-                    continue
-                if tracer.enabled:
-                    book_task_metrics(task, task_results, task_watch.elapsed())
-                complete_task(task, task_results)
-        else:
+        if width > 1:
             pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-            workers = workers if workers is not None else available_workers()
-            workers = max(1, min(workers, len(tasks)))
+            executor: Any = pool_cls(max_workers=width)
             if tracer.enabled:
                 tracer.metrics.gauge(
                     "sweep_workers", "Worker-pool width of the last sweep"
-                ).set(workers)
-            with pool_cls(max_workers=workers) as pool:
-                #: future -> (task, attempt number) — attempts matter
-                #: only under a retry policy, where a failed task is
-                #: resubmitted until its budget runs out (checkpointed
-                #: tasks resume from their latest snapshot, so a retry
-                #: repeats only the steps since the last checkpoint).
-                futures: dict[
-                    Future, tuple[list[tuple[SimulationConfig, list[int]]], int]
-                ] = {}
-
-                def submit(
-                    task: list[tuple[SimulationConfig, list[int]]], attempt: int
-                ) -> Future:
-                    fut = pool.submit(
-                        _task_worker,
-                        [cfg for cfg, _ in task],
-                        snapshot_spec(task),
-                    )
-                    futures[fut] = (task, attempt)
-                    return fut
-
-                not_done = {submit(task, 1) for task in tasks}
-                # Every task is submitted up front, so one watch dates
-                # all submissions for the queue-wait measurement.
-                submitted = Stopwatch()
-                try:
-                    while not_done:
-                        finished, not_done = wait(
-                            not_done, return_when=FIRST_COMPLETED
+                ).set(width)
+        else:
+            executor = _InlineExecutor()
+        #: (task, attempt number) in run order; failed tasks come back
+        #: to the front — split into solo lanes, or retried — so they
+        #: settle before fresh work starts.
+        queue = deque((task, 1) for task in tasks)
+        #: future -> (task, attempt, submit watch); at most ``width`` run
+        #: at once, so a task's turnaround is its own, not the grid's.
+        running: dict[Future, tuple[list, int, Stopwatch]] = {}
+        snapshot = (snap_root, checkpoint_every) if snap_root is not None else None
+        with executor:
+            try:
+                while queue or running:
+                    while queue and len(running) < width:
+                        task, attempt = queue.popleft()
+                        fut = executor.submit(
+                            _task_worker, [cfg for cfg, _ in task], snapshot
                         )
-                        # Drain every success in the batch before raising:
-                        # finished work must reach the store even when a
-                        # sibling future in the same batch failed.
-                        failure: tuple[int, SimulationConfig, Exception] | None = None
-                        for fut in finished:
-                            task, attempt = futures.pop(fut)
-                            try:
-                                task_results = fut.result()
-                            except Exception as exc:
-                                if attempt < attempts_budget:
-                                    not_done.add(submit(task, attempt + 1))
-                                elif not quarantine:
-                                    if failure is None:
-                                        failure = (task[0][1][0], task[0][0], exc)
-                                elif len(task) > 1:
-                                    # Blast-radius isolation, pool
-                                    # spelling: resubmit each lane solo
-                                    # with a fresh attempt budget.
-                                    drop_task_snapshot(task)
-                                    for item in task:
-                                        not_done.add(submit([item], 1))
-                                else:
-                                    record_failure(
-                                        task[0][0], task[0][1][0], exc, attempt
-                                    )
-                                continue
-                            if tracer.enabled:
-                                book_task_metrics(
-                                    task, task_results, submitted.elapsed()
+                        running[fut] = (task, attempt, Stopwatch())
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    # Book every success in the batch before raising:
+                    # finished work must reach the store even when a
+                    # sibling future in the same batch failed.
+                    failure: tuple[int, SimulationConfig, Exception] | None = None
+                    for fut in finished:
+                        task, attempt, submitted = running.pop(fut)
+                        try:
+                            task_results = fut.result()
+                        except Exception as exc:
+                            if len(task) > 1:
+                                # Blast-radius isolation: a poisoned lane
+                                # fails the whole batch, so rerun each lane
+                                # solo; the failed attempt counts for each.
+                                drop_task_snapshot(task)
+                                queue.extendleft(
+                                    ([item], attempt + 1) for item in reversed(task)
                                 )
-                            complete_task(task, task_results)
-                        if failure is not None:
-                            raise SweepWorkerError(*failure) from failure[2]
-                except BaseException:
-                    for fut in not_done:
-                        fut.cancel()
-                    raise
+                            elif attempt < attempts_budget and isinstance(
+                                exc, retry_policy.retry_on
+                            ):
+                                retry_policy.count_retry("sweep/compute")
+                                queue.appendleft((task, attempt + 1))
+                            elif quarantine:
+                                record_failure(task[0][0], task[0][1][0], exc, attempt)
+                            elif failure is None:
+                                failure = (task[0][1][0], task[0][0], exc)
+                            continue
+                        if tracer.enabled:
+                            book_task_metrics(task, task_results, submitted.elapsed())
+                        for (cfg, indices), result in zip(task, task_results):
+                            complete(cfg, indices, result)
+                    if failure is not None:
+                        raise SweepWorkerError(*failure) from failure[2]
+            except BaseException:
+                for fut in running:
+                    fut.cancel()
+                raise
 
     # Every slot is filled — except, under on_error="quarantine", slots
     # of quarantined configs, which stay None (enumerated in failures).
@@ -1092,9 +1037,8 @@ def replicate(
 ) -> list[SimulationConfig]:
     """``n_seeds`` copies of one config with independent derived seeds.
 
-    The derived configs differ only in their seed, so feeding them to
-    :func:`run_sweep` with ``batch_replicates=True`` executes the whole
-    ensemble as one replicate-axis batch.  Delegates to
+    The derived configs differ only in their seed, so :func:`run_sweep`
+    plans the whole ensemble as one lane batch.  Delegates to
     :func:`repro.sim.engine.replicate_configs` — the single derivation
     rule — so the seeds (and therefore the cache entries) are exactly
     those of :func:`repro.sim.engine.run_replicates`.

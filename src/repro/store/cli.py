@@ -8,7 +8,7 @@ drives the scenario registry and the content-addressed run store::
     repro run schemes/shootout --fast    # run a named pack, cached
     repro run paper/fig3 --seeds 5
     repro sweep --set scheme=karma,tft --set n_agents=50,100
-    repro sweep --set t_eval=0.5,1,2 --lane-batch   # one vectorized batch
+    repro sweep --set t_eval=0.5,1,2     # one vectorized lane batch
     repro sweep --set scheme=karma,tft --dispatch=store  # cooperative drain
     repro sweep --publish-only --set n_agents=50,100  # publish, don't run
     repro sweep-worker ./runstore        # join any drain on this store
@@ -185,6 +185,13 @@ def _run_and_report(
         )
     store = None if args.no_store else RunStore(args.store)
     executor, kernel_backend = _resolve_execution(args)
+    for flag in ("lane_batch", "batch_replicates"):
+        if getattr(args, flag):
+            print(
+                f"note: '--{flag.replace('_', '-')}' is deprecated and has no "
+                f"effect; every sweep lane-batches compatible configs",
+                file=sys.stderr,
+            )
     results = run_sweep(
         configs,
         backend=executor,
@@ -192,8 +199,6 @@ def _run_and_report(
         workers=args.workers,
         store=store,
         progress=_progress_printer(args.quiet),
-        batch_replicates=args.batch_replicates,
-        lane_batch=args.lane_batch,
         lane_width=args.lane_width,
         dispatch=args.dispatch,
         lease_expiry_s=args.lease_expiry,
@@ -857,27 +862,22 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
         "of --executor",
     )
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--batch-replicates",
-        action="store_true",
-        help="run seed replicates of each grid point as one vectorized "
-        "batch (replicate-axis engine) instead of one process per seed",
-    )
-    p.add_argument(
-        "--lane-batch",
-        action="store_true",
-        help="lane-batch the whole grid: partition it into structurally "
-        "compatible batches and vectorize each across the sweep axis "
-        "itself (subsumes --batch-replicates)",
-    )
+    for flag in ("--batch-replicates", "--lane-batch"):
+        p.add_argument(
+            flag,
+            action="store_true",
+            help="deprecated no-op: every sweep lane-batches structurally "
+            "compatible configs",
+        )
     p.add_argument(
         "--lane-width",
         type=int,
         default=None,
         metavar="N",
-        help="with --lane-batch: cap lanes per batch (chunk bigger "
-        "compatible groups), keeping multi-process fan-out and bounded "
-        "per-batch memory on large grids (default: unbounded)",
+        help="cap lanes per batch: chunk each structurally compatible "
+        "group into batches of at most N, bounding per-batch memory and "
+        "overriding the even split across --workers (default: one batch "
+        "per group within a memory budget, split across the pool)",
     )
     p.add_argument(
         "--dispatch",
@@ -1101,7 +1101,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         metavar="N",
-        help="max configs one worker claims per sweep batch (default 4)",
+        help="max configs one worker claims at once, and so the widest "
+        "lane batch one service worker runs (default 4)",
     )
     p.add_argument(
         "--dispatch-store",

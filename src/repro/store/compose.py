@@ -90,7 +90,8 @@ class ScenarioModifier:
 
         Variant-major order: all configs under the first variant, then
         all under the second, and so on — so seed-replicate groups stay
-        contiguous for ``run_sweep(batch_replicates=True)``.
+        contiguous, and the lane planner's consecutive chunks of a
+        compatible group keep each variant's replicates together.
         """
         return [c.with_(**v) for v in self.variants for c in configs]
 

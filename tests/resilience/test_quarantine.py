@@ -174,7 +174,6 @@ class TestSweepQuarantine:
                 configs,
                 backend="thread",
                 workers=2,
-                lane_batch=True,
                 store=store,
                 on_error="quarantine",
             )

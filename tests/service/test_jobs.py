@@ -6,17 +6,22 @@ threading gate to freeze the "while computing" state deterministically.
 """
 
 import asyncio
+import json
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
+import repro.api as api
+import repro.sim._sweep as sweep_mod
 from repro.service.hub import EventHub
 from repro.service.jobs import JobManager, QueueFull, ServiceClosing
 from repro.service.schemas import SubmitSpec
 from repro.sim.config import SimulationConfig
+from repro.store._runstore import RunStore
 from repro.store.hashing import config_hash
+from tests.conftest import assert_summaries_equal
 
 
 def tiny(seed=0, **kw):
@@ -349,3 +354,50 @@ class TestEvents:
             JobManager(store, max_pending=0)
         with pytest.raises(ValueError):
             JobManager(store, batch_width=0)
+
+
+class TestDefaultRunner:
+    def test_fresh_compatible_job_runs_as_one_lane_batch(
+        self, tmp_path, monkeypatch
+    ):
+        """A claimed batch of compatible configs is one lane-batched task
+        whose results equal solo runs and land in the store once each."""
+        tasks = []
+        original = sweep_mod._task_worker
+
+        def recording(configs, snapshot=None):
+            tasks.append([config_hash(c) for c in configs])
+            return original(configs, snapshot)
+
+        monkeypatch.setattr(sweep_mod, "_task_worker", recording)
+        configs = [
+            tiny(seed=1),
+            tiny(seed=2, t_eval=0.5),
+            tiny(seed=3, download_probability=0.6),
+            tiny(seed=4, edit_attempt_prob=0.15),
+        ]
+        hashes = [config_hash(c) for c in configs]
+
+        async def body():
+            mgr = JobManager(RunStore(tmp_path), workers=1, batch_width=4)
+            await mgr.start()
+            try:
+                job = mgr.submit(spec_of(*configs))
+                await wait_for(lambda: job.finished, timeout=60)
+                return job
+            finally:
+                await mgr.close(timeout_s=10)
+
+        job = run(body())
+        assert job.state == "completed"
+        assert job.n_computed == 4
+        assert tasks == [hashes]  # one 4-lane task
+        store = RunStore(tmp_path)
+        for cfg, h in zip(configs, hashes):
+            solo = api.run(cfg).summary
+            assert_summaries_equal(store.get_record(h).summary, solo)
+            assert_summaries_equal(job.slots[h]["summary"], solo)
+        lines = store.index_path.read_text().splitlines()
+        assert sorted(json.loads(line)["config_hash"] for line in lines) == sorted(
+            hashes
+        )

@@ -134,16 +134,16 @@ class TestRunReplicates:
 class TestSweepBatching:
     def test_batched_sweep_matches_sequential_sweep(self):
         cfgs = replicate(tiny(), 3) + [tiny(seed=99, n_articles=5)]
-        plain = run_sweep(cfgs, backend="serial")
-        batched = run_sweep(cfgs, backend="serial", batch_replicates=True)
-        for a, b in zip(plain, batched):
+        solo = [run_simulation(c) for c in cfgs]
+        batched = run_sweep(cfgs, backend="serial")
+        for a, b in zip(solo, batched):
             assert a.config == b.config
             assert same_summary(a.summary, b.summary)
 
     def test_batched_sweep_persists_individually(self, tmp_path):
         store = RunStore(tmp_path / "rs")
         cfgs = replicate(tiny(), 3)
-        run_sweep(cfgs, backend="serial", store=store, batch_replicates=True)
+        run_sweep(cfgs, backend="serial", store=store)
         assert len(store) == 3
         # A later per-seed sweep is served entirely from cache.
         run_sweep(cfgs, backend="serial", store=store)
@@ -151,12 +151,12 @@ class TestSweepBatching:
 
     def test_event_configs_stay_solo(self):
         cfgs = [tiny(collect_events=True, seed=s) for s in (1, 2)]
-        results = run_sweep(cfgs, backend="serial", batch_replicates=True)
+        results = run_sweep(cfgs, backend="serial")
         assert all(r.events is not None for r in results)
 
     def test_thread_backend_batches(self):
         cfgs = replicate(tiny(), 2) + replicate(tiny(seed=42, n_articles=5), 2)
-        results = run_sweep(cfgs, backend="thread", batch_replicates=True)
+        results = run_sweep(cfgs, backend="thread")
         assert len(results) == 4
         assert [r.config for r in results] == cfgs
 

@@ -1,0 +1,193 @@
+"""Behaviour lock: committed digests of engine state and sweep summaries.
+
+A small corpus of short runs — the four schemes plain, one config under
+churn with both adversary kernels, the sparse scale path at small N and
+a mixed-config three-lane batch — is fingerprinted bit for bit:
+
+* the full end-of-run state (:func:`repro.sim.testing.state_fingerprint`)
+  of each corpus entry, run solo or as its one lane batch;
+* every summary :func:`run_sweep` returns for the flattened corpus,
+  under the serial and the thread executor.
+
+Any drift fails.  Float kernels may round differently on other NumPy
+builds or SIMD paths, so digests are keyed on the NumPy version plus a
+probe digest of the float kernels the engine calls; where no digest is
+recorded for the running environment the tests skip and say so.  An
+intentional re-baseline regenerates the file (``python -m
+tests.sim.test_golden``) and says why in the same change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.agents.population import PopulationMix
+from repro.sim.config import ScaleConfig, SimulationConfig
+from repro.sim.engine import BatchedSimulation, CollaborationSimulation
+from repro.sim.testing import state_fingerprint
+from repro.sim._sweep import run_sweep
+
+DIGESTS = Path(__file__).with_name("golden_digests.json")
+
+
+def _base(**overrides) -> SimulationConfig:
+    params = dict(
+        n_agents=16, n_articles=4, founders_per_article=2,
+        training_steps=30, eval_steps=20, seed=11,
+    )
+    params.update(overrides)
+    return SimulationConfig(**params)
+
+
+#: name -> configs; a single config runs solo, several run as one
+#: mixed-config lane batch.
+CORPUS: dict[str, list[SimulationConfig]] = {
+    "scheme-reputation": [_base(scheme="reputation")],
+    "scheme-none": [_base(scheme="none")],
+    "scheme-tft": [_base(scheme="tft")],
+    "scheme-karma": [_base(scheme="karma")],
+    "churn-adversaries": [
+        _base(
+            seed=12, leave_rate=0.05, join_rate=0.3, whitewash_rate=0.02,
+            collusion_fraction=0.25, sybil_fraction=0.125, sybil_rate=0.1,
+        )
+    ],
+    "sparse-scale": [
+        _base(
+            seed=13, n_agents=24, scheme="tft",
+            scale=ScaleConfig(
+                sparse=True, ledger_cap=4, chunk_size=5,
+                stream_metrics_threshold=16,
+            ),
+        )
+    ],
+    "lanes-mixed": [
+        _base(seed=21),
+        _base(seed=22, t_eval=0.5, edit_attempt_prob=0.15),
+        _base(
+            seed=23, mix=PopulationMix(0.5, 0.25, 0.25),
+            download_probability=0.6, leave_rate=0.05, join_rate=0.2,
+        ),
+    ],
+}
+
+
+def _sha(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk if isinstance(chunk, bytes) else str(chunk).encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def kernel_probe() -> str:
+    """Digest of the float kernels the engine relies on, over fixed inputs."""
+    x = np.linspace(-30.0, 30.0, 1201)
+    noise = np.random.default_rng(2008).random(4099)
+    outputs = [
+        np.exp(x), np.log(np.abs(x) + 1e-3), np.sqrt(np.abs(x)),
+        np.power(np.abs(x), 0.7), np.cumsum(noise),
+        np.asarray([noise.sum(), noise.mean(), (noise * noise).sum()]),
+    ]
+    return _sha(out.tobytes() for out in outputs)[:16]
+
+
+ENV_KEY = f"numpy {np.__version__} / probe {kernel_probe()}"
+
+
+def fingerprint_digest(fp: dict[str, np.ndarray]) -> str:
+    """sha256 over every (path, dtype, shape, bytes) of a state fingerprint."""
+
+    def chunks():
+        for path in sorted(fp):
+            arr = np.asarray(fp[path])
+            yield path
+            yield f"{arr.dtype.str}{arr.shape}"
+            yield (
+                repr(arr.tolist()) if arr.dtype.kind == "O"
+                else np.ascontiguousarray(arr).tobytes()
+            )
+
+    return _sha(chunks())
+
+
+def summary_digest(result) -> str:
+    """sha256 over a result's eval and training summaries (exact reprs)."""
+    return _sha(
+        repr(sorted(part.items()))
+        for part in (result.summary, result.training_summary)
+    )
+
+
+def run_state(configs: list[SimulationConfig]):
+    """Run one corpus entry to completion; return its final state."""
+    sim = (
+        CollaborationSimulation(configs[0]) if len(configs) == 1
+        else BatchedSimulation(configs)
+    )
+    sim.run()
+    return sim.state
+
+
+def sweep_slots() -> list[tuple[str, SimulationConfig]]:
+    """The flattened corpus, each config labelled ``name[lane]``."""
+    return [
+        (f"{name}[{i}]", cfg)
+        for name, configs in CORPUS.items()
+        for i, cfg in enumerate(configs)
+    ]
+
+
+def recorded() -> dict:
+    table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    entry = table.get(ENV_KEY)
+    if entry is None:
+        pytest.skip(
+            f"no golden digests recorded for {ENV_KEY!r} (float kernels "
+            f"may round differently here); record with "
+            f"`python -m tests.sim.test_golden`"
+        )
+    return entry
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_state_fingerprint_unchanged(name):
+    expected = recorded()["state"][name]
+    assert fingerprint_digest(state_fingerprint(run_state(CORPUS[name]))) == expected
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_sweep_summaries_unchanged(executor):
+    expected = recorded()["summaries"]
+    slots = sweep_slots()
+    results = run_sweep([cfg for _, cfg in slots], backend=executor, workers=2)
+    got = {label: summary_digest(r) for (label, _), r in zip(slots, results)}
+    assert got == expected
+
+
+def record() -> None:
+    """Compute this environment's digests and merge them into the file."""
+    slots = sweep_slots()
+    results = run_sweep([cfg for _, cfg in slots], backend="serial")
+    entry = {
+        "state": {
+            name: fingerprint_digest(state_fingerprint(run_state(configs)))
+            for name, configs in sorted(CORPUS.items())
+        },
+        "summaries": {
+            label: summary_digest(r) for (label, _), r in zip(slots, results)
+        },
+    }
+    table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    table[ENV_KEY] = entry
+    DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"recorded {ENV_KEY!r} -> {DIGESTS}")
+
+
+if __name__ == "__main__":
+    record()

@@ -19,6 +19,8 @@ from repro.sim.lanes import (
     structural_key,
     take,
 )
+import repro.sim._sweep as sweep_mod
+from repro.sim.engine import run_simulation
 from repro.sim._sweep import plan_lane_batches, replicate, run_sweep
 from repro.store.hashing import config_hash
 from repro.store._runstore import RunStore
@@ -129,10 +131,8 @@ class TestPlanner:
 
     def test_lane_width_sweep_matches_unchunked(self):
         configs = [tiny(seed=s, t_eval=t) for s in (1, 2) for t in (0.5, 1.0)]
-        chunked = run_sweep(
-            configs, backend="serial", lane_batch=True, lane_width=2
-        )
-        plain = run_sweep(configs, backend="serial", lane_batch=True)
+        chunked = run_sweep(configs, backend="serial", lane_width=2)
+        plain = run_sweep(configs, backend="serial")
         for a, b in zip(chunked, plain):
             assert same_summary(a.summary, b.summary)
 
@@ -144,7 +144,7 @@ class TestPlanner:
 
     def test_event_collecting_sweep_still_yields_events(self):
         configs = [tiny(seed=s, collect_events=True) for s in (1, 2)]
-        results = run_sweep(configs, backend="serial", lane_batch=True)
+        results = run_sweep(configs, backend="serial")
         assert all(r.events is not None for r in results)
 
 
@@ -156,26 +156,81 @@ class TestLaneSweeps:
             tiny(seed=3, edit_attempt_prob=0.15),
             tiny(seed=4, n_agents=16),  # incompatible: second batch
         ]
-        plain = run_sweep(configs, backend="serial")
-        lane = run_sweep(configs, backend="serial", lane_batch=True)
-        for a, b in zip(plain, lane):
+        solo = [run_simulation(c) for c in configs]
+        lane = run_sweep(configs, backend="serial")
+        for a, b in zip(solo, lane):
             assert a.config == b.config
             assert same_summary(a.summary, b.summary)
 
     def test_lane_batch_subsumes_replicate_batching(self):
         configs = replicate(tiny(), 3) + [tiny(seed=99, t_eval=0.5)]
         assert len(plan(configs)) == 1
-        lane = run_sweep(configs, backend="serial", lane_batch=True)
-        plain = run_sweep(configs, backend="serial", batch_replicates=True)
-        for a, b in zip(plain, lane):
+        lane = run_sweep(configs, backend="serial")
+        for a, b in zip((run_simulation(c) for c in configs), lane):
             assert same_summary(a.summary, b.summary)
 
     def test_thread_backend_lane_batches(self):
         configs = [tiny(seed=1, t_eval=t) for t in (0.5, 1.0)] + [
             tiny(seed=2, n_agents=16)
         ]
-        results = run_sweep(configs, backend="thread", lane_batch=True)
+        results = run_sweep(configs, backend="thread")
         assert [r.config for r in results] == configs
+
+
+def record_tasks(monkeypatch):
+    """Record the configs of every task the sweep's per-task entry runs."""
+    tasks = []
+    original = sweep_mod._task_worker
+
+    def recording(configs, snapshot=None):
+        tasks.append(list(configs))
+        return original(configs, snapshot)
+
+    monkeypatch.setattr(sweep_mod, "_task_worker", recording)
+    return tasks
+
+
+class TestPoolFanOut:
+    """Pools split the plan evenly across their workers."""
+
+    @pytest.mark.parametrize("n_configs,workers", [(5, 2), (3, 4), (6, 4)])
+    def test_thread_pool_plans_one_task_per_worker(
+        self, monkeypatch, n_configs, workers
+    ):
+        tasks = record_tasks(monkeypatch)
+        configs = [tiny(seed=s, t_eval=0.5 + 0.25 * s) for s in range(n_configs)]
+        results = run_sweep(configs, backend="thread", workers=workers)
+        n_tasks = min(workers, n_configs)
+        assert len(tasks) == n_tasks
+        assert max(len(t) for t in tasks) == -(-n_configs // n_tasks)
+        assert sorted(c.seed for t in tasks for c in t) == list(range(n_configs))
+        for cfg, result in zip(configs, results):
+            assert result.config == cfg
+            assert same_summary(result.summary, run_simulation(cfg).summary)
+
+    def test_explicit_lane_width_overrides_worker_split(self, monkeypatch):
+        tasks = record_tasks(monkeypatch)
+        configs = [tiny(seed=s, t_eval=0.5 + 0.25 * s) for s in range(5)]
+        results = run_sweep(configs, backend="thread", workers=4, lane_width=3)
+        assert sorted(len(t) for t in tasks) == [2, 3]
+        for cfg, result in zip(configs, results):
+            assert same_summary(result.summary, run_simulation(cfg).summary)
+
+    def test_planner_narrows_the_widest_batches_first(self):
+        configs = [tiny(seed=s) for s in range(6)] + [
+            tiny(seed=10 + s, n_agents=16) for s in range(2)
+        ]
+        pending = [(c, [i]) for i, c in enumerate(configs)]
+        tasks = plan_lane_batches(pending, workers=4)
+        assert [len(t) for t in tasks] == [2, 2, 2, 2]
+        # Consecutive parts keep input order within each group.
+        assert [idx for t in tasks for _, (idx,) in t] == list(range(8))
+        assert len(plan_lane_batches(pending, workers=1)) == 2
+        assert [len(t) for t in plan_lane_batches(pending, workers=20)] == [1] * 8
+
+    def test_workers_validated(self):
+        with pytest.raises(ValueError, match="workers"):
+            plan_lane_batches([(tiny(), [0])], workers=0)
 
 
 class TestStoreRoundTrip:
@@ -184,7 +239,6 @@ class TestStoreRoundTrip:
         dup = tiny(seed=5, t_eval=0.5)
         results = run_sweep(
             [dup, tiny(seed=6), dup], backend="serial", store=store,
-            lane_batch=True,
         )
         assert store.misses == 2  # the duplicate slot never executed
         assert len(store) == 2
@@ -195,7 +249,7 @@ class TestStoreRoundTrip:
         store = RunStore(tmp_path / "rs")
         configs = [tiny(seed=1), tiny(seed=2, t_eval=0.5),
                    tiny(seed=3, download_probability=0.4)]
-        lane = run_sweep(configs, backend="serial", store=store, lane_batch=True)
+        lane = run_sweep(configs, backend="serial", store=store)
         assert store.misses == len(configs) and len(store) == len(configs)
         # A later unbatched sweep is served entirely from cache ...
         plain = run_sweep(configs, backend="serial", store=store)
@@ -209,7 +263,7 @@ class TestStoreRoundTrip:
         store = RunStore(tmp_path / "rs")
         configs = [tiny(seed=1), tiny(seed=2, t_eval=0.5)]
         run_sweep(configs, backend="serial", store=store)
-        run_sweep(configs, backend="serial", store=store, lane_batch=True)
+        run_sweep(configs, backend="serial", store=store)
         assert store.hits == len(configs)
         assert len(store) == len(configs)
 
@@ -217,6 +271,6 @@ class TestStoreRoundTrip:
         store = RunStore(tmp_path / "rs")
         configs = [tiny(seed=1), tiny(seed=2, t_eval=0.5), tiny(seed=3)]
         run_sweep([configs[1]], backend="serial", store=store)
-        run_sweep(configs, backend="serial", store=store, lane_batch=True)
+        run_sweep(configs, backend="serial", store=store)
         assert store.hits == 1
         assert len(store) == 3

@@ -123,12 +123,13 @@ class TestSweepTelemetry:
         assert "sweep/task" not in get_tracer().spans()
 
     def test_pool_sweep_records_worker_gauge(self):
+        # 3 compatible configs on 2 workers plan as 2 lane batches.
         with tracing() as tracer:
             run_sweep(
                 [tiny(1), tiny(2), tiny(3)], backend="thread", workers=2
             )
         snap = tracer.metrics.snapshot()
         assert snap["sweep_workers"] == [{"type": "gauge", "value": 2.0}]
-        assert tracer.spans()["sweep/task"].count == 3
+        assert tracer.spans()["sweep/task"].count == 2
         (wait,) = snap["sweep_queue_wait_seconds"]
-        assert wait["count"] == 3
+        assert wait["count"] == 2

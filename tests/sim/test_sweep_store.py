@@ -23,16 +23,29 @@ def tiny(seed=0, **kw):
 
 
 def counting_worker(monkeypatch):
-    """Instrument the sweep worker with an execution counter."""
+    """Instrument the per-task entry point: every config it executes,
+    solo or as a lane of a batch, in execution order."""
     calls = []
-    original = sweep_mod._worker
+    original = sweep_mod._task_worker
 
-    def counted(config):
-        calls.append(config)
-        return original(config)
+    def counted(configs, snapshot=None):
+        calls.extend(configs)
+        return original(configs, snapshot)
 
-    monkeypatch.setattr(sweep_mod, "_worker", counted)
+    monkeypatch.setattr(sweep_mod, "_task_worker", counted)
     return calls
+
+
+def failing_task_worker(monkeypatch, seed, exc):
+    """Make every task holding the ``seed`` config raise ``exc``."""
+    original = sweep_mod._task_worker
+
+    def failing(configs, snapshot=None):
+        if any(c.seed == seed for c in configs):
+            raise exc
+        return original(configs, snapshot)
+
+    monkeypatch.setattr(sweep_mod, "_task_worker", failing)
 
 
 class TestCachedSweep:
@@ -192,13 +205,7 @@ class TestDefaultStore:
 class TestWorkerFailure:
     def test_serial_failure_names_config(self, monkeypatch):
         boom = tiny(2)
-
-        def failing(config):
-            if config.seed == 2:
-                raise RuntimeError("numerical doom")
-            return sweep_mod.run_simulation(config)
-
-        monkeypatch.setattr(sweep_mod, "_worker", failing)
+        failing_task_worker(monkeypatch, 2, RuntimeError("numerical doom"))
         with pytest.raises(SweepWorkerError) as err:
             run_sweep([tiny(1), boom, tiny(3)], backend="serial")
         assert err.value.index == 1
@@ -250,13 +257,7 @@ class TestWorkerFailure:
 
     def test_completed_results_persist_before_failure(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
-
-        def failing(config):
-            if config.seed == 2:
-                raise RuntimeError("doom")
-            return sweep_mod.run_simulation(config)
-
-        monkeypatch.setattr(sweep_mod, "_worker", failing)
+        failing_task_worker(monkeypatch, 2, RuntimeError("doom"))
         with pytest.raises(SweepWorkerError):
             run_sweep([tiny(1), tiny(2)], backend="serial", store=store)
         # The run that finished before the failure is durable: a retry

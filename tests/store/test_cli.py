@@ -182,6 +182,20 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "2 hits / 0 misses" in out
 
+    def test_removed_batching_flags_are_noted_no_ops(self, tmp_path, capsys):
+        argv = [
+            "sweep",
+            "--seeds", "2",
+            "--executor", "serial",
+            "--store", str(tmp_path),
+            "--quiet",
+            *TINY_SETS,
+        ]
+        assert main(argv + ["--batch-replicates"]) == 0
+        captured = capsys.readouterr()
+        assert "'--batch-replicates' is deprecated" in captured.err
+        assert "0 hits / 2 misses" in captured.out
+
 
 class TestProfile:
     def test_profile_prints_hot_functions(self, capsys):

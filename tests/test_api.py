@@ -16,6 +16,7 @@ import pytest
 
 import repro.api as api
 from repro.sim.config import SimulationConfig
+from tests.conftest import assert_summaries_equal
 
 TINY = dict(
     n_agents=10,
@@ -69,6 +70,15 @@ class TestFacade:
             assert store.get(cfg) is not None
         finally:
             reset_backend_cache()
+
+    @pytest.mark.parametrize("flag", ["lane_batch", "batch_replicates"])
+    def test_sweep_accepts_removed_batching_switches(self, flag):
+        cfg = SimulationConfig(**TINY)
+        grid = [cfg, cfg.with_(seed=1)]
+        with pytest.warns(DeprecationWarning, match=flag):
+            results = api.sweep(grid, executor="serial", **{flag: True})
+        for a, b in zip(results, api.sweep(grid, executor="serial")):
+            assert_summaries_equal(a.summary, b.summary)
 
     def test_compose(self):
         configs = api.compose("base/default", fast=True, n_seeds=1)

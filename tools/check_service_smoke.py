@@ -14,6 +14,9 @@ drives the full client lifecycle over actual sockets:
   completed) with contiguous event ids;
 * resubmitting the same scenario is served entirely from cache with no
   new store records (the dedup contract);
+* a fresh grid of structurally compatible configs (computed as one lane
+  batch by a service worker) returns, for every config, exactly the
+  summary an in-process ``repro.api.run`` of the stored config gives;
 * ``/metrics`` exposes the service counters;
 * SIGTERM shuts the server down gracefully (exit code 0).
 
@@ -38,11 +41,34 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 REPO_SRC = REPO_ROOT / "src"
 sys.path.insert(0, str(REPO_SRC))
 
+import repro.api as api  # noqa: E402
 from repro.store._runstore import RunStore  # noqa: E402
+from repro.store.hashing import canonical_config_dict, config_from_dict  # noqa: E402
 
 SCENARIO = "base/default"
 STARTUP_TIMEOUT_S = 30.0
 COMPLETE_TIMEOUT_S = 180.0
+#: A fresh grid of structurally compatible configs (they differ only in
+#: non-structural knobs), so one service worker runs it as a lane batch.
+LANE_GRID = [
+    api.SimulationConfig(
+        n_agents=12, n_articles=3, founders_per_article=2,
+        training_steps=40, eval_steps=20, seed=seed, **knobs,
+    )
+    for seed, knobs in (
+        (101, {}),
+        (102, {"t_eval": 0.5}),
+        (103, {"download_probability": 0.6}),
+        (104, {"edit_attempt_prob": 0.15}),
+    )
+]
+
+
+def _same_summary(a: dict, b: dict) -> bool:
+    """Exact equality, NaN matching NaN (absent behaviour types)."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (a[k] != a[k] and b[k] != b[k]) for k in a
+    )
 
 
 def _request(base: str, method: str, path: str, body: dict | None = None):
@@ -53,6 +79,18 @@ def _request(base: str, method: str, path: str, body: dict | None = None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:  # error statuses still carry JSON
         return exc.code, json.loads(exc.read())
+
+
+def _wait_finished(base: str, job: dict) -> dict:
+    """Poll a job until it reaches a terminal state (or time runs out)."""
+    deadline = time.monotonic() + COMPLETE_TIMEOUT_S
+    view = job
+    while time.monotonic() < deadline and view.get("state") not in (
+        "completed", "partial", "failed",
+    ):
+        time.sleep(0.25)
+        _, view = _request(base, "GET", f"/jobs/{job.get('id', '')}")
+    return view
 
 
 def _read_sse_events(base: str, path: str, max_events: int = 50) -> list[dict]:
@@ -139,13 +177,7 @@ def main(argv: list[str]) -> int:
             failures.append(f"submit: expected 201, got {status} {job}")
         job_id = job.get("id", "")
 
-        deadline = time.monotonic() + COMPLETE_TIMEOUT_S
-        view = job
-        while time.monotonic() < deadline and view.get("state") not in (
-            "completed", "failed",
-        ):
-            time.sleep(0.25)
-            _, view = _request(base, "GET", f"/jobs/{job_id}")
+        view = _wait_finished(base, job)
         if view.get("state") != "completed":
             failures.append(f"job never completed: {view}")
 
@@ -177,6 +209,32 @@ def main(argv: list[str]) -> int:
         store.refresh()
         if len(store) != view.get("total"):
             failures.append("cached resubmit grew the store")
+
+        status, grid_job = _request(
+            base, "POST", "/jobs",
+            body={"configs": [canonical_config_dict(c) for c in LANE_GRID]},
+        )
+        if status != 201:
+            failures.append(f"grid submit: expected 201, got {status} {grid_job}")
+        grid_view = _wait_finished(base, grid_job)
+        if grid_view.get("state") != "completed":
+            failures.append(f"grid job never completed: {grid_view}")
+        elif grid_view.get("computed") != len(LANE_GRID):
+            failures.append(f"grid job was not computed fresh: {grid_view}")
+        if len(grid_view.get("results", [])) != len(LANE_GRID):
+            failures.append(f"grid job view lacks per-config results: {grid_view}")
+        store.refresh()
+        for row in grid_view.get("results", []):
+            rec = store.get_record(row["config_hash"])
+            if rec is None or rec.config is None:
+                failures.append(f"grid config {row['config_hash'][:12]} not stored")
+                continue
+            solo = api.run(config_from_dict(rec.config)).summary
+            if not _same_summary(row.get("summary") or {}, solo):
+                failures.append(
+                    f"grid config {row['config_hash'][:12]}: service summary "
+                    f"differs from an in-process run"
+                )
 
         status, _ = _request(base, "GET", "/jobs")
         if status != 200:
@@ -210,7 +268,8 @@ def main(argv: list[str]) -> int:
         return 1
     print(
         f"OK: served {SCENARIO} ({view.get('total')} configs), "
-        f"{len(events)} SSE events, cache-hit resubmit, clean shutdown"
+        f"{len(events)} SSE events, cache-hit resubmit, "
+        f"{len(LANE_GRID)}-config lane grid == in-process runs, clean shutdown"
     )
     return 0
 
