@@ -167,13 +167,15 @@ class MetricsCollector:
                     self._type_flat_idx[t] = None
             # Reused per-step scratch for the by-type gathers: one (4, R*k)
             # take target per type and one (4, R) mean target, so the hot
-            # record() path allocates nothing for the batched types.
+            # record() path allocates nothing for the batched types.  The
+            # mean target is zeroed: when every type is ragged no step
+            # writes it, and state fingerprints hash it.
             self._gather_buf = {
                 t: np.empty((4, idx.size))
                 for t, idx in self._type_flat_idx.items()
                 if idx is not None
             }
-            self._type_mean = np.empty((4, R))
+            self._type_mean = np.zeros((4, R))
 
         # Public views: single runs keep the historical 1-D attributes
         # (row-0 views, zero-copy); stacked runs expose the (R, steps)

@@ -1,6 +1,6 @@
 """Behaviour lock: committed digests of engine state and sweep summaries.
 
-A small corpus of short runs — the four schemes plain, one config under
+A small corpus of short runs — the four schemes plain, each scheme under
 churn with both adversary kernels, the sparse scale path at small N and
 a mixed-config three-lane batch — is fingerprinted bit for bit:
 
@@ -12,8 +12,15 @@ a mixed-config three-lane batch — is fingerprinted bit for bit:
 Any drift fails.  Float kernels may round differently on other NumPy
 builds or SIMD paths, so digests are keyed on the NumPy version plus a
 probe digest of the float kernels the engine calls; where no digest is
-recorded for the running environment the tests skip and say so.  An
-intentional re-baseline regenerates the file (``python -m
+recorded for the running environment the tests skip and say so.
+
+The run store's keys are pinned too, independent of the environment:
+the :func:`~repro.store.config_hash` of every corpus config, and one
+digest per registered scenario pack over the hashes of its configs
+(full and ``fast`` expansions).  A config refactor that changed any key
+would orphan every stored run.
+
+An intentional re-baseline regenerates the file (``python -m
 tests.sim.test_golden``) and says why in the same change.
 """
 
@@ -31,6 +38,7 @@ from repro.sim.config import ScaleConfig, SimulationConfig
 from repro.sim.engine import BatchedSimulation, CollaborationSimulation
 from repro.sim.testing import state_fingerprint
 from repro.sim._sweep import run_sweep
+from repro.store import config_hash, get_scenario, iter_scenarios
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -44,6 +52,13 @@ def _base(**overrides) -> SimulationConfig:
     return SimulationConfig(**params)
 
 
+#: Churn with whitewashing plus both adversary kernels; the scheme is
+#: left at its default (reputation) or set per corpus entry.
+_CHURN_ADVERSARIES = dict(
+    seed=12, leave_rate=0.05, join_rate=0.3, whitewash_rate=0.02,
+    collusion_fraction=0.25, sybil_fraction=0.125, sybil_rate=0.1,
+)
+
 #: name -> configs; a single config runs solo, several run as one
 #: mixed-config lane batch.
 CORPUS: dict[str, list[SimulationConfig]] = {
@@ -51,12 +66,11 @@ CORPUS: dict[str, list[SimulationConfig]] = {
     "scheme-none": [_base(scheme="none")],
     "scheme-tft": [_base(scheme="tft")],
     "scheme-karma": [_base(scheme="karma")],
-    "churn-adversaries": [
-        _base(
-            seed=12, leave_rate=0.05, join_rate=0.3, whitewash_rate=0.02,
-            collusion_fraction=0.25, sybil_fraction=0.125, sybil_rate=0.1,
-        )
-    ],
+    "churn-adversaries": [_base(**_CHURN_ADVERSARIES)],
+    **{
+        f"churn-adversaries-{scheme}": [_base(scheme=scheme, **_CHURN_ADVERSARIES)]
+        for scheme in ("none", "tft", "karma")
+    },
     "sparse-scale": [
         _base(
             seed=13, n_agents=24, scheme="tft",
@@ -143,6 +157,22 @@ def sweep_slots() -> list[tuple[str, SimulationConfig]]:
     ]
 
 
+def corpus_config_hashes() -> dict[str, str]:
+    """Store key of every corpus config, by sweep-slot label."""
+    return {label: config_hash(cfg) for label, cfg in sweep_slots()}
+
+
+def pack_digest(pack) -> str:
+    """sha256 over the store keys of a pack's full and fast expansions."""
+    return _sha(
+        config_hash(cfg) for fast in (False, True) for cfg in pack.expand(fast=fast)
+    )
+
+
+def pinned_config_hashes() -> dict:
+    return json.loads(DIGESTS.read_text())["config_hashes"]
+
+
 def recorded() -> dict:
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     entry = table.get(ENV_KEY)
@@ -170,6 +200,16 @@ def test_sweep_summaries_unchanged(executor):
     assert got == expected
 
 
+def test_corpus_config_hashes_unchanged():
+    assert corpus_config_hashes() == pinned_config_hashes()["corpus"]
+
+
+def test_scenario_pack_config_hashes_unchanged():
+    expected = pinned_config_hashes()["scenarios"]
+    got = {name: pack_digest(get_scenario(name)) for name in expected}
+    assert got == expected
+
+
 def record() -> None:
     """Compute this environment's digests and merge them into the file."""
     slots = sweep_slots()
@@ -185,6 +225,10 @@ def record() -> None:
     }
     table = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     table[ENV_KEY] = entry
+    table["config_hashes"] = {
+        "corpus": corpus_config_hashes(),
+        "scenarios": {pack.name: pack_digest(pack) for pack in iter_scenarios()},
+    }
     DIGESTS.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"recorded {ENV_KEY!r} -> {DIGESTS}")
 
