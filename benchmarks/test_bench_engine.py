@@ -127,55 +127,6 @@ def test_engine_batched_speedup(benchmark):
     assert speedup >= 3.0, f"batched speedup {speedup:.2f}x below the 3x floor"
 
 
-def test_engine_compiled_backend_steps(benchmark):
-    """steps/sec of the ``compiled`` kernel backend, JIT warm-up excluded.
-
-    With Numba installed the compiled backend must clear a >= 5x
-    steps/sec speedup over the numpy reference on the bench config.
-    Without it the registry falls back to the reference (or interpreted
-    kernels under ``REPRO_COMPILED_PUREPY``), so the speedup is
-    meaningless — the bench still records throughput for the trend file
-    but only soft-warns instead of gating.
-    """
-    import warnings
-
-    from repro.sim.backends import get_backend
-    from repro.sim.backends.compiled import numba_available
-
-    cfg = engine_config()
-    compiled_cfg = cfg.with_(**{"engine.backend": "compiled"})
-    with warnings.catch_warnings():
-        # Resolving 'compiled' without Numba warns about the fallback;
-        # the bench knows and handles that case below.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        get_backend("compiled").ensure_warm()
-
-        result = benchmark.pedantic(
-            lambda: run_simulation(compiled_cfg), rounds=1, iterations=1
-        )
-        benchmark.extra_info["steps_per_sec"] = _steps(cfg) / result.wall_time_s
-        benchmark.extra_info["numba_available"] = numba_available()
-        assert result.summary["shared_bandwidth"] > 0.0
-
-        speedup = _median_paired_speedup(
-            lambda: run_simulation(cfg),
-            lambda: run_simulation(compiled_cfg),
-            rounds=3,
-        )
-    benchmark.extra_info["compiled_speedup_x"] = speedup
-    if not numba_available():
-        warnings.warn(
-            f"Numba unavailable: compiled backend ran via its fallback "
-            f"(speedup {speedup:.2f}x, not gated); install numba to arm "
-            f"the 5x gate",
-            stacklevel=1,
-        )
-        return
-    assert speedup >= 5.0, (
-        f"compiled backend speedup {speedup:.2f}x below the 5x floor"
-    )
-
-
 def _lane_grid() -> list:
     """Eight *distinct* configs spanning the lane-liftable axes: eval
     temperature, download intensity, edit-proposal rate and population

@@ -37,7 +37,7 @@ Quickstart
 True
 """
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 from . import agents, analysis, core, gametheory, network, sim, trust
 from . import api

@@ -97,7 +97,6 @@ class VectorQLearner:
         learning_rate: float = 0.1,
         discount: float = 0.9,
         initial_q: float = 0.0,
-        kernels=None,
     ) -> None:
         if n_agents < 1 or n_states < 1 or n_actions < 2:
             raise ValueError("need n_agents >= 1, n_states >= 1, n_actions >= 2")
@@ -131,13 +130,11 @@ class VectorQLearner:
             dtype=np.float64,
         )
         self._agent_idx = np.arange(self.n_agents)
-        if kernels is None:
-            from ..sim.backends import default_kernels
+        # The engine's kernel instance (runs the TD backup), imported
+        # late: repro.sim imports this module.
+        from ..sim.backends import KERNELS
 
-            kernels = default_kernels()
-        # The KernelBackend executing the TD backup; bit-identical across
-        # backends, so a pure execution knob.
-        self.kernels = kernels
+        self.kernels = KERNELS
 
     # ------------------------------------------------------------------
     def select_actions(
@@ -221,7 +218,6 @@ class VectorQLearner:
             self.n_actions,
             learning_rate=self.learning_rate,
             discount=self.discount,
-            kernels=self.kernels,
         )
         clone.q[:] = self.q
         return clone

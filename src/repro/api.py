@@ -16,8 +16,6 @@ Quickstart::
     >>> result = api.run(cfg)
     >>> 0.0 <= result.summary["shared_bandwidth"] <= 1.0
     True
-    >>> sorted(b["name"] for b in api.list_backends())
-    ['compiled', 'numpy']
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ import warnings
 from typing import Any
 
 from .sim._sweep import run_sweep as _run_sweep
-from .sim.backends import list_backends
-from .sim.config import EngineConfig, ScaleConfig, SimulationConfig
+from .sim.config import ScaleConfig, SimulationConfig
 from .sim.engine import SimulationResult, run_simulation
 from .store._runstore import RunStore
 from .store.compose import compose_scenarios
@@ -35,28 +32,17 @@ from .store.compose import compose_scenarios
 __all__ = [
     "SimulationConfig",
     "ScaleConfig",
-    "EngineConfig",
     "SimulationResult",
     "RunStore",
     "run",
     "sweep",
     "compose",
     "open_store",
-    "list_backends",
 ]
 
 
-def run(config: SimulationConfig, *, backend: str | None = None) -> SimulationResult:
-    """Execute one full simulation (training + evaluation) and summarize it.
-
-    ``backend`` overrides the config's kernel backend
-    (``engine.backend``): ``"numpy"`` is the always-on reference,
-    ``"compiled"`` the JIT-compiled kernels (falls back to numpy with a
-    warning when no compiler is available).  Execution policy only — it
-    never changes the result or the config's store hash.
-    """
-    if backend is not None:
-        config = config.with_(**{"engine.backend": backend})
+def run(config: SimulationConfig) -> SimulationResult:
+    """Execute one full simulation (training + evaluation) and summarize it."""
     return run_simulation(config)
 
 
@@ -65,18 +51,15 @@ def sweep(
     *,
     store: RunStore | None = None,
     executor: str = "process",
-    backend: str | None = None,
     **kwargs: Any,
 ) -> list[SimulationResult]:
     """Run a grid of configs; results align with the input list.
 
     ``executor`` picks the parallelization (``serial`` | ``thread`` |
-    ``process``); ``backend`` picks the kernel backend every config runs
-    on (``None`` keeps each config's own ``engine.backend``).  ``store``
-    enables caching and resumability.  Remaining keyword arguments
-    (``lane_width``, ``dispatch``, ``on_error``, ``checkpoint_every``,
-    ...) forward to :func:`repro.sim._sweep.run_sweep`, the engine-level
-    entry point behind this facade.  Every sweep lane-batches
+    ``process``); ``store`` enables caching and resumability.  Remaining
+    keyword arguments (``lane_width``, ``dispatch``, ``on_error``,
+    ``checkpoint_every``, ...) forward to :func:`repro.sim._sweep.run_sweep`,
+    the engine-level entry point behind this facade.  Every sweep lane-batches
     structurally compatible configs, so the old ``lane_batch`` and
     ``batch_replicates`` switches are accepted and ignored with a
     :class:`DeprecationWarning`.
@@ -90,13 +73,7 @@ def sweep(
                 DeprecationWarning,
                 stacklevel=2,
             )
-    return _run_sweep(
-        configs,
-        backend=executor,
-        store=store,
-        kernel_backend=backend,
-        **kwargs,
-    )
+    return _run_sweep(configs, backend=executor, store=store, **kwargs)
 
 
 def compose(

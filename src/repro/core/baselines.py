@@ -34,11 +34,11 @@ from .params import PaperConstants, gather_param as _gather
 from .sparse import SparseInteractionLedger
 
 
-def _default_kernels():
-    """Resolve the reference backend lazily (avoids an import cycle)."""
-    from ..sim.backends import default_kernels
+def _kernels():
+    """The engine's kernel instance, imported late: ``repro.sim`` imports us."""
+    from ..sim.backends import KERNELS
 
-    return default_kernels()
+    return KERNELS
 
 __all__ = ["PrivateHistoryScheme", "KarmaScheme"]
 
@@ -119,7 +119,6 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
         sparse: bool = False,
         ledger_cap: int | np.ndarray = 64,
         chunk_size: int = 32_768,
-        kernels=None,
     ) -> None:
         # Lane batches pass ``optimistic_floor`` as a per-slot (R*N,)
         # array and ``history_decay`` as a per-replicate (R,) array; both
@@ -147,7 +146,7 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
             if isinstance(history_decay, np.ndarray)
             else float(history_decay)
         )
-        self.kernels = kernels if kernels is not None else _default_kernels()
+        self.kernels = _kernels()
         self.sparse = bool(sparse)
         if self.sparse:
             # Capped interaction rows: O(N·cap) instead of O(N²).  The
@@ -158,7 +157,6 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
                 n_replicates=self.n_replicates,
                 cap=ledger_cap,
                 chunk_size=chunk_size,
-                kernels=self.kernels,
             )
             self._given = None
         else:
@@ -355,7 +353,6 @@ class KarmaScheme(_UndifferentiatedEditingMixin):
         initial_karma: float = 1.0,
         floor: float = 0.05,
         n_replicates: int = 1,
-        kernels=None,
     ) -> None:
         # Lane batches pass both knobs as per-slot (R*N,) arrays; every
         # use below is an elementwise fill or a per-downloader gather, so
@@ -376,7 +373,7 @@ class KarmaScheme(_UndifferentiatedEditingMixin):
             else float(initial_karma)
         )
         self.floor = floor if isinstance(floor, np.ndarray) else float(floor)
-        self.kernels = kernels if kernels is not None else _default_kernels()
+        self.kernels = _kernels()
         self.balance = np.empty(self.n_slots, dtype=np.float64)
         self.balance[:] = self.initial_karma
         self.ledger = ContributionLedger(self.n_slots, self.constants.contribution)

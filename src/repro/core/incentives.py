@@ -34,11 +34,11 @@ from .service import (
 __all__ = ["ReputationIncentiveScheme", "NoIncentiveScheme", "make_scheme"]
 
 
-def _default_kernels():
-    """Resolve the reference backend lazily (avoids an import cycle)."""
-    from ..sim.backends import default_kernels
+def _kernels():
+    """The engine's kernel instance, imported late: ``repro.sim`` imports us."""
+    from ..sim.backends import KERNELS
 
-    return default_kernels()
+    return KERNELS
 
 
 class ReputationIncentiveScheme:
@@ -61,14 +61,13 @@ class ReputationIncentiveScheme:
         reputation_fn_s: ReputationFunction | None = None,
         reputation_fn_e: ReputationFunction | None = None,
         n_replicates: int = 1,
-        kernels=None,
     ) -> None:
         if n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
         self.n_peers = int(n_peers)
         self.n_replicates = int(n_replicates)
         self.n_slots = self.n_peers * self.n_replicates
-        self.kernels = kernels if kernels is not None else _default_kernels()
+        self.kernels = _kernels()
         self.constants = constants if constants is not None else PaperConstants()
         c = self.constants
         self.fn_s = reputation_fn_s or LogisticReputation(c.reputation_s)
@@ -193,14 +192,13 @@ class NoIncentiveScheme:
         n_peers: int,
         constants: PaperConstants | None = None,
         n_replicates: int = 1,
-        kernels=None,
     ) -> None:
         if n_replicates < 1:
             raise ValueError("n_replicates must be >= 1")
         self.n_peers = int(n_peers)
         self.n_replicates = int(n_replicates)
         self.n_slots = self.n_peers * self.n_replicates
-        self.kernels = kernels if kernels is not None else _default_kernels()
+        self.kernels = _kernels()
         self.constants = constants if constants is not None else PaperConstants()
         # Contributions are still tracked so metrics stay comparable, but
         # they never influence any service decision.
@@ -271,7 +269,6 @@ def make_scheme(
     reputation_fn_s: ReputationFunction | None = None,
     reputation_fn_e: ReputationFunction | None = None,
     n_replicates: int = 1,
-    kernels=None,
 ):
     """Factory used by the simulation config."""
     if incentives_enabled:
@@ -281,8 +278,5 @@ def make_scheme(
             reputation_fn_s=reputation_fn_s,
             reputation_fn_e=reputation_fn_e,
             n_replicates=n_replicates,
-            kernels=kernels,
         )
-    return NoIncentiveScheme(
-        n_peers, constants, n_replicates=n_replicates, kernels=kernels
-    )
+    return NoIncentiveScheme(n_peers, constants, n_replicates=n_replicates)

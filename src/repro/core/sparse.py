@@ -68,10 +68,6 @@ class SparseInteractionLedger:
         Rows per vectorized chunk in ``lookup``/``add`` — bounds the
         ``(chunk, cap)`` temporaries; pure execution knob, results are
         identical for any positive value.
-    kernels:
-        The :class:`~repro.sim.backends.base.KernelBackend` executing
-        ``lookup``/``add`` (``None`` = the numpy reference).  Backends
-        are bit-identical by contract, so this is an execution knob too.
     """
 
     def __init__(
@@ -80,7 +76,6 @@ class SparseInteractionLedger:
         n_replicates: int = 1,
         cap: int | np.ndarray = 64,
         chunk_size: int = 32_768,
-        kernels=None,
     ) -> None:
         if n_local < 1 or n_replicates < 1:
             raise ValueError("need n_local >= 1 and n_replicates >= 1")
@@ -107,11 +102,11 @@ class SparseInteractionLedger:
         ):
             raise ValueError("per-slot cap must have shape (n_slots,)")
         self.chunk_size = int(chunk_size)
-        if kernels is None:
-            from ..sim.backends import default_kernels
+        # The engine's kernel instance, imported late (repro.sim imports
+        # this module); ``lookup``/``add`` run its ledger kernels.
+        from ..sim.backends import KERNELS
 
-            kernels = default_kernels()
-        self.kernels = kernels
+        self.kernels = KERNELS
         self.partners = np.full((self.n_slots, width), -1, dtype=np.int64)
         self.amounts = np.zeros((self.n_slots, width), dtype=np.float64)
         self.counts = np.zeros(self.n_slots, dtype=np.int64)

@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "DownloadRequests",
     "sample_download_requests",
-    "sample_download_requests_batch",
     "sample_download_requests_overlay",
     "settle_downloads",
 ]
@@ -146,124 +145,22 @@ def sample_download_requests_overlay(
     )
 
 
-def sample_download_requests_batch(
-    rngs,
-    sharing_mask: np.ndarray,
-    download_probability: float | None = None,
-    overlays=None,
-    kernels=None,
-) -> DownloadRequests:
-    """Replicate-axis request sampling: one request set over ``R`` stacked runs.
-
-    ``sharing_mask`` is ``(R, N)``; ``rngs`` holds one generator per
-    replicate.  Each replicate's requests are drawn with the *same* calls
-    (and therefore the same stream consumption) as
-    :func:`sample_download_requests` on that replicate alone, then the
-    peer ids are offset by ``r * N`` into the flat ``R * N`` slot space so
-    one :func:`settle_downloads` call (with ``n_peers = R * N``) settles
-    all replicates at once — requests never cross replicate boundaries
-    because bandwidth competition is grouped by source id.
-
-    ``download_probability`` may be a per-replicate ``(R,)`` array (lane
-    batching): each replicate's draw is thresholded against its own
-    probability, exactly as its solo run would be.
-
-    ``kernels`` is the :class:`~repro.sim.backends.base.KernelBackend`
-    executing the post-draw matching fix-ups (``None`` = the numpy
-    reference); the RNG draws themselves never enter a backend.
-    """
-    sharing_mask = np.asarray(sharing_mask, dtype=bool)
-    if sharing_mask.ndim != 2:
-        raise ValueError("sharing_mask must be (n_replicates, n_peers)")
-    n_rep, n_peers = sharing_mask.shape
-    if len(rngs) != n_rep:
-        raise ValueError("need one rng per replicate")
-    per_lane_p = np.ndim(download_probability) > 0
-
-    def lane_p(r: int):
-        return download_probability[r] if per_lane_p else download_probability
-
-    empty = DownloadRequests(
-        downloader_ids=np.empty(0, dtype=np.int64),
-        source_ids=np.empty(0, dtype=np.int64),
-    )
-    if overlays is not None:
-        dl_parts: list[np.ndarray] = []
-        src_parts: list[np.ndarray] = []
-        for r in range(n_rep):
-            req = sample_download_requests_overlay(
-                rngs[r], sharing_mask[r], overlays[r], lane_p(r)
-            )
-            if req.n:
-                offset = r * n_peers
-                dl_parts.append(req.downloader_ids + offset)
-                src_parts.append(req.source_ids + offset)
-        if not dl_parts:
-            return empty
-        return DownloadRequests(
-            downloader_ids=np.concatenate(dl_parts),
-            source_ids=np.concatenate(src_parts),
-        )
-
-    # Full-mesh fast path: only the RNG draws loop over replicates (each
-    # replicate's stream consumption — a uniform vector, then source
-    # choices sized to its requester count — matches the solo sampler
-    # call for call); the id arithmetic runs flat across replicates.
-    n_sharers = sharing_mask.sum(axis=1)  # N_S per replicate
-    wants = np.zeros((n_rep, n_peers), dtype=bool)
-    for r in range(n_rep):
-        n_s = int(n_sharers[r])
-        if n_s == 0:
-            continue  # no draw, exactly like the solo sampler's early out
-        p_r = lane_p(r)
-        p = 1.0 / n_s if p_r is None else float(p_r)
-        p = min(max(p, 0.0), 1.0)
-        wants[r] = rngs[r].random(n_peers) < p
-    downloaders = np.flatnonzero(wants.reshape(-1))  # global slot ids
-    if downloaders.size == 0:
-        return empty
-    d_counts = wants.sum(axis=1)
-    choice_parts = [
-        rngs[r].integers(0, int(n_sharers[r]), size=int(d_counts[r]))
-        for r in range(n_rep)
-        if d_counts[r]
-    ]
-    choice_idx = np.concatenate(choice_parts)
-    # Per-replicate segments of the flat (ascending) sharer list.
-    sources_flat = np.flatnonzero(sharing_mask.reshape(-1))
-    seg_starts = np.concatenate(([0], np.cumsum(n_sharers)[:-1]))
-    req_start = np.repeat(seg_starts, d_counts)
-    req_n_s = np.repeat(n_sharers, d_counts)
-    if kernels is None:
-        from ..sim.backends import default_kernels
-
-        kernels = default_kernels()
-    # Same fix-ups as the solo sampler: with several sharers a
-    # self-selection shifts to the next one; a lone sharer cannot
-    # download from itself (the request is dropped).
-    downloaders, chosen = kernels.match_sources(
-        downloaders, choice_idx, sources_flat, req_start, req_n_s
-    )
-    if downloaders.size == 0:
-        return empty
-    return DownloadRequests(downloader_ids=downloaders, source_ids=chosen)
-
-
 def settle_downloads(
     requests: DownloadRequests,
     shares: np.ndarray,
     offered_bandwidth: np.ndarray,
     upload_capacity: np.ndarray,
     n_peers: int,
-    kernels=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Convert shares into transferred bandwidth.
 
-    The kernel is replicate-agnostic: with requests from
-    :func:`sample_download_requests_batch` and ``n_peers = R * N`` it
-    settles ``R`` stacked replicates in one scatter, bit-identically to
-    settling each replicate alone (slot ranges are disjoint and the
-    per-source accumulation order within a replicate is preserved).
+    A checked front end to the ``settle_downloads`` kernel, which the
+    engine's download phase calls directly.  The kernel is
+    replicate-agnostic: with requests in the flat ``R * N`` slot space
+    and ``n_peers = R * N`` it settles ``R`` stacked replicates in one
+    scatter, bit-identically to settling each replicate alone (slot
+    ranges are disjoint and the per-source accumulation order within a
+    replicate is preserved).
 
     Returns
     -------
@@ -279,11 +176,9 @@ def settle_downloads(
     shares = np.asarray(shares, dtype=np.float64)
     if shares.shape != (requests.n,):
         raise ValueError("shares must align with requests")
-    if kernels is None:
-        from ..sim.backends import default_kernels
+    from ..sim.backends import KERNELS  # late: repro.sim imports this module
 
-        kernels = default_kernels()
-    return kernels.settle_downloads(
+    return KERNELS.settle_downloads(
         requests.downloader_ids,
         requests.source_ids,
         shares,

@@ -5,7 +5,7 @@ Clients POST scenario-algebra specs or raw config grids; the service
 reduces every submission to config hashes, dedupes against the
 content-addressed :class:`~repro.store.RunStore` *and* against work
 currently in flight, schedules what remains on a bounded worker pool
-through :func:`repro.sim.sweep.run_sweep`, and streams per-config
+through :func:`repro.api.sweep`, and streams per-config
 progress over SSE.  Stdlib-only, like the obs layer it reports through.
 
 Modules:

@@ -39,7 +39,6 @@ configs land.
 from __future__ import annotations
 
 import asyncio
-import inspect
 import secrets
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -153,28 +152,9 @@ class _Unit:
 #: configs (persisting into the store), fires ``progress(done, total,
 #: index, result, cached, stats)`` per completed config and
 #: ``on_failure(failure)`` (a :class:`repro.sim._sweep.SweepFailure`) per
-#: config quarantined after exhausting its retry budget.  Injectable for
-#: tests; legacy two-argument runners are adapted (their units can then
-#: only succeed or fail the whole batch).
+#: config quarantined after exhausting its retry budget.  Injectable
+#: for tests.
 Runner = Callable[[list[SimulationConfig], Callable, Callable], None]
-
-
-def _adapt_runner(runner: Callable) -> Callable:
-    """Bridge legacy ``runner(configs, progress)`` callables."""
-    try:
-        params = inspect.signature(runner).parameters.values()
-    except (TypeError, ValueError):  # builtins/C callables: assume new-style
-        return runner
-    if any(p.kind == p.VAR_POSITIONAL for p in params):
-        return runner
-    n_positional = sum(
-        1
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    )
-    if n_positional >= 3:
-        return runner
-    return lambda configs, progress, on_failure: runner(configs, progress)
 
 
 class JobManager:
@@ -208,9 +188,7 @@ class JobManager:
         self.batch_width = int(batch_width)
         self.dispatch = dispatch
         self.checkpoint_every = int(checkpoint_every)
-        self._runner = (
-            _adapt_runner(runner) if runner is not None else self._default_runner
-        )
+        self._runner = runner if runner is not None else self._default_runner
         self.jobs: dict[str, Job] = {}
         self._units: dict[str, _Unit] = {}
         self._queue: asyncio.Queue = asyncio.Queue()

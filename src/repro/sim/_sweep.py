@@ -42,11 +42,10 @@ split into solo tasks first, so the error names the lane that fails
 alone); remaining queued work is cancelled (results persisted before the
 failure stay in the store).
 
-Progress callbacks receive a :class:`SweepProgress` tail argument —
-elapsed seconds, an ETA, and the cached-vs-computed slot split — in
-addition to the historical ``(done, total, index, result, cached)``
-positional arguments; legacy five-argument callables keep working.  When
-the ambient :class:`repro.obs.Tracer` is enabled, the coordinator also
+Progress callbacks are called as ``(done, total, index, result,
+cached, stats)``; ``stats`` is a :class:`SweepProgress` — elapsed
+seconds, an ETA, and the cached-vs-computed slot split.  When the
+ambient :class:`repro.obs.Tracer` is enabled, the coordinator also
 records ``sweep/task`` spans and per-task execution/queue-wait
 histograms (``sweep_task_seconds``, ``sweep_queue_wait_seconds``) plus
 cached/computed slot counters.
@@ -64,7 +63,6 @@ method.  Results are returned in input order.
 
 from __future__ import annotations
 
-import inspect
 import os
 import threading
 import traceback as traceback_mod
@@ -143,40 +141,10 @@ class SweepProgress:
 #: per input config as its result becomes available.  ``cached`` is True
 #: when no simulation executed for that slot (store hit, or duplicate of
 #: an earlier config in the same sweep); ``stats`` is the running
-#: :class:`SweepProgress`.  Legacy five-argument callables (without
-#: ``stats``) are still accepted and called with the historical
-#: signature.
+#: :class:`SweepProgress`.
 ProgressCallback = Callable[
     [int, int, int, SimulationResult, bool, SweepProgress], None
 ]
-
-
-def _adapt_progress(progress: Callable | None) -> Callable | None:
-    """Bridge legacy 5-positional-argument callbacks to the new signature.
-
-    Callables that accept six positional arguments (or ``*args``) are
-    used as-is; five-argument ones get the :class:`SweepProgress` tail
-    dropped.  Exotic signatures that defeat introspection are assumed
-    new-style.
-    """
-    if progress is None:
-        return None
-    try:
-        params = inspect.signature(progress).parameters.values()
-    except (TypeError, ValueError):  # builtins/C callables: assume new-style
-        return progress
-    if any(p.kind == p.VAR_POSITIONAL for p in params):
-        return progress
-    n_positional = sum(
-        1
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    )
-    if n_positional >= 6:
-        return progress
-    return lambda done, total, index, result, cached, stats: progress(
-        done, total, index, result, cached
-    )
 
 
 def _cause_traceback(exc: BaseException) -> str:
@@ -509,7 +477,6 @@ def run_sweep(
     checkpoint_every: int = 0,
     on_failure: Callable[[SweepFailure], None] | None = None,
     compute_retry: Any = None,
-    kernel_backend: str | None = None,
 ) -> list[SimulationResult]:
     """Run every config; results align with the input list.
 
@@ -523,13 +490,6 @@ def run_sweep(
     :func:`available_workers`) split the plan so every worker gets a
     task; ``lane_width`` caps the lanes per task instead, bounding
     per-batch memory on large grids.
-
-    ``kernel_backend`` (``None`` keeps each config's own ``engine``
-    setting) rewrites every config's ``engine.backend`` before
-    execution — one switch to run a whole grid on the compiled kernels.
-    Execution policy only: the rewrite never changes a config's store
-    hash, so sweeps executed on different kernel backends share one
-    cache.  Unknown names fail fast here, not inside a worker.
 
     ``on_error`` picks the failure policy.  ``"raise"`` (default, the
     historical behaviour): the first worker failure raises
@@ -597,13 +557,6 @@ def run_sweep(
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0 (0 disables snapshots)")
     quarantine = on_error == "quarantine"
-    if kernel_backend is not None:
-        from .backends import get_backend
-
-        get_backend(kernel_backend)  # fail fast on unknown names
-        configs = [
-            conf.with_(**{"engine.backend": kernel_backend}) for conf in configs
-        ]
     if not configs:
         _SWEEP_FAILURES.value = []
         return []
@@ -637,7 +590,6 @@ def run_sweep(
     snap_root = str(store.root) if checkpoint_every > 0 else None
     failures: list[SweepFailure] = []
     _SWEEP_FAILURES.value = failures
-    progress = _adapt_progress(progress)
     tracer = get_tracer()
     n = len(configs)
     results: list[SimulationResult | None] = [None] * n

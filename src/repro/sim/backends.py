@@ -1,14 +1,36 @@
-"""The always-on NumPy reference backend.
+"""The engine's kernel set: the hot inner loops behind the phases.
 
-This is the engine's historical vectorized hot path, verbatim: every
-kernel keeps the exact operation sequence (scatter order, chunk
-boundaries, ``where=`` branches) the pre-backend modules used, so the
-reference defines the bit pattern every other backend must reproduce.
-The surrounding modules (``repro.network.bandwidth``,
-``repro.core.sparse``, ``repro.agents.qlearning``, the phase kernels)
-delegate here through their ``kernels`` attribute, defaulting to this
-backend, so code that never mentions backends behaves exactly as
-before.
+The per-step work funnels through eight kernels over the flat
+``SimState`` slot arrays:
+
+===========================  =====================================================
+kernel                       hot loop it implements
+===========================  =====================================================
+``grouped_shares``           the shared group-normalized allocator behind
+                             bandwidth settlement, voting weights and
+                             collusion renormalization
+``match_sources``            download matching: post-draw source fix-ups
+                             (self-hit shift / lone-sharer drop)
+``settle_downloads``         bandwidth settlement: per-request transfer
+                             amounts scattered into received/served
+``filter_vote_candidates``   edit-vote candidate filtering over the ragged
+                             per-proposal voter gathers
+``tally_votes``              weighted vote accumulation per proposal
+``ledger_lookup``            tit-for-tat sparse-ledger reads
+``ledger_add``               tit-for-tat sparse-ledger accumulate/insert/evict
+``q_update``                 the vectorized tabular Q-learning TD backup
+===========================  =====================================================
+
+**No RNG.**  Kernels never draw random numbers; all sampling stays in
+the per-replicate stream loops of the phases, so a kernel can never
+shift a lane's stream.
+
+Every call site looks its kernel up on the one :data:`KERNELS` instance
+at call time (``KERNELS.q_update(...)`` or ``self.kernels.q_update(...)``
+on an object holding it), never through a module-level alias of a bound
+method.  Wrapping a kernel by setting an instance attribute therefore
+reaches every call, which is how profilers and the kernel seam test
+observe the kernels; :func:`get_backend` hands them the instance.
 """
 
 from __future__ import annotations
@@ -17,32 +39,25 @@ from typing import Any
 
 import numpy as np
 
-from .base import KernelBackend
-
-__all__ = ["NumpyBackend"]
+__all__ = ["KERNELS", "NumpyKernels", "get_backend"]
 
 
-class NumpyBackend(KernelBackend):
-    """Vectorized NumPy implementation of the kernel set (the reference)."""
+class NumpyKernels:
+    """Vectorized NumPy implementation of the eight kernels.
 
-    name = "numpy"
+    Stateless and shared: the engine uses the one :data:`KERNELS`
+    instance.  Schemes, ledgers and learners hold it, so it pickles by
+    name (:meth:`__reduce__`): an unpickled snapshot or process-pool
+    payload binds to the receiving process's instance, never a copy.
+    """
 
-    def info(self) -> dict[str, Any]:
-        """Availability/version facts for ``repro backends``."""
-        return {
-            "name": self.name,
-            "available": True,
-            "mode": "reference",
-            "numpy_version": np.__version__,
-            "warmed": True,
-            "detail": "always-on vectorized reference",
-        }
+    def __reduce__(self):
+        return (get_backend, ("numpy",))
 
-    # ------------------------------------------------------------------
     def grouped_shares(
         self, group_ids: np.ndarray, weights: np.ndarray, n_groups: int
     ) -> np.ndarray:
-        """Group-normalized shares via one scatter-add (reference order)."""
+        """Group-normalized shares via one scatter-add."""
         group_ids = np.asarray(group_ids)
         weights = np.asarray(weights, dtype=np.float64)
         if group_ids.shape != weights.shape:
@@ -196,8 +211,8 @@ class NumpyBackend(KernelBackend):
 
         Per chunk: classification against the chunk-start state, hits
         accumulated first, then misses inserted (evicting the smallest
-        stored amount of any full row) — the state-dependent order every
-        backend must reproduce.
+        stored amount of any full row).  Eviction choices depend on
+        this order.
         """
         ev_rows: list[np.ndarray] = []
         ev_amts: list[np.ndarray] = []
@@ -240,7 +255,7 @@ class NumpyBackend(KernelBackend):
         add_amounts: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray] | None:
         """Append new partners; evict the smallest entry of any full row."""
-        from ...core.params import gather_param
+        from ..core.params import gather_param
 
         order = np.argsort(rows, kind="stable")
         sr = rows[order]
@@ -292,3 +307,18 @@ class NumpyBackend(KernelBackend):
         target = rewards + discount * best_next
         current = q[idx, states, actions]
         q[idx, states, actions] = (1.0 - learning_rate) * current + learning_rate * target
+
+
+#: The engine's one kernel instance.
+KERNELS = NumpyKernels()
+
+
+def get_backend(name: str = "numpy") -> NumpyKernels:
+    """Resolve ``name`` to the kernel instance; ``"numpy"`` is the only one.
+
+    Tools reach the kernels through this (and pickles revive through
+    it); any other name raises ``ValueError``.
+    """
+    if name != "numpy":
+        raise ValueError(f"unknown kernel backend {name!r} (the only one is 'numpy')")
+    return KERNELS

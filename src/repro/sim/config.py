@@ -15,28 +15,7 @@ from typing import Any
 from ..agents.population import PopulationMix
 from ..core.params import PaperConstants
 
-__all__ = ["EngineConfig", "ScaleConfig", "SimulationConfig"]
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """How the engine executes a run — never *what* it computes.
-
-    Every knob here is excluded from the store's config hash: results
-    are backend-invariant by contract (see ``docs/BACKENDS.md``), so two
-    runs differing only in ``engine.*`` are the same experiment.  The
-    backend *is* structural for lane batching — replicates fused into
-    one batched state must share one kernel set.
-    """
-
-    #: Kernel backend executing the hot inner loops; a name registered
-    #: in :mod:`repro.sim.backends` ("numpy" is the always-on reference,
-    #: "compiled" the Numba-JIT set with a documented graceful fallback).
-    backend: str = "numpy"
-
-    def __post_init__(self) -> None:
-        if not self.backend or not isinstance(self.backend, str):
-            raise ValueError("engine.backend must be a non-empty backend name")
+__all__ = ["ScaleConfig", "SimulationConfig"]
 
 
 @dataclass(frozen=True)
@@ -191,9 +170,6 @@ class SimulationConfig:
     # --- scale path (off by default; see docs/ARCHITECTURE.md) --------
     scale: ScaleConfig = field(default_factory=ScaleConfig)
 
-    # --- engine (execution-only; hash-excluded) ------------------------
-    engine: EngineConfig = field(default_factory=EngineConfig)
-
     # --- bookkeeping ---------------------------------------------------
     seed: int = 0
     collect_events: bool = False
@@ -253,27 +229,18 @@ class SimulationConfig:
     def with_(self, **changes: Any) -> "SimulationConfig":
         """Functional update, e.g. ``config.with_(seed=7)``.
 
-        Dotted ``scale.<leaf>`` / ``engine.<leaf>`` keys update the
-        nested sections in place, so CLI overrides and scenario
-        modifiers can reach them without constructing the nested
-        dataclasses::
+        Dotted ``scale.<leaf>`` keys update the nested section in place,
+        so CLI overrides and scenario modifiers can reach it without
+        constructing a :class:`ScaleConfig`::
 
-            config.with_(**{"scale.sparse": True, "engine.backend": "compiled"})
+            config.with_(**{"scale.sparse": True, "scale.ledger_cap": 64})
         """
-        for prefix in ("scale", "engine"):
-            dotted = prefix + "."
-            nested = {
-                k.split(".", 1)[1]: v
-                for k, v in changes.items()
-                if k.startswith(dotted)
-            }
-            if nested:
-                changes = {
-                    k: v for k, v in changes.items() if not k.startswith(dotted)
-                }
-                changes[prefix] = replace(
-                    changes.get(prefix, getattr(self, prefix)), **nested
-                )
+        nested = {
+            k.split(".", 1)[1]: v for k, v in changes.items() if k.startswith("scale.")
+        }
+        if nested:
+            changes = {k: v for k, v in changes.items() if not k.startswith("scale.")}
+            changes["scale"] = replace(changes.get("scale", self.scale), **nested)
         return replace(self, **changes)
 
     @property

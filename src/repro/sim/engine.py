@@ -107,14 +107,10 @@ def _run_protocol(state) -> float:
     :class:`~repro.obs.Stopwatch` reading, and an enabled ambient tracer
     additionally records ``engine/train`` / ``engine/eval`` boundary
     spans (plus the per-kernel ``phase/*`` spans inside ``step_state``).
-    A compiling kernel backend is warmed *before* the timed protocol so
-    one-time JIT compilation lands in its own ``backend/compile`` span
-    instead of silently inflating the first step of ``engine/train``.
     """
     cfg = state.config
     lanes = state.lanes
     tracer = get_tracer()
-    state.backend.ensure_warm(tracer)
     dims = {
         "lanes": state.n_replicates,
         "agents": state.n_agents,

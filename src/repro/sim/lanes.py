@@ -83,17 +83,11 @@ SCALE_STRUCTURAL_FIELDS: tuple[str, ...] = (
 
 
 def structural_key(config: SimulationConfig) -> tuple:
-    """Hashable batch-compatibility key: configs batch iff keys match.
-
-    The kernel backend (``engine.backend``) is structural: a batched
-    state owns one kernel set shared by every lane, so replicates may
-    only fuse when they execute on the same backend.  (It is *not* part
-    of the store hash — results are backend-invariant.)
-    """
+    """Hashable batch-compatibility key: configs batch iff keys match."""
     return (
         tuple(getattr(config, f) for f in STRUCTURAL_FIELDS)
         + tuple(getattr(config.scale, f) for f in SCALE_STRUCTURAL_FIELDS)
-        + (config.resolved_scheme, config.engine.backend)
+        + (config.resolved_scheme,)
     )
 
 
@@ -115,8 +109,6 @@ def assert_lane_compatible(configs: Sequence[SimulationConfig]) -> None:
         ]
         if configs[0].resolved_scheme != other.resolved_scheme:
             bad.append("scheme")
-        if configs[0].engine.backend != other.engine.backend:
-            bad.append("engine.backend")
         raise ValueError(
             "lane configs must share the structural dimensions; "
             f"these differ: {', '.join(bad)}"

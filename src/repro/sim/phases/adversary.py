@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..backends import KERNELS
 from ..config import SimulationConfig
 from ..state import SimState
 from .act import install_actions
@@ -139,7 +140,7 @@ def collusion_shares(
     # requests (not grouped_shares' all-rows fallback, which would leak
     # bandwidth back to the outsiders it refuses).
     weights[(totals[sub_src] <= 0.0) & ~sub_blocked] = 1.0
-    sub = state.backend.grouped_shares(sub_src, weights, state.peers.n)
+    sub = KERNELS.grouped_shares(sub_src, weights, state.peers.n)
     sub[sub_blocked] = 0.0  # exact zeros, incl. fully blocked sources
     out = shares.copy()
     out[rows] = sub

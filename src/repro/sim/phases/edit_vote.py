@@ -22,6 +22,7 @@ import numpy as np
 from ...core.service import required_majority_values
 from ...core.utility import editing_utility_values
 from ...network.events import EditEvent, PunishmentEvent
+from ..backends import KERNELS
 from ..config import SimulationConfig
 from ..lanes import take
 from ..state import SimState
@@ -116,7 +117,7 @@ def _voting_rounds(
     counts = np.fromiter((a.size for a in arrays), dtype=np.int64, count=n_prop)
     if counts.sum():
         cand_local = np.concatenate(arrays)
-        flat_voters, cand_prop = state.backend.filter_vote_candidates(
+        flat_voters, cand_prop = KERNELS.filter_vote_candidates(
             cand_local,
             counts,
             local_proposers,
@@ -172,7 +173,7 @@ def _voting_rounds(
     prop_constructive = ctx.edit_constructive[proposers]
 
     if scheme.differentiates_service:
-        weights = state.backend.grouped_shares(
+        weights = KERNELS.grouped_shares(
             flat_prop, ctx.rep_e[flat_voters], n_prop
         )
         required = required_majority_values(
@@ -183,7 +184,7 @@ def _voting_rounds(
             take(lanes.majority_max, proposers),
         )
     else:
-        weights = state.backend.grouped_shares(
+        weights = KERNELS.grouped_shares(
             flat_prop, np.ones(flat_prop.shape, dtype=np.float64), n_prop
         )
         required = np.full(n_prop, 0.5)
@@ -193,7 +194,7 @@ def _voting_rounds(
         votes_for = collusion_votes(
             state, flat_voters, proposers[flat_prop], votes_for
         )
-    for_weight = state.backend.tally_votes(flat_prop, weights, votes_for, n_prop)
+    for_weight = KERNELS.tally_votes(flat_prop, weights, votes_for, n_prop)
     quorum = voter_counts >= take(lanes.min_voters, rep_of_prop)
     accepted = quorum & (for_weight >= required)
     majority_for = for_weight >= 0.5

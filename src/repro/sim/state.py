@@ -46,7 +46,6 @@ from ..network.articles import ArticleStore
 from ..network.events import EventLog
 from ..network.overlay import ChurnModel, OverlayNetwork
 from ..network.peer import RATIONAL, PeerArrays
-from .backends import get_backend
 from .config import SimulationConfig
 from .lanes import (
     LaneParams,
@@ -170,11 +169,6 @@ class SimState:
     transfer_hook: Any  # scheme.record_transfers or None
     #: Per-lane lifted parameters the phase kernels read every step.
     lanes: LaneParams = None  # type: ignore[assignment]  # set by build
-    #: Kernel backend executing the hot inner loops
-    #: (:class:`repro.sim.backends.base.KernelBackend`).  Resolved from
-    #: ``engine.backend`` (structural: all lanes share one backend) and
-    #: shared with the scheme, ledger and learners at build time.
-    backend: Any = None  # set by build
     #: Any lane has churn enabled (static; gates the churn kernel).
     churn_active: bool = False
     #: Ring id per flat slot, -1 for non-colluders.  Ring ids are offset
@@ -246,7 +240,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         raise ValueError("need at least one config")
     cfg = configs[0]
     assert_lane_compatible(configs)
-    backend = get_backend(cfg.engine.backend)
     n_rep = len(configs)
     n = cfg.n_agents
     # Uniform draws are block-buffered per stream (the kernels issue many
@@ -293,10 +286,9 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
             reputation_fn_s=_make_reputation_fn(cfg.reputation_fn_s, c.reputation_s),
             reputation_fn_e=_make_reputation_fn(cfg.reputation_fn_e, c.reputation_e),
             n_replicates=n_rep,
-            kernels=backend,
         )
     elif scheme_name == "none":
-        scheme = make_scheme(n, False, c, n_replicates=n_rep, kernels=backend)
+        scheme = make_scheme(n, False, c, n_replicates=n_rep)
     elif scheme_name == "tft":
         scheme = PrivateHistoryScheme(
             n,
@@ -312,7 +304,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
                 [conf.scale for conf in configs], "ledger_cap", n, np.int64
             ),
             chunk_size=cfg.scale.chunk_size,
-            kernels=backend,
         )
     elif scheme_name == "karma":
         scheme = KarmaScheme(
@@ -321,7 +312,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
             initial_karma=slot_values(configs, "karma_initial", n),
             floor=slot_values(configs, "karma_floor", n),
             n_replicates=n_rep,
-            kernels=backend,
         )
     else:  # pragma: no cover - config validates names
         raise ValueError(f"unknown scheme {scheme_name!r}")
@@ -377,7 +367,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         sharing_space.n_actions,
         learning_rate=lane_lr,
         discount=lane_gamma,
-        kernels=backend,
     )
     edit_learner = VectorQLearner(
         max(n_rational, 1),
@@ -385,7 +374,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         edit_space.n_actions,
         learning_rate=lane_lr,
         discount=lane_gamma,
-        kernels=backend,
     )
     behavior = BatchedBehaviorEngine(
         types2d, sharing_space, edit_space, sharing_learner, edit_learner
@@ -432,7 +420,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         ctx=PhaseContext(),
         transfer_hook=getattr(scheme, "record_transfers", None),
         lanes=lanes,
-        backend=backend,
         churn_active=any(model.active for model in churn),
         collusion_rings=collusion_rings,
         colluder_mask=collusion_rings >= 0,

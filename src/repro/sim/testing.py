@@ -1,23 +1,18 @@
-"""Test/verification helpers shared by the suite and the ``repro`` CLI.
-
-Two things live here because both the property-based tests and the
-``repro verify-backend`` subcommand need them:
+"""Test helpers: state fingerprints and random configs.
 
 * **State fingerprinting** — :func:`collect_arrays` walks an arbitrary
   object graph (a :class:`~repro.sim.state.SimState`, a scheme, a
   learner) and returns every reachable numpy array keyed by its
-  attribute path; :func:`compare_fingerprints` diffs two such maps bit
-  for bit.  :func:`backend_equivalence_report` builds on them: it steps
-  one config under two kernel backends and reports every array that
-  diverges (empty report == bit-identical), including each lane's RNG
-  stream position — a backend that consumed randomness would shift it.
+  attribute path; :func:`state_fingerprint` adds each lane's RNG stream
+  position, and :func:`compare_fingerprints` diffs two such maps bit
+  for bit.  The golden behaviour lock (``tests/sim/test_golden.py``)
+  builds on them.
 
 * **Config generation** — :func:`random_config` draws valid random
   :class:`~repro.sim.config.SimulationConfig` objects covering every
   structured corner (float sentinels, nested dataclasses, dotted
-  ``scale.*``/``engine.*`` updates).  Grown for the store's hashing
-  round-trip property suite; the backend-equivalence property suite
-  reuses it so the two properties explore the same config space.
+  ``scale.*`` updates) for the store's hashing round-trip property
+  suite.
 """
 
 from __future__ import annotations
@@ -42,14 +37,12 @@ __all__ = [
     "collect_arrays",
     "state_fingerprint",
     "compare_fingerprints",
-    "backend_equivalence_report",
     "random_config",
-    "random_equivalence_config",
 ]
 
-#: Attribute names the array walker never descends into: backends hold
-#: no run state (and are shared singletons), configs hold no arrays.
-_SKIP_ATTRS = frozenset({"backend", "kernels", "config", "configs"})
+#: Attribute names the array walker never descends into: the kernel
+#: instance holds no run state (and is shared), configs hold no arrays.
+_SKIP_ATTRS = frozenset({"kernels", "config", "configs"})
 
 
 def collect_arrays(
@@ -103,9 +96,9 @@ def state_fingerprint(state: Any) -> dict[str, np.ndarray]:
     article stores, metrics buffers and counters; on top of it each
     lane's RNG position is recorded explicitly (``BufferedRNG`` uses
     ``__slots__``, so the walk cannot see it): the PCG64 stream state
-    plus the buffer cursor.  Kernel backends never draw randomness, so
-    any backend that did — or that changed a draw's *size* — shifts
-    these and fails the comparison.
+    plus the buffer cursor.  Kernels never draw randomness, so a kernel
+    change that did — or that changed a draw's *size* — shifts these
+    and fails the comparison.
     """
     fp = collect_arrays(state, "state")
     for r, rng in enumerate(getattr(state, "rngs", [])):
@@ -133,34 +126,6 @@ def compare_fingerprints(
         elif not np.array_equal(x, y, equal_nan=x.dtype.kind == "f"):
             bad.append(path)
     return bad
-
-
-def backend_equivalence_report(
-    config: SimulationConfig,
-    n_steps: int = 8,
-    backends: tuple[str, str] = ("numpy", "compiled"),
-    temperature: float = 1.0,
-    learn: bool = True,
-) -> list[str]:
-    """Step ``config`` under two backends; report every diverging array.
-
-    Builds one fresh :class:`~repro.sim.state.SimState` per backend
-    (identical seeds), advances both ``n_steps`` through the full phase
-    pipeline and diffs the complete state fingerprints.  An empty list
-    means the backends are bit-identical on this config — the compiled
-    backend's acceptance contract.
-    """
-    from .phases import step_state
-    from .state import build_sim_state
-
-    fingerprints = []
-    for name in backends:
-        cfg = config.with_(**{"engine.backend": name})
-        state = build_sim_state([cfg])
-        for _ in range(max(0, int(n_steps))):
-            step_state(state, temperature, learn=learn)
-        fingerprints.append(state_fingerprint(state))
-    return compare_fingerprints(*fingerprints)
 
 
 # ----------------------------------------------------------------------
@@ -288,35 +253,4 @@ def random_config(rng: random.Random) -> SimulationConfig:
             "scale.chunk_size": rng.randint(1, 65536),
             "scale.stream_metrics_threshold": rng.randint(2, 50_000),
         })
-    if rng.random() < 0.5:
-        # engine.* is execution policy, excluded from the hash: the wire
-        # cycle drops it and the revived config (default engine) must
-        # still hash identically — exactly the exclusion invariant.
-        cfg = cfg.with_(**{"engine.backend": rng.choice(("numpy", "compiled"))})
     return cfg
-
-
-def random_equivalence_config(rng: random.Random) -> SimulationConfig:
-    """A :func:`random_config` shrunk to equivalence-check proportions.
-
-    Same structured diversity (schemes, overlays, adversaries, churn,
-    sparse ledgers, chunk sizes), but small populations and finite
-    temperatures so stepping a handful of steps under two backends
-    stays fast; ``chunk_size`` is kept tiny to force chunk-boundary
-    code paths through every chunked kernel.
-    """
-    cfg = random_config(rng)
-    return cfg.with_(**{
-        "n_agents": rng.randint(6, 24),
-        "n_articles": rng.randint(1, 6),
-        "founders_per_article": rng.randint(1, 3),
-        "n_states": rng.randint(1, 6),
-        "t_train": rng.choice([float("inf"), 1.0, 2.0]),
-        "t_eval": rng.choice([1.0, 0.5]),
-        "download_probability": rng.uniform(0.2, 1.0),
-        "edit_attempt_prob": rng.uniform(0.2, 1.0),
-        "max_voters_per_edit": rng.randint(1, 8),
-        "scale.chunk_size": rng.choice([1, 2, 3, 7, 32]),
-        "scale.ledger_cap": rng.randint(1, 8),
-        "collect_events": False,
-    })

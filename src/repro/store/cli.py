@@ -16,8 +16,6 @@ drives the scenario registry and the content-addressed run store::
     repro chaos base/default --plan p.json  # replay a fault schedule
     repro profile base/default --fast    # cProfile one pack config
     repro trace scale/50k --json         # traced run: phase-time breakdown
-    repro backends                       # kernel backends + availability
-    repro verify-backend                 # compiled vs numpy bit-identity
     repro ls                             # stored runs, no simulation
     repro ls --errors                    # quarantine artifacts, no simulation
     repro report --metric shared_files   # aggregate table, no simulation
@@ -129,7 +127,7 @@ def _progress_printer(quiet: bool):
     if quiet:
         return None
 
-    def progress(done, total, index, result, cached):
+    def progress(done, total, index, result, cached, stats):
         """Print one `[done/total] hash description (time|cache)` line."""
         tag = "cache" if cached else f"{result.wall_time_s:6.2f}s"
         print(
@@ -138,34 +136,6 @@ def _progress_printer(quiet: bool):
         )
 
     return progress
-
-
-_EXECUTORS = ("serial", "thread", "process")
-
-
-def _resolve_execution(args: argparse.Namespace) -> tuple[str, str | None]:
-    """``(executor, kernel_backend)`` from the --executor/--backend flags.
-
-    Historically ``--backend`` picked the *parallelization*; it now picks
-    the *kernel backend* (numpy | compiled) and ``--executor`` the
-    parallelization.  An executor name passed to ``--backend`` keeps
-    working with a deprecation notice so existing scripts survive.
-    """
-    executor = getattr(args, "executor", None)
-    backend = getattr(args, "backend", None)
-    kernel = None
-    if backend in _EXECUTORS:
-        print(
-            f"note: '--backend {backend}' is deprecated; use "
-            f"'--executor {backend}' (--backend now selects the kernel "
-            f"backend: numpy | compiled)",
-            file=sys.stderr,
-        )
-        if executor is None:
-            executor = backend
-    elif backend is not None:
-        kernel = backend
-    return executor or "process", kernel
 
 
 def _run_and_report(
@@ -184,7 +154,6 @@ def _run_and_report(
             "artifacts into the store; drop --no-store"
         )
     store = None if args.no_store else RunStore(args.store)
-    executor, kernel_backend = _resolve_execution(args)
     for flag in ("lane_batch", "batch_replicates"):
         if getattr(args, flag):
             print(
@@ -194,8 +163,7 @@ def _run_and_report(
             )
     results = run_sweep(
         configs,
-        backend=executor,
-        kernel_backend=kernel_backend,
+        backend=args.executor,
         workers=args.workers,
         store=store,
         progress=_progress_printer(args.quiet),
@@ -517,9 +485,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     ``pack+modifier`` spec), takes its first config with a single seed,
     executes it under the profiler and prints the ``--limit`` hottest
     functions by ``--sort``.  Never touches the store — a profiled run's
-    timings would be meaningless to cache.  The kernel backend is warmed
-    *before* the profiler starts, so one-time JIT compilation never
-    masquerades as simulation hot spots.
+    timings would be meaningless to cache.
     """
     try:
         pack = resolve_scenario(args.scenario)
@@ -528,8 +494,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     overrides = _single_overrides(_parse_set(args.set))
     configs = pack.expand(fast=args.fast, n_seeds=1, overrides=overrides or None)
     cfg = configs[0]
-    if args.backend:
-        cfg = cfg.with_(**{"engine.backend": args.backend})
     print(
         f"profiling {pack.name} config 1/{len(configs)} "
         f"[{short_hash(cfg)}] {cfg.describe()}"
@@ -538,15 +502,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
-    from ..sim.backends import get_backend
     from ..sim.engine import run_simulation
-
-    warm_s = get_backend(cfg.engine.backend).ensure_warm()
-    if warm_s > 0.0:
-        print(
-            f"backend warm-up (JIT compilation) took {warm_s:.2f}s "
-            f"— excluded from the profile below"
-        )
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -575,8 +531,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     overrides = _single_overrides(_parse_set(args.set))
     configs = pack.expand(fast=args.fast, n_seeds=1, overrides=overrides or None)
     cfg = configs[0]
-    if args.backend:
-        cfg = cfg.with_(**{"engine.backend": args.backend})
     if not args.json:
         print(
             f"tracing {pack.name} config 1/{len(configs)} "
@@ -639,96 +593,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 f"telemetry stored as {short_hash(payload['config_hash'])} "
                 f"in {stored_in}"
             )
-    return 0
-
-
-def cmd_backends(args: argparse.Namespace) -> int:
-    """List kernel backends: availability, versions, warm-up status.
-
-    One row per registered backend from
-    :func:`repro.sim.backends.list_backends` — whether it can run
-    natively (``compiled`` needs a JIT compiler), which library versions
-    back it, and whether its kernels are already warm (compiled).
-    ``--json`` emits the raw records instead of the table.
-    """
-    from ..sim.backends import list_backends
-
-    infos = list_backends()
-    if args.json:
-        print(json.dumps(infos, indent=2))
-        return 0
-    for info in infos:
-        # A fallback singleton answers under the name it was requested as;
-        # the table labels rows by the registered name either way.
-        name = info.get("requested", info["name"])
-        avail = "available" if info.get("available") else "unavailable"
-        bits = [f"mode={info['mode']}"] if info.get("mode") else []
-        for key in ("numpy_version", "numba_version"):
-            if info.get(key):
-                bits.append(f"{key.split('_')[0]}={info[key]}")
-        bits.append("warm" if info.get("warmed") else "cold")
-        if info.get("detail"):
-            bits.append(info["detail"])
-        print(f"{name:<10} {avail:<12} {'  '.join(bits)}")
-    return 0
-
-
-def cmd_verify_backend(args: argparse.Namespace) -> int:
-    """Prove a backend bit-identical to the numpy reference, per scheme.
-
-    Steps every incentive scheme (with churn and adversaries enabled) for
-    ``--steps`` steps under both the numpy reference and the backend
-    under test, then compares full state fingerprints (every slot array
-    plus RNG states).  Any diverging array fails the command with a
-    nonzero exit code.  Without a JIT compiler the compiled backend is
-    forced into interpreted mode (``REPRO_COMPILED_PUREPY=1``) so the
-    verification still exercises the compiled kernel code paths.
-    """
-    from ..sim.backends import backend_info, reset_backend_cache
-    from ..sim.config import SimulationConfig
-    from ..sim.testing import backend_equivalence_report
-
-    target = args.backend
-    if target == "compiled" and not backend_info("compiled")["available"]:
-        if not os.environ.get("REPRO_COMPILED_PUREPY"):
-            os.environ["REPRO_COMPILED_PUREPY"] = "1"
-            reset_backend_cache()
-        print(
-            "note: no JIT compiler installed — verifying the compiled "
-            "kernels in interpreted mode"
-        )
-
-    base = SimulationConfig(
-        n_agents=16,
-        n_articles=4,
-        founders_per_article=2,
-        training_steps=args.steps,
-        eval_steps=1,
-        seed=args.seed,
-        leave_rate=0.05,
-        join_rate=0.05,
-        whitewash_rate=0.02,
-        collusion_fraction=0.2,
-        sybil_fraction=0.1,
-        sybil_rate=0.05,
-    )
-    schemes = ("reputation", "none", "tft", "karma")
-    failures = 0
-    for scheme in schemes:
-        cfg = base.with_(scheme=scheme)
-        diverged = backend_equivalence_report(
-            cfg, n_steps=args.steps, backends=("numpy", target)
-        )
-        status = "FAIL" if diverged else "PASS"
-        extra = f"  ({len(diverged)} diverging arrays)" if diverged else ""
-        print(f"{status}  scheme={scheme:<10} steps={args.steps}{extra}")
-        for path in diverged[:10]:
-            print(f"      diverges: {path}")
-        failures += bool(diverged)
-    if failures:
-        print(f"{failures}/{len(schemes)} schemes diverged")
-        return 1
-    print(f"all {len(schemes)} schemes bit-identical (numpy vs {target})")
     return 0
 
 
@@ -848,18 +712,9 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--executor",
         choices=["serial", "thread", "process"],
-        default=None,
+        default="process",
         help="grid parallelization: serial | thread | process "
         "(default: process)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=["numpy", "compiled", "serial", "thread", "process"],
-        default=None,
-        help="kernel backend executing the hot loops: numpy (reference) "
-        "| compiled (JIT; falls back to numpy when unavailable).  "
-        "serial|thread|process are accepted as a deprecated spelling "
-        "of --executor",
     )
     p.add_argument("--workers", type=int, default=None)
     for flag in ("--batch-replicates", "--lane-batch"):
@@ -1162,12 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VAL",
         help="config override (repeatable, single-valued)",
     )
-    p.add_argument(
-        "--backend",
-        choices=["numpy", "compiled"],
-        default=None,
-        help="kernel backend override (warmed before profiling starts)",
-    )
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
@@ -1208,48 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="track per-phase tracemalloc deltas (slower)",
     )
-    p.add_argument(
-        "--backend",
-        choices=["numpy", "compiled"],
-        default=None,
-        help="kernel backend override (JIT warm-up shows as a "
-        "backend/compile span)",
-    )
     p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "backends",
-        help="list kernel backends: availability, versions, warm-up state",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the table as JSON"
-    )
-    p.set_defaults(func=cmd_backends)
-
-    p = sub.add_parser(
-        "verify-backend",
-        help="prove the compiled backend bit-identical to numpy "
-        "across all schemes",
-    )
-    p.add_argument(
-        "--backend",
-        default="compiled",
-        help="backend to verify against the numpy reference "
-        "(default: compiled)",
-    )
-    p.add_argument(
-        "--steps",
-        type=int,
-        default=8,
-        help="simulation steps per scheme (default: 8)",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="base seed for the scheme configs (default: 0)",
-    )
-    p.set_defaults(func=cmd_verify_backend)
 
     p = sub.add_parser("ls", help="list stored runs (no simulation)")
     _add_store_arg(p)

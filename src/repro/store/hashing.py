@@ -76,17 +76,8 @@ def _canonical(value: Any) -> Any:
 
 
 def canonical_config_dict(config: SimulationConfig) -> dict:
-    """The config as a nested dict of JSON scalars (floats sentinel-encoded).
-
-    The ``engine`` section (kernel backend and friends) is *excluded*:
-    backends are bit-identical by contract, so runs differing only in
-    how they execute must share one cache key.  Round-trips through
-    :func:`config_from_dict` revive the default engine section, which
-    re-canonicalizes to the same bytes.
-    """
-    data = _canonical(config)
-    data.pop("engine", None)
-    return data
+    """The config as a nested dict of JSON scalars (floats sentinel-encoded)."""
+    return _canonical(config)
 
 
 def revive_floats(obj: Any) -> Any:

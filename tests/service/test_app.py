@@ -39,7 +39,7 @@ class GatedRunner:
         self.first_done = threading.Event()
         self.release = threading.Event()
 
-    def __call__(self, configs, progress):
+    def __call__(self, configs, progress, on_failure):
         def paced(done, total, index, result, cached, stats):
             progress(done, total, index, result, cached, stats)
             if not self.first_done.is_set():
@@ -258,7 +258,7 @@ class TestBackpressureHttp:
             store = RunStore(tmp_path / "runstore")
             hold = threading.Event()
 
-            def blocking_runner(configs, progress):
+            def blocking_runner(configs, progress, on_failure):
                 assert hold.wait(timeout=30)
                 run_sweep(
                     configs, backend="serial", store=store, progress=progress
@@ -327,7 +327,7 @@ class TestShutdown:
             run_sweep([cfg], backend="serial", store=store)
             hold = threading.Event()
 
-            def stuck_runner(configs, progress):
+            def stuck_runner(configs, progress, on_failure):
                 hold.wait(timeout=5)
                 raise RuntimeError("never ran")
 

@@ -62,7 +62,7 @@ class FakeRunner:
         self.calls = []
         self.computed = []
 
-    def __call__(self, configs, progress):
+    def __call__(self, configs, progress, on_failure):
         self.calls.append(list(configs))
         if self.gate is not None:
             assert self.gate.wait(timeout=30), "runner gate never opened"

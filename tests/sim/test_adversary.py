@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.agents.population import PopulationMix
-from repro.sim.backends import default_kernels
 from repro.core.baselines import KarmaScheme, PrivateHistoryScheme
 from repro.core.incentives import NoIncentiveScheme, ReputationIncentiveScheme
 from repro.sim.config import SimulationConfig
@@ -95,7 +94,6 @@ def _ring_stub(rings, n_slots):
     return SimpleNamespace(
         collusion_rings=np.asarray(rings, dtype=np.int64),
         peers=SimpleNamespace(n=n_slots),
-        backend=default_kernels(),
     )
 
 

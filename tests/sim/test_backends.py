@@ -1,265 +1,181 @@
-"""The kernel-backend registry and its contracts.
+"""The kernel seam: every kernel call goes through the one kernel instance.
 
-Everything here must pass both with and without Numba installed: the
-``compiled`` backend is exercised through its interpreted mode
-(``CompiledBackend(jit=False)``) where a compiler is not required, and
-the graceful-degradation path (resolve ``"compiled"`` -> warn once ->
-numpy singleton) is tested only when Numba is actually absent.
+Profilers observe the kernels by wrapping the methods of
+``get_backend("numpy")`` as instance attributes.  That only sees every
+call if every call site looks its kernel up on that instance at call
+time — so this suite wraps all eight kernels the same way, runs the
+engine solo and lane-batched, and checks that each kernel was reached
+and that the wrapped runs are bit-identical to unwrapped ones.  Pickled
+states (snapshots, process-pool payloads) must come back holding the
+same instance, not a copy.
 """
 
+import contextlib
 import pickle
-import warnings
+from collections import Counter
 
-import numpy as np
 import pytest
 
-from repro.sim.backends import (
-    BACKEND_CHOICES,
-    DEFAULT_BACKEND,
-    KernelBackend,
-    NumpyBackend,
-    backend_info,
-    default_kernels,
-    get_backend,
-    list_backends,
-    register_backend,
-    reset_backend_cache,
+from repro.sim._sweep import plan_lane_batches, run_sweep
+from repro.sim.backends import KERNELS, NumpyKernels, get_backend
+from repro.sim.config import ScaleConfig, SimulationConfig
+from repro.sim.engine import CollaborationSimulation
+from repro.sim.phases import step_state
+from repro.sim.state import build_sim_state
+from repro.sim.testing import compare_fingerprints, state_fingerprint
+from tests.conftest import assert_summaries_equal
+
+KERNEL_NAMES = (
+    "grouped_shares",
+    "match_sources",
+    "settle_downloads",
+    "filter_vote_candidates",
+    "tally_votes",
+    "ledger_lookup",
+    "ledger_add",
+    "q_update",
 )
-from repro.sim.backends.compiled import (
-    CompiledBackend,
-    numba_available,
-    numba_version,
+
+#: Churn with whitewashing plus both adversary kernels.
+ADVERSARIES = dict(
+    leave_rate=0.05, join_rate=0.3, whitewash_rate=0.02,
+    collusion_fraction=0.25, sybil_fraction=0.125, sybil_rate=0.1,
 )
-from repro.sim.config import SimulationConfig
-from repro.sim.lanes import assert_lane_compatible, structural_key
-from repro.store.hashing import canonical_config_dict, config_hash
 
 
-@pytest.fixture(autouse=True)
-def _clean_registry_cache():
-    """Each test resolves backends from a cold cache and leaves none behind."""
-    reset_backend_cache()
-    yield
-    reset_backend_cache()
+def _config(**overrides) -> SimulationConfig:
+    return SimulationConfig(
+        n_agents=16, n_articles=4, founders_per_article=2,
+        training_steps=30, eval_steps=20, **ADVERSARIES, **overrides,
+    )
+
+
+#: name -> (config, kernels its runs must reach)
+CASES = {
+    "dense-reputation": (
+        _config(scheme="reputation", seed=3),
+        set(KERNEL_NAMES) - {"ledger_lookup", "ledger_add"},
+    ),
+    "sparse-tft": (
+        _config(
+            scheme="tft", seed=4,
+            scale=ScaleConfig(sparse=True, ledger_cap=4, chunk_size=5),
+        ),
+        set(KERNEL_NAMES),
+    ),
+}
+
+
+@contextlib.contextmanager
+def wrapped_kernels():
+    """Wrap every kernel as an instance attribute; yield the call counts."""
+    kernels = get_backend("numpy")
+    calls: Counter = Counter()
+
+    def wrap(name, method):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+    for name in KERNEL_NAMES:
+        setattr(kernels, name, wrap(name, getattr(kernels, name)))
+    try:
+        yield calls
+    finally:
+        for name in KERNEL_NAMES:
+            delattr(kernels, name)
+
+
+def run_solo(cfg: SimulationConfig) -> dict:
+    sim = CollaborationSimulation(cfg)
+    sim.run()
+    return state_fingerprint(sim.state)
+
+
+def run_two_lanes(cfg: SimulationConfig) -> list:
+    grid = [cfg, cfg.with_(seed=cfg.seed + 100)]
+    return run_sweep(grid, backend="serial")
+
+
+class TestKernelSeam:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_solo_run_reaches_every_kernel_unchanged(self, case):
+        cfg, expected = CASES[case]
+        plain = run_solo(cfg)
+        with wrapped_kernels() as calls:
+            wrapped = run_solo(cfg)
+        assert set(calls) == expected
+        assert compare_fingerprints(plain, wrapped) == []
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_two_lane_sweep_reaches_every_kernel_unchanged(self, case):
+        cfg, expected = CASES[case]
+        pending = [(cfg, [0]), (cfg.with_(seed=cfg.seed + 100), [1])]
+        assert [len(batch) for batch in plan_lane_batches(pending)] == [2]
+        plain = run_two_lanes(cfg)
+        with wrapped_kernels() as calls:
+            wrapped = run_two_lanes(cfg)
+        assert set(calls) == expected
+        for a, b in zip(plain, wrapped):
+            assert_summaries_equal(a.summary, b.summary)
+            assert_summaries_equal(a.training_summary, b.training_summary)
+
+    def test_cases_cover_every_kernel(self):
+        assert set().union(*(kernels for _, kernels in CASES.values())) == set(
+            KERNEL_NAMES
+        )
+
+
+class TestConfigIntegration:
+    def test_build_sim_state_threads_the_backend(self):
+        cfg, _ = CASES["sparse-tft"]
+        state = build_sim_state([cfg])
+        holders = [
+            state.scheme,
+            state.scheme._ledger,
+            state.behavior.sharing_learner,
+            state.behavior.edit_learner,
+        ]
+        assert all(holder.kernels is get_backend("numpy") for holder in holders)
 
 
 class TestRegistry:
     def test_default_is_numpy(self):
-        assert DEFAULT_BACKEND == "numpy"
-        assert get_backend() is get_backend("numpy")
-        assert isinstance(get_backend(), NumpyBackend)
+        assert get_backend() is get_backend("numpy") is KERNELS
+        assert isinstance(KERNELS, NumpyKernels)
 
     def test_singleton_per_name(self):
         assert get_backend("numpy") is get_backend("numpy")
-        assert default_kernels() is get_backend("numpy")
 
     def test_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="numpy"):
-            get_backend("fortran")
-        with pytest.raises(ValueError):
-            backend_info("fortran")
-
-    def test_builtin_choices(self):
-        assert set(BACKEND_CHOICES) == {"numpy", "compiled"}
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
-
-    def test_register_and_replace_custom_backend(self):
-        from repro.sim import backends as reg
-
-        class Custom(NumpyBackend):
-            name = "custom"
-
-        register_backend("custom", Custom)
-        try:
-            assert isinstance(get_backend("custom"), Custom)
-            # replace=True swaps the factory and drops the old singleton.
-            register_backend("custom", NumpyBackend, replace=True)
-            assert type(get_backend("custom")) is NumpyBackend
-        finally:
-            reg._FACTORIES.pop("custom", None)
-            reset_backend_cache()
-
-    def test_list_backends_shape(self):
-        infos = list_backends()
-        assert [i["name"] for i in infos] == sorted(i["name"] for i in infos)
-        by_name = {i["name"]: i for i in infos}
-        assert {"numpy", "compiled"} <= set(by_name)
-        for info in infos:
-            assert {"name", "available", "warmed"} <= set(info)
-        assert by_name["numpy"]["available"] is True
-        assert by_name["numpy"]["numpy_version"] == np.__version__
-
-    def test_repr(self):
-        assert repr(get_backend("numpy")) == "<KernelBackend numpy>"
+        # "com" "piled" spells the name of the JIT backend this module
+        # used to offer; it is gone, like every other name but numpy.
+        for name in ("com" "piled", "jit", "NUMPY", ""):
+            with pytest.raises(ValueError, match="numpy"):
+                get_backend(name)
 
 
 class TestPickling:
     def test_backend_pickles_by_name_to_the_singleton(self):
-        bk = get_backend("numpy")
-        assert pickle.loads(pickle.dumps(bk)) is bk
+        assert pickle.loads(pickle.dumps(KERNELS)) is KERNELS
+        assert KERNELS.__reduce__() == (get_backend, ("numpy",))
 
-    def test_interpreted_compiled_pickles_by_name(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        reset_backend_cache()
-        bk = get_backend("compiled")
-        assert pickle.loads(pickle.dumps(bk)) is bk
-
-
-@pytest.mark.skipif(numba_available(), reason="degradation path needs no numba")
-class TestGracefulDegradation:
-    def test_compiled_falls_back_to_numpy_with_one_warning(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-        reset_backend_cache()
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            bk = get_backend("compiled")
-        assert bk is get_backend("numpy")
-        # Cached under the requested name: resolving again stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert get_backend("compiled") is bk
-
-    def test_backend_info_never_warns(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-        reset_backend_cache()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            info = backend_info("compiled")
-        assert info["available"] is False
-        assert info["mode"] == "fallback"
-        assert info["numba_version"] is None
-
-    def test_fallback_singleton_reports_requested_name(self, monkeypatch):
-        monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-        reset_backend_cache()
-        with pytest.warns(RuntimeWarning):
-            get_backend("compiled")
-        info = backend_info("compiled")
-        assert info["name"] == "numpy"
-        assert info["requested"] == "compiled"
-        assert info["mode"] == "fallback"
-        # "available" keeps meaning "can this *name* run natively" even
-        # once the fallback singleton is cached under it.
-        assert info["available"] is False
-
-    def test_simulation_still_runs_on_compiled(self, monkeypatch):
-        from repro.sim.engine import run_simulation
-
-        monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-        reset_backend_cache()
-        cfg = SimulationConfig(
-            n_agents=10,
-            n_articles=2,
-            founders_per_article=2,
-            training_steps=5,
-            eval_steps=5,
-        )
-        with pytest.warns(RuntimeWarning):
-            result = run_simulation(cfg.with_(**{"engine.backend": "compiled"}))
-        assert 0.0 <= result.summary["shared_bandwidth"] <= 1.0
-
-
-class TestInterpretedCompiled:
-    def test_purepy_env_selects_interpreted_mode(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        reset_backend_cache()
-        bk = get_backend("compiled")
-        assert isinstance(bk, CompiledBackend)
-        assert bk.mode() == "interpreted"
-        assert bk.available()
-
-    def test_info_reports_mode_and_version(self):
-        bk = CompiledBackend(jit=False)
-        info = bk.info()
-        assert info["name"] == "compiled"
-        assert info["mode"] == "interpreted"
-        assert info["numba_version"] == numba_version()
-
-    def test_ensure_warm_idempotent(self):
-        bk = CompiledBackend(jit=False)
-        assert not bk.warmed()
-        first = bk.ensure_warm()
-        assert first >= 0.0
-        assert bk.warmed()
-        assert bk.ensure_warm() == 0.0
-
-    def test_ensure_warm_records_compile_span(self):
-        from repro.obs import tracing
-
-        bk = CompiledBackend(jit=False)
-        with tracing() as tracer:
-            bk.ensure_warm(tracer)
-        assert "backend/compile" in tracer.spans()
-
-    def test_numpy_ensure_warm_is_free(self):
-        bk = get_backend("numpy")
-        assert bk.ensure_warm() == 0.0
-        assert bk.warmed()
-
-
-class TestConfigIntegration:
-    def test_backend_excluded_from_store_hash(self):
-        cfg = SimulationConfig(training_steps=5, eval_steps=5)
-        variants = [
-            cfg.with_(**{"engine.backend": name}) for name in BACKEND_CHOICES
-        ]
-        assert len({config_hash(v) for v in variants}) == 1
-        assert "engine" not in canonical_config_dict(cfg)
-
-    def test_backend_is_structural_for_lanes(self):
-        cfg = SimulationConfig(training_steps=5, eval_steps=5)
-        a = cfg.with_(**{"engine.backend": "numpy"})
-        b = cfg.with_(**{"engine.backend": "compiled"})
-        assert structural_key(a) != structural_key(b)
-        with pytest.raises(ValueError, match="engine.backend"):
-            assert_lane_compatible([a, b])
-        assert_lane_compatible([a, a])
-
-    def test_build_sim_state_threads_the_backend(self):
-        from repro.sim.state import build_sim_state
-
-        cfg = SimulationConfig(
-            n_agents=8,
-            n_articles=2,
-            founders_per_article=2,
-            training_steps=5,
-            eval_steps=5,
-        )
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_restored_state_routes_through_the_same_instance(self, case):
+        cfg, expected = CASES[case]
         state = build_sim_state([cfg])
-        assert isinstance(state.backend, KernelBackend)
-        assert state.backend is get_backend("numpy")
-
-    def test_unknown_backend_fails_at_build(self):
-        from repro.sim.state import build_sim_state
-
-        cfg = SimulationConfig(training_steps=5, eval_steps=5).with_(
-            **{"engine.backend": "no-such-backend"}
-        )
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            build_sim_state([cfg])
-
-    def test_run_sweep_kernel_backend_rejects_unknown_names(self, tmp_path):
-        from repro.sim._sweep import run_sweep
-
-        cfg = SimulationConfig(training_steps=5, eval_steps=5)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            run_sweep([cfg], backend="serial", kernel_backend="no-such-backend")
-
-    def test_run_sweep_kernel_backend_applies_to_every_config(self, monkeypatch):
-        from repro.sim._sweep import run_sweep
-
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        reset_backend_cache()
-        cfg = SimulationConfig(
-            n_agents=8,
-            n_articles=2,
-            founders_per_article=2,
-            training_steps=3,
-            eval_steps=3,
-        )
-        results = run_sweep(
-            [cfg, cfg.with_(seed=1)], backend="serial", kernel_backend="compiled"
-        )
-        assert [r.config.engine.backend for r in results] == ["compiled"] * 2
+        restored = pickle.loads(pickle.dumps(state))
+        holders = [
+            restored.scheme,
+            restored.behavior.sharing_learner,
+            restored.behavior.edit_learner,
+        ]
+        if cfg.scale.sparse:
+            holders.append(restored.scheme._ledger)
+        assert all(holder.kernels is KERNELS for holder in holders)
+        with wrapped_kernels() as calls:
+            for _ in range(cfg.training_steps):
+                step_state(restored, float("inf"), learn=True)
+        assert set(calls) == expected

@@ -71,7 +71,7 @@ class TestDispatchSweep:
         grid = [tiny(seed=s) for s in range(3)]
         run_sweep(
             grid, backend="serial", store=RunStore(tmp_path), dispatch="store",
-            progress=lambda done, total, index, result, cached: seen.append(
+            progress=lambda done, total, index, result, cached, stats: seen.append(
                 (done, total, index)
             ),
         )

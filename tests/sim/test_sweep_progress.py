@@ -2,7 +2,7 @@
 
 from repro.obs import tracing
 from repro.sim.config import SimulationConfig
-from repro.sim._sweep import SweepProgress, _adapt_progress, run_sweep
+from repro.sim._sweep import SweepProgress, run_sweep
 from repro.store._runstore import RunStore
 
 
@@ -63,38 +63,6 @@ class TestSweepProgressStats:
             [tiny(1), tiny(2)], backend="serial", store=store, progress=progress
         )
         assert etas == [None, 0.0]
-
-
-class TestLegacyCallbacks:
-    def test_five_argument_callback_still_works(self):
-        seen = []
-
-        def progress(done, total, index, result, cached):
-            seen.append((done, total, cached))
-
-        run_sweep([tiny(1), tiny(2)], backend="serial", progress=progress)
-        assert seen == [(1, 2, False), (2, 2, False)]
-
-    def test_adapter_passes_new_style_through(self):
-        def new_style(done, total, index, result, cached, stats):
-            pass
-
-        assert _adapt_progress(new_style) is new_style
-
-    def test_adapter_passes_var_positional_through(self):
-        def splat(*args):
-            pass
-
-        assert _adapt_progress(splat) is splat
-
-    def test_adapter_wraps_legacy(self):
-        def legacy(done, total, index, result, cached):
-            pass
-
-        assert _adapt_progress(legacy) is not legacy
-
-    def test_adapter_none(self):
-        assert _adapt_progress(None) is None
 
 
 class TestSweepTelemetry:

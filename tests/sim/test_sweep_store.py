@@ -147,7 +147,7 @@ class TestProgressCallback:
             [tiny(1), tiny(2)],
             backend="serial",
             store=RunStore(tmp_path),
-            progress=lambda done, total, i, r, cached: events.append(
+            progress=lambda done, total, i, r, cached, stats: events.append(
                 (done, total, i, cached)
             ),
         )
@@ -159,7 +159,7 @@ class TestProgressCallback:
             [tiny(1), tiny(2)],
             backend="serial",
             store=RunStore(tmp_path),
-            progress=lambda done, total, i, r, cached: events.append(
+            progress=lambda done, total, i, r, cached, stats: events.append(
                 (done, total, i, cached)
             ),
         )

@@ -20,7 +20,7 @@ def run_tiny(store_dir, scenario="capacity/heterogeneous", extra=()):
         [
             "run", scenario,
             "--fast", "--seeds", "1",
-            "--backend", "serial",
+            "--executor", "serial",
             "--store", str(store_dir),
             *TINY_SETS,
             *extra,
@@ -150,7 +150,7 @@ class TestSweep:
             [
                 "sweep",
                 "--seeds", "1",
-                "--backend", "serial",
+                "--executor", "serial",
                 "--store", str(tmp_path),
                 "--quiet",
                 *TINY_SETS,
@@ -169,7 +169,7 @@ class TestSweep:
         argv = [
             "sweep",
             "--seeds", "1",
-            "--backend", "serial",
+            "--executor", "serial",
             "--store", str(tmp_path),
             "--quiet",
             *TINY_SETS,
@@ -354,7 +354,7 @@ class TestStats:
 
 class TestDispatchCLI:
     SWEEP_TINY = [
-        "sweep", "--fast", "--seeds", "1", "--backend", "serial",
+        "sweep", "--fast", "--seeds", "1", "--executor", "serial",
         "--set", "n_agents=8,10", "--set", "n_articles=2",
         "--set", "founders_per_article=2",
         "--set", "training_steps=5", "--set", "eval_steps=5",
@@ -433,72 +433,8 @@ def _raise_worker(*args, **kwargs):  # pragma: no cover - must never run
     raise AssertionError("a simulation executed where none was allowed")
 
 
-class TestKernelBackendCLI:
-    """The --executor/--backend split plus the two backend subcommands."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_backend_cache(self):
-        from repro.sim.backends import reset_backend_cache
-
-        reset_backend_cache()
-        yield
-        reset_backend_cache()
-
-    def test_new_subcommands_registered(self):
-        parser = build_parser()
-        for argv in (["backends"], ["verify-backend"]):
-            assert callable(parser.parse_args(argv).func)
-
-    def test_backends_lists_availability(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "numpy" in out and "compiled" in out
-        assert "available" in out
-
-    def test_backends_json(self, capsys):
-        import json as _json
-
-        assert main(["backends", "--json"]) == 0
-        infos = _json.loads(capsys.readouterr().out)
-        assert {i["name"] for i in infos} == {"compiled", "numpy"}
-        for info in infos:
-            assert {"name", "available", "warmed"} <= set(info)
-
-    def test_backends_table_after_fallback_keeps_registered_names(
-        self, capsys, monkeypatch
-    ):
-        from repro.sim.backends import get_backend
-        from repro.sim.backends.compiled import numba_available
-
-        if numba_available():
-            pytest.skip("fallback path needs numba absent")
-        monkeypatch.delenv("REPRO_COMPILED_PUREPY", raising=False)
-        # Cache the fallback singleton under "compiled", as a run would.
-        with pytest.warns(RuntimeWarning):
-            get_backend("compiled")
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        # Still one row per *registered* name, not two "numpy" rows.
-        assert sum(line.startswith("compiled") for line in out.splitlines()) == 1
-        assert sum(line.startswith("numpy") for line in out.splitlines()) == 1
-        assert "unavailable" in out
-
-    def test_verify_backend_passes(self, capsys, monkeypatch):
-        # Keep the forced REPRO_COMPILED_PUREPY (set when numba is
-        # absent) scoped to this test.
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        from repro.sim.backends import reset_backend_cache
-
-        reset_backend_cache()
-        assert main(["verify-backend", "--steps", "2"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") == 4
-        assert "bit-identical" in out
-
-    def test_deprecated_backend_executor_spelling(self, tmp_path, capsys):
-        assert run_tiny(tmp_path) == 0  # run_tiny still uses --backend serial
-        err = capsys.readouterr().err
-        assert "deprecated" in err and "--executor serial" in err
+class TestExecutorFlag:
+    """``--executor`` picks the sweep parallelization; ``--backend`` is gone."""
 
     def test_executor_flag_replaces_old_spelling(self, tmp_path, capsys):
         assert main([
@@ -510,48 +446,18 @@ class TestKernelBackendCLI:
         ]) == 0
         assert "deprecated" not in capsys.readouterr().err
 
-    def test_run_kernel_backend_flag(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        from repro.sim.backends import reset_backend_cache
-
-        reset_backend_cache()
-        assert main([
-            "run", "capacity/heterogeneous",
-            "--fast", "--seeds", "1",
-            "--executor", "serial", "--backend", "compiled",
-            "--store", str(tmp_path),
-            *TINY_SETS,
-        ]) == 0
-        # Hash-neutral: re-running on the reference backend is all cache hits.
-        capsys.readouterr()
-        assert run_tiny(tmp_path) == 0
-        assert "0 misses" in capsys.readouterr().out
-
-    def test_profile_backend_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        from repro.sim.backends import reset_backend_cache
-
-        reset_backend_cache()
-        assert main([
-            "profile", "base/default", "--fast", "--limit", "3",
-            "--backend", "compiled", *TINY_SETS[:4],
-            "--set", "training_steps=10", "--set", "eval_steps=5",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "warm-up" in out
-
-    def test_trace_backend_records_compile_span(self, tmp_path, capsys, monkeypatch):
-        import json as _json
-
-        monkeypatch.setenv("REPRO_COMPILED_PUREPY", "1")
-        from repro.sim.backends import reset_backend_cache
-
-        reset_backend_cache()
-        assert main([
-            "trace", "base/default", "--fast", "--no-store", "--json",
-            "--backend", "compiled",
-            "--store", str(tmp_path), *TINY_SETS,
-        ]) == 0
-        payload = _json.loads(capsys.readouterr().out)
-        names = {s["name"] for s in payload["telemetry"]["spans"]}
-        assert "backend/compile" in names
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "base/default"],
+            ["sweep"],
+            ["chaos", "base/default", "--plan", "{}"],
+            ["trace", "base/default"],
+            ["profile", "base/default"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_backend_flag_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--backend", "serial"])
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
