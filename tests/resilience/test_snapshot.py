@@ -155,6 +155,32 @@ class TestBitIdenticalResume:
         for a, b in zip(resumed, straight):
             assert_summaries_equal(a.summary, b.summary)
 
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_resume_keeps_voter_order_at_paper_scale(self, tmp_path, seed):
+        # At N=100 the articles' voter rows grow large enough that a
+        # voter order rebuilt on unpickling differs from the live one;
+        # both seeds diverged while the order was a Python set's.
+        configs = [
+            SimulationConfig(
+                n_agents=100, n_articles=30, training_steps=300,
+                eval_steps=100, seed=seed,
+            )
+        ]
+        straight = ResumableTask(configs).run()
+        plan = FaultPlan([FaultSpec(site="sweep/step", action="error", at=(151,))])
+        with inject_faults(plan):
+            with pytest.raises(InjectedFault):
+                ResumableTask(
+                    configs, checkpoint_every=150, store_root=str(tmp_path)
+                ).run()
+        task = ResumableTask(configs, checkpoint_every=150, store_root=str(tmp_path))
+        resumed = task.run()
+        assert task.resumed_at_step == 150
+        assert_summaries_equal(resumed[0].summary, straight[0].summary)
+        assert_summaries_equal(
+            resumed[0].training_summary, straight[0].training_summary
+        )
+
     def test_corrupt_snapshot_restarts_from_zero(self, tmp_path):
         configs = [tiny(seed=3)]
         key = snapshot_key([config_hash(configs[0])])

@@ -6,6 +6,12 @@ a mixed-config three-lane batch — is fingerprinted bit for bit:
 
 * the full end-of-run state (:func:`repro.sim.testing.state_fingerprint`)
   of each corpus entry, run solo or as its one lane batch;
+* every article of every lane of each entry: quality, version count,
+  constructive/destructive accepted counts and the voters in gather
+  order (the state digest cannot see a voter order it does not store);
+* the same state after a snapshot round trip: each entry pickled at
+  step :data:`RESUME_AT`, restored in one fresh process and run to the
+  end there;
 * every summary :func:`run_sweep` returns for the flattened corpus,
   under the serial and the thread executor.
 
@@ -28,6 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +46,16 @@ import pytest
 from repro.agents.population import PopulationMix
 from repro.sim.config import ScaleConfig, SimulationConfig
 from repro.sim.engine import BatchedSimulation, CollaborationSimulation
+from repro.sim.phases import step_state
 from repro.sim.testing import state_fingerprint
 from repro.sim._sweep import run_sweep
 from repro.store import config_hash, get_scenario, iter_scenarios
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
+REPO = Path(__file__).resolve().parents[2]
+
+#: Step at which the snapshot-resume test pickles every corpus entry.
+RESUME_AT = 20
 
 
 def _base(**overrides) -> SimulationConfig:
@@ -130,6 +145,33 @@ def fingerprint_digest(fp: dict[str, np.ndarray]) -> str:
     return _sha(chunks())
 
 
+def article_rows(state):
+    """``(lane, article, quality, versions, good, bad, voters)`` per article.
+
+    ``voters`` are the article's voting-right holders in gather order,
+    the order the edit-vote phase reads them in.
+    """
+    for r, store in enumerate(state.articles):
+        for a, art in enumerate(store.articles):
+            yield (
+                r, a, art.quality, art.n_versions,
+                art.n_constructive_accepted, art.n_destructive_accepted,
+                art.voter_array(),
+            )
+
+
+def article_digest(state) -> str:
+    """sha256 over every article row of every lane (:func:`article_rows`)."""
+    return _sha(
+        chunk
+        for r, a, quality, versions, good, bad, voters in article_rows(state)
+        for chunk in (
+            f"{r}/{a}", repr(float(quality)), int(versions), int(good),
+            int(bad), np.asarray(voters, dtype=np.int64).tobytes(),
+        )
+    )
+
+
 def summary_digest(result) -> str:
     """sha256 over a result's eval and training summaries (exact reprs)."""
     return _sha(
@@ -146,6 +188,22 @@ def run_state(configs: list[SimulationConfig]):
     )
     sim.run()
     return sim.state
+
+
+def advance(state, start: int, stop: int) -> None:
+    """Steps ``[start, stop)`` of the engine protocol on ``state``.
+
+    The same sequence ``CollaborationSimulation.run`` drives: training
+    steps, the reputation reset at the phase boundary, evaluation steps.
+    """
+    cfg = state.config
+    for step in range(start, stop):
+        if step < cfg.training_steps:
+            step_state(state, state.lanes.t_train, learn=True)
+        else:
+            step_state(state, state.lanes.t_eval, learn=cfg.learn_during_eval)
+        if step + 1 == cfg.training_steps:
+            state.scheme.reset_reputations()
 
 
 def sweep_slots() -> list[tuple[str, SimulationConfig]]:
@@ -191,6 +249,46 @@ def test_state_fingerprint_unchanged(name):
     assert fingerprint_digest(state_fingerprint(run_state(CORPUS[name]))) == expected
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_article_digest_unchanged(name):
+    expected = recorded()["articles"][name]
+    assert article_digest(run_state(CORPUS[name])) == expected
+
+
+def test_snapshot_resume_matches_uninterrupted(tmp_path):
+    """Pickle every entry at RESUME_AT; a fresh process finishes them all."""
+    straight = {
+        name: fingerprint_digest(state_fingerprint(run_state(configs)))
+        for name, configs in CORPUS.items()
+    }
+    for name, configs in CORPUS.items():
+        state = (
+            CollaborationSimulation(configs[0]).state if len(configs) == 1
+            else BatchedSimulation(configs).state
+        )
+        advance(state, 0, RESUME_AT)
+        (tmp_path / f"{name}.pkl").write_bytes(pickle.dumps(state))
+    code = (
+        "import json, pickle, sys\n"
+        "from pathlib import Path\n"
+        "from repro.sim.testing import state_fingerprint\n"
+        "from tests.sim.test_golden import RESUME_AT, advance, fingerprint_digest\n"
+        "out = {}\n"
+        "for path in sorted(Path(sys.argv[1]).glob('*.pkl')):\n"
+        "    state = pickle.loads(path.read_bytes())\n"
+        "    advance(state, RESUME_AT, state.config.total_steps)\n"
+        "    out[path.stem] = fingerprint_digest(state_fingerprint(state))\n"
+        "print(json.dumps(out))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True, text=True, cwd=REPO, timeout=300,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), str(REPO)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == straight
+
+
 @pytest.mark.parametrize("executor", ["serial", "thread"])
 def test_sweep_summaries_unchanged(executor):
     expected = recorded()["summaries"]
@@ -214,11 +312,13 @@ def record() -> None:
     """Compute this environment's digests and merge them into the file."""
     slots = sweep_slots()
     results = run_sweep([cfg for _, cfg in slots], backend="serial")
+    states = {name: run_state(configs) for name, configs in sorted(CORPUS.items())}
     entry = {
         "state": {
-            name: fingerprint_digest(state_fingerprint(run_state(configs)))
-            for name, configs in sorted(CORPUS.items())
+            name: fingerprint_digest(state_fingerprint(state))
+            for name, state in states.items()
         },
+        "articles": {name: article_digest(state) for name, state in states.items()},
         "summaries": {
             label: summary_digest(r) for (label, _), r in zip(slots, results)
         },
