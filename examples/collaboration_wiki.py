@@ -68,9 +68,9 @@ def main() -> None:
     print(f"  reputation resets  : {len(resets)}")
 
     print("\n-- article quality --")
-    qualities = np.array([a.quality for a in sim.articles.articles])
+    qualities = sim.articles.quality
     print(f"  total quality change: {qualities.sum():+.0f} over "
-          f"{len(sim.articles)} articles")
+          f"{sim.articles.n_articles} articles")
     print(f"  improved articles   : {(qualities > 0).sum()}")
     print(f"  damaged articles    : {(qualities < 0).sum()}")
 

@@ -1,6 +1,6 @@
 """P2P collaboration-network substrate: peers, articles, bandwidth, overlay."""
 
-from .articles import Article, ArticleStore, EditProposal
+from .articles import ArticleStore
 from .bandwidth import DownloadRequests, sample_download_requests, settle_downloads
 from .events import (
     DownloadEvent,
@@ -13,9 +13,7 @@ from .overlay import ChurnEvent, ChurnModel, OverlayNetwork
 from .peer import ALTRUISTIC, IRRATIONAL, RATIONAL, TYPE_NAMES, PeerArrays
 
 __all__ = [
-    "Article",
     "ArticleStore",
-    "EditProposal",
     "DownloadRequests",
     "sample_download_requests",
     "settle_downloads",

@@ -163,7 +163,7 @@ class CollaborationSimulation:
         self.peers = s.peers
         self.overlay = s.overlays[0] if s.overlays is not None else None
         self.scheme = s.scheme
-        self.articles = s.articles[0]
+        self.articles = s.articles
         self.sharing_space = s.sharing_space
         self.edit_space = s.edit_space
         self.rational_idx = s.rational_idx

@@ -20,8 +20,8 @@ independent runs at once: per-peer inputs arrive as flat ``(R * N,)`` (or
 ``(R, n_steps)``.  All reductions are row-wise over contiguous memory, so
 replicate ``r``'s recorded values — and therefore its ``summary`` — are
 bit-identical to collecting that replicate alone.  For ``R = 1`` the
-public attributes stay 1-D (zero-copy views of row 0), preserving the
-historical single-run API exactly.
+public series stay 1-D (read-only properties returning row 0), preserving
+the historical single-run API exactly.
 """
 
 from __future__ import annotations
@@ -100,17 +100,6 @@ class MetricsCollector:
         self._n_per_rep = self.types.size // self.n_replicates
         types2d = self.types.reshape(self.n_replicates, self._n_per_rep)
         self.streaming = bool(streaming)
-        # Per-(replicate, type) member indices, precomputed once; gathers
-        # through these match boolean-mask compression element-for-element.
-        # The streaming path reduces by label instead and skips them.
-        self._type_idx = (
-            None
-            if self.streaming
-            else [
-                {t: np.flatnonzero(types2d[r] == t) for t in self._TYPES}
-                for r in range(self.n_replicates)
-            ]
-        )
         self._cursor = 0
 
         R = self.n_replicates
@@ -144,59 +133,97 @@ class MetricsCollector:
             self._label_counts = counts.astype(np.float64)
             self._label_empty = counts == 0
         else:
-            # Scratch: the four per-peer series stacked so one contiguous
-            # gather serves all per-type means (reused every step).
-            self._type_buf = np.empty((4, self.types.size))
-            # When a type has the same member count in every replicate (the
-            # common case — replicates share one mix), its means batch into a
-            # single take over flat slot ids; ragged types fall back to a
-            # per-replicate loop.  Both paths gather the same elements in the
-            # same per-replicate order and reduce contiguous rows of the same
-            # length, so they are bit-identical.
-            self._type_flat_idx: dict[int, np.ndarray | None] = {}
+            # Lanes whose type has the same member count k form one group:
+            # its means are one reduction over (4, lanes, k) rows of a
+            # single gather.  A type with no members in a lane records
+            # NaN there, filled in once.
+            self._groups: list[tuple[int, np.ndarray, int, slice]] = []
+            flat_idx: list[np.ndarray] = []
+            lo = 0
             for t in self._TYPES:
-                sizes = {self._type_idx[r][t].size for r in range(R)}
-                if len(sizes) == 1 and sizes != {0}:
-                    self._type_flat_idx[t] = np.concatenate(
-                        [
-                            self._type_idx[r][t] + r * self._n_per_rep
-                            for r in range(R)
-                        ]
-                    )
-                else:
-                    self._type_flat_idx[t] = None
-            # Reused per-step scratch for the by-type gathers: one (4, R*k)
-            # take target per type and one (4, R) mean target, so the hot
-            # record() path allocates nothing for the batched types.  The
-            # mean target is zeroed: when every type is ragged no step
-            # writes it, and state fingerprints hash it.
-            self._gather_buf = {
-                t: np.empty((4, idx.size))
-                for t, idx in self._type_flat_idx.items()
-                if idx is not None
-            }
-            self._type_mean = np.zeros((4, R))
+                members = [np.flatnonzero(row == t) for row in types2d]
+                sizes = np.array([m.size for m in members])
+                for series in (
+                    self._files_by_type,
+                    self._bandwidth_by_type,
+                    self._rep_s_by_type,
+                    self._rep_e_by_type,
+                ):
+                    series[t][sizes == 0] = np.nan
+                for k in np.unique(sizes[sizes > 0]).tolist():
+                    group = np.flatnonzero(sizes == k)
+                    flat_idx.extend(members[r] + r * self._n_per_rep for r in group)
+                    self._groups.append((t, group, k, slice(lo, lo + group.size * k)))
+                    lo += group.size * k
+            self._flat_idx = np.concatenate(flat_idx)
+            # Scratch: the four per-peer series stacked so one gather
+            # serves every group, and that gather's target.
+            self._type_buf = np.empty((4, self.types.size))
+            self._gather_buf = np.empty((4, self._flat_idx.size))
 
-        # Public views: single runs keep the historical 1-D attributes
-        # (row-0 views, zero-copy); stacked runs expose the (R, steps)
-        # arrays directly.
-        first = (lambda a: a[0]) if R == 1 else (lambda a: a)
-        self.files_all = first(self._files_all)
-        self.bandwidth_all = first(self._bandwidth_all)
-        self.files_by_type = {t: first(a) for t, a in self._files_by_type.items()}
-        self.bandwidth_by_type = {
-            t: first(a) for t, a in self._bandwidth_by_type.items()
-        }
-        self.rep_s_by_type = {t: first(a) for t, a in self._rep_s_by_type.items()}
-        self.rep_e_by_type = {t: first(a) for t, a in self._rep_e_by_type.items()}
-        self.utility_s_all = first(self._utility_s_all)
-        self.utility_e_all = first(self._utility_e_all)
-        self.proposals = first(self._proposals)
-        self.accepted = first(self._accepted)
-        self.votes_cast = first(self._votes_cast)
-        self.votes_successful = first(self._votes_successful)
-        self.vote_bans = first(self._vote_bans)
-        self.reputation_resets = first(self._reputation_resets)
+    # ------------------------------------------------------------------
+    # Public series: single runs see the historical 1-D (row-0) arrays,
+    # stacked runs the (R, steps) arrays.  Read-only properties, so a
+    # pickled collector never holds a view detached from its base.
+    # ------------------------------------------------------------------
+    def _first(self, arr: np.ndarray) -> np.ndarray:
+        return arr[0] if self.n_replicates == 1 else arr
+
+    @property
+    def files_all(self) -> np.ndarray:
+        return self._first(self._files_all)
+
+    @property
+    def bandwidth_all(self) -> np.ndarray:
+        return self._first(self._bandwidth_all)
+
+    @property
+    def files_by_type(self) -> dict[int, np.ndarray]:
+        return {t: self._first(a) for t, a in self._files_by_type.items()}
+
+    @property
+    def bandwidth_by_type(self) -> dict[int, np.ndarray]:
+        return {t: self._first(a) for t, a in self._bandwidth_by_type.items()}
+
+    @property
+    def rep_s_by_type(self) -> dict[int, np.ndarray]:
+        return {t: self._first(a) for t, a in self._rep_s_by_type.items()}
+
+    @property
+    def rep_e_by_type(self) -> dict[int, np.ndarray]:
+        return {t: self._first(a) for t, a in self._rep_e_by_type.items()}
+
+    @property
+    def utility_s_all(self) -> np.ndarray:
+        return self._first(self._utility_s_all)
+
+    @property
+    def utility_e_all(self) -> np.ndarray:
+        return self._first(self._utility_e_all)
+
+    @property
+    def proposals(self) -> np.ndarray:
+        return self._first(self._proposals)
+
+    @property
+    def accepted(self) -> np.ndarray:
+        return self._first(self._accepted)
+
+    @property
+    def votes_cast(self) -> np.ndarray:
+        return self._first(self._votes_cast)
+
+    @property
+    def votes_successful(self) -> np.ndarray:
+        return self._first(self._votes_successful)
+
+    @property
+    def vote_bans(self) -> np.ndarray:
+        return self._first(self._vote_bans)
+
+    @property
+    def reputation_resets(self) -> np.ndarray:
+        return self._first(self._reputation_resets)
 
     # ------------------------------------------------------------------
     def record(self, stats: StepStats) -> None:
@@ -255,41 +282,24 @@ class MetricsCollector:
                 series[t][:, i] = means[:, k]
 
     def _record_types_gathered(self, i, files, bw, rep_s, rep_e) -> None:
-        """Per-type means through the reused gather buffers (small N)."""
-        R, N = self.n_replicates, self._n_per_rep
+        """Per-type means, one reduction per (type, member count) group.
+
+        Each mean is ``np.add.reduce`` over a contiguous row of the
+        group's k members divided by k — what ``np.mean`` computes — so
+        every lane's values equal a solo run's bit for bit.
+        """
         buf = self._type_buf
         buf[0] = files.reshape(-1)
         buf[1] = bw.reshape(-1)
         buf[2] = rep_s.reshape(-1)
         buf[3] = rep_e.reshape(-1)
-        for t in self._TYPES:
-            flat_idx = self._type_flat_idx[t]
-            if flat_idx is not None:
-                # (4, R*k) contiguous gather -> (4, R, k) rows -> row
-                # means, through the reused per-type scratch buffers.
-                k = flat_idx.size // R
-                g = self._gather_buf[t]
-                np.take(buf, flat_idx, axis=1, out=g)
-                m = np.mean(g.reshape(4, R, k), axis=2, out=self._type_mean)
-                self._files_by_type[t][:, i] = m[0]
-                self._bandwidth_by_type[t][:, i] = m[1]
-                self._rep_s_by_type[t][:, i] = m[2]
-                self._rep_e_by_type[t][:, i] = m[3]
-                continue
-            for r in range(R):
-                idx = self._type_idx[r][t]
-                if idx.size:
-                    row = buf[:, r * N : (r + 1) * N]
-                    m = row.take(idx, axis=1).mean(axis=1)
-                    self._files_by_type[t][r, i] = m[0]
-                    self._bandwidth_by_type[t][r, i] = m[1]
-                    self._rep_s_by_type[t][r, i] = m[2]
-                    self._rep_e_by_type[t][r, i] = m[3]
-                else:
-                    self._files_by_type[t][r, i] = np.nan
-                    self._bandwidth_by_type[t][r, i] = np.nan
-                    self._rep_s_by_type[t][r, i] = np.nan
-                    self._rep_e_by_type[t][r, i] = np.nan
+        g = np.take(buf, self._flat_idx, axis=1, out=self._gather_buf)
+        for t, lanes, k, cols in self._groups:
+            m = np.add.reduce(g[:, cols].reshape(4, lanes.size, k), axis=2) / k
+            self._files_by_type[t][lanes, i] = m[0]
+            self._bandwidth_by_type[t][lanes, i] = m[1]
+            self._rep_s_by_type[t][lanes, i] = m[2]
+            self._rep_e_by_type[t][lanes, i] = m[3]
 
     @property
     def steps_recorded(self) -> int:

@@ -2,12 +2,13 @@
 
 All proposals of one step — across *all* replicates — are settled
 simultaneously against the step-start reputation snapshot: candidate
-voters are gathered from the articles' cached voter arrays and filtered
-in one ragged pass, voter weights are normalized per proposal with the
+voters are gathered from the lane-stacked article store in one ragged
+pass and filtered, voter weights are normalized per proposal with the
 same grouped-share kernel the bandwidth allocator uses, and outcomes are
-scattered back with ``np.add.at``.  Only the RNG draws (proposer masks,
-article picks, subsample keys) run in per-replicate loops — each
-replicate consumes its own stream exactly as a solo run would.
+scattered back with ``np.add.at`` and booked into the store in one call.
+Only the RNG draws (proposer masks, article picks, subsample keys) run
+in per-replicate loops — each replicate consumes its own stream exactly
+as a solo run would.
 
 Vote success is measured against the *simple* weighted majority
 (>= 0.5), not the adaptive acceptance bar: a voter should not be punished
@@ -28,7 +29,31 @@ from ..lanes import take
 from ..state import SimState
 from .adversary import collusion_votes
 
-__all__ = ["edit_vote_phase"]
+__all__ = ["edit_vote_phase", "proposal_key_order"]
+
+#: Proposals one packed sort handles: ids must fit the 11 bits above a
+#: 53-bit key.
+_SORT_BLOCK = 2047
+
+
+def proposal_key_order(cand_prop: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.lexsort((keys, cand_prop))`` for proposal-grouped candidates.
+
+    ``cand_prop`` is non-decreasing and every key is a uniform from
+    ``[0, 1)`` on the 2**-53 grid (or 0), so ``key * 2**53`` is an exact
+    integer below 2**53.  Packing ``(proposal << 53) | key * 2**53`` into
+    one uint64 turns the two-key lexsort into one stable argsort, block
+    by block of at most :data:`_SORT_BLOCK` proposals; ties keep their
+    input order, as in the lexsort.
+    """
+    code = (keys * 2.0**53).astype(np.uint64)
+    code |= (cand_prop % _SORT_BLOCK).astype(np.uint64) << np.uint64(53)
+    n_blocks = int(cand_prop[-1]) // _SORT_BLOCK + 1 if cand_prop.size else 0
+    bounds = cand_prop.searchsorted(np.arange(n_blocks + 1) * _SORT_BLOCK).tolist()
+    order = np.empty(cand_prop.size, dtype=np.int64)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        order[lo:hi] = code[lo:hi].argsort(kind="stable") + lo
+    return order
 
 
 def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
@@ -55,14 +80,9 @@ def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
     for r in range(n_rep):
         u[r] = state.rngs[r].random(n)
     proposer_mask = may_edit & (u.reshape(-1) < lanes.edit_attempt_prob)
-    proposers_flat = np.flatnonzero(proposer_mask)
-    if proposers_flat.size:
-        bounds = np.searchsorted(proposers_flat, np.arange(n_rep + 1) * n)
-        proposer_rows = [
-            proposers_flat[bounds[r] : bounds[r + 1]] - r * n
-            for r in range(n_rep)
-        ]
-        _voting_rounds(state, cfg, proposer_rows)
+    proposers = np.flatnonzero(proposer_mask)
+    if proposers.size:
+        _voting_rounds(state, cfg, proposers)
 
     state.ctx.u_e = editing_utility_values(
         sc.acc_edits, sc.succ_votes, lanes.u_delta, lanes.u_epsilon
@@ -71,42 +91,36 @@ def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
 
 
 def _voting_rounds(
-    state: SimState, cfg: SimulationConfig, proposer_rows: list[np.ndarray]
+    state: SimState, cfg: SimulationConfig, proposers: np.ndarray
 ) -> None:
-    """Decide every replicate's proposals with one batched voting pass."""
+    """Decide every replicate's proposals with one batched voting pass.
+
+    ``proposers`` are flat slot ids in ascending order, so proposals
+    group by replicate.
+    """
     ctx = state.ctx
     sc = state.scratch
     scheme = state.scheme
     lanes = state.lanes
+    store = state.articles
     n = state.n_agents
     can_vote = scheme.may_vote() & state.peers.online
     all_can_vote = bool(can_vote.all())
     max_voters = lanes.max_voters  # scalar, or (R,) for mixed-config lanes
 
-    # Collection: per replicate only the article draws (stream parity) and
-    # the per-proposal voter-array lookups (cached Python objects); every
-    # other step below runs once, globally, over all replicates' proposals.
-    arrays: list[np.ndarray] = []  # per-proposal candidate voters, local ids
-    local_proposer_parts: list[np.ndarray] = []
-    article_parts: list[np.ndarray] = []
-    rep_prop_counts = np.zeros(state.n_replicates, dtype=np.int64)
-    for r, local in enumerate(proposer_rows):
-        n_prop_r = local.size
-        if not n_prop_r:
-            continue
-        store = state.articles[r]
-        aids = store.sample_articles(state.rngs[r], n_prop_r)
-        arts = store.articles
-        arrays.extend(arts[aid].voter_array() for aid in aids.tolist())
-        local_proposer_parts.append(local)
-        article_parts.append(aids)
-        rep_prop_counts[r] = n_prop_r
-
-    n_prop = int(rep_prop_counts.sum())
-    local_proposers = np.concatenate(local_proposer_parts)
-    article_ids = np.concatenate(article_parts)
-    rep_of_prop = np.repeat(np.arange(state.n_replicates), rep_prop_counts)
-    proposers = local_proposers + rep_of_prop * n
+    n_prop = proposers.size
+    rep_of_prop = proposers // n
+    local_proposers = proposers - rep_of_prop * n
+    # Article picks per replicate (stream parity).
+    article_ids = np.empty(n_prop, dtype=np.int64)
+    lo = 0
+    for r, k in enumerate(np.bincount(rep_of_prop).tolist()):
+        if k:
+            article_ids[lo : lo + k] = state.rngs[r].integers(
+                0, store.n_articles, size=k
+            )
+            lo += k
+    rows = rep_of_prop * store.n_articles + article_ids
 
     # One ragged filter over every proposal's candidate voters, processed
     # in chunks of at most ``scale.chunk_size`` candidates (voter pools
@@ -114,9 +128,8 @@ def _voting_rounds(
     # pool size, not population).  Chunk boundaries fall between
     # proposals and every step below is elementwise, so the kept voters
     # are identical to a single-pass filter for any chunk size.
-    counts = np.fromiter((a.size for a in arrays), dtype=np.int64, count=n_prop)
-    if counts.sum():
-        cand_local = np.concatenate(arrays)
+    cand_local, counts = store.gather(rows)
+    if cand_local.size:
         flat_voters, cand_prop = KERNELS.filter_vote_candidates(
             cand_local,
             counts,
@@ -141,9 +154,9 @@ def _voting_rounds(
         # draw.  Keys are drawn per replicate (stream parity: a replicate
         # draws exactly when it has a proposal oversubscribed against
         # *its own* limit, sized to its kept-candidate count), then one
-        # stable global lexsort selects within every proposal; replicates
-        # that drew no keys keep their original candidate order under
-        # key 0.
+        # stable sort by (proposal, key) selects within every proposal;
+        # replicates that drew no keys keep their original candidate
+        # order under key 0.
         keys = np.zeros(flat_voters.size)
         cand_rep = rep_of_prop[cand_prop]
         over_reps = np.unique(rep_of_prop[voter_counts > max_of_prop])
@@ -153,7 +166,7 @@ def _voting_rounds(
             keys[rep_bounds[r] : rep_bounds[r + 1]] = state.rngs[r].random(
                 int(cand_per_rep[r])
             )
-        order = np.lexsort((keys, cand_prop))
+        order = proposal_key_order(cand_prop, keys)
         rank = np.arange(flat_voters.size) - np.repeat(
             np.cumsum(voter_counts) - voter_counts, voter_counts
         )
@@ -210,10 +223,15 @@ def _voting_rounds(
     acc = np.flatnonzero(accepted)
     np.add.at(sc.accepted_count, (rep_of_prop[acc], types[acc], cons_idx[acc]), 1)
     np.add.at(sc.acc_edits, proposers[acc], 1.0)
-    for p in acc:
-        state.articles[int(rep_of_prop[p])].articles[
-            int(article_ids[p])
-        ].record_accepted(int(local_proposers[p]), bool(prop_constructive[p]))
+    if acc.size:
+        # A proposer already holds a voting right on its article exactly
+        # when it is among its own (unfiltered, step-start) candidates.
+        own = cand_local == local_proposers.repeat(counts)
+        held = np.zeros(n_prop, dtype=bool)
+        held[np.arange(n_prop).repeat(counts)[own]] = True
+        store.book(
+            rows[acc], local_proposers[acc], prop_constructive[acc], ~held[acc]
+        )
 
     # Per-replicate step counters.
     if flat_voters.size:
@@ -225,7 +243,7 @@ def _voting_rounds(
     if punished.size:
         np.add.at(sc.reputation_resets, punished // n, 1.0)
 
-    if any(ev is not None for ev in state.events):
+    if state.events.count(None) != len(state.events):  # any lane logs
         _record_events(
             state,
             rep_of_prop,

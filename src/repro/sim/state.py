@@ -13,9 +13,10 @@ as they agree on the structural dimensions
 (:data:`repro.sim.lanes.STRUCTURAL_FIELDS`); every other knob —
 temperatures, scheme constants, population mixes, churn/adversary rates,
 per-scheme parameters — is lifted into the state's :class:`LaneParams`
-and per-lane scheme parameter arrays.  Structured per-lane objects — RNG
-streams, article stores, overlay graphs, churn models, event logs — stay
-per-lane lists.  ``R = 1`` is the plain single simulation: every array
+and per-lane scheme parameter arrays.  Every lane's articles live in one
+lane-stacked :class:`~repro.network.articles.ArticleStore`; structured
+per-lane objects — RNG streams, overlay graphs, churn models, event
+logs — stay per-lane lists.  ``R = 1`` is the plain single simulation: every array
 has its historical shape and the kernels execute the exact operation
 sequence the monolithic engine used, so results are bit-identical.
 
@@ -154,7 +155,7 @@ class SimState:
     peers: PeerArrays  # flat R*N slots
     scheme: Any  # replicate-aware incentive scheme
     overlays: list[OverlayNetwork] | None  # per replicate, None = full mesh
-    articles: list[ArticleStore]  # per replicate
+    articles: ArticleStore  # every lane's articles, lane-stacked rows
     sharing_space: SharingActionSpace
     edit_space: EditActionSpace
     sharing_learner: VectorQLearner  # stacked over all replicates' rationals
@@ -316,15 +317,9 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
     else:  # pragma: no cover - config validates names
         raise ValueError(f"unknown scheme {scheme_name!r}")
 
-    articles = [
-        ArticleStore(
-            cfg.n_articles,
-            n,
-            rngs[r],
-            founders_per_article=cfg.founders_per_article,
-        )
-        for r in range(n_rep)
-    ]
+    articles = ArticleStore(
+        cfg.n_articles, n, rngs, founders_per_article=cfg.founders_per_article
+    )
 
     # Adversary rosters.  Draws happen only in lanes that enable the
     # feature, so adversary-free lanes consume exactly the historical

@@ -69,6 +69,12 @@ class TestQualityProtection:
         sim = CollaborationSimulation(cfg(mix=PopulationMix(0.2, 0.6, 0.2)))
         sim.run()
         assert sim.articles.total_quality() > 0
+        # The store's books agree with each other and with the metrics.
+        good, bad = sim.articles.accepted_counts()
+        assert good - bad == sim.articles.total_quality()
+        assert good + bad == sim.articles.n_versions.sum()
+        accepted = sim.metrics.accepted.sum(axis=(0, 1))
+        assert (bad, good) == tuple(accepted)
 
     def test_quality_falls_with_destructive_majority(self):
         sim = CollaborationSimulation(cfg(mix=PopulationMix(0.2, 0.2, 0.6)))

@@ -42,7 +42,8 @@ class TestBuildState:
         assert state.n_replicates == 1
         assert state.peers.types.shape == (12,)
         assert state.peers.n == 12
-        assert len(state.rngs) == len(state.articles) == 1
+        assert len(state.rngs) == state.articles.n_lanes == 1
+        assert state.articles.quality.shape == (tiny().n_articles,)
 
     def test_replicates_stack_flat(self):
         cfgs = replicate(tiny(), 3)
@@ -51,7 +52,8 @@ class TestBuildState:
         assert state.peers.n == 36
         assert state.scheme.n_slots == 36
         assert state.metrics.n_replicates == 3
-        assert len(state.rngs) == len(state.articles) == 3
+        assert len(state.rngs) == state.articles.n_lanes == 3
+        assert state.articles.quality.shape == (3 * tiny().n_articles,)
 
     def test_rejects_structural_differences(self):
         with pytest.raises(ValueError, match="structural.*n_articles"):

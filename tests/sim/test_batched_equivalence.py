@@ -189,12 +189,27 @@ class TestLaneBatches:
         )
 
     def test_mixed_population_mixes(self):
-        """Ragged rational counts across lanes (all-rational to none)."""
+        """Ragged member counts across lanes.
+
+        The first batch runs all-rational to no rationals.  In the second
+        (24 peers per lane) two lanes share a ragged type's member count
+        while another lane differs — altruists 6, 6, 12, 12 — and the
+        last lane has no irrational peers, so the collector's per-type
+        groups mix shared, distinct and empty counts.
+        """
         assert_lanes_bit_identical(
             [
                 tiny(seed=30, mix=PopulationMix(1.0, 0.0, 0.0)),
                 tiny(seed=31),
                 tiny(seed=32, mix=PopulationMix(0.0, 0.5, 0.5)),
+            ]
+        )
+        assert_lanes_bit_identical(
+            [
+                tiny(seed=33),
+                tiny(seed=34, mix=PopulationMix(0.25, 0.25, 0.5)),
+                tiny(seed=35, mix=PopulationMix(0.25, 0.5, 0.25)),
+                tiny(seed=36, mix=PopulationMix(0.5, 0.5, 0.0)),
             ]
         )
 

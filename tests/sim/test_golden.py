@@ -151,12 +151,14 @@ def article_rows(state):
     ``voters`` are the article's voting-right holders in gather order,
     the order the edit-vote phase reads them in.
     """
-    for r, store in enumerate(state.articles):
-        for a, art in enumerate(store.articles):
+    store = state.articles
+    for r in range(store.n_lanes):
+        for a in range(store.n_articles):
+            row = store.row(r, a)
             yield (
-                r, a, art.quality, art.n_versions,
-                art.n_constructive_accepted, art.n_destructive_accepted,
-                art.voter_array(),
+                r, a, store.quality[row], store.n_versions[row],
+                store.n_constructive[row], store.n_destructive[row],
+                store.voters(r, a),
             )
 
 
