@@ -150,7 +150,7 @@ class MetricsCollector:
                     self._rep_e_by_type,
                 ):
                     series[t][sizes == 0] = np.nan
-                for k in np.unique(sizes[sizes > 0]).tolist():
+                for k in sorted(set(sizes[sizes > 0].tolist())):
                     group = np.flatnonzero(sizes == k)
                     flat_idx.extend(members[r] + r * self._n_per_rep for r in group)
                     self._groups.append((t, group, k, slice(lo, lo + group.size * k)))
