@@ -1,20 +1,31 @@
 """Vectorized tabular Q-learning with Boltzmann exploration (paper IV-A).
 
 Every rational agent carries its own Q-matrix; the whole population learns
-in lock-step, so the table is one array ``Q[agent, state, action]`` and the
-update
+in lock-step, so the table is one array ``Q[agent, state, action]``.  The
+learner addresses it by *row id* ``agent * S + state`` on the ``(n * S, A)``
+row view (reshaped per call, never stored): an action row is one
+``np.take`` along axis 0.  The update
 
     ``Q(s,a) <- (1-alpha) Q(s,a) + alpha (r + gamma max_b Q(s',b))``
 
-is a single fancy-indexed assignment over all agents.  Action selection
-uses the Boltzmann (softmax) distribution of the paper's Figure 2:
+runs over all agents at once in the engine's ``q_update`` kernel
+(:mod:`repro.sim.backends`).  Action selection uses the Boltzmann
+(softmax) distribution of the paper's Figure 2:
 
     ``p(a | s) = exp(Q(s,a)/T) / sum_b exp(Q(s,b)/T)``
 
 ``T = inf`` (the paper sets "the highest possible floating-point value"
 during training) yields the uniform distribution; ``T -> 0`` approaches
-greedy.  Sampling is an inverse-CDF draw: one uniform per agent against the
-row-wise cumulative sum — no Python loop.
+greedy.  Sampling is an inverse-CDF draw: one uniform per agent against
+the row's cumulative sum — no Python loop over agents.
+
+:meth:`VectorQLearner.select_actions` fuses softmax and draw into one pass
+over the gathered ``(k, A)`` block that walks the ``A`` action columns
+instead of reducing along the short action axis, and returns exactly
+what ``sample_categorical(boltzmann_probabilities(rows, T), u=u)``
+returns.  Those two functions are the reference for that pass, and
+Figure 2 and :meth:`VectorQLearner.policy_probabilities` use them
+directly.
 """
 
 from __future__ import annotations
@@ -22,6 +33,19 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["boltzmann_probabilities", "sample_categorical", "VectorQLearner"]
+
+
+def _row_temperature(temperature: float | np.ndarray, ndim: int):
+    """``temperature`` checked positive; an array is shaped to divide the
+    rows of an ``ndim``-D block (one temperature per row)."""
+    if np.ndim(temperature) > 0:
+        t = np.asarray(temperature, dtype=np.float64)
+        if np.any(t <= 0):
+            raise ValueError("temperature must be positive (use small T for greedy)")
+        return t.reshape(t.shape + (1,) * (ndim - t.ndim))
+    if temperature <= 0:
+        raise ValueError("temperature must be positive (use small T for greedy)")
+    return temperature
 
 
 def boltzmann_probabilities(
@@ -37,18 +61,11 @@ def boltzmann_probabilities(
     bit-identical to a scalar call at that row's temperature.
     """
     q = np.asarray(q_values, dtype=np.float64)
-    if np.ndim(temperature) > 0:
-        t = np.asarray(temperature, dtype=np.float64)
-        if np.any(t <= 0):
-            raise ValueError("temperature must be positive (use small T for greedy)")
-        z = q / t.reshape(t.shape + (1,) * (q.ndim - t.ndim))
-    else:
-        if temperature <= 0:
-            raise ValueError("temperature must be positive (use small T for greedy)")
-        if np.isinf(temperature):
-            shape = q.shape
-            return np.full(shape, 1.0 / shape[-1])
-        z = q / temperature
+    t = _row_temperature(temperature, q.ndim)
+    if np.ndim(t) == 0 and np.isinf(t):
+        shape = q.shape
+        return np.full(shape, 1.0 / shape[-1])
+    z = q / t
     z -= z.max(axis=-1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
@@ -70,6 +87,11 @@ def sample_categorical(
     replicate RNG streams bit-identical to sequential runs: it draws each
     replicate's uniforms from that replicate's generator, stacks them, and
     samples all replicates with one vectorized pass.
+
+    The engine does not call this: :meth:`VectorQLearner.select_actions`
+    draws with its own column-wise pass, and this function (after
+    :func:`boltzmann_probabilities`) is the reference that pass must
+    match.
     """
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 2:
@@ -155,6 +177,16 @@ class VectorQLearner:
         while every replicate consumes its own RNG stream — the caller
         draws ``(k_r, 1)`` uniforms per replicate, concatenates them, and
         passes the stack here.
+
+        Finite ``T`` runs softmax and draw as one pass over the gathered
+        ``(k, A)`` block, in place, by action columns; each step computes
+        the same values as ``sample_categorical(boltzmann_probabilities(
+        rows, T), u=u)``: the maximum is folded column by column (max is
+        exact, and ``exp`` of either signed zero is 1), the denominator is
+        numpy's own ``sum(axis=-1)``, the CDF is a running column sum
+        (``cumsum``'s order), and the action counts the columns whose CDF
+        the uniform exceeds.  The last column is left out: the reference
+        forces it to 1.0, which a uniform in ``[0, 1)`` never exceeds.
         """
         idx = self._agent_idx if subset is None else np.asarray(subset)
         states = np.asarray(states)
@@ -164,16 +196,45 @@ class VectorQLearner:
             if rng is None:
                 raise ValueError("the T=inf fast path draws from rng directly")
             return rng.integers(0, self.n_actions, size=idx.size)
-        q_rows = self.q[idx, states]  # (k, n_actions) gather
-        probs = boltzmann_probabilities(q_rows, temperature)
-        return sample_categorical(probs, rng, u=u)
+        t = _row_temperature(temperature, 2)
+        if u is None:
+            if rng is None:
+                raise ValueError("need an rng or pre-drawn uniforms u")
+            u = rng.random((idx.size, 1))
+        elif u.shape != (idx.size, 1):
+            raise ValueError("u must have shape (rows, 1)")
+
+        z = self._rows(idx, states)
+        z /= t
+        top = z[:, 0].copy()
+        for j in range(1, self.n_actions):
+            np.maximum(top, z[:, j], out=top)
+        z -= top[:, None]
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        u = u[:, 0]
+        cdf = z[:, 0].copy()
+        actions = (u > cdf).astype(np.int64)
+        for j in range(1, self.n_actions - 1):
+            cdf += z[:, j]
+            actions += u > cdf
+        return actions
 
     def greedy_actions(
         self, states: np.ndarray, subset: np.ndarray | None = None
     ) -> np.ndarray:
         """Argmax actions (ties -> lowest index), used by analysis only."""
         idx = self._agent_idx if subset is None else np.asarray(subset)
-        return self.q[idx, np.asarray(states)].argmax(axis=1)
+        return self._rows(idx, np.asarray(states)).argmax(axis=1)
+
+    def _rows(self, idx: np.ndarray, states: np.ndarray) -> np.ndarray:
+        """The ``(k, A)`` action rows of ``(idx, states)``, as a new array.
+
+        Gathered by row id ``agent * S + state`` from the ``(n * S, A)``
+        view of ``q`` (a copy if ``q`` is not C-contiguous).
+        """
+        n, s, a = self.q.shape
+        return np.take(self.q.reshape(n * s, a), idx * s + states, axis=0)
 
     def update(
         self,

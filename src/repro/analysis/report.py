@@ -1,8 +1,9 @@
 """Reproduction report: paper-vs-measured table from result artifacts.
 
 Reads the ``results/<name>.json`` files the experiment runner writes and
-renders the EXPERIMENTS.md comparison table, so the record of what was
-measured regenerates mechanically from the same artifacts the figures use.
+renders the paper-vs-measured comparison table, so the record of what was
+measured regenerates mechanically from the same artifacts the figures use
+(the full-protocol report it is meant for is ROADMAP item 2).
 """
 
 from __future__ import annotations

@@ -77,8 +77,8 @@ def welch_t_test(
 ) -> tuple[float, float]:
     """Welch's unequal-variance t-test: returns (t statistic, p value).
 
-    Used by EXPERIMENTS.md to attach significance to the incentive-vs-
-    baseline comparisons; NaNs are dropped.
+    The Figure 3 experiment uses it to attach significance to the
+    incentive-vs-baseline comparisons; NaNs are dropped.
     """
     from scipy import stats as sps
 

@@ -11,7 +11,8 @@ documented source of truth.
 Where the paper gives no value we choose defaults that (a) respect every
 qualitative constraint stated in the text (e.g. ``theta > R_min``; majority
 decreasing in the editor's reputation) and (b) reproduce the *shape* of the
-paper's Figures 3-7.  See DESIGN.md section 2 for the substitution record.
+paper's Figures 3-7.  Each substitution is recorded in the comment beside
+its constant.
 """
 
 from __future__ import annotations
@@ -83,8 +84,10 @@ class ContributionParams:
     #: ("sharing bandwidth is twice as valuable"), but with those weights
     #: rational agents substitute *all* reputation-buying into the cheaper
     #: bandwidth channel and article sharing drops below the baseline.
-    #: Equal weights reproduce the paper's Figure 3 (+8 % articles,
-    #: +11 % bandwidth); see EXPERIMENTS.md for the calibration record.
+    #: With equal weights incentives raise both.  Measured over 4 seeds
+    #: of the Figure 3 configs at the full 10k + 3k protocol: shared
+    #: articles 0.451 -> 0.479 (+6.2 %) and bandwidth 0.466 -> 0.498
+    #: (+6.9 %), short of the paper's +8-11 % (ROADMAP item 2).
     alpha_s: float = 2.0  # weight of shared articles
     beta_s: float = 2.0  # weight of shared bandwidth
     d_s: float = 0.02  # sharing decay per step
@@ -98,7 +101,7 @@ class ContributionParams:
     #: steady state is bounded, ``C* = (inflow - d) / (1 - lambda)``, and a
     #: peer's reputation tracks its *sustained* behaviour — the semantics
     #: the paper's decay paragraph describes.  ``retention = 1.0`` recovers
-    #: the literal rule (see DESIGN.md, substitutions).
+    #: the literal rule.
     retention: float = 0.9
 
     def __post_init__(self) -> None:

@@ -19,10 +19,14 @@ CSR-style fixed-width rows, no per-step Python dicts:
 
 Memory is ``n_slots * cap * 16`` bytes — ``O(N)`` for a fixed cap — and
 every operation is vectorized and **chunked**: lookups and accumulations
-process at most ``chunk_size`` rows of ``(m, cap)`` temporaries at a
-time, so the peak working set is bounded by the chunk, not the request
-count.  Chunking never changes results (all per-chunk work is elementwise
-or row-local, and chunks are processed in input order).
+process at most ``chunk_size`` rows at a time, so the peak working set is
+bounded by the chunk, not the request count.  Their ``(m, w)``
+temporaries span only the *live width* ``w``: the widest live row of the
+ledger (lookups) or of the chunk (accumulations), at least 1.  Rows are
+compact, so no column past it can match; decay still scales the full
+width, which is faster than a strided live-width view.  Neither chunking
+nor the live width changes results (all per-chunk work is elementwise or
+row-local, and chunks are processed in input order).
 
 Exactness contract
 ------------------
@@ -66,8 +70,8 @@ class SparseInteractionLedger:
         own cap, exactly as a solo ledger with that scalar cap would.
     chunk_size:
         Rows per vectorized chunk in ``lookup``/``add`` — bounds the
-        ``(chunk, cap)`` temporaries; pure execution knob, results are
-        identical for any positive value.
+        ``(chunk, live width)`` temporaries; pure execution knob, results
+        are identical for any positive value.
     """
 
     def __init__(
@@ -118,11 +122,16 @@ class SparseInteractionLedger:
         return self.partners.nbytes + self.amounts.nbytes + self.counts.nbytes
 
     def lookup(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stored amount at each ``(row, col)``, ``0.0`` where absent."""
+        """Stored amount at each ``(row, col)``, ``0.0`` where absent.
+
+        The kernel scans views of the live width only (the widest row,
+        at least 1 so an empty ledger still has a column to scan).
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
+        w = max(int(self.counts.max()), 1)
         return self.kernels.ledger_lookup(
-            self.partners, self.amounts, rows, cols, self.chunk_size
+            self.partners[:, :w], self.amounts[:, :w], rows, cols, self.chunk_size
         )
 
     def add(

@@ -186,13 +186,18 @@ class NumpyKernels:
         cols: np.ndarray,
         chunk_size: int,
     ) -> np.ndarray:
-        """Chunked first-match row scans over the capped ledger rows."""
+        """Chunked first-match row scans over the capped ledger rows.
+
+        ``partners``/``amounts`` may be views of the leading live columns
+        (:meth:`~repro.core.sparse.SparseInteractionLedger.lookup` passes
+        the widest live row's width): rows are compact, so no column past
+        it can match.
+        """
         out = np.zeros(rows.size, dtype=np.float64)
         for lo in range(0, rows.size, chunk_size):
             r = rows[lo : lo + chunk_size]
-            match = partners[r] == cols[lo : lo + chunk_size, None]
-            hit = match.any(axis=1)
-            vals = amounts[r, match.argmax(axis=1)]
+            hit, pos = _first_match(partners[r] == cols[lo : lo + chunk_size, None])
+            vals = amounts[r, pos]
             out[lo : lo + chunk_size] = np.where(hit, vals, 0.0)
         return out
 
@@ -212,7 +217,9 @@ class NumpyKernels:
         Per chunk: classification against the chunk-start state, hits
         accumulated first, then misses inserted (evicting the smallest
         stored amount of any full row).  Eviction choices depend on
-        this order.
+        this order.  Classification scans only the chunk's live width
+        (its widest row, at least 1): rows are compact, so no column past
+        it can match.
         """
         ev_rows: list[np.ndarray] = []
         ev_amts: list[np.ndarray] = []
@@ -225,12 +232,12 @@ class NumpyKernels:
                 r, c, a = r[live], c[live], a[live]
             if not r.size:
                 continue
-            match = partners[r] == c[:, None]
-            hit = match.any(axis=1)
+            w = max(int(counts[r].max()), 1)
+            hit, pos = _first_match(partners[r, :w] == c[:, None])
             if hit.any():
                 # (row, pos) targets are distinct within a call (pairs are
                 # unique), so fancy-index accumulation is exact.
-                amounts[r[hit], match.argmax(axis=1)[hit]] += a[hit]
+                amounts[r[hit], pos[hit]] += a[hit]
             miss = ~hit
             if miss.any():
                 got = self._ledger_insert(
@@ -302,11 +309,39 @@ class NumpyKernels:
         learning_rate: Any,
         discount: Any,
     ) -> None:
-        """The historical fancy-indexed TD backup, in place."""
-        best_next = q[idx, next_states].max(axis=1)
+        """The TD backup over row ids ``agent * S + state``, in place.
+
+        The next-state rows are gathered from the ``(n * S, A)`` view of
+        ``q`` and folded by columns for their maximum.  The visited cells
+        are read and written through flat ids ``row * A + action`` with
+        ``take``/``put``, which index ``q`` in C order whatever its memory
+        layout, so the write lands in ``q`` itself.  The values are those
+        of the fancy-indexed backup ``q[idx, s, a] = (1 - lr) q[idx, s, a]
+        + lr (r + gamma q[idx, s'].max(axis=1))``; the fold may only pick
+        the other sign of a zero maximum, which the target sees only when
+        a reward is exactly -0.0.
+        """
+        n, s, a = q.shape
+        rows = np.take(q.reshape(n * s, a), idx * s + next_states, axis=0)
+        best_next = rows[:, 0].copy()
+        for j in range(1, a):
+            np.maximum(best_next, rows[:, j], out=best_next)
         target = rewards + discount * best_next
-        current = q[idx, states, actions]
-        q[idx, states, actions] = (1.0 - learning_rate) * current + learning_rate * target
+        cells = (idx * s + states) * a + actions
+        current = q.take(cells)
+        q.put(cells, (1.0 - learning_rate) * current + learning_rate * target)
+
+
+def _first_match(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a C-contiguous boolean block: any True, first True's column.
+
+    ``hit`` reads the cell at ``argmax`` (the first True, or column 0 of
+    a row with none), which equals ``match.any(axis=1)`` at a fraction of
+    a short-row reduction's cost.
+    """
+    pos = match.argmax(axis=1)
+    hit = match.reshape(-1).take(np.arange(pos.size) * match.shape[1] + pos)
+    return hit, pos
 
 
 #: The engine's one kernel instance.

@@ -129,9 +129,9 @@ class SimulationConfig:
     #: selected a destructive voting behavior") — with the gate enforced,
     #: free-riding vandals can never enter any voter pool and the
     #: constructive camp wins even at 90 % irrational, which contradicts
-    #: the paper's Figures 6/7.  The figure experiments therefore disable
-    #: the gate (and record the strict variant as an ablation); see
-    #: EXPERIMENTS.md.
+    #: the paper's Figures 6/7.  The figure scenarios therefore disable
+    #: the gate; their ``strict_editing`` flag (:mod:`repro.sim.scenarios`)
+    #: builds the strict variant.
     enforce_edit_threshold: bool = True
 
     # --- overlay & capacity extensions (paper future work) -------------

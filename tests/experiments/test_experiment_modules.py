@@ -1,8 +1,8 @@
 """Fast structural tests of the simulation-backed experiment drivers.
 
 These run the drivers at tiny scale (serial backend, reduced steps) and
-verify the FigureData contracts — the full-scale numbers live in
-EXPERIMENTS.md and the directional assertions in the benchmarks.
+verify the FigureData contracts — the directional assertions live in
+the benchmarks, and full-scale numbers are ROADMAP item 2.
 """
 
 import numpy as np

@@ -2,7 +2,8 @@
 
 These run reduced-scale simulations (smaller population, shorter horizon)
 with fixed seeds, asserting the *direction* of each effect the paper
-reports — the full-scale magnitudes live in EXPERIMENTS.md.
+reports.  Checking the magnitudes at the paper's full horizon is
+ROADMAP item 2.
 """
 
 import numpy as np

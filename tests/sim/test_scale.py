@@ -18,11 +18,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.agents.population import PopulationMix
 from repro.core.sparse import SparseInteractionLedger
 from repro.sim.config import ScaleConfig, SimulationConfig
 from repro.sim.engine import BatchedSimulation, run_simulation
+from repro.sim.backends import KERNELS, NumpyKernels
 from repro.sim.lanes import estimate_lane_state_bytes
 from repro.sim._sweep import default_lane_width, plan_lane_batches
 
@@ -245,6 +248,121 @@ class TestSparseLedgerUnit:
                 np.array([1.0, 2.0, 3.0, 4.0]))
         assert led.counts.tolist()[:2] == [1, 2]  # row 0 evicted at cap 1
         assert led.lookup(np.array([0]), np.array([2])).tolist() == [2.0]
+
+
+
+def reference_ledger_add(led, rows, cols, add_amounts):
+    """``ledger_add`` classifying every chunk against all allocated columns."""
+    ev_rows, ev_amts = [], []
+    for lo in range(0, rows.size, led.chunk_size):
+        r = rows[lo : lo + led.chunk_size]
+        c = cols[lo : lo + led.chunk_size]
+        a = add_amounts[lo : lo + led.chunk_size]
+        live = a != 0.0
+        r, c, a = r[live], c[live], a[live]
+        if not r.size:
+            continue
+        match = led.partners[r] == c[:, None]
+        hit = match.any(axis=1)
+        if hit.any():
+            led.amounts[r[hit], match.argmax(axis=1)[hit]] += a[hit]
+        miss = ~hit
+        if miss.any():
+            got = NumpyKernels._ledger_insert(
+                led.partners, led.amounts, led.counts, led.row_cap,
+                r[miss], c[miss], a[miss],
+            )
+            if got is not None:
+                ev_rows.append(got[0])
+                ev_amts.append(got[1])
+    if not ev_rows:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    return np.concatenate(ev_rows), np.concatenate(ev_amts)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestLiveWidthLedger:
+    """Live-width scans give what the same calls give on full-width rows."""
+
+    @given(seed=st.integers(0, 2**32 - 1), per_slot_cap=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_random_sequences_match_full_width(self, seed, per_slot_cap):
+        rng = np.random.default_rng(seed)
+        n_local, n_rep = int(rng.integers(2, 12)), int(rng.integers(1, 3))
+        n_slots = n_local * n_rep
+        cap = rng.integers(1, 7, n_slots) if per_slot_cap else int(rng.integers(1, 9))
+        chunk = int(rng.integers(1, 9))
+        led = SparseInteractionLedger(n_local, n_rep, cap=cap, chunk_size=chunk)
+        ref = SparseInteractionLedger(n_local, n_rep, cap=cap, chunk_size=chunk)
+        for _ in range(30):
+            op = int(rng.integers(6))
+            if op <= 2:
+                # Unique (row, col) pairs, no self-interactions; amounts
+                # with ties and zeros (zeros never occupy a slot).
+                n_cells = n_slots * n_local
+                flat = rng.choice(n_cells, int(rng.integers(0, min(25, n_cells))), replace=False)
+                rows, cols = flat // n_local, flat % n_local
+                keep = cols != rows % n_local
+                rows, cols = rows[keep], cols[keep]
+                amounts = rng.choice([0.0, 0.25, 1.0, 3.0], rows.size) * rng.choice(
+                    [1.0, 1e-3], rows.size
+                )
+                got = led.add(rows, cols, amounts)
+                want = reference_ledger_add(ref, rows, cols, amounts)
+                assert _bits(got[0]) == _bits(want[0])
+                assert _bits(got[1]) == _bits(want[1])
+            elif op == 3:
+                decay = float(rng.choice([0.5, 0.9]))
+                led.decay_rows(decay)
+                ref.decay_rows(decay)
+            elif op == 4:
+                rep, local = int(rng.integers(n_rep)), int(rng.integers(n_local))
+                got = led.remove_partner(rep, local)
+                want = ref.remove_partner(rep, local)
+                assert _bits(got[0]) == _bits(want[0])
+                assert _bits(got[1]) == _bits(want[1])
+            else:
+                # Sometimes every row: an all-empty ledger again.
+                wipe = rng.random(n_slots) < float(rng.choice([0.3, 1.0]))
+                led.clear_rows(np.flatnonzero(wipe))
+                ref.clear_rows(np.flatnonzero(wipe))
+            assert _bits(led.partners) == _bits(ref.partners)
+            assert _bits(led.amounts) == _bits(ref.amounts)
+            assert _bits(led.counts) == _bits(ref.counts)
+            q_rows = rng.integers(0, n_slots, 40)
+            q_cols = rng.integers(0, n_local, 40)
+            full = KERNELS.ledger_lookup(led.partners, led.amounts, q_rows, q_cols, chunk)
+            assert _bits(led.lookup(q_rows, q_cols)) == _bits(full)
+
+    def test_all_empty_ledger(self):
+        led = SparseInteractionLedger(6, n_replicates=2, cap=4, chunk_size=3)
+        rows, cols = np.array([0, 7, 11]), np.array([1, 2, 3])
+        assert led.lookup(rows, cols).tolist() == [0.0, 0.0, 0.0]
+        ev = led.add(rows, cols, np.zeros(3))  # zeros leave it empty
+        assert ev[0].size == 0 and led.counts.max() == 0
+        led.add(rows, cols, np.array([1.0, 2.0, 3.0]))
+        led.reset()
+        assert led.lookup(rows, cols).tolist() == [0.0, 0.0, 0.0]
+        led.add(rows, cols, np.array([1.0, 2.0, 3.0]))
+        assert led.lookup(rows, cols).tolist() == [1.0, 2.0, 3.0]
+
+    def test_lookup_kernel_sees_the_live_width(self, monkeypatch):
+        seen = []
+        lookup = KERNELS.ledger_lookup
+
+        def spy(partners, amounts, rows, cols, chunk_size):
+            seen.append((partners.shape, amounts.shape))
+            return lookup(partners, amounts, rows, cols, chunk_size)
+
+        monkeypatch.setattr(KERNELS, "ledger_lookup", spy)
+        led = SparseInteractionLedger(10, cap=8)
+        led.lookup(np.array([0]), np.array([1]))
+        led.add(np.array([0, 0, 0, 4]), np.array([1, 2, 3, 5]), np.ones(4))
+        led.lookup(np.array([0]), np.array([1]))
+        assert seen == [((10, 1), (10, 1)), ((10, 3), (10, 3))]
 
 
 class TestFootprintPlanner:

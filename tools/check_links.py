@@ -1,18 +1,27 @@
 #!/usr/bin/env python3
-"""Check that relative markdown links in README/docs point at real files.
+"""Check that relative markdown links, and markdown files cited from code, exist.
 
 Usage::
 
-    python tools/check_links.py [file-or-dir ...]
+    python tools/check_links.py [--root DIR] [file-or-dir ...]
 
-Defaults to ``README.md`` and ``docs/``.  Only repository-relative link
-targets are checked (external ``http(s)``/``mailto`` URLs and pure
-``#fragment`` anchors are skipped — CI must not depend on the network).
-Exit status 1 lists every broken link.
+Defaults to ``README.md``, ``docs/``, ``src/`` and ``tests/`` under the
+repository root (``--root``, by default the checkout holding this
+script).  Two checks run over what the paths hold:
+
+* markdown files: every repository-relative link target must exist
+  (external ``http(s)``/``mailto`` URLs and pure ``#fragment`` anchors
+  are skipped — CI must not depend on the network);
+* Python files: every ``*.md`` name a docstring or comment cites
+  (``EXPERIMENTS.md``, ``docs/SERVICE.md``) must exist under the root or
+  under its ``docs/``.  Names inside URLs are skipped.
+
+Exit status 1 lists every broken link and every dangling citation.
 """
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
@@ -21,14 +30,17 @@ from pathlib import Path
 #: leading '!', which needs no special casing for existence checks.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+#: A cited markdown file name; the look-behind skips names inside URLs,
+#: paths and glob patterns (``https://host/x.md``, ``*.md``).
+_CITE_RE = re.compile(r"(?<![\w./:*-])([\w./-]+\.md)\b")
 
 
-def iter_markdown(paths: list[Path]):
-    """Yield every markdown file under the given files/directories."""
+def iter_files(paths: list[Path], suffix: str):
+    """Yield every file with ``suffix`` under the given files/directories."""
     for path in paths:
         if path.is_dir():
-            yield from sorted(path.rglob("*.md"))
-        elif path.suffix == ".md":
+            yield from sorted(path.rglob(f"*{suffix}"))
+        elif path.suffix == suffix:
             yield path
 
 
@@ -53,22 +65,52 @@ def broken_links(md_file: Path, repo_root: Path) -> list[str]:
     return bad
 
 
+def dangling_citations(py_file: Path, repo_root: Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of each ``*.md`` name in ``py_file`` that exists
+    neither under ``repo_root`` nor under ``repo_root / "docs"``."""
+    text = py_file.read_text(encoding="utf-8")
+    bad = []
+    for match in _CITE_RE.finditer(text):
+        name = match.group(1)
+        if not any((base / name).is_file() for base in (repo_root, repo_root / "docs")):
+            bad.append((text.count("\n", 0, match.start()) + 1, name))
+    return bad
+
+
 def main(argv: list[str]) -> int:
-    """Check all given paths; print broken links and return the status."""
-    repo_root = Path(__file__).resolve().parent.parent
-    paths = (
-        [Path(a) for a in argv]
-        if argv
-        else [repo_root / "README.md", repo_root / "docs"]
+    """Check all given paths; print what is broken and return the status."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument(
+        "--root",
+        type=Path,
+        default=Path(__file__).resolve().parent.parent,
+        help="repository root that links and citations resolve against",
     )
+    parser.add_argument("paths", nargs="*", type=Path)
+    args = parser.parse_args(argv)
+    repo_root = args.root.resolve()
+    paths = args.paths or [
+        repo_root / "README.md",
+        repo_root / "docs",
+        repo_root / "src",
+        repo_root / "tests",
+    ]
     failures = 0
-    checked = 0
-    for md_file in iter_markdown(paths):
-        checked += 1
+    n_md = n_py = 0
+    for md_file in iter_files(paths, ".md"):
+        n_md += 1
         for target in broken_links(md_file, repo_root):
             print(f"{md_file}: broken link -> {target}")
             failures += 1
-    print(f"checked {checked} markdown file(s), {failures} broken link(s)")
+    for py_file in iter_files(paths, ".py"):
+        n_py += 1
+        for line, name in dangling_citations(py_file, repo_root):
+            print(f"{py_file}:{line}: dangling citation -> {name}")
+            failures += 1
+    print(
+        f"checked {n_md} markdown and {n_py} Python file(s), "
+        f"{failures} broken link(s) or citation(s)"
+    )
     return 1 if failures else 0
 
 
