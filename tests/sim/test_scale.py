@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro.agents.population import PopulationMix
 from repro.core.sparse import SparseInteractionLedger
+from repro.sim.backends import KERNELS, NumpyKernels
 from repro.sim.config import ScaleConfig, SimulationConfig
 from repro.sim.engine import BatchedSimulation, run_simulation
-from repro.sim.backends import KERNELS, NumpyKernels
 from repro.sim.lanes import estimate_lane_state_bytes
 from repro.sim._sweep import default_lane_width, plan_lane_batches
 
@@ -248,7 +248,6 @@ class TestSparseLedgerUnit:
                 np.array([1.0, 2.0, 3.0, 4.0]))
         assert led.counts.tolist()[:2] == [1, 2]  # row 0 evicted at cap 1
         assert led.lookup(np.array([0]), np.array([2])).tolist() == [2.0]
-
 
 
 def reference_ledger_add(led, rows, cols, add_amounts):

@@ -1,5 +1,6 @@
 """The link checker flags markdown files cited from code that do not exist."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,18 @@ MD = ".md"
 
 
 def _check(root: Path) -> subprocess.CompletedProcess:
+    """Run the checker as ``root/tools/check_links.py``: it checks ``root``."""
     return subprocess.run(
-        [sys.executable, str(SCRIPT), "--root", str(root)],
+        [sys.executable, str(root / "tools" / "check_links.py")],
         capture_output=True,
         text=True,
     )
 
 
 def _tree(root: Path) -> None:
-    """A minimal repository: README, docs/, and one module citing docs."""
+    """A minimal repository: README, docs/, the checker, one module citing docs."""
+    (root / "tools").mkdir()
+    shutil.copy(SCRIPT, root / "tools")
     (root / "docs").mkdir()
     (root / "docs" / f"GUIDE{MD}").write_text("# Guide\n")
     (root / f"README{MD}").write_text(f"See [the guide](docs/GUIDE{MD}).\n")

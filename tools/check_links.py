@@ -3,25 +3,23 @@
 
 Usage::
 
-    python tools/check_links.py [--root DIR] [file-or-dir ...]
+    python tools/check_links.py [file-or-dir ...]
 
-Defaults to ``README.md``, ``docs/``, ``src/`` and ``tests/`` under the
-repository root (``--root``, by default the checkout holding this
-script).  Two checks run over what the paths hold:
+Defaults to ``README.md``, ``docs/``, ``src/`` and ``tests/`` of the
+checkout holding this script.  Two checks run over what the paths hold:
 
 * markdown files: every repository-relative link target must exist
   (external ``http(s)``/``mailto`` URLs and pure ``#fragment`` anchors
   are skipped — CI must not depend on the network);
 * Python files: every ``*.md`` name a docstring or comment cites
-  (``EXPERIMENTS.md``, ``docs/SERVICE.md``) must exist under the root or
-  under its ``docs/``.  Names inside URLs are skipped.
+  (``EXPERIMENTS.md``, ``docs/SERVICE.md``) must exist at the checkout's
+  root or under its ``docs/``.  Names inside URLs and globs are skipped.
 
 Exit status 1 lists every broken link and every dangling citation.
 """
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from pathlib import Path
@@ -79,22 +77,12 @@ def dangling_citations(py_file: Path, repo_root: Path) -> list[tuple[int, str]]:
 
 def main(argv: list[str]) -> int:
     """Check all given paths; print what is broken and return the status."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument(
-        "--root",
-        type=Path,
-        default=Path(__file__).resolve().parent.parent,
-        help="repository root that links and citations resolve against",
+    repo_root = Path(__file__).resolve().parent.parent
+    paths = (
+        [Path(a) for a in argv]
+        if argv
+        else [repo_root / name for name in ("README.md", "docs", "src", "tests")]
     )
-    parser.add_argument("paths", nargs="*", type=Path)
-    args = parser.parse_args(argv)
-    repo_root = args.root.resolve()
-    paths = args.paths or [
-        repo_root / "README.md",
-        repo_root / "docs",
-        repo_root / "src",
-        repo_root / "tests",
-    ]
     failures = 0
     n_md = n_py = 0
     for md_file in iter_files(paths, ".md"):
