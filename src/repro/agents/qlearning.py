@@ -82,8 +82,9 @@ def sample_categorical(
     Inverse-CDF method: cumulative sums per row, one uniform per row, then
     a row-wise count of how many CDF entries the uniform exceeds.
 
-    The uniforms come from ``rng``, or from ``u`` (shape ``(rows, 1)``) if
-    pre-drawn.  Pre-drawn uniforms are how the batched engine keeps per-
+    The uniforms come from ``rng``, or from ``u`` (shape ``(rows, 1)``,
+    values in ``[0, 1)``; ``ValueError`` otherwise) if pre-drawn.
+    Pre-drawn uniforms are how the batched engine keeps per-
     replicate RNG streams bit-identical to sequential runs: it draws each
     replicate's uniforms from that replicate's generator, stacks them, and
     samples all replicates with one vectorized pass.
@@ -105,6 +106,9 @@ def sample_categorical(
         u = rng.random((p.shape[0], 1))
     elif u.shape != (p.shape[0], 1):
         raise ValueError("u must have shape (rows, 1)")
+    elif not ((u >= 0.0) & (u < 1.0)).all():
+        # u >= 1 would count the forced last entry: an index past the end.
+        raise ValueError("pre-drawn uniforms u must lie in [0, 1)")
     return (u > cdf).sum(axis=1)
 
 

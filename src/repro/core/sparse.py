@@ -185,16 +185,18 @@ class SparseInteractionLedger:
         Returns ``(rows, removed_amounts)`` so the caller can subtract the
         forgotten service from derived totals.  Rows stay compact via a
         swap-with-last delete (entry order inside a row carries no
-        numeric meaning).
+        numeric meaning), and the scan covers only the block's live width
+        (its widest row, at least 1).
         """
         lo = rep * self.n_local
-        block = self.partners[lo : lo + self.n_local]
-        match = block == local
-        rel = np.flatnonzero(match.any(axis=1))
-        if not rel.size:
+        hi = lo + self.n_local
+        # Rows are compact, so only the block's live width can match.
+        w = max(int(self.counts[lo:hi].max()), 1)
+        hits = np.flatnonzero(self.partners[lo:hi, :w] == local)
+        if not hits.size:
             empty = np.empty(0, dtype=np.int64)
             return empty, np.empty(0, dtype=np.float64)
-        pos = match[rel].argmax(axis=1)  # unique pairs: one hit per row
+        rel, pos = np.divmod(hits, w)  # unique pairs: one hit per row
         rows = rel + lo
         removed = self.amounts[rows, pos].copy()
         last = self.counts[rows] - 1

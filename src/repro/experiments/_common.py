@@ -8,15 +8,13 @@ from ..analysis.stats import mean_ci
 from ..sim.config import SimulationConfig
 from ..sim.engine import SimulationResult
 from ..sim.rng import spawn_seeds
+from ..sim.scenarios import ROOT_SEED
 from ..sim._sweep import run_sweep
 
 __all__ = ["default_seeds", "run_grid", "aggregate_metric"]
 
-#: Root seed all experiments derive their run seeds from.
-EXPERIMENT_ROOT_SEED = 20080414  # IPDPS 2008 conference date
 
-
-def default_seeds(n_seeds: int, root: int = EXPERIMENT_ROOT_SEED) -> list[int]:
+def default_seeds(n_seeds: int, root: int = ROOT_SEED) -> list[int]:
     return spawn_seeds(root, n_seeds)
 
 

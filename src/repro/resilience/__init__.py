@@ -32,7 +32,7 @@ from .faults import (
 )
 from .quarantine import QUARANTINE_SCHEMA_VERSION, build_error_payload
 from .retry import DEFAULT_COMPUTE_RETRY, DEFAULT_STORE_RETRY, RetryPolicy
-from .runner import ResumableTask, run_resumable
+from .runner import ResumableTask
 from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotStore,
@@ -63,7 +63,6 @@ __all__ = [
     "encode_snapshot",
     "decode_snapshot",
     "ResumableTask",
-    "run_resumable",
     "QUARANTINE_SCHEMA_VERSION",
     "build_error_payload",
 ]

@@ -1,12 +1,11 @@
 """Resumable execution of one sweep/dispatch task.
 
-:class:`ResumableTask` drives the exact protocol of
-:func:`repro.sim.engine._run_protocol` — train at ``t_train``, reset
-reputations at the phase boundary, evaluate at ``t_eval`` — but exposes
-the step loop so it can (a) persist a full-state snapshot every
-``checkpoint_every`` steps and (b) restart *mid-phase* from the latest
-snapshot instead of step 0.  The step sequence, reset timing and RNG
-consumption are identical to the engine's closed loop, so results are
+:class:`ResumableTask` runs a batch of configs through the engine's one
+protocol loop, :func:`repro.sim.engine._run_protocol`, from the step
+count of its latest snapshot, and hooks that loop to (a) persist a
+full-state snapshot every ``checkpoint_every`` steps and (b) fire the
+``sweep/step`` fault point before every step.  The step sequence, reset
+timing and RNG consumption are the engine's own, so results are
 bit-identical whether a task ran straight through, was never
 checkpointed, or died and resumed three times
 (``tests/resilience/test_snapshot.py`` pins all three).
@@ -19,16 +18,13 @@ skips the boundary.
 
 from __future__ import annotations
 
-from typing import Any
-
-from ..obs import Stopwatch, get_tracer
-from ..sim.engine import SimulationResult, _phase_summaries
-from ..sim.phases import step_state
+from ..obs import get_tracer
+from ..sim.engine import SimulationResult, _lane_results, _run_protocol
 from ..sim.state import build_sim_state
 from .faults import fault_point
 from .snapshot import SnapshotStore, decode_snapshot, encode_snapshot, snapshot_key
 
-__all__ = ["ResumableTask", "run_resumable"]
+__all__ = ["ResumableTask"]
 
 
 class ResumableTask:
@@ -40,8 +36,15 @@ class ResumableTask:
     this degenerates to a plain batched run (no snapshot IO at all,
     though an existing snapshot is still honored when a root is given).
 
-    After :meth:`run`, ``resumed``/``resumed_at_step`` report whether a
-    snapshot was used — the dispatcher surfaces that in its stats.
+    :meth:`run` drives the engine's protocol loop from the restored step
+    count, saving a snapshot before every step ``i > start`` with
+    ``i % checkpoint_every == 0`` — after the boundary reset, never at
+    the resume point itself and never after the last step — and firing
+    ``sweep/step`` once per step.  Under an enabled tracer it records
+    the engine's ``engine/train``/``engine/eval`` and ``phase/*`` spans
+    for the steps it runs.  After :meth:`run`,
+    ``resumed``/``resumed_at_step`` report whether a snapshot was used —
+    the dispatcher surfaces that in its stats.
     """
 
     def __init__(
@@ -81,93 +84,36 @@ class ResumableTask:
 
     # ------------------------------------------------------------------
     def run(self) -> list[SimulationResult]:
+        """Run from the latest snapshot (or step 0); one result per lane."""
         state = None
-        steps_done = 0
+        start = 0
         if self.snapshots is not None:
             self._ensure_key()
             blob = self.snapshots.load(self.key)
             if blob is not None:
                 decoded = decode_snapshot(blob, self._hashes)
                 if decoded is not None:
-                    state, steps_done = decoded
+                    state, start = decoded
                     self.resumed = True
-                    self.resumed_at_step = steps_done
+                    self.resumed_at_step = start
                     _count_snapshot("resumed")
         if state is None:
             state = build_sim_state(self.configs)
-            if state.config.training_steps == 0:
-                # Degenerate protocol: the boundary reset still happens
-                # before the first (and only) eval phase.
-                state.scheme.reset_reputations()
-        wall = self._advance(state, steps_done)
-        results = []
-        n = state.n_replicates
-        for r, conf in enumerate(self.configs):
-            summary, training_summary = _phase_summaries(state, replicate=r)
-            results.append(
-                SimulationResult(
-                    config=conf,
-                    summary=summary,
-                    training_summary=training_summary,
-                    wall_time_s=wall / n,
-                    events=None,
-                    extras={
-                        "whitewash_count": float(state.whitewash_counts[r]),
-                        "sybil_count": float(state.sybil_counts[r]),
-                    },
-                )
-            )
+        every = self.checkpoint_every
+        snapshots = self.snapshots if every > 0 else None
+        fault_key = self.key or ""
+
+        def before_step(i: int) -> None:
+            if snapshots is not None and i > start and i % every == 0:
+                snapshots.save(self.key, encode_snapshot(state, i, self._hashes))
+                _count_snapshot("saved")
+            fault_point("sweep/step", key=fault_key)
+
+        results = _lane_results(state, _run_protocol(state, start, before_step))
         if self.snapshots is not None:
             self.snapshots.delete(self.key)
             _count_snapshot("deleted")
         return results
-
-    # ------------------------------------------------------------------
-    def _advance(self, state, steps_done: int) -> float:
-        cfg = state.config
-        lanes = state.lanes
-        t_train = cfg.training_steps
-        total = t_train + cfg.eval_steps
-        every = self.checkpoint_every
-        snapshots = self.snapshots if every > 0 else None
-        watch = Stopwatch()
-        while steps_done < total:
-            fault_point("sweep/step", key=self.key or "")
-            if steps_done < t_train:
-                step_state(state, lanes.t_train, learn=True)
-            else:
-                step_state(state, lanes.t_eval, learn=cfg.learn_during_eval)
-            steps_done += 1
-            if steps_done == t_train:
-                state.scheme.reset_reputations()
-            if (
-                snapshots is not None
-                and steps_done % every == 0
-                and steps_done < total
-            ):
-                snapshots.save(
-                    self.key, encode_snapshot(state, steps_done, self._hashes)
-                )
-                _count_snapshot("saved")
-        return watch.elapsed()
-
-
-def run_resumable(
-    configs,
-    *,
-    checkpoint_every: int = 0,
-    store_root: str | None = None,
-    key: str | None = None,
-) -> tuple[list[SimulationResult], "ResumableTask"]:
-    """One-shot convenience: run the task, return ``(results, task)`` so
-    callers can inspect ``task.resumed``."""
-    task = ResumableTask(
-        configs,
-        checkpoint_every=checkpoint_every,
-        store_root=store_root,
-        key=key,
-    )
-    return task.run(), task
 
 
 def _count_snapshot(event: str) -> None:

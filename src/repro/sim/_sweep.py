@@ -36,11 +36,13 @@ interrupted sweep re-run against the same store only executes the missing
 configs.  Results are persisted and reported as tasks land, not after the
 whole grid.
 
-Worker failures are wrapped in :class:`SweepWorkerError`, which names the
-failing config's position and content hash (a failed multi-lane task is
-split into solo tasks first, so the error names the lane that fails
-alone); remaining queued work is cancelled (results persisted before the
-failure stay in the store).
+Failed tasks are settled by one rule, for local and dispatched sweeps
+alike: a failed multi-lane task splits into solo tasks, a failed solo
+task is resubmitted while its retry budget lasts, and then it is
+quarantined or raised as a :class:`SweepWorkerError`, which names the
+failing config's position and content hash (the lane that fails alone).
+On a raise, remaining queued work is cancelled (results persisted before
+the failure stay in the store).
 
 Progress callbacks are called as ``(done, total, index, result,
 cached, stats)``; ``stats`` is a :class:`SweepProgress` — elapsed
@@ -511,7 +513,9 @@ def run_sweep(
     a poisonous config costs exactly its budget (but always gets one solo
     attempt), its healthy siblings land once, and a raised
     :class:`SweepWorkerError` names the config that fails alone.  Compute
-    retries resubmit without the policy's backoff delay.
+    retries resubmit without the policy's backoff delay.  The rule is
+    the same under ``dispatch="store"``, where each claimed task runs
+    through it in-process.
 
     ``checkpoint_every=N`` (requires a store) makes tasks resumable:
     every ``N`` steps each running task persists a full-state snapshot
@@ -529,7 +533,10 @@ def run_sweep(
     peers are served from the store as they land.  Requires a store;
     parallelism comes from the cooperating *processes*, so claimed
     tasks execute in-process and ``backend``/``workers`` only govern
-    the non-dispatchable leftovers (event-collecting configs).
+    the non-dispatchable leftovers (event-collecting configs).  A
+    raised :class:`SweepWorkerError` also lists the claimed task's
+    config hashes (``task_hashes``), and the lease is released so peers
+    need not wait out its expiry.
     ``lease_expiry_s`` tunes how long a crashed peer's claim survives
     before survivors reclaim it.  ``dispatch=None`` (or ``"local"``)
     keeps the classic single-invocation behaviour.
@@ -743,6 +750,109 @@ def run_sweep(
 
         store.delete_snapshot(snapshot_key([config_hash(c) for c, _ in task]))
 
+    snapshot = (snap_root, checkpoint_every) if snap_root is not None else None
+
+    def book_task_metrics(
+        task: list[tuple[SimulationConfig, list[int]]],
+        task_results: list[SimulationResult],
+        turnaround_s: float,
+    ) -> None:
+        """Record per-task telemetry (span, timings, queue wait).
+
+        ``turnaround_s`` is submit-to-completion; the queue wait is
+        the part of it not explained by the task's own reported
+        execution time (which each result carries as its amortized
+        share, so their sum is the task's wall time).
+        """
+        exec_s = sum(r.wall_time_s for r in task_results)
+        tracer.record(
+            "sweep/task", exec_s, attrs={"backend": backend, "lanes": len(task)}
+        )
+        tracer.metrics.histogram(
+            "sweep_task_seconds", "Per-task execution wall time"
+        ).observe(exec_s)
+        tracer.metrics.histogram(
+            "sweep_queue_wait_seconds",
+            "Submit-to-completion time not spent executing",
+        ).observe(max(0.0, turnaround_s - exec_s))
+
+    def drive(
+        tasks: list[list[tuple[SimulationConfig, list[int]]]],
+        executor: Any,
+        width: int,
+        land: Callable[[SimulationConfig, list[int], SimulationResult], None],
+        fail: Callable[[SimulationConfig, int, BaseException, int], None],
+        task_hashes: list[str] | None = None,
+    ) -> None:
+        """Run planned tasks, at most ``width`` at once: the one failure rule.
+
+        Local sweeps drive their whole plan through this on a pool or
+        :class:`_InlineExecutor`; a dispatch drain drives each claimed
+        task through it inline.  Every lane of a finished task goes to
+        ``land(cfg, indices, result)``.  A failed multi-lane task splits
+        into solo tasks at once, the failed attempt counting once for
+        each lane; a failed solo task is resubmitted while its budget
+        lasts; then it goes to ``fail(cfg, index, exc, attempts)`` under
+        quarantine, or raises :class:`SweepWorkerError` (listing
+        ``task_hashes``, the claimed task's configs under dispatch).
+        """
+        #: (task, attempt number) in run order; failed tasks come back
+        #: to the front — split into solo lanes, or retried — so they
+        #: settle before fresh work starts.
+        queue = deque((task, 1) for task in tasks)
+        #: future -> (task, attempt, submit watch); at most ``width`` run
+        #: at once, so a task's turnaround is its own, not the grid's.
+        running: dict[Future, tuple[list, int, Stopwatch]] = {}
+        with executor:
+            try:
+                while queue or running:
+                    while queue and len(running) < width:
+                        task, attempt = queue.popleft()
+                        fut = executor.submit(
+                            _task_worker, [cfg for cfg, _ in task], snapshot
+                        )
+                        running[fut] = (task, attempt, Stopwatch())
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    # Book every success in the batch before raising:
+                    # finished work must land even when a sibling future
+                    # in the same batch failed.
+                    failure: tuple[int, SimulationConfig, Exception] | None = None
+                    for fut in finished:
+                        task, attempt, submitted = running.pop(fut)
+                        try:
+                            task_results = fut.result()
+                        except Exception as exc:
+                            if len(task) > 1:
+                                # Blast-radius isolation: a poisoned lane
+                                # fails the whole batch, so rerun each lane
+                                # solo; the failed attempt counts for each.
+                                drop_task_snapshot(task)
+                                queue.extendleft(
+                                    ([item], attempt + 1) for item in reversed(task)
+                                )
+                            elif attempt < attempts_budget and isinstance(
+                                exc, retry_policy.retry_on
+                            ):
+                                retry_policy.count_retry("sweep/compute")
+                                queue.appendleft((task, attempt + 1))
+                            elif quarantine:
+                                fail(task[0][0], task[0][1][0], exc, attempt)
+                            elif failure is None:
+                                failure = (task[0][1][0], task[0][0], exc)
+                            continue
+                        if tracer.enabled:
+                            book_task_metrics(task, task_results, submitted.elapsed())
+                        for (cfg, indices), result in zip(task, task_results):
+                            land(cfg, indices, result)
+                    if failure is not None:
+                        raise SweepWorkerError(
+                            *failure, task_hashes=task_hashes
+                        ) from failure[2]
+            except BaseException:
+                for fut in running:
+                    fut.cancel()
+                raise
+
     if dispatch == "store":
         # Imported lazily: repro.store imports repro.sim at package init,
         # so a top-level import here would be circular.
@@ -779,54 +889,38 @@ def run_sweep(
                 ),
             )
 
-            def execute_claimed(
-                cfgs: list[SimulationConfig],
-            ) -> list[SimulationResult]:
-                """One retry-wrapped in-process execution of claimed lanes."""
-                spec = (snap_root, checkpoint_every) if snap_root else None
-                if retry_policy is None:
-                    out = _task_worker(cfgs, spec)
-                else:
-                    out = retry_policy.call(
-                        lambda: _task_worker(cfgs, spec), site="sweep/compute"
+            def run_claimed(
+                task_configs: list[SimulationConfig], task: Any
+            ) -> list[SimulationResult | None]:
+                """Run one claimed task's missing lanes in-process by the local rule.
+
+                ``None`` marks a lane this invocation quarantined (its
+                artifact is persisted).
+                """
+                landed: dict[SimulationConfig, SimulationResult] = {}
+                try:
+                    drive(
+                        [[(cfg, shared.get(cfg, [-1])) for cfg in task_configs]],
+                        _InlineExecutor(),
+                        1,
+                        lambda cfg, _, result: landed.__setitem__(cfg, result),
+                        lambda cfg, _, exc, attempts: quarantine_artifact(
+                            cfg, exc, attempts
+                        ),
+                        task_hashes=list(task.config_hashes),
                     )
+                except SweepWorkerError:
+                    # Lanes that landed before the raise persist, as in a
+                    # local sweep; the drain then releases the lease.
+                    hashes = dict(zip(task.configs, task.config_hashes))
+                    for cfg, result in landed.items():
+                        on_computed(cfg, hashes[cfg], result)
+                    raise
                 if getattr(_TASK_STATE, "resumed", False):
                     # Claimed tasks execute in-process, so the worker's
                     # thread-local resume flag is visible here.
                     dispatcher.note_resumed()
-                return out
-
-            def run_claimed(
-                task_configs: list[SimulationConfig], task: Any
-            ) -> list[SimulationResult | None]:
-                """Execute one claimed task's missing lanes in-process."""
-                try:
-                    return execute_claimed(task_configs)
-                except Exception as exc:
-                    if not quarantine:
-                        indices = shared.get(task_configs[0])
-                        raise SweepWorkerError(
-                            indices[0] if indices else -1,
-                            task_configs[0],
-                            exc,
-                            task_hashes=list(task.config_hashes),
-                        ) from exc
-                    if len(task_configs) == 1:
-                        quarantine_artifact(task_configs[0], exc, attempts_budget)
-                        return [None]
-                    # Blast-radius isolation: one poisoned lane failed
-                    # the whole claimed task; rerun each lane solo so
-                    # only the truly failing configs quarantine and the
-                    # healthy lanes still land under this lease.
-                    drop_task_snapshot([(c, []) for c in task_configs])
-                    out: list[SimulationResult | None] = []
-                    for cfg in task_configs:
-                        try:
-                            out.extend(execute_claimed([cfg]))
-                        except Exception as solo_exc:
-                            quarantine_artifact(cfg, solo_exc, attempts_budget)
-                            out.append(None)
-                    return out
+                return [landed.get(cfg) for cfg in task_configs]
 
             def on_failed(cfg: SimulationConfig, config_hash_: str) -> None:
                 """Enumerate a quarantined config — ours or a peer's.
@@ -889,31 +983,6 @@ def run_sweep(
             pending, lane_width=lane_width, workers=workers if pooled else 1
         )
         width = min(workers, len(tasks)) if pooled else 1
-
-        def book_task_metrics(
-            task: list[tuple[SimulationConfig, list[int]]],
-            task_results: list[SimulationResult],
-            turnaround_s: float,
-        ) -> None:
-            """Record per-task telemetry (span, timings, queue wait).
-
-            ``turnaround_s`` is submit-to-completion; the queue wait is
-            the part of it not explained by the task's own reported
-            execution time (which each result carries as its amortized
-            share, so their sum is the task's wall time).
-            """
-            exec_s = sum(r.wall_time_s for r in task_results)
-            tracer.record(
-                "sweep/task", exec_s, attrs={"backend": backend, "lanes": len(task)}
-            )
-            tracer.metrics.histogram(
-                "sweep_task_seconds", "Per-task execution wall time"
-            ).observe(exec_s)
-            tracer.metrics.histogram(
-                "sweep_queue_wait_seconds",
-                "Submit-to-completion time not spent executing",
-            ).observe(max(0.0, turnaround_s - exec_s))
-
         if width > 1:
             pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
             executor: Any = pool_cls(max_workers=width)
@@ -923,61 +992,7 @@ def run_sweep(
                 ).set(width)
         else:
             executor = _InlineExecutor()
-        #: (task, attempt number) in run order; failed tasks come back
-        #: to the front — split into solo lanes, or retried — so they
-        #: settle before fresh work starts.
-        queue = deque((task, 1) for task in tasks)
-        #: future -> (task, attempt, submit watch); at most ``width`` run
-        #: at once, so a task's turnaround is its own, not the grid's.
-        running: dict[Future, tuple[list, int, Stopwatch]] = {}
-        snapshot = (snap_root, checkpoint_every) if snap_root is not None else None
-        with executor:
-            try:
-                while queue or running:
-                    while queue and len(running) < width:
-                        task, attempt = queue.popleft()
-                        fut = executor.submit(
-                            _task_worker, [cfg for cfg, _ in task], snapshot
-                        )
-                        running[fut] = (task, attempt, Stopwatch())
-                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                    # Book every success in the batch before raising:
-                    # finished work must reach the store even when a
-                    # sibling future in the same batch failed.
-                    failure: tuple[int, SimulationConfig, Exception] | None = None
-                    for fut in finished:
-                        task, attempt, submitted = running.pop(fut)
-                        try:
-                            task_results = fut.result()
-                        except Exception as exc:
-                            if len(task) > 1:
-                                # Blast-radius isolation: a poisoned lane
-                                # fails the whole batch, so rerun each lane
-                                # solo; the failed attempt counts for each.
-                                drop_task_snapshot(task)
-                                queue.extendleft(
-                                    ([item], attempt + 1) for item in reversed(task)
-                                )
-                            elif attempt < attempts_budget and isinstance(
-                                exc, retry_policy.retry_on
-                            ):
-                                retry_policy.count_retry("sweep/compute")
-                                queue.appendleft((task, attempt + 1))
-                            elif quarantine:
-                                record_failure(task[0][0], task[0][1][0], exc, attempt)
-                            elif failure is None:
-                                failure = (task[0][1][0], task[0][0], exc)
-                            continue
-                        if tracer.enabled:
-                            book_task_metrics(task, task_results, submitted.elapsed())
-                        for (cfg, indices), result in zip(task, task_results):
-                            complete(cfg, indices, result)
-                    if failure is not None:
-                        raise SweepWorkerError(*failure) from failure[2]
-            except BaseException:
-                for fut in running:
-                    fut.cancel()
-                raise
+        drive(tasks, executor, width, complete, record_failure)
 
     # Every slot is filled — except, under on_error="quarantine", slots
     # of quarantined configs, which stay None (enumerated in failures).

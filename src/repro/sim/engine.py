@@ -28,9 +28,12 @@ state carries a replicate axis, which yields two front-ends:
   sequential order; all cross-replicate math is elementwise or grouped by
   disjoint slot ranges).
 
-:func:`run_replicates` is the ensemble entry point the sweep layer and the
-``repro`` CLI build on: per-replicate results are returned (and cached)
-individually, so batched and sequential execution share one cache.
+Both front-ends, and the resumable sweep task, drive their state through
+one protocol loop (:func:`_run_protocol`) and turn finished lanes into
+results in one place (:func:`_lane_results`).  :func:`run_replicates`
+runs a seed ensemble as a serial sweep: per-replicate results are
+returned (and cached) individually, so batched and sequential execution
+share one cache.
 """
 
 from __future__ import annotations
@@ -92,16 +95,26 @@ def replicate_configs(
     return [config.with_(seed=s) for s in spawn_seeds(root, n_replicates)]
 
 
-def _run_protocol(state) -> float:
+def _run_protocol(state, start: int = 0, before_step=None) -> float:
     """Drive the paper's protocol on a state: train at ``T = t_train``,
     reset reputations at the phase boundary, evaluate at ``T = t_eval``.
 
-    Shared by the single-run and batched front-ends so the protocol can
-    never diverge between them (the batched == sequential bit-identity
-    contract depends on that).  Step counts and the eval-learning flag
-    are structural (shared by every lane); the temperatures come from the
-    lane parameters, so mixed-temperature batches train/evaluate each
-    lane at its own ``T``.  Returns the wall time consumed.
+    The only loop that drives a state through the protocol: the
+    single-run and batched front-ends call it from step 0, and
+    :class:`repro.resilience.ResumableTask` calls it with the step count
+    of a restored snapshot (``start``) and a ``before_step(i)`` hook that
+    saves due snapshots and fires the ``sweep/step`` fault point before
+    step ``i`` runs.  One loop is what keeps batched == sequential and
+    resumed == uninterrupted bit-identical.  Step counts and the
+    eval-learning flag are structural (shared by every lane); the
+    temperatures come from the lane parameters, so mixed-temperature
+    batches train/evaluate each lane at its own ``T``.
+
+    The boundary reset runs when ``start < training_steps`` or
+    ``start == 0`` (a protocol with no training steps still resets
+    before evaluating).  A snapshot taken at the boundary is saved after
+    its reset, so a state restored there is never reset twice.  Returns
+    the wall time consumed.
 
     Timing flows through :mod:`repro.obs`: the returned wall time is a
     :class:`~repro.obs.Stopwatch` reading, and an enabled ambient tracer
@@ -111,39 +124,60 @@ def _run_protocol(state) -> float:
     cfg = state.config
     lanes = state.lanes
     tracer = get_tracer()
+    t_train = cfg.training_steps
     dims = {
         "lanes": state.n_replicates,
         "agents": state.n_agents,
-        "steps": cfg.training_steps,
+        "steps": t_train,
     }
     watch = Stopwatch()
     with tracer.span("engine/train", **dims):
-        for _ in range(cfg.training_steps):
+        for i in range(start, t_train):
+            if before_step is not None:
+                before_step(i)
             step_state(state, lanes.t_train, learn=True)
-    state.scheme.reset_reputations()
+    if start < t_train or start == 0:
+        state.scheme.reset_reputations()
     with tracer.span("engine/eval", **{**dims, "steps": cfg.eval_steps}):
-        for _ in range(cfg.eval_steps):
+        for i in range(max(start, t_train), cfg.total_steps):
+            if before_step is not None:
+                before_step(i)
             step_state(state, lanes.t_eval, learn=cfg.learn_during_eval)
     return watch.elapsed()
 
 
-def _phase_summaries(state, replicate: int) -> tuple[dict, dict]:
-    """(evaluation-window summary, training summary) for one replicate.
+def _lane_results(state, wall: float) -> list[SimulationResult]:
+    """One :class:`SimulationResult` per lane of a finished protocol run.
 
-    Windowing uses the *lane's own* config (``measure_window`` may differ
-    per lane; the step counts are structural and shared).
+    The single place a finished lane becomes a result, for solo, batched
+    and resumed runs alike.  Each lane's summary covers the evaluation
+    window of the *lane's own* config (``measure_window`` may differ per
+    lane; the step counts are structural and shared), and
+    ``wall_time_s`` is the lane's amortized share of ``wall``.
     """
-    cfg = state.configs[replicate]
-    summary = state.metrics.summary(
-        _summary_window(cfg), cfg.total_steps, replicate=replicate
-    )
-    if cfg.training_steps > 0:
-        training = state.metrics.summary(
-            0, cfg.training_steps, replicate=replicate
+    metrics = state.metrics
+    n = state.n_replicates
+    results = []
+    for r, cfg in enumerate(state.configs):
+        summary = metrics.summary(_summary_window(cfg), cfg.total_steps, replicate=r)
+        if cfg.training_steps > 0:
+            training = metrics.summary(0, cfg.training_steps, replicate=r)
+        else:
+            training = {}
+        results.append(
+            SimulationResult(
+                config=cfg,
+                summary=summary,
+                training_summary=training,
+                wall_time_s=wall / n,
+                events=state.events[r],
+                extras={
+                    "whitewash_count": float(state.whitewash_counts[r]),
+                    "sybil_count": float(state.sybil_counts[r]),
+                },
+            )
         )
-    else:
-        training = {}
-    return summary, training
+    return results
 
 
 class CollaborationSimulation:
@@ -196,19 +230,7 @@ class CollaborationSimulation:
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
         """Execute training + evaluation and summarize the eval window."""
-        wall = _run_protocol(self.state)
-        summary, training_summary = _phase_summaries(self.state, replicate=0)
-        return SimulationResult(
-            config=self.config,
-            summary=summary,
-            training_summary=training_summary,
-            wall_time_s=wall,
-            events=self.events,
-            extras={
-                "whitewash_count": float(self.whitewash_count),
-                "sybil_count": float(self.sybil_count),
-            },
-        )
+        return _lane_results(self.state, _run_protocol(self.state))[0]
 
     def summarize(self, measure_window: float | None = None) -> SimulationResult:
         """Summarize the steps recorded *so far* into a result.
@@ -294,24 +316,7 @@ class BatchedSimulation:
         ``wall_time_s`` reports each replicate's amortized share of the
         batch's wall time (the batch is one process-level execution).
         """
-        wall = _run_protocol(self.state)
-        results = []
-        for r, conf in enumerate(self.configs):
-            summary, training_summary = _phase_summaries(self.state, replicate=r)
-            results.append(
-                SimulationResult(
-                    config=conf,
-                    summary=summary,
-                    training_summary=training_summary,
-                    wall_time_s=wall / self.n_replicates,
-                    events=None,
-                    extras={
-                        "whitewash_count": float(self.state.whitewash_counts[r]),
-                        "sybil_count": float(self.state.sybil_counts[r]),
-                    },
-                )
-            )
-        return results
+        return _lane_results(self.state, _run_protocol(self.state))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -327,15 +332,16 @@ def run_replicates(
 ) -> list[SimulationResult]:
     """Run ``n_replicates`` seed-varied copies of ``config`` batched.
 
-    Seeds are derived exactly like :func:`repro.sim._sweep.replicate`
-    (``SeedSequence`` children of ``root_seed``, default the config's
-    seed), so batched ensembles and sequential sweeps share cache
-    entries.  With a ``store``, cached replicates are served without
-    executing and fresh ones are persisted individually the moment the
-    batch finishes — resume semantics are identical to a sequential
-    sweep.  Falls back to sequential execution for event-collecting
-    configs (whose events the store cannot persist and the batched
-    engine does not record).
+    An ensemble is a sweep: this is a serial
+    :func:`repro.sim._sweep.run_sweep` over :func:`replicate_configs`,
+    so the replicates run as one lane batch (event-collecting configs
+    run solo) and seeds — ``SeedSequence`` children of ``root_seed``,
+    default the config's seed — address the same cache entries as any
+    other sweep of them.  Like every sweep it uses ``store``, or the
+    ambient default store (:func:`repro.sim._sweep.set_default_store`)
+    when none is passed: cached replicates are served without
+    executing, fresh ones are persisted individually the moment the
+    batch finishes.
 
     Example::
 
@@ -348,25 +354,10 @@ def run_replicates(
         >>> len(results), len({r.config.seed for r in results})
         (3, 3)
     """
-    configs = replicate_configs(config, n_replicates, root_seed)
-    results: list[SimulationResult | None] = [None] * n_replicates
+    from ._sweep import run_sweep  # late: _sweep imports this module
 
-    storable = store is not None and not config.collect_events
-    pending: list[int] = []
-    for i, conf in enumerate(configs):
-        cached = store.get(conf) if storable else None
-        if cached is not None:
-            results[i] = cached
-        else:
-            pending.append(i)
-
-    if pending:
-        if config.collect_events or len(pending) == 1:
-            fresh = [run_simulation(configs[i]) for i in pending]
-        else:
-            fresh = BatchedSimulation([configs[i] for i in pending]).run()
-        for i, result in zip(pending, fresh):
-            if storable:
-                store.put(result)
-            results[i] = result
-    return results  # type: ignore[return-value]  # every slot is filled
+    return run_sweep(
+        replicate_configs(config, n_replicates, root_seed),
+        backend="serial",
+        store=store,
+    )

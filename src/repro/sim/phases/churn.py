@@ -20,6 +20,15 @@ def churn_phase(state: SimState, cfg: SimulationConfig) -> None:
     lanes and applied to the scheme's ledger in one scatter (resets are
     idempotent zero-assignments, so batching them is equivalent to the
     sequential per-event resets).
+
+    A churn whitewash resets only the contribution ledger
+    (``scheme.ledger.reset_peers``): the peer keeps its punishment
+    records, its karma balance and both directions of its tft private
+    history.  A sybil reset (:func:`~repro.sim.phases.adversary.sybil_phase`)
+    instead calls ``scheme.reset_identities``, which clears all of those
+    too.  Making a whitewash a full identity reset changes the churn
+    trajectories, so it waits for the next re-baseline of the golden
+    digests.
     """
     if not state.churn_active:
         return

@@ -20,6 +20,12 @@ __all__ = [
     "fig6_configs",
 ]
 
+#: Root seed of the figure grids: the ``repro-experiments`` figure modules
+#: and the ``paper/`` scenario packs both derive their run seeds from it,
+#: so both front-ends expand to the same config hashes and share store
+#: entries.
+ROOT_SEED = 20080414  # IPDPS 2008 conference date
+
 #: Reduced horizon used by benchmarks / CI (protocol preserved).
 FAST_TRAINING_STEPS = 1_500
 FAST_EVAL_STEPS = 800

@@ -154,13 +154,6 @@ def _run_and_report(
             "artifacts into the store; drop --no-store"
         )
     store = None if args.no_store else RunStore(args.store)
-    for flag in ("lane_batch", "batch_replicates"):
-        if getattr(args, flag):
-            print(
-                f"note: '--{flag.replace('_', '-')}' is deprecated and has no "
-                f"effect; every sweep lane-batches compatible configs",
-                file=sys.stderr,
-            )
     results = run_sweep(
         configs,
         backend=args.executor,
@@ -717,13 +710,6 @@ def _add_exec_args(p: argparse.ArgumentParser) -> None:
         "(default: process)",
     )
     p.add_argument("--workers", type=int, default=None)
-    for flag in ("--batch-replicates", "--lane-batch"):
-        p.add_argument(
-            flag,
-            action="store_true",
-            help="deprecated no-op: every sweep lane-batches structurally "
-            "compatible configs",
-        )
     p.add_argument(
         "--lane-width",
         type=int,

@@ -23,6 +23,7 @@ from ..agents.population import PopulationMix
 from ..sim.config import ScaleConfig, SimulationConfig
 from ..sim.rng import spawn_seeds
 from ..sim.scenarios import (
+    ROOT_SEED,
     base_config,
     fig3_configs,
     fig6_configs,
@@ -39,17 +40,13 @@ __all__ = [
     "expand_scenario",
 ]
 
-#: Root seed scenario packs derive per-run seeds from (kept distinct from
-#: the experiment modules' root so stored grids never collide with them).
-REGISTRY_ROOT_SEED = 20080414
-
 _REGISTRY: dict[str, "ScenarioPack"] = {}
 
 
 def _seeds(n_seeds: int) -> list[int]:
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
-    return spawn_seeds(REGISTRY_ROOT_SEED, n_seeds)
+    return spawn_seeds(ROOT_SEED, n_seeds)
 
 
 @dataclass(frozen=True)

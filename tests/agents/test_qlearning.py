@@ -101,6 +101,15 @@ class TestSampleCategorical:
         samples = sample_categorical(p, rng)
         assert samples.min() >= 0 and samples.max() <= 3
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, -0.25, np.nan])
+    def test_rejects_uniforms_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            sample_categorical(np.array([[0.5, 0.5]]), u=np.array([[bad]]))
+
+    def test_accepts_zero_uniform(self):
+        p = np.array([[0.5, 0.5]])
+        assert sample_categorical(p, u=np.array([[0.0]])).tolist() == [0]
+
 
 class TestVectorQLearner:
     def test_update_formula(self):

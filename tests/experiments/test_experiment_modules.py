@@ -5,10 +5,13 @@ verify the FigureData contracts — the directional assertions live in
 the benchmarks, and full-scale numbers are ROADMAP item 2.
 """
 
+from collections import defaultdict
+
 import numpy as np
 import pytest
 
 from repro.experiments import (
+    _common,
     adversary_panel,
     fig3_incentive_effect,
     fig4_population_mix,
@@ -17,6 +20,9 @@ from repro.experiments import (
     scheme_comparison,
 )
 from repro.sim import scenarios
+from repro.sim.engine import SimulationResult
+from repro.store.hashing import config_hash
+from repro.store.registry import expand_scenario
 
 TINY = dict(training_steps=40, eval_steps=30)
 
@@ -26,6 +32,36 @@ def tiny_scale(monkeypatch):
     """Shrink the 'fast' scenario constants so drivers finish in seconds."""
     monkeypatch.setattr(scenarios, "FAST_TRAINING_STEPS", 40)
     monkeypatch.setattr(scenarios, "FAST_EVAL_STEPS", 30)
+
+
+class TestSharedStoreEntries:
+    """The figure modules run exactly the configs of the ``paper/`` packs,
+    so ``repro-experiments`` and ``repro run paper/...`` share store
+    entries."""
+
+    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "full"])
+    def test_figure_grids_hash_like_scenario_packs(self, monkeypatch, fast):
+        ran = []
+
+        def capture(configs, **_):
+            ran.extend(configs)
+            summary = defaultdict(lambda: 0.5)
+            return [SimulationResult(c, summary, {}, 0.0) for c in configs]
+
+        monkeypatch.setattr(fig3_incentive_effect, "run_sweep", capture)
+        monkeypatch.setattr(_common, "run_sweep", capture)
+        for module, pack in (
+            (fig3_incentive_effect, "paper/fig3"),
+            (fig4_population_mix, "paper/fig4"),
+            (fig6_edit_coin_flip, "paper/fig6"),
+        ):
+            ran.clear()
+            module.run(fast=fast, n_seeds=2, backend="serial")
+            expanded = expand_scenario(pack, fast=fast, n_seeds=2)
+            assert len(ran) == len(expanded)
+            assert {config_hash(c) for c in ran} == {
+                config_hash(c) for c in expanded
+            }
 
 
 class TestFig3Driver:

@@ -11,6 +11,13 @@ import pytest
 
 from repro.agents.population import PopulationMix
 from repro.obs import get_tracer, tracing
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    InjectedFault,
+    ResumableTask,
+    inject_faults,
+)
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import run_simulation
 
@@ -62,18 +69,39 @@ class TestBitIdentity:
 
 
 class TestInstrumentationCoverage:
-    def test_every_phase_and_engine_span_recorded(self):
+    def test_every_phase_and_engine_span_recorded(self, tmp_path):
         cfg = tiny()
-        with tracing() as tracer:
-            run_simulation(cfg)
-        spans = tracer.spans()
+        plain = run_simulation(cfg)
         n_steps = cfg.training_steps + cfg.eval_steps
-        for phase in ALL_PHASES:
-            agg = spans[f"phase/{phase}"]
-            assert agg.count == n_steps
-            assert agg.attrs == {"lanes": 1, "agents": cfg.n_agents}
-        assert spans["engine/train"].count == 1
-        assert spans["engine/eval"].count == 1
+
+        def checkpointing_task():
+            return ResumableTask([cfg], checkpoint_every=10, store_root=str(tmp_path))
+
+        def resume_from_step_20():
+            task = checkpointing_task()
+            [result] = task.run()
+            assert task.resumed_at_step == 20
+            return result
+
+        # Leave a step-20 snapshot behind: the first attempt dies at step 25.
+        plan = FaultPlan([FaultSpec(site="sweep/step", action="error", at=(26,))])
+        with inject_faults(plan), pytest.raises(InjectedFault):
+            checkpointing_task().run()
+
+        for run, steps in (
+            (lambda: run_simulation(cfg), n_steps),
+            (resume_from_step_20, n_steps - 20),
+        ):
+            with tracing() as tracer:
+                traced = run()
+            assert_results_identical(plain, traced)
+            spans = tracer.spans()
+            for phase in ALL_PHASES:
+                agg = spans[f"phase/{phase}"]
+                assert agg.count == steps
+                assert agg.attrs == {"lanes": 1, "agents": cfg.n_agents}
+            assert spans["engine/train"].count == 1
+            assert spans["engine/eval"].count == 1
 
     def test_phase_time_covers_protocol_time(self):
         from repro.obs import build_telemetry, phase_breakdown

@@ -206,6 +206,67 @@ class TestSweepQuarantine:
         assert list((store.root / "claims").glob("*.lease")) == []
 
 
+class TestOneFailureRule:
+    """Local and dispatched sweeps settle a failed task by one rule.
+
+    A 4-lane task whose third lane is poisoned: the task fails, splits
+    into solo tasks (the failed attempt counting once per lane), and the
+    poisoned lane alone then raises or spends its budget.
+    """
+
+    def grid(self):
+        return [tiny(seed=s) for s in (11, 12, 13, 14)]
+
+    @pytest.mark.parametrize("dispatch", [None, "store"])
+    def test_raise_names_the_poisoned_lane(self, tmp_path, dispatch):
+        from repro.sim._sweep import SweepWorkerError
+
+        store = RunStore(tmp_path)
+        configs = self.grid()
+        bad = configs[2]
+        with inject_faults(poison_plan(bad)):
+            with pytest.raises(SweepWorkerError) as err:
+                run_sweep(
+                    configs,
+                    backend="serial",
+                    store=store,
+                    dispatch=dispatch,
+                    lane_width=4,
+                )
+        assert err.value.index == 2
+        assert err.value.config == bad
+        assert err.value.config_hash == config_hash(bad)
+        # The healthy lanes that ran solo before the poisoned one landed.
+        store.refresh()
+        stored = [store.contains_hash(config_hash(c)) for c in configs]
+        assert stored == [True, True, False, False]
+        if dispatch == "store":
+            assert err.value.task_hashes == [config_hash(c) for c in configs]
+            assert list((tmp_path / "claims").glob("*.lease")) == []
+
+    @pytest.mark.parametrize("dispatch", [None, "store"])
+    def test_quarantine_spends_exactly_the_budget(self, tmp_path, dispatch):
+        store = RunStore(tmp_path)
+        configs = self.grid()
+        bad = configs[2]
+        with inject_faults(poison_plan(bad)) as plan:
+            results = run_sweep(
+                configs,
+                backend="serial",
+                store=store,
+                dispatch=dispatch,
+                lane_width=4,
+                on_error="quarantine",
+            )
+        assert [r is None for r in results] == [False, False, True, False]
+        # DEFAULT_COMPUTE_RETRY allows 2 attempts: the batch attempt and
+        # one solo attempt.
+        assert len(plan.fired) == 2
+        assert store.get_error(config_hash(bad))["attempts"] == 2
+        [failure] = last_sweep_failures()
+        assert failure.index == 2 and failure.attempts == 2
+
+
 class TestServicePartialJobs:
     """A quarantined unit degrades the job to 'partial', never 'failed'."""
 

@@ -29,6 +29,7 @@ from repro.resilience import (
 )
 from repro.sim.config import SimulationConfig
 from repro.sim._sweep import run_sweep
+from repro.sim.engine import run_simulation
 from repro.store.hashing import config_hash
 from tests.conftest import assert_summaries_equal
 
@@ -180,6 +181,14 @@ class TestBitIdenticalResume:
         assert_summaries_equal(
             resumed[0].training_summary, straight[0].training_summary
         )
+
+    def test_no_training_steps_matches_run_simulation(self):
+        # The boundary reset still runs before an evaluation-only protocol.
+        cfg = tiny(seed=6).with_(training_steps=0)
+        [task_result] = ResumableTask([cfg]).run()
+        solo = run_simulation(cfg)
+        assert_summaries_equal(task_result.summary, solo.summary)
+        assert task_result.training_summary == solo.training_summary == {}
 
     def test_corrupt_snapshot_restarts_from_zero(self, tmp_path):
         configs = [tiny(seed=3)]

@@ -279,6 +279,25 @@ def reference_ledger_add(led, rows, cols, add_amounts):
     return np.concatenate(ev_rows), np.concatenate(ev_amts)
 
 
+def reference_remove_partner(led, rep, local):
+    """``remove_partner`` scanning every allocated column of the block."""
+    lo = rep * led.n_local
+    match = led.partners[lo : lo + led.n_local] == local
+    rel = np.flatnonzero(match.any(axis=1))
+    if not rel.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    pos = match[rel].argmax(axis=1)
+    rows = rel + lo
+    removed = led.amounts[rows, pos].copy()
+    last = led.counts[rows] - 1
+    led.partners[rows, pos] = led.partners[rows, last]
+    led.amounts[rows, pos] = led.amounts[rows, last]
+    led.partners[rows, last] = -1
+    led.amounts[rows, last] = 0.0
+    led.counts[rows] = last
+    return rows, removed
+
+
 def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
@@ -320,7 +339,7 @@ class TestLiveWidthLedger:
             elif op == 4:
                 rep, local = int(rng.integers(n_rep)), int(rng.integers(n_local))
                 got = led.remove_partner(rep, local)
-                want = ref.remove_partner(rep, local)
+                want = reference_remove_partner(ref, rep, local)
                 assert _bits(got[0]) == _bits(want[0])
                 assert _bits(got[1]) == _bits(want[1])
             else:

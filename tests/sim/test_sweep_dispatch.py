@@ -101,15 +101,18 @@ class TestDispatchSweep:
         store = RunStore(tmp_path)
         grid = [tiny(seed=s) for s in range(2)]
 
-        def boom(configs):
+        def boom(configs, snapshot=None):
             raise RuntimeError("kernel fault")
 
         monkeypatch.setattr(sweep_mod, "_task_worker", boom)
         with pytest.raises(SweepWorkerError) as err:
             run_sweep(grid, backend="serial", store=store, dispatch="store",
                       lane_width=2)
-        assert err.value.task_hashes  # the claimed task's config hashes
-        assert err.value.task_hashes[0][:12] in str(err.value)
+        assert isinstance(err.value.__cause__, RuntimeError)
+        assert "kernel fault" in str(err.value)
+        # The claimed task's config hashes, whichever lane raised.
+        assert err.value.task_hashes == [config_hash(c) for c in grid]
+        assert err.value.task_hashes[1][:12] in str(err.value)
         # The lease was released, not leaked.
         assert LeaseBoard(store.root).active() == []
 

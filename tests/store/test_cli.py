@@ -163,39 +163,6 @@ class TestSweep:
         assert "scheme=tft" in out
         assert len(RunStore(tmp_path)) == 2
 
-    def test_lane_batch_flag_shares_cache_with_plain_sweep(self, tmp_path, capsys):
-        """--lane-batch executes once, then the unbatched spelling is all
-        cache hits (the two spellings address identical store entries)."""
-        argv = [
-            "sweep",
-            "--seeds", "1",
-            "--executor", "serial",
-            "--store", str(tmp_path),
-            "--quiet",
-            *TINY_SETS,
-            "--set", "t_eval=0.5,1.0",
-        ]
-        assert main(argv + ["--lane-batch"]) == 0
-        out = capsys.readouterr().out
-        assert "0 hits / 2 misses" in out
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "2 hits / 0 misses" in out
-
-    def test_removed_batching_flags_are_noted_no_ops(self, tmp_path, capsys):
-        argv = [
-            "sweep",
-            "--seeds", "2",
-            "--executor", "serial",
-            "--store", str(tmp_path),
-            "--quiet",
-            *TINY_SETS,
-        ]
-        assert main(argv + ["--batch-replicates"]) == 0
-        captured = capsys.readouterr()
-        assert "'--batch-replicates' is deprecated" in captured.err
-        assert "0 hits / 2 misses" in captured.out
-
 
 class TestProfile:
     def test_profile_prints_hot_functions(self, capsys):
