@@ -1,14 +1,12 @@
 """Agents: action spaces, vectorized Q-learning, behaviour policies, mixes."""
 
 from .actions import EditActionSpace, SharingActionSpace
-from .behaviors import BehaviorEngine
 from .population import PopulationMix, mixture_sweep
 from .qlearning import VectorQLearner, boltzmann_probabilities, sample_categorical
 
 __all__ = [
     "EditActionSpace",
     "SharingActionSpace",
-    "BehaviorEngine",
     "PopulationMix",
     "mixture_sweep",
     "VectorQLearner",

@@ -5,9 +5,9 @@ their benefit, irrational ones are always free-riders with regard to
 sharing as well as destructive editors and voters.  Altruistic peers always
 share the most they can and perform only constructive edits and votes."
 
-:class:`BehaviorEngine` composes the three into population-wide action
-arrays.  Only the rational subset touches the Q-learners; the fixed types
-are filled in with constant actions, all vectorized.
+:class:`BatchedBehaviorEngine` composes the three into action arrays over
+every lane's peers.  Only the rational subset touches the Q-learners; the
+fixed types are filled in with constant actions, all vectorized.
 """
 
 from __future__ import annotations
@@ -18,106 +18,7 @@ from ..network.peer import ALTRUISTIC, IRRATIONAL, RATIONAL
 from .actions import EditActionSpace, SharingActionSpace
 from .qlearning import VectorQLearner
 
-__all__ = ["BehaviorEngine", "BatchedBehaviorEngine"]
-
-
-class BehaviorEngine:
-    """Maps (types, reputations, Q-matrices) to this step's actions."""
-
-    def __init__(
-        self,
-        types: np.ndarray,
-        sharing_space: SharingActionSpace,
-        edit_space: EditActionSpace,
-        sharing_learner: VectorQLearner,
-        edit_learner: VectorQLearner,
-    ) -> None:
-        self.types = np.asarray(types, dtype=np.int8)
-        self.n = self.types.size
-        self.sharing_space = sharing_space
-        self.edit_space = edit_space
-        self.rational_idx = np.flatnonzero(self.types == RATIONAL)
-        self.altruistic_idx = np.flatnonzero(self.types == ALTRUISTIC)
-        self.irrational_idx = np.flatnonzero(self.types == IRRATIONAL)
-        if sharing_learner.n_agents != self.rational_idx.size:
-            raise ValueError("sharing learner must cover exactly the rational peers")
-        if edit_learner.n_agents != self.rational_idx.size:
-            raise ValueError("edit learner must cover exactly the rational peers")
-        self.sharing_learner = sharing_learner
-        self.edit_learner = edit_learner
-
-    # ------------------------------------------------------------------
-    # Action selection
-    # ------------------------------------------------------------------
-    def sharing_actions(
-        self, states: np.ndarray, temperature: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-peer sharing action indices.
-
-        ``states`` are the *rational* peers' discretized reputations (one
-        entry per rational peer, ordered like ``rational_idx``).
-        """
-        actions = np.empty(self.n, dtype=np.int64)
-        actions[self.altruistic_idx] = self.sharing_space.max_action
-        actions[self.irrational_idx] = self.sharing_space.min_action
-        if self.rational_idx.size:
-            actions[self.rational_idx] = self.sharing_learner.select_actions(
-                states, temperature, rng
-            )
-        return actions
-
-    def edit_actions(
-        self, states: np.ndarray, temperature: float, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-peer edit/vote behaviour action indices (same contract)."""
-        actions = np.empty(self.n, dtype=np.int64)
-        actions[self.altruistic_idx] = self.edit_space.constructive_action
-        actions[self.irrational_idx] = self.edit_space.destructive_action
-        if self.rational_idx.size:
-            actions[self.rational_idx] = self.edit_learner.select_actions(
-                states, temperature, rng
-            )
-        return actions
-
-    # ------------------------------------------------------------------
-    # Learning (rational subset only)
-    # ------------------------------------------------------------------
-    def learn_sharing(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-    ) -> None:
-        """TD-update the sharing Q-matrices from population-wide arrays.
-
-        ``actions`` and ``rewards`` are indexed by peer; states are already
-        restricted to the rational subset.
-        """
-        if not self.rational_idx.size:
-            return
-        self.sharing_learner.update(
-            states,
-            actions[self.rational_idx],
-            rewards[self.rational_idx],
-            next_states,
-        )
-
-    def learn_editing(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-    ) -> None:
-        if not self.rational_idx.size:
-            return
-        self.edit_learner.update(
-            states,
-            actions[self.rational_idx],
-            rewards[self.rational_idx],
-            next_states,
-        )
+__all__ = ["BatchedBehaviorEngine"]
 
 
 class BatchedBehaviorEngine:
@@ -128,11 +29,11 @@ class BatchedBehaviorEngine:
     single vectorized calls regardless of ``R``.  Randomness stays
     per-replicate: each replicate's uniforms (or ``T = inf`` integers)
     are drawn from that replicate's own generator, in the same order and
-    shapes a solo :class:`BehaviorEngine` run would draw them — which is
-    what makes a batched replicate reproduce its sequential twin seed for
-    seed.  ``R = 1`` with a single rng behaves exactly like
-    :class:`BehaviorEngine` (including the no-rational degenerate case,
-    which draws nothing).
+    shapes an ``R = 1`` engine draws them for a solo run — which is what
+    makes a batched replicate reproduce its sequential twin seed for
+    seed.  A population without rational peers draws nothing; its
+    learners still hold one placeholder row, so they must be sized
+    ``max(n_rational, 1)``.
     """
 
     def __init__(

@@ -198,7 +198,7 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
         historical shape), ``(R, N, N)`` when replicates are stacked.
 
         The sparse mode materializes the dense matrix on demand — an
-        introspection/checkpoint convenience, not a hot path.
+        introspection convenience, not a hot path.
         """
         dense = (
             self._ledger.to_dense() if self._given is None else self._given

@@ -215,7 +215,7 @@ class SparseInteractionLedger:
 
     # ------------------------------------------------------------------
     def to_dense(self) -> np.ndarray:
-        """Materialize the ``(R, N, N)`` matrix (tests / checkpoints only)."""
+        """Materialize the ``(R, N, N)`` matrix (the tft ``given`` view)."""
         dense = np.zeros(
             (self.n_replicates, self.n_local, self.n_local), dtype=np.float64
         )
@@ -225,51 +225,3 @@ class SparseInteractionLedger:
             row // self.n_local, row % self.n_local, self.partners[valid]
         ] = self.amounts[valid]
         return dense
-
-    @classmethod
-    def from_dense(
-        cls,
-        dense: np.ndarray,
-        cap: int | np.ndarray = 64,
-        chunk_size: int = 32_768,
-    ) -> "SparseInteractionLedger":
-        """Exact migration of a dense ``(R, N, N)`` matrix.
-
-        Raises ``ValueError`` when any row holds more distinct partners
-        than its cap — a lossy import must be an explicit caller decision,
-        not a silent truncation.
-        """
-        dense = np.asarray(dense, dtype=np.float64)
-        if dense.ndim == 2:
-            dense = dense[None]
-        n_rep, n_local, n2 = dense.shape
-        if n_local != n2:
-            raise ValueError("dense matrix must be square per replicate")
-        led = cls(n_local, n_rep, cap=cap, chunk_size=chunk_size)
-        nz = dense != 0.0
-        per_row = nz.sum(axis=2).reshape(-1)
-        cap_of = (
-            led.row_cap
-            if isinstance(led.row_cap, np.ndarray)
-            else np.full(led.n_slots, led.row_cap, dtype=np.int64)
-        )
-        if np.any(per_row > cap_of):
-            worst = int(per_row.max())
-            raise ValueError(
-                f"dense history does not fit the sparse cap: a row holds "
-                f"{worst} partners, cap allows {int(cap_of.min())}; raise "
-                f"scale.ledger_cap (or keep the dense path) to migrate"
-            )
-        rep, i, j = np.nonzero(nz)
-        rows = rep * n_local + i  # row-major: within-row order preserved
-        new_run = np.empty(rows.size, dtype=bool)
-        if rows.size:
-            new_run[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=new_run[1:])
-            run_start = np.flatnonzero(new_run)
-            run_len = np.diff(np.append(run_start, rows.size))
-            rank = np.arange(rows.size) - np.repeat(run_start, run_len)
-            led.partners[rows, rank] = j
-            led.amounts[rows, rank] = dense[rep, i, j]
-            led.counts[:] = per_row
-        return led

@@ -17,8 +17,6 @@ site                      where it fires
 ``store/index-append``    before a line is appended to ``index.jsonl``
                           (supports ``torn-write``)
 ``store/refresh``         at the top of ``RunStore.refresh()``
-``checkpoint/save``       before a simulation checkpoint is written
-                          (supports ``torn-write``)
 ``snapshot/save``         before a mid-run resume snapshot is persisted
                           (supports ``torn-write``)
 ``snapshot/load``         before a resume snapshot is read back

@@ -8,17 +8,20 @@ a resumed task consumes the exact random stream an uninterrupted run
 would — final metrics are **bit-identical**, which is what lets resumed
 results share the content-addressed store with ordinary ones.
 
-This is deliberately distinct from :mod:`repro.sim.checkpoint` (the
-schema-versioned ``.npz`` of *learned artifacts* — Q-matrices, ledgers —
-meant to outlive code changes).  A resume snapshot is ephemeral
-scaffolding for one task: written every ``checkpoint_every`` steps,
-validated against the exact config set, deleted the moment the task's
-results land, and silently discarded if it does not decode.
+It is the only saved form of a run in flight.  It pickles any state —
+one lane or many, event logs included — so it restores only into the
+exact task it was taken from: written every ``checkpoint_every`` steps,
+validated against the task's config set, deleted the moment the task's
+results land, and silently discarded if it does not decode.  A state
+evaluated under a config it was not trained with would not be that
+config's result, so no snapshot restores across configs.
 
-Keys use the dispatcher's ``task_key`` recipe (sha256 over the sorted
-config hashes), so a worker that reclaims a dead peer's lease derives
-the same key from the same missing-config set and finds the corpse's
-latest snapshot without any extra coordination.
+Snapshot keys and dispatch task keys are one recipe,
+:func:`snapshot_key` (sha256 over the sorted config hashes;
+:mod:`repro.store.dispatch` imports it as ``task_key``), so a worker
+that reclaims a dead peer's lease derives the same key from the same
+missing-config set and finds the corpse's latest snapshot without any
+extra coordination.
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ _MAGIC = b"RSNP"
 
 
 def snapshot_key(config_hashes) -> str:
-    """Same recipe as :func:`repro.store.dispatch.task_key` (sha256 over
-    the sorted hash set) — duplicated here to keep this package importable
-    from the store layer without a cycle; ``tests/resilience`` pins the
-    equality."""
+    """Deterministic key of one task: sha256 over its config hashes.
+
+    Sorted before hashing so the key depends on the task's config *set*,
+    not on lane order inside the batch.  Resume snapshots and dispatch
+    tasks (as :func:`repro.store.dispatch.task_key`) share it.
+    """
     digest = hashlib.sha256()
     for h in sorted(config_hashes):
         digest.update(h.encode("ascii"))

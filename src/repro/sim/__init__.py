@@ -1,7 +1,6 @@
 """Simulation engine: config, RNG streams, metrics, phase-kernel engine
-(single-run and lane-batched), sweeps, scenarios, checkpoints."""
+(single-run and lane-batched), sweeps, scenarios."""
 
-from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ScaleConfig, SimulationConfig
 from .engine import (
     BatchedSimulation,
@@ -26,8 +25,6 @@ from ._sweep import (
 )
 
 __all__ = [
-    "load_checkpoint",
-    "save_checkpoint",
     "ScaleConfig",
     "SimulationConfig",
     "CollaborationSimulation",

@@ -11,9 +11,10 @@ population size, article count, step counts, scheme class, overlay kind
 ...) and each batch runs as one heterogeneous-lane
 :class:`repro.sim.engine.BatchedSimulation`, so a grid over seeds,
 temperatures, scheme constants, population mixes or adversary knobs
-vectorizes across the sweep axis itself.  A config alone in its group is
-a width-1 batch on the solo engine path; event-collecting configs always
-run solo.  Batched == sequential holds lane for lane, so every result
+vectorizes across the sweep axis itself.  Every task is one
+:class:`~repro.sim.engine.BatchedSimulation` — a config alone in its
+group is a one-lane batch — and an event-collecting lane logs its own
+events.  Batched == sequential holds lane for lane, so every result
 (and its per-config cache entry) is bit-identical to a solo run.
 
 The executor (``backend`` argument) runs the planned tasks:
@@ -81,12 +82,7 @@ from typing import Any, Callable
 
 from ..obs import Stopwatch, get_tracer
 from .config import SimulationConfig
-from .engine import (
-    BatchedSimulation,
-    SimulationResult,
-    replicate_configs,
-    run_simulation,
-)
+from .engine import BatchedSimulation, SimulationResult, replicate_configs
 from .lanes import estimate_lane_state_bytes, structural_key
 
 __all__ = [
@@ -282,18 +278,14 @@ def available_workers() -> int:
     return max(1, n_cores - 1)
 
 
-def _worker(config: SimulationConfig) -> SimulationResult:
-    return run_simulation(config)
-
-
 def _task_worker(
     configs: list[SimulationConfig],
     snapshot: tuple[str, int] | None = None,
 ) -> list[SimulationResult]:
-    """Execute one planned sweep task: a solo run or a lane batch.
+    """Execute one planned sweep task: one lane batch (one lane, or many).
 
-    ``snapshot`` is ``(store_root, checkpoint_every)``; when given (and
-    no lane collects events) the task runs through
+    ``snapshot`` is ``(store_root, checkpoint_every)``; when given the
+    task runs through
     :class:`repro.resilience.ResumableTask`, persisting a full-state
     snapshot into the store every ``checkpoint_every`` steps and
     resuming bit-identically from the latest one if a prior attempt of
@@ -315,7 +307,7 @@ def _task_worker(
 
             for cfg in configs:
                 fault_point("sweep/compute", key=config_hash(cfg))
-        if snapshot is not None and not any(c.collect_events for c in configs):
+        if snapshot is not None:
             from ..resilience import ResumableTask
 
             root, every = snapshot
@@ -325,8 +317,6 @@ def _task_worker(
             results = task.run()
             _TASK_STATE.resumed = bool(task.resumed)
             return results
-        if len(configs) == 1:
-            return [_worker(configs[0])]
         return BatchedSimulation(configs).run()
     except Exception as exc:
         try:
@@ -393,8 +383,8 @@ def plan_lane_batches(
     :class:`~repro.sim.engine.BatchedSimulation`, whatever else differs
     (seeds, temperatures, constants, mixes, churn/adversary knobs).
     Configs with incompatible structural dimensions split into separate
-    batches; event-collecting configs keep solo sequential tasks (the
-    batched engine does not record events).  Batch order follows first
+    batches; event-collecting configs batch like any other (each logging
+    lane keeps its own event log).  Batch order follows first
     appearance and results still land in input order via the per-config
     index lists, so the planning is invisible to callers.
 
@@ -426,9 +416,6 @@ def plan_lane_batches(
     widths: dict[tuple, int] = {}
     order: list[list[tuple[SimulationConfig, list[int]]]] = []
     for cfg, indices in pending:
-        if cfg.collect_events:
-            order.append([(cfg, indices)])
-            continue
         key = structural_key(cfg)
         own = (
             lane_width
@@ -521,9 +508,9 @@ def run_sweep(
     every ``N`` steps each running task persists a full-state snapshot
     (RNG stream state included) under the store's ``checkpoints/``
     directory, and a retried or re-dispatched attempt of the same task
-    resumes bit-identically from the latest snapshot instead of step 0.
-    Event-collecting configs are exempt (their tasks run the classic
-    path).  See :mod:`repro.resilience`.
+    resumes bit-identically from the latest snapshot instead of step 0
+    (event logs included: the snapshot carries the whole state).  See
+    :mod:`repro.resilience`.
 
     ``dispatch="store"`` drains the grid cooperatively with every other
     invocation pointed at the same store (see

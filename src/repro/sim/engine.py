@@ -17,23 +17,27 @@ The per-step protocol itself lives in the composable phase kernels of
 record) operating on an explicit :class:`repro.sim.state.SimState`.  The
 state carries a replicate axis, which yields two front-ends:
 
-* :class:`CollaborationSimulation` — the historical single-run API, now a
-  thin wrapper over an ``R = 1`` state (all attributes are the state's own
-  arrays, so checkpointing and introspection work unchanged);
-* :class:`BatchedSimulation` — ``R`` seed-varied replicates of one config
-  advanced in lock-step as stacked ``(R, N)`` populations, amortizing the
-  Python per-step overhead over the whole ensemble.  Batched replicate
-  ``r`` reproduces the sequential run with the same seed **bit for bit**
-  (each replicate owns an independent RNG stream consumed in the
-  sequential order; all cross-replicate math is elementwise or grouped by
-  disjoint slot ranges).
+* :class:`CollaborationSimulation` — the historical single-run API, a
+  thin wrapper over an ``R = 1`` state (all attributes are the state's
+  own arrays, so introspection and manual stepping work unchanged);
+* :class:`BatchedSimulation` — ``R`` lanes (seed replicates of one
+  config, or a heterogeneous mix of configs) advanced in lock-step as
+  stacked ``(R, N)`` populations, amortizing the Python per-step overhead
+  over the whole ensemble.  Lane ``r`` reproduces the sequential run of
+  its config **bit for bit** (each lane owns an independent RNG stream
+  consumed in the sequential order; all cross-lane math is elementwise
+  or grouped by disjoint slot ranges), and an event-collecting lane logs
+  exactly the events its sequential run would.
 
 Both front-ends, and the resumable sweep task, drive their state through
 one protocol loop (:func:`_run_protocol`) and turn finished lanes into
-results in one place (:func:`_lane_results`).  :func:`run_replicates`
-runs a seed ensemble as a serial sweep: per-replicate results are
-returned (and cached) individually, so batched and sequential execution
-share one cache.
+results in one place (:func:`_lane_results`).  Every sweep task is a
+:class:`BatchedSimulation` (a solo task is one lane), and the only saved
+form of a run in flight is the resume snapshot of
+:mod:`repro.resilience.snapshot`.  :func:`run_replicates` runs a seed
+ensemble as a serial sweep: per-replicate results are returned (and
+cached) individually, so batched and sequential execution share one
+cache.
 """
 
 from __future__ import annotations
@@ -232,44 +236,6 @@ class CollaborationSimulation:
         """Execute training + evaluation and summarize the eval window."""
         return _lane_results(self.state, _run_protocol(self.state))[0]
 
-    def summarize(self, measure_window: float | None = None) -> SimulationResult:
-        """Summarize the steps recorded *so far* into a result.
-
-        :meth:`run` drives both phases itself; this is for workflows that
-        drive phases manually — e.g. restore a trained checkpoint, run
-        only the evaluation phase, and persist the outcome in a
-        :class:`repro.store.RunStore`.  The summary window is the last
-        ``measure_window`` fraction (default: the config's) of whatever
-        this instance recorded; ``training_summary`` stays empty because
-        a restored sim never saw its own training steps.
-        """
-        recorded = self.metrics.steps_recorded
-        if recorded < 1:
-            raise ValueError("no steps recorded; nothing to summarize")
-        frac = (
-            self.config.measure_window if measure_window is None else measure_window
-        )
-        if not 0.0 < frac <= 1.0:
-            raise ValueError("measure_window must be in (0, 1]")
-        start = min(int(recorded * (1.0 - frac)), recorded - 1)
-        return SimulationResult(
-            config=self.config,
-            summary=self.metrics.summary(start, recorded),
-            training_summary={},
-            wall_time_s=0.0,
-            events=self.events,
-            extras={
-                "whitewash_count": float(self.whitewash_count),
-                "sybil_count": float(self.sybil_count),
-                # Provenance marker: this summary came from manual phase
-                # driving, not the canonical run() protocol.  RunStore
-                # refuses it unless the caller explicitly vouches for it
-                # (allow_partial=True) — a manually windowed summary under
-                # a config's hash would otherwise poison the cache.
-                "manual_summary": 1.0,
-            },
-        )
-
     # ------------------------------------------------------------------
     # One step
     # ------------------------------------------------------------------
@@ -286,19 +252,14 @@ class BatchedSimulation:
     (:data:`repro.sim.lanes.STRUCTURAL_FIELDS` plus the scheme class);
     everything else — temperatures, constants, mixes, churn/adversary
     knobs — may differ per lane, each lane reproducing its sequential run
-    bit for bit.  Event collection is not supported here — use sequential
-    runs for event-level diagnostics (``run_replicates`` and the sweep
-    lane planner fall back automatically).
+    bit for bit.  ``collect_events`` is per lane too: each logging lane
+    gets its own event log (``results[r].events``), holding exactly the
+    events of its sequential run.
     """
 
     def __init__(self, configs: list[SimulationConfig]):
         if not configs:
             raise ValueError("need at least one config")
-        if any(c.collect_events for c in configs):
-            raise ValueError(
-                "BatchedSimulation does not collect events; "
-                "run event-collecting configs sequentially"
-            )
         self.configs = list(configs)
         self.state: SimState = build_sim_state(self.configs)
 
@@ -334,9 +295,9 @@ def run_replicates(
 
     An ensemble is a sweep: this is a serial
     :func:`repro.sim._sweep.run_sweep` over :func:`replicate_configs`,
-    so the replicates run as one lane batch (event-collecting configs
-    run solo) and seeds — ``SeedSequence`` children of ``root_seed``,
-    default the config's seed — address the same cache entries as any
+    so the replicates run as one lane batch and seeds —
+    ``SeedSequence`` children of ``root_seed``, default the config's
+    seed — address the same cache entries as any
     other sweep of them.  Like every sweep it uses ``store``, or the
     ambient default store (:func:`repro.sim._sweep.set_default_store`)
     when none is passed: cached replicates are served without

@@ -51,9 +51,10 @@ __all__ = [
 
 #: Config fields every lane of one batch must share: they size arrays
 #: (agents, articles, Q-states), pick code paths (scheme class, overlay
-#: kind, edit gate, event collection) or drive the shared protocol loop
-#: (step counts, learning flag).  ``resolved_scheme`` is compared
-#: separately so ``scheme="auto"`` batches with its concrete spelling.
+#: kind, edit gate) or drive the shared protocol loop (step counts,
+#: learning flag).  ``resolved_scheme`` is compared separately so
+#: ``scheme="auto"`` batches with its concrete spelling.  Event
+#: collection is per lane (each lane owns its log), so it is not here.
 STRUCTURAL_FIELDS: tuple[str, ...] = (
     "n_agents",
     "n_articles",
@@ -64,7 +65,6 @@ STRUCTURAL_FIELDS: tuple[str, ...] = (
     "learn_during_eval",
     "overlay_kind",
     "enforce_edit_threshold",
-    "collect_events",
     "reputation_fn_s",
     "reputation_fn_e",
 )

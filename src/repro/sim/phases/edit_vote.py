@@ -272,13 +272,16 @@ def _record_events(
     newly_banned: np.ndarray,
     punished: np.ndarray,
 ) -> None:
-    """Mirror the per-proposal diagnostics into each replicate's log."""
+    """Mirror the per-proposal diagnostics into each logging lane's log.
+
+    Only the logging lanes' proposals and punished slots are visited, so a
+    wide batch with one logging lane loops over that lane's records alone.
+    """
     n = state.n_agents
-    for p in range(rep_of_prop.size):
-        log = state.events[int(rep_of_prop[p])]
-        if log is None:
-            continue
-        log.record_edit(
+    logs = state.events
+    has_log = np.array([log is not None for log in logs])
+    for p in np.flatnonzero(has_log[rep_of_prop]):
+        logs[rep_of_prop[p]].record_edit(
             EditEvent(
                 step=state.step_count,
                 article_id=int(article_ids[p]),
@@ -290,15 +293,8 @@ def _record_events(
                 n_voters=int(voter_counts[p]),
             )
         )
-    for peer in newly_banned:
-        log = state.events[int(peer) // n]
-        if log is not None:
-            log.record_punishment(
-                PunishmentEvent(state.step_count, int(peer) % n, "vote_ban")
-            )
-    for peer in punished:
-        log = state.events[int(peer) // n]
-        if log is not None:
-            log.record_punishment(
-                PunishmentEvent(state.step_count, int(peer) % n, "reputation_reset")
+    for peers, kind in ((newly_banned, "vote_ban"), (punished, "reputation_reset")):
+        for peer in peers[has_log[peers // n]]:
+            logs[peer // n].record_punishment(
+                PunishmentEvent(state.step_count, int(peer) % n, kind)
             )

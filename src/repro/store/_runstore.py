@@ -379,33 +379,20 @@ class RunStore:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def put(self, result: SimulationResult, allow_partial: bool = False) -> str:
+    def put(self, result: SimulationResult) -> str:
         """Persist one finished run; returns its config hash.
 
         Re-putting an already stored hash overwrites the payload and
         appends a superseding index line (loading keeps the last record
         per hash).  Event-collecting runs are not
         stored (see :meth:`get`); putting one raises to keep cache
-        contents and cache keys consistent.  Results carrying the
-        ``manual_summary`` provenance marker (from
-        :meth:`~repro.sim.engine.CollaborationSimulation.summarize`,
-        i.e. manually driven phases rather than the canonical ``run()``
-        protocol) are refused unless ``allow_partial=True`` — the caller
-        thereby vouches that the summary stands in for a full run of its
-        config; the marker stays visible in the stored extras.
+        contents and cache keys consistent.
         """
         if result.config.collect_events:
             raise ValueError(
                 "refusing to store a collect_events run: event logs are "
                 "not persisted, so serving it from cache would change "
                 "results"
-            )
-        if result.extras.get("manual_summary") and not allow_partial:
-            raise ValueError(
-                "refusing to store a manually summarized run under its "
-                "config hash: it would be served as if produced by the "
-                "canonical run() protocol; pass allow_partial=True to "
-                "store it anyway"
             )
         rec = StoredRun.from_result(result)
         payload = json.dumps(rec.payload_record())

@@ -49,7 +49,6 @@ artifacts (``repro sweep-worker --trace``).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import secrets
@@ -58,11 +57,12 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..obs import Stopwatch, get_tracer
 from ..resilience.faults import fault_point
 from ..resilience.retry import DEFAULT_STORE_RETRY, RetryPolicy
+from ..resilience.snapshot import snapshot_key as task_key
 from ..sim.config import SimulationConfig
 from .hashing import config_hash
 
@@ -101,19 +101,6 @@ DEFAULT_POLL_INTERVAL_S = 0.25
 DEFAULT_DISPATCH_LANE_WIDTH = 8
 
 _CLAIMS_DIR = "claims"
-
-
-def task_key(config_hashes: Iterable[str]) -> str:
-    """Deterministic key of one dispatch task: sha256 over its hashes.
-
-    Sorted before hashing so the key depends on the task's config *set*,
-    not on lane order inside the batch.
-    """
-    digest = hashlib.sha256()
-    for h in sorted(config_hashes):
-        digest.update(h.encode("ascii"))
-        digest.update(b"\n")
-    return digest.hexdigest()
 
 
 def default_owner_id() -> str:

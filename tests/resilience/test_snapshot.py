@@ -156,6 +156,30 @@ class TestBitIdenticalResume:
         for a, b in zip(resumed, straight):
             assert_summaries_equal(a.summary, b.summary)
 
+    def test_logging_and_plain_lanes_resume_with_their_logs(self, tmp_path):
+        # The snapshot pickles the whole state, event logs included: a
+        # resumed logging lane ends with exactly its solo run's log.
+        configs = [
+            tiny(seed=31, collect_events=True),
+            tiny(seed=32),
+            tiny(seed=33, collect_events=True, leave_rate=0.05, join_rate=0.3),
+        ]
+        plan = FaultPlan([FaultSpec(site="sweep/step", action="error", at=(46,))])
+        with inject_faults(plan):
+            with pytest.raises(InjectedFault):
+                ResumableTask(
+                    configs, checkpoint_every=10, store_root=str(tmp_path)
+                ).run()
+        task = ResumableTask(configs, checkpoint_every=10, store_root=str(tmp_path))
+        resumed = task.run()
+        assert task.resumed_at_step == 40
+        for got, cfg in zip(resumed, configs):
+            solo = run_simulation(cfg)
+            assert_summaries_equal(got.summary, solo.summary)
+            assert got.events == solo.events
+        assert resumed[0].events.edits and resumed[2].events.edits
+        assert resumed[1].events is None
+
     @pytest.mark.parametrize("seed", [3, 4])
     def test_resume_keeps_voter_order_at_paper_scale(self, tmp_path, seed):
         # At N=100 the articles' voter rows grow large enough that a

@@ -82,9 +82,13 @@ class TestBatchedSimulation:
             assert r.training_summary  # training phase summarized too
             assert r.events is None
 
-    def test_rejects_event_collection(self):
-        with pytest.raises(ValueError, match="events"):
-            BatchedSimulation([tiny(collect_events=True)])
+    def test_event_collection_logs_per_lane(self):
+        logging = tiny(seed=1, collect_events=True)
+        results = BatchedSimulation([logging, tiny(seed=2)]).run()
+        assert results[1].events is None
+        solo = run_simulation(logging).events
+        assert results[0].events.edits == solo.edits
+        assert results[0].events.punishments == solo.punishments
 
     def test_duplicate_seeds_allowed_and_identical(self):
         cfg = tiny(seed=9)

@@ -139,7 +139,8 @@ class TestAdversaries:
 
 
 def assert_lanes_bit_identical(configs):
-    """Each lane of one heterogeneous batch == its own sequential run."""
+    """Each lane of one heterogeneous batch == its own sequential run,
+    event log included; returns the batch's results."""
     batched = BatchedSimulation(configs).run()
     for i, config in enumerate(configs):
         sequential = run_simulation(config)
@@ -155,6 +156,8 @@ def assert_lanes_bit_identical(configs):
                 )
         for extra in ("whitewash_count", "sybil_count"):
             assert batched[i].extras[extra] == sequential.extras[extra]
+        assert batched[i].events == sequential.events, f"lane {i}: events differ"
+    return batched
 
 
 class TestLaneBatches:
@@ -263,6 +266,40 @@ class TestLaneBatches:
         assert_lanes_bit_identical(
             [tiny(seed=90), tiny(seed=91, t_eval=float("inf"))]
         )
+
+
+class TestEventLogLanes:
+    """Event logs ride the lane axis: a logging lane of a mixed batch
+    records exactly the edits and punishments of its sequential run."""
+
+    HOSTILE = dict(
+        leave_rate=0.03,
+        join_rate=0.25,
+        whitewash_rate=0.02,
+        collusion_fraction=0.25,
+        collusion_ring_size=3,
+        sybil_fraction=0.2,
+        sybil_rate=0.05,
+    )
+
+    @pytest.mark.parametrize("scheme", ["reputation", "karma", "tft"])
+    def test_logging_lanes_mixed_with_plain(self, scheme):
+        configs = [
+            tiny(seed=61, scheme=scheme, collect_events=True, **self.HOSTILE),
+            tiny(seed=62, scheme=scheme, **self.HOSTILE),
+            tiny(seed=63, scheme=scheme, collect_events=True, t_eval=0.5,
+                 **self.HOSTILE),
+            tiny(seed=64, scheme=scheme),
+            tiny(seed=65, scheme=scheme, collect_events=True),
+        ]
+        batched = assert_lanes_bit_identical(configs)
+        logs = [r.events for r in batched]
+        assert [log is not None for log in logs] == [True, False, True, False, True]
+        assert all(logs[i].edits for i in (0, 2, 4))
+        if scheme == "reputation":
+            # Only the reputation scheme punishes: the comparison above
+            # covered real vote bans and reputation resets.
+            assert any(logs[i].punishments for i in (0, 2, 4))
 
 
 class TestOtherAxes:

@@ -1,78 +1,87 @@
-"""Tests for simulation checkpointing."""
+"""Tests for saving and restoring a simulation's state.
+
+The resume snapshot (:mod:`repro.resilience.snapshot`) is the one saved
+form of a run: it pickles the whole state, so a restored state holds the
+learned Q-matrices, ledgers and tit-for-tat history of the original and
+continues bit-identically with it.  It restores only into the task it
+was taken from.
+"""
 
 import numpy as np
-import pytest
 
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+from repro.resilience import SnapshotStore, decode_snapshot, encode_snapshot
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import CollaborationSimulation
+from repro.sim.phases import step_state
+from repro.store.hashing import config_hash
 
 
-def make_sim(seed=9, n_agents=20):
+def make_sim(seed=9, n_agents=20, **kw):
     cfg = SimulationConfig(
         n_agents=n_agents,
         n_articles=5,
         training_steps=60,
         eval_steps=30,
         seed=seed,
+        **kw,
     )
     return CollaborationSimulation(cfg)
 
 
+def snapshot_of(sim):
+    """``sim``'s whole state as a resume snapshot of its own task."""
+    return encode_snapshot(sim.state, sim.step_count, [config_hash(sim.config)])
+
+
+def restore(blob, config):
+    """The state ``blob`` restores into ``config``'s task (or ``None``)."""
+    decoded = decode_snapshot(blob, [config_hash(config)])
+    return None if decoded is None else decoded[0]
+
+
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         sim = make_sim()
         for _ in range(50):
             sim.step(float("inf"))
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
+        state, steps_done = decode_snapshot(snapshot_of(sim), [config_hash(sim.config)])
 
         fresh = make_sim()
         assert not np.array_equal(fresh.sharing_learner.q, sim.sharing_learner.q)
-        load_checkpoint(fresh, path)
-        assert np.array_equal(fresh.sharing_learner.q, sim.sharing_learner.q)
-        assert np.array_equal(fresh.edit_learner.q, sim.edit_learner.q)
-        assert np.array_equal(fresh.scheme.ledger.sharing, sim.scheme.ledger.sharing)
-        assert fresh.step_count == sim.step_count
+        assert np.array_equal(state.sharing_learner.q, sim.sharing_learner.q)
+        assert np.array_equal(state.edit_learner.q, sim.edit_learner.q)
+        assert np.array_equal(state.scheme.ledger.sharing, sim.scheme.ledger.sharing)
+        assert state.step_count == steps_done == sim.step_count
 
-    def test_restored_sim_continues(self, tmp_path):
+    def test_restored_sim_continues(self):
         sim = make_sim()
         for _ in range(30):
             sim.step(float("inf"))
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        fresh = make_sim()
-        load_checkpoint(fresh, path)
-        fresh.step(1.0)  # must not raise
-        assert fresh.step_count == sim.step_count + 1
+        state = restore(snapshot_of(sim), sim.config)
+        step_state(state, 1.0)
+        sim.step(1.0)
+        # The snapshot carries the RNG streams too: both copies take the
+        # same step.
+        assert state.step_count == sim.step_count == 31
+        assert np.array_equal(state.sharing_learner.q, sim.sharing_learner.q)
+        assert np.array_equal(state.edit_learner.q, sim.edit_learner.q)
 
-    def test_population_mismatch_rejected(self, tmp_path):
-        sim = make_sim(n_agents=20)
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
+    def test_population_mismatch_rejected(self):
+        blob = snapshot_of(make_sim(n_agents=20))
         other = make_sim(n_agents=24)
-        with pytest.raises(ValueError, match="population mismatch"):
-            load_checkpoint(other, path)
+        assert restore(blob, other.config) is None
 
-    def test_type_layout_mismatch_rejected(self, tmp_path):
-        sim = make_sim(seed=9)
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
+    def test_type_layout_mismatch_rejected(self):
         from repro.agents.population import PopulationMix
 
-        other = CollaborationSimulation(
-            SimulationConfig(
-                n_agents=20,
-                n_articles=5,
-                training_steps=10,
-                eval_steps=10,
-                mix=PopulationMix(0.5, 0.25, 0.25),
-                seed=9,
-            )
-        )
-        with pytest.raises(ValueError):
-            load_checkpoint(other, path)
+        blob = snapshot_of(make_sim(seed=9))
+        other = make_sim(seed=9, mix=PopulationMix(0.5, 0.25, 0.25))
+        assert restore(blob, other.config) is None
 
     def test_creates_parent_dirs(self, tmp_path):
-        sim = make_sim()
-        path = save_checkpoint(sim, tmp_path / "deep" / "nest" / "ck.npz")
-        assert path.exists()
+        snaps = SnapshotStore(tmp_path / "deep" / "nest")
+        snaps.save("ck", snapshot_of(make_sim()))
+        assert snaps.path("ck").exists()
 
 
 def make_tft_sim(seed=9, n_agents=20, steps=50, **scale_kw):
@@ -94,82 +103,29 @@ def make_tft_sim(seed=9, n_agents=20, steps=50, **scale_kw):
 
 
 class TestTftLedgerCheckpoint:
-    """v2 checkpoints carry the tit-for-tat history across storage modes."""
+    """The snapshot carries the tit-for-tat history in either storage mode."""
 
-    def test_dense_roundtrip_restores_history(self, tmp_path):
+    def test_dense_roundtrip_restores_history(self):
         sim = make_tft_sim()
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
+        state = restore(snapshot_of(sim), sim.config)
         fresh = make_tft_sim(steps=0)
         assert not np.array_equal(fresh.scheme.given, sim.scheme.given)
-        load_checkpoint(fresh, path)
-        assert np.array_equal(fresh.scheme.given, sim.scheme.given)
-        assert np.array_equal(fresh.scheme._totals, sim.scheme._totals)
-        assert np.array_equal(fresh.scheme.reputation_s(), sim.scheme.reputation_s())
+        assert np.array_equal(state.scheme.given, sim.scheme.given)
+        assert np.array_equal(state.scheme._totals, sim.scheme._totals)
+        assert np.array_equal(state.scheme.reputation_s(), sim.scheme.reputation_s())
 
-    def test_sparse_roundtrip_restores_ledger(self, tmp_path):
+    def test_sparse_roundtrip_restores_ledger(self):
         sim = make_tft_sim(sparse=True, ledger_cap=19)
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        fresh = make_tft_sim(steps=0, sparse=True, ledger_cap=19)
-        load_checkpoint(fresh, path)
-        led, want = fresh.scheme._ledger, sim.scheme._ledger
+        state = restore(snapshot_of(sim), sim.config)
+        led, want = state.scheme._ledger, sim.scheme._ledger
         assert np.array_equal(led.partners, want.partners)
         assert np.array_equal(led.amounts, want.amounts)
         assert np.array_equal(led.counts, want.counts)
-        assert np.array_equal(fresh.scheme.reputation_s(), sim.scheme.reputation_s())
+        assert np.array_equal(state.scheme.reputation_s(), sim.scheme.reputation_s())
 
-    def test_dense_checkpoint_migrates_into_sparse_sim(self, tmp_path):
-        sim = make_tft_sim()
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        fresh = make_tft_sim(steps=0, sparse=True, ledger_cap=19)
-        load_checkpoint(fresh, path)
-        assert np.array_equal(fresh.scheme.given, sim.scheme.given)
-        assert np.array_equal(fresh.scheme.reputation_s(), sim.scheme.reputation_s())
-        fresh.step(1.0)  # migrated ledger keeps serving the engine
-
-    def test_dense_checkpoint_too_wide_for_cap_is_a_clear_error(self, tmp_path):
-        sim = make_tft_sim()
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        fresh = make_tft_sim(steps=0, sparse=True, ledger_cap=2)
-        with pytest.raises(ValueError, match="ledger_cap"):
-            load_checkpoint(fresh, path)
-
-    def test_sparse_checkpoint_expands_into_dense_sim(self, tmp_path):
-        sim = make_tft_sim(sparse=True, ledger_cap=19)
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
+    def test_foreign_scheme_checkpoint_rejected_for_tft_sim(self):
+        karma = make_sim(scheme="karma")
+        for _ in range(50):
+            karma.step(float("inf"))
         fresh = make_tft_sim(steps=0)
-        load_checkpoint(fresh, path)
-        assert np.array_equal(fresh.scheme.given, sim.scheme.given)
-        assert np.array_equal(fresh.scheme._totals, sim.scheme._totals)
-
-    def test_foreign_scheme_checkpoint_rejected_for_tft_sim(self, tmp_path):
-        karma = CollaborationSimulation(
-            SimulationConfig(
-                n_agents=20, n_articles=5, training_steps=60, eval_steps=30,
-                scheme="karma", seed=9,
-            )
-        )
-        path = save_checkpoint(karma, tmp_path / "ck.npz")
-        fresh = make_tft_sim(steps=0)
-        with pytest.raises(ValueError, match="tit-for-tat"):
-            load_checkpoint(fresh, path)
-
-    def test_v1_checkpoint_still_loads(self, tmp_path):
-        """Legacy files (no tft payload) restore learned state as before."""
-        sim = make_tft_sim()
-        path = tmp_path / "v1.npz"
-        np.savez_compressed(
-            path,
-            version=np.int64(1),
-            n_agents=np.int64(sim.config.n_agents),
-            n_rational=np.int64(sim.rational_idx.size),
-            step_count=np.int64(sim.step_count),
-            sharing_q=sim.sharing_learner.q,
-            edit_q=sim.edit_learner.q,
-            ledger_c_s=sim.scheme.ledger.sharing.copy(),
-            ledger_c_e=sim.scheme.ledger.editing.copy(),
-            types=sim.peers.types,
-        )
-        fresh = make_tft_sim(steps=0)
-        load_checkpoint(fresh, path)
-        assert np.array_equal(fresh.sharing_learner.q, sim.sharing_learner.q)
-        assert np.all(fresh.scheme.given == 0.0)  # v1 never carried history
+        assert restore(snapshot_of(karma), fresh.config) is None

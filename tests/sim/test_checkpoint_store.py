@@ -1,21 +1,44 @@
-"""Checkpoint <-> experiment store interplay.
+"""Resume snapshot <-> experiment store interplay.
 
-A checkpoint persists *learned* state (Q-matrices, ledgers) mid-run; the
-run store persists *finished* summaries keyed by config hash.  The
-train-once / evaluate-many workflow uses both: restore a trained sim,
-evaluate it under several service configurations, and store each
-evaluation — which must then be cache hits on the next sweep.
+A resume snapshot persists a task's whole in-flight state under the
+store's ``checkpoints/`` directory; the run store persists finished
+summaries keyed by config hash.  A checkpointing sweep that dies mid-run
+resumes from its snapshot, stores the result under the config's hash
+like any other run, and the next sweep serves it from cache.  A blob
+that does not belong to the task is never restored: the task starts
+from step 0 and still produces its config's result.
 """
 
-import numpy as np
+import pickle
+import zlib
+
 import pytest
 
 import repro.sim._sweep as sweep_mod
-from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+from repro.resilience import (
+    FaultPlan,
+    FaultSpec,
+    InjectedFault,
+    ResumableTask,
+    clear_plan,
+    encode_snapshot,
+    inject_faults,
+    snapshot_key,
+)
+from repro.resilience.snapshot import _MAGIC
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import CollaborationSimulation
-from repro.sim._sweep import run_sweep
+from repro.sim.engine import CollaborationSimulation, run_simulation
+from repro.sim._sweep import SweepWorkerError, run_sweep
+from repro.store.hashing import config_hash
 from repro.store._runstore import RunStore
+from tests.conftest import assert_summaries_equal
+
+
+@pytest.fixture(autouse=True)
+def _no_leaked_plan():
+    clear_plan()
+    yield
+    clear_plan()
 
 
 def make_config(seed=9, **kw):
@@ -26,101 +49,119 @@ def make_config(seed=9, **kw):
     return SimulationConfig(**base)
 
 
-def make_sim(seed=9, **kw):
-    return CollaborationSimulation(make_config(seed=seed, **kw))
+def die_at_step(n):
+    """A fault plan that kills the running task before its ``n``-th step."""
+    return inject_faults(
+        FaultPlan([FaultSpec(site="sweep/step", action="error", at=(n,))])
+    )
+
+
+def trained_blob(cfg, steps=30):
+    """A snapshot of ``cfg``'s task after ``steps`` training steps."""
+    sim = CollaborationSimulation(cfg)
+    for _ in range(steps):
+        sim.step(float("inf"))
+    return encode_snapshot(sim.state, steps, [config_hash(cfg)])
+
+
+def run_with_planted(blob, cfg, tmp_path):
+    """Plant ``blob`` as ``cfg``'s snapshot in a store; run the task."""
+    store = RunStore(tmp_path / "store")
+    store.put_snapshot(snapshot_key([config_hash(cfg)]), blob)
+    task = ResumableTask([cfg], checkpoint_every=10, store_root=str(store.root))
+    [result] = task.run()
+    return task, result
 
 
 class TestCheckpointStoreRoundTrip:
     def test_save_restore_resumed_sweep(self, tmp_path, monkeypatch):
-        # 1. Train once, checkpoint the learned state.
-        sim = make_sim()
-        for _ in range(sim.config.training_steps):
-            sim.step(float("inf"))
-        ckpt = save_checkpoint(sim, tmp_path / "trained.npz")
-
-        # 2. Restore into a fresh sim, finish evaluation, store the result.
-        restored = make_sim()
-        load_checkpoint(restored, ckpt)
-        assert np.array_equal(restored.sharing_learner.q, sim.sharing_learner.q)
-        restored.scheme.reset_reputations()
-        for _ in range(restored.config.eval_steps):
-            restored.step(1.0)
-        result = restored.summarize()
-
+        # 1. A checkpointing sweep dies mid-run; its snapshot stays behind.
+        cfg = make_config()
         store = RunStore(tmp_path / "store")
-        # A manually summarized result needs an explicit vouch: under its
-        # config hash it stands in for a full run() of that config.
-        with pytest.raises(ValueError, match="manually summarized"):
-            store.put(result)
-        store.put(result, allow_partial=True)
+        with die_at_step(26), pytest.raises(SweepWorkerError):
+            run_sweep([cfg], backend="serial", store=store, checkpoint_every=10)
+        assert store.snapshot_keys() == [snapshot_key([config_hash(cfg)])]
+        assert not store.contains(cfg)
 
-        # 3. A sweep over [restored config + a new config] resumes: only
-        # the config absent from the store executes.
-        calls = []
-        original = sweep_mod._worker
+        # 2. A sweep over [that config + a new one] resumes the first from
+        # its snapshot and runs the second from step 0.
+        resumed = []
+        original = sweep_mod._task_worker
 
-        def counted(config):
-            calls.append(config)
-            return original(config)
+        def recording(configs, snapshot=None):
+            results = original(configs, snapshot)
+            resumed.append((configs[0].seed, sweep_mod._TASK_STATE.resumed))
+            return results
 
-        monkeypatch.setattr(sweep_mod, "_worker", counted)
+        monkeypatch.setattr(sweep_mod, "_task_worker", recording)
         new_cfg = make_config(seed=10)
         results = run_sweep(
-            [restored.config, new_cfg],
+            [cfg, new_cfg],
             backend="serial",
             store=RunStore(tmp_path / "store"),
+            checkpoint_every=10,
+            lane_width=1,
         )
-        assert [c.seed for c in calls] == [10]
-        assert [r.config.seed for r in results] == [9, 10]
+        assert resumed == [(9, True), (10, False)]
+        assert_summaries_equal(results[0].summary, run_simulation(cfg).summary)
+        assert RunStore(tmp_path / "store").snapshot_keys() == []
+
+        # 3. Both landed in the store: a third sweep executes nothing.
+        resumed.clear()
+        again = run_sweep(
+            [cfg, new_cfg], backend="serial", store=RunStore(tmp_path / "store")
+        )
+        assert resumed == []
+        assert [r.config.seed for r in again] == [9, 10]
 
     def test_checkpointed_eval_is_storable(self, tmp_path):
-        sim = make_sim()
-        for _ in range(30):
-            sim.step(float("inf"))
-        ckpt = save_checkpoint(sim, tmp_path / "ck.npz")
-        fresh = make_sim()
-        load_checkpoint(fresh, ckpt)
-        fresh.step(1.0)
-        result = fresh.summarize()
-        assert result.extras["manual_summary"] == 1.0  # provenance marker
-        store = RunStore(tmp_path / "store")
-        store.put(result, allow_partial=True)
-        assert store.contains(fresh.config)
+        # Die in the evaluation phase (training is 60 steps), after the
+        # step-70 snapshot landed.
+        cfg = make_config()
+        root = str(tmp_path / "store")
+        with die_at_step(76), pytest.raises(InjectedFault):
+            ResumableTask([cfg], checkpoint_every=10, store_root=root).run()
+        task = ResumableTask([cfg], checkpoint_every=10, store_root=root)
+        [result] = task.run()
+        assert task.resumed_at_step == 70
+        # A resumed run is its config's run: it stores like any other.
+        store = RunStore(root)
+        store.put(result)
+        assert store.contains(cfg)
+        assert_summaries_equal(store.get(cfg).summary, run_simulation(cfg).summary)
 
 
 class TestCheckpointErrorPaths:
+    """Blobs that do not belong to the task are rejected: no resume."""
+
+    def assert_restarted(self, task, result, cfg):
+        assert not task.resumed
+        assert_summaries_equal(result.summary, run_simulation(cfg).summary)
+
     def test_version_mismatch_rejected(self, tmp_path):
-        sim = make_sim()
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arrays["version"] = np.int64(99)
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported checkpoint version"):
-            load_checkpoint(make_sim(), path)
+        cfg = make_config()
+        blob = trained_blob(cfg)
+        payload = pickle.loads(zlib.decompress(blob[len(_MAGIC):]))
+        payload["version"] = 99
+        skewed = _MAGIC + zlib.compress(pickle.dumps(payload))
+        self.assert_restarted(*run_with_planted(skewed, cfg, tmp_path), cfg)
 
     def test_q_shape_mismatch_rejected(self, tmp_path):
-        # Same population/types (same seed & mix) but different state
-        # discretization: Q-matrix shapes disagree.
-        sim = make_sim(n_states=10)
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        other = make_sim(n_states=5)
-        with pytest.raises(ValueError, match="Q-matrix shape mismatch"):
-            load_checkpoint(other, path)
+        # Same population and types, different state discretization: a
+        # trained state of one config planted under the other's key.
+        cfg = make_config(n_states=5)
+        blob = trained_blob(make_config(n_states=10))
+        self.assert_restarted(*run_with_planted(blob, cfg, tmp_path), cfg)
 
     def test_rational_count_mismatch_rejected(self, tmp_path):
         from repro.agents.population import PopulationMix
 
-        sim = make_sim()
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        other = make_sim(mix=PopulationMix(0.5, 0.25, 0.25))
-        with pytest.raises(ValueError):
-            load_checkpoint(other, path)
+        cfg = make_config(mix=PopulationMix(0.5, 0.25, 0.25))
+        blob = trained_blob(make_config())
+        self.assert_restarted(*run_with_planted(blob, cfg, tmp_path), cfg)
 
     def test_truncated_checkpoint_rejected(self, tmp_path):
-        sim = make_sim()
-        path = save_checkpoint(sim, tmp_path / "ck.npz")
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(Exception):
-            load_checkpoint(make_sim(), path)
+        cfg = make_config()
+        blob = trained_blob(cfg)
+        torn = blob[: len(blob) // 2]
+        self.assert_restarted(*run_with_planted(torn, cfg, tmp_path), cfg)

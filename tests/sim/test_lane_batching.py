@@ -2,7 +2,7 @@
 
 The planner (:func:`repro.sim._sweep.plan_lane_batches`) decides how a
 sweep grid maps onto heterogeneous-lane batches; these tests pin its
-contract — structural splits, sequential fallbacks for event collectors,
+contract — structural splits, event collectors batched like any lane,
 one execution per duplicate config — and prove the store round-trip:
 lane-batched results hash, persist and dedupe exactly like sequential
 runs of the same grid.
@@ -136,11 +136,10 @@ class TestPlanner:
         for a, b in zip(chunked, plain):
             assert same_summary(a.summary, b.summary)
 
-    def test_event_collectors_fall_back_to_solo_tasks(self):
+    def test_event_collectors_join_their_structural_group(self):
         configs = [tiny(seed=1), tiny(seed=2, collect_events=True), tiny(seed=3)]
         tasks = plan(configs)
-        assert [len(t) for t in tasks] == [2, 1]
-        assert tasks[1][0][0].collect_events
+        assert [[cfg for cfg, _ in t] for t in tasks] == [configs]
 
     def test_event_collecting_sweep_still_yields_events(self):
         configs = [tiny(seed=s, collect_events=True) for s in (1, 2)]

@@ -233,13 +233,10 @@ class TestSparseLedgerUnit:
         dense = rng.random((2, 6, 6)) * (rng.random((2, 6, 6)) < 0.4)
         for rep in range(2):
             np.fill_diagonal(dense[rep], 0.0)
-        led = SparseInteractionLedger.from_dense(dense, cap=6)
+        led = SparseInteractionLedger(6, n_replicates=2, cap=6)
+        rep, i, j = np.nonzero(dense)
+        led.add(rep * 6 + i, j, dense[rep, i, j])
         assert np.array_equal(led.to_dense(), dense)
-
-    def test_from_dense_overflow_is_a_clear_error(self):
-        dense = np.ones((1, 6, 6))
-        with pytest.raises(ValueError, match="ledger_cap"):
-            SparseInteractionLedger.from_dense(dense, cap=2)
 
     def test_per_row_caps(self):
         caps = np.array([1, 3, 3, 3], dtype=np.int64)

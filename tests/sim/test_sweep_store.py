@@ -216,12 +216,7 @@ class TestWorkerFailure:
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_thread_failure_names_config(self, monkeypatch):
-        def failing(config):
-            if config.seed == 3:
-                raise ValueError("bad grid point")
-            return sweep_mod.run_simulation(config)
-
-        monkeypatch.setattr(sweep_mod, "_worker", failing)
+        failing_task_worker(monkeypatch, 3, ValueError("bad grid point"))
         with pytest.raises(SweepWorkerError) as err:
             run_sweep([tiny(1), tiny(2), tiny(3)], backend="thread", workers=2)
         assert err.value.index == 2
@@ -233,14 +228,15 @@ class TestWorkerFailure:
         import time
 
         store = RunStore(tmp_path)
+        original = sweep_mod._task_worker
 
-        def failing(config):
-            if config.seed == 2:
+        def failing(configs, snapshot=None):
+            if any(c.seed == 2 for c in configs):
                 time.sleep(0.5)  # successes finish (and persist) first
                 raise RuntimeError("doom")
-            return sweep_mod.run_simulation(config)
+            return original(configs, snapshot)
 
-        monkeypatch.setattr(sweep_mod, "_worker", failing)
+        monkeypatch.setattr(sweep_mod, "_task_worker", failing)
         with pytest.raises(SweepWorkerError) as err:
             run_sweep(
                 [tiny(1), tiny(2), tiny(3)],

@@ -127,7 +127,7 @@ class TestRun:
         run_tiny(tmp_path)
         capsys.readouterr()
         monkeypatch.setattr(
-            sweep_mod, "_worker", _raise_worker, raising=True
+            sweep_mod, "_task_worker", _raise_worker, raising=True
         )  # any execution would blow up
         assert run_tiny(tmp_path) == 0
         out = capsys.readouterr().out
@@ -200,7 +200,7 @@ class TestLsReport:
         return tmp_path
 
     def test_ls_renders_runs(self, populated, capsys, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_worker", _raise_worker)
+        monkeypatch.setattr(sweep_mod, "_task_worker", _raise_worker)
         monkeypatch.setattr("repro.sim.engine.run_simulation", _raise_worker)
         assert main(["ls", "--store", str(populated)]) == 0
         out = capsys.readouterr().out
@@ -212,7 +212,7 @@ class TestLsReport:
         assert "empty" in capsys.readouterr().out
 
     def test_report_aggregates(self, populated, capsys, monkeypatch):
-        monkeypatch.setattr(sweep_mod, "_worker", _raise_worker)
+        monkeypatch.setattr(sweep_mod, "_task_worker", _raise_worker)
         monkeypatch.setattr("repro.sim.engine.run_simulation", _raise_worker)
         assert main(["report", "--store", str(populated)]) == 0
         out = capsys.readouterr().out
@@ -301,7 +301,7 @@ class TestStats:
     def test_stats_aggregates_without_simulating(self, tmp_path, capsys, monkeypatch):
         assert TestTrace().trace_tiny(tmp_path) == 0
         capsys.readouterr()
-        monkeypatch.setattr(sweep_mod, "_worker", _raise_worker)
+        monkeypatch.setattr(sweep_mod, "_task_worker", _raise_worker)
         monkeypatch.setattr("repro.sim.engine.run_simulation", _raise_worker)
         assert main(["stats", "--store", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -344,7 +344,6 @@ class TestDispatchCLI:
     def test_publish_only_writes_manifest_without_running(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(sweep_mod, "_worker", _raise_worker)
         monkeypatch.setattr(sweep_mod, "_task_worker", _raise_worker)
         assert main([*self.SWEEP_TINY, "--publish-only",
                      "--store", str(tmp_path)]) == 0

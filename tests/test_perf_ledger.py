@@ -14,13 +14,18 @@ _spec.loader.exec_module(perf_ledger)
 METRICS = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def run(workload, seed, commit, steps, rss=100.0, setup=0.5, failed=0.0):
+def run(workload, seed, commit, steps, rss=100.0, setup=0.5, failed=0.0, src=None):
     """A saved untraced perfbench run, as ``.perfbench/last-*-t0.json``."""
     return {
         "workload": workload,
         "seed": seed,
         "trace": 0,
-        "machine": {"nproc": 2, "numpy": "2.0", "git_commit": commit, "src_sha256": commit[:4]},
+        "machine": {
+            "nproc": 2,
+            "numpy": "2.0",
+            "git_commit": commit,
+            "src_sha256": src or commit[:4],
+        },
         "lines": [f"metric failed_frac = {failed:g} ratio"],
         "absent": [],
         "metrics": {
@@ -112,3 +117,50 @@ def test_append_validates_and_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError, match="untraced"):
         perf_ledger.load_runs([str(path)])
     assert perf_ledger.validate({"schema_version": 1, "entries": []})
+
+
+def test_entry_records_each_sides_source_digest(tmp_path):
+    parent = [run("paper-run", s, "aaaa1111", 100.0) for s in range(3)]
+    change = [run("paper-run", s, "bbbb2222", 101.0) for s in range(3)]
+    entry = perf_ledger.build_entry(
+        perf_ledger.load_runs(save(tmp_path, "p", parent)),
+        perf_ledger.load_runs(save(tmp_path, "c", change)),
+        METRICS, "no claim",
+    )
+    assert entry["commits"] == {"parent": "aaaa1111", "change": "bbbb2222"}
+    assert entry["src_sha256"] == {"parent": "aaaa", "change": "bbbb"}
+    assert perf_ledger.validate({"schema_version": 1, "entries": [entry]}) == []
+
+
+def test_one_side_with_several_source_digests_is_refused(tmp_path):
+    parent = [run("scale-50k", s, "aaaa1111", 5.0) for s in range(3)]
+    # Same commit on every change run, but one ran from an edited tree.
+    change = [run("scale-50k", s, "bbbb2222", 6.0) for s in range(2)]
+    change.append(run("scale-50k", 2, "bbbb2222", 6.0, src="dirty"))
+    with pytest.raises(ValueError, match="several source trees"):
+        perf_ledger.build_entry(
+            perf_ledger.load_runs(save(tmp_path, "p", parent)),
+            perf_ledger.load_runs(save(tmp_path, "c", change)),
+            METRICS, "x",
+        )
+
+
+def test_same_commit_with_different_sources_is_refused(tmp_path):
+    # An uncommitted copy of the change, run from a checkout of the
+    # parent, stamps the parent's commit beside a different digest.
+    parent = [run("fig-grid", s, "aaaa1111", 5.0) for s in range(3)]
+    copy = [run("fig-grid", s, "aaaa1111", 6.0, src="cccc") for s in range(3)]
+    with pytest.raises(ValueError, match="sources differ"):
+        perf_ledger.build_entry(
+            perf_ledger.load_runs(save(tmp_path, "p", parent)),
+            perf_ledger.load_runs(save(tmp_path, "c", copy)),
+            METRICS, "x",
+        )
+    # One tree on both sides (an A/A control) is still a valid entry.
+    same = [run("fig-grid", s, "aaaa1111", 6.0) for s in range(3)]
+    entry = perf_ledger.build_entry(
+        perf_ledger.load_runs([str(tmp_path / "p")]),
+        perf_ledger.load_runs(save(tmp_path, "a", same)),
+        METRICS, "A/A",
+    )
+    assert entry["src_sha256"] == {"parent": "aaaa", "change": "aaaa"}

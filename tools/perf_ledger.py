@@ -17,7 +17,13 @@ error.  The entry records, per workload and per end-to-end metric of
 ``BENCHMARK.json``: each side's median and quartiles, the number of
 pairs and how many the change won (ties count for neither side).  It
 also records the seeds, the machine fingerprint of the runs, both
-commits and the claim.
+commits with their source digests (``src_sha256``) and the claim.
+
+A side's runs must come from one source tree: runs carrying more than
+one source digest are an error, and so are two sides that name the same
+commit with different digests (one of them ran from a working tree that
+differs from its commit, so its runs would be filed under the wrong
+commit).
 
 ``--claim-metric WORKLOAD:METRIC`` names the claimed metric; the entry
 then says whether the claim holds by the rule the benchmark's readers
@@ -117,11 +123,20 @@ def machine(runs: list[dict]) -> dict:
     return {k: v for k, v in first.items() if all(p.get(k) == v for p in prints)}
 
 
-def commit(runs: list[dict]) -> str:
-    commits = {run.get("machine", {}).get("git_commit", "unknown") for run in runs}
+def code(runs: list[dict]) -> tuple[str, str | None]:
+    """The one commit and source digest the runs of one side come from."""
+    fingerprint = {
+        (run.get("machine", {}).get("git_commit", "unknown"),
+         run.get("machine", {}).get("src_sha256"))
+        for run in runs
+    }
+    commits = {c for c, _ in fingerprint}
     if len(commits) != 1:
         raise ValueError(f"runs of one side come from several commits: {sorted(commits)}")
-    return commits.pop()
+    if len(fingerprint) != 1:
+        digests = sorted(str(d) for _, d in fingerprint)
+        raise ValueError(f"runs of one side come from several source trees: {digests}")
+    return fingerprint.pop()
 
 
 def build_entry(
@@ -149,12 +164,19 @@ def build_entry(
             for side, runs in (("parent", parent), ("change", change))
         }
         workloads[name] = {"seeds": seeds, "max_failed_frac": failed, "metrics": table}
+    (parent_commit, parent_src), (change_commit, change_src) = (
+        code([side[k] for k in pairs]) for side in (parent, change)
+    )
+    if parent_commit == change_commit and parent_src != change_src:
+        raise ValueError(
+            f"both sides name commit {parent_commit} but their sources differ "
+            f"({parent_src} vs {change_src}): one side ran from a working tree "
+            "that is not its commit"
+        )
     entry = {
         "recorded": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        "commits": {
-            "parent": commit([parent[k] for k in pairs]),
-            "change": commit([change[k] for k in pairs]),
-        },
+        "commits": {"parent": parent_commit, "change": change_commit},
+        "src_sha256": {"parent": parent_src, "change": change_src},
         "machine": machine([parent[k] for k in pairs] + [change[k] for k in pairs]),
         "claim": {"text": claim},
         "workloads": workloads,
@@ -184,6 +206,8 @@ def validate(table: dict) -> list[str]:
         commits = entry.get("commits", {})
         if not all(isinstance(commits.get(side), str) for side in ("parent", "change")):
             problems.append(f"{where}: commits need parent and change")
+        if "src_sha256" in entry and set(entry["src_sha256"]) != {"parent", "change"}:
+            problems.append(f"{where}: src_sha256 needs parent and change")
         if not isinstance(entry.get("machine"), dict) or not isinstance(entry.get("recorded"), str):
             problems.append(f"{where}: machine and recorded are required")
         claim = entry.get("claim", {})
