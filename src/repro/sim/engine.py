@@ -252,7 +252,7 @@ class BatchedSimulation:
     (:data:`repro.sim.lanes.STRUCTURAL_FIELDS` plus the scheme class);
     everything else — temperatures, constants, mixes, churn/adversary
     knobs — may differ per lane, each lane reproducing its sequential run
-    bit for bit.  ``collect_events`` is per lane too: each logging lane
+    bit for bit.  Event collection is per lane too: each logging lane
     gets its own event log (``results[r].events``), holding exactly the
     events of its sequential run.
     """
