@@ -29,11 +29,12 @@ from repro.agents.population import PopulationMix
 from repro.sim.engine import (
     BatchedSimulation,
     CollaborationSimulation,
+    replicate_configs,
     run_replicates,
     run_simulation,
 )
 from repro.sim.rng import spawn_seeds
-from repro.sim._sweep import plan_lane_batches, replicate, run_sweep
+from repro.sim._sweep import plan_lane_batches, run_sweep
 
 #: Fig3-sized population/workload at a bench-scale horizon.
 ENGINE_CFG = dict(
@@ -76,7 +77,7 @@ def test_engine_steps_batched_r1(benchmark):
 
 def test_engine_steps_batched_r8(benchmark):
     cfg = engine_config()
-    configs = replicate(cfg, N_REPLICATES)
+    configs = replicate_configs(cfg, N_REPLICATES)
     results = benchmark.pedantic(
         lambda: BatchedSimulation(configs).run(), rounds=1, iterations=1
     )

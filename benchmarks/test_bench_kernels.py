@@ -13,9 +13,9 @@ from repro.agents.qlearning import (
     boltzmann_probabilities,
     sample_categorical,
 )
-from repro.core.service import allocate_by_reputation
-from repro.network.bandwidth import sample_download_requests, settle_downloads
+from repro.sim.backends import KERNELS
 from repro.sim.engine import CollaborationSimulation
+from repro.sim.phases.download import sample_download_requests_batch
 
 N_AGENTS = 100  # paper scale
 
@@ -60,20 +60,22 @@ def test_q_update(benchmark, rng):
 def test_bandwidth_allocation(benchmark, rng):
     sources = rng.integers(0, N_AGENTS, size=N_AGENTS)
     reps = rng.uniform(0.05, 1.0, size=N_AGENTS)
-    shares = benchmark(allocate_by_reputation, sources, reps, N_AGENTS)
+    shares = benchmark(KERNELS.grouped_shares, sources, reps, N_AGENTS)
     assert shares.shape == (N_AGENTS,)
 
 
 def test_download_round(benchmark, rng):
-    sharing = rng.random(N_AGENTS) < 0.6
+    sharing = (rng.random(N_AGENTS) < 0.6)[None, :]
     offered = rng.random(N_AGENTS)
     capacity = np.ones(N_AGENTS)
 
     def round_():
-        req = sample_download_requests(rng, sharing, 1.0)
+        req = sample_download_requests_batch([rng], sharing, 1.0)
         reps = np.full(req.n, 0.5)
-        shares = allocate_by_reputation(req.source_ids, reps, N_AGENTS)
-        return settle_downloads(req, shares, offered, capacity, N_AGENTS)
+        shares = KERNELS.grouped_shares(req.source_ids, reps, N_AGENTS)
+        return KERNELS.settle_downloads(
+            req.downloader_ids, req.source_ids, shares, offered, capacity, N_AGENTS
+        )
 
     received, served = benchmark(round_)
     assert received.shape == (N_AGENTS,)

@@ -1,109 +1,84 @@
 #!/usr/bin/env python
 """Why tit-for-tat fails in collaboration networks (the paper's motivation).
 
-Part 1 plays the classic Axelrod tournament: in a file-sharing world with
-*direct*, repeated relations, TFT is excellent — exactly why BitTorrent
-uses it.
+Tit-for-tat works where relations are *direct* and repeated: a source
+serves you because you served it before — which is why BitTorrent uses
+it.  This script steps the engine's own tit-for-tat baseline
+(``scheme="tft"``: each source splits its upload bandwidth by what each
+downloader has personally served it) at a sparse request rate close to
+the paper's ``P = 1/N_S``, then reads the private histories the scheme
+kept (``sim.scheme.given[i, j]``: bandwidth peer ``i`` served peer ``j``).
 
-Part 2 measures *relation directness* in the collaboration workload: how
-often does the peer you serve ever serve you back?  With 100 peers picking
-random download sources, direct reciprocal relations are rare and most of
-the interaction mass is one-shot — TFT has nothing to react to.
+Part 1 measures relation directness: how many ordered peer pairs ever
+exchanged bandwidth, and how many of those were served back?
 
-Part 3 quantifies the information gap: a private (TFT-style) history
-observes only a sliver of the pairwise relations the shared-history
-reputation system covers.
+Part 2 quantifies the information gap: a private history can price only
+the requesters it has met, while a shared-history reputation rates every
+peer.
 
     python examples/tft_vs_reputation.py
 """
 
 import numpy as np
 
-from repro.gametheory import (
-    AlwaysCooperate,
-    AlwaysDefect,
-    GrimTrigger,
-    Pavlov,
-    TitForTat,
-    TitForTwoTats,
-    prisoners_dilemma,
-    round_robin,
-)
-from repro.network.bandwidth import sample_download_requests
-from repro.sim import base_config
+from repro.sim import SimulationConfig
 from repro.sim.engine import CollaborationSimulation
-from repro.trust.history import PrivateHistory
+
+N_PEERS = 100
+STEPS = 400
 
 
-def part1_axelrod() -> None:
-    print("== Part 1: direct relations — TFT's home turf ==")
-    field = [
-        TitForTat(),
-        AlwaysCooperate(),
-        AlwaysDefect(),
-        GrimTrigger(),
-        Pavlov(),
-        TitForTwoTats(),
-    ]
-    result = round_robin(field, prisoners_dilemma(), rounds=200)
-    for rank, (name, score) in enumerate(result.ranking(), 1):
-        print(f"  {rank}. {name:18s} mean payoff {score:.2f}")
-    print("  -> reciprocal strategies dominate when relations repeat.\n")
+def tft_history() -> np.ndarray:
+    """Step a tft run and return its ``(N, N)`` direct-experience matrix."""
+    config = SimulationConfig(
+        n_agents=N_PEERS,
+        scheme="tft",
+        # Nearly every peer shares, so 1/N_S is about 1/N.
+        download_probability=1.0 / N_PEERS,
+        training_steps=STEPS,
+        eval_steps=1,
+        seed=1,
+    )
+    sim = CollaborationSimulation(config)
+    for _ in range(STEPS):
+        sim.step(config.t_train)
+    return sim.scheme.given
 
 
-def part2_directness() -> None:
-    print("== Part 2: relation directness in the collaboration workload ==")
-    # Paper-literal download intensity: each peer downloads with
-    # probability 1/N_S per step, i.e. interactions are *sparse* — the
-    # regime the paper's "non-direct relations" argument lives in.
-    rng = np.random.default_rng(0)
-    n = 100
-    sharing = np.ones(n, dtype=bool)
-    served: dict[tuple[int, int], int] = {}
-    steps = 400
-    for _ in range(steps):
-        req = sample_download_requests(rng, sharing, download_probability=None)
-        for d, s in zip(req.downloader_ids, req.source_ids):
-            served[(int(s), int(d))] = served.get((int(s), int(d)), 0) + 1
-    reciprocal = sum(1 for (a, b) in served if (b, a) in served)
-    repeat = sum(1 for v in served.values() if v > 1)
-    print(f"  {steps} steps, {sum(served.values())} downloads, "
-          f"{len(served)} distinct (source -> downloader) pairs")
-    print(f"  pairs that ever reciprocated : {reciprocal / len(served):.1%}")
-    print(f"  pairs with repeat interaction: {repeat / len(served):.1%}")
+def part1_directness(given: np.ndarray) -> None:
+    print("== Part 1: relation directness in the collaboration workload ==")
+    served = given > 0.0
+    np.fill_diagonal(served, False)
+    n_pairs = N_PEERS * (N_PEERS - 1)
+    with_history = int(served.sum())
+    reciprocated = int((served & served.T).sum())
+    print(f"  {STEPS} steps at P = 1/N, {N_PEERS} peers")
+    print(f"  ordered pairs with any direct history: "
+          f"{with_history} of {n_pairs} ({with_history / n_pairs:.1%})")
+    share = reciprocated / with_history if with_history else 0.0
+    print(f"  of those, served back                : {reciprocated} ({share:.1%})")
     print("  -> almost no pair ever reciprocates, and editing/voting exchange"
           "\n     *different* resources entirely — TFT cannot price a vote"
           "\n     against an upload.\n")
 
 
-def part3_information_gap() -> None:
-    print("== Part 3: private vs shared history coverage ==")
-    config = base_config(fast=True, collect_events=False, seed=1).with_(
-        training_steps=300, eval_steps=200, download_probability=0.0
-    )
-    # download_probability=0 inside the engine: we sample the paper-literal
-    # sparse request process (P = 1/N_S) ourselves below.
-    sim = CollaborationSimulation(config)
-    private = PrivateHistory(config.n_agents)
-    for _ in range(250):
-        sim.step(1.0)
-        req = sample_download_requests(
-            sim.rng, sim.peers.sharing_mask(), download_probability=None
-        )
-        if req.n:
-            satisfactory = sim.peers.offered_bandwidth[req.source_ids] > 0
-            private.record(req.downloader_ids, req.source_ids, satisfactory)
+def part2_information_gap(given: np.ndarray) -> None:
+    print("== Part 2: private vs shared history coverage ==")
+    # A source j prices requester i by given[i, j]: what i served j.
+    known = (given > 0.0).sum(axis=0)
+    print(f"  requesters a tft source can price: mean {known.mean():.2f}, "
+          f"max {known.max()} of {N_PEERS - 1}")
     print(f"  private-history coverage of ordered peer pairs: "
-          f"{private.coverage():.1%}")
+          f"{known.sum() / (N_PEERS * (N_PEERS - 1)):.1%}")
     print("  a shared-history reputation covers 100% by construction")
     print("  -> the scheme's shared reputation lets a peer price a stranger's"
-          "\n     request; a TFT peer would have to treat it as a first contact.")
+          "\n     request; a TFT peer has to treat it as a first contact.")
 
 
 def main() -> None:
-    part1_axelrod()
-    part2_directness()
-    part3_information_gap()
+    given = tft_history()
+    part1_directness(given)
+    part2_information_gap(given)
 
 
 if __name__ == "__main__":

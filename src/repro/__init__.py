@@ -11,12 +11,9 @@ Subpackages
 ``repro.network``
     P2P collaboration-network substrate: peers, articles with voting,
     bandwidth settlement, overlay topologies, churn.
-``repro.trust``
-    Reputation propagation (assumed by the paper, implemented here):
-    EigenTrust, max-flow trust, private/shared histories.
 ``repro.gametheory``
-    Repeated Prisoner's Dilemma, TFT and friends, tournaments, replicator
-    dynamics and a mean-field analysis of the sharing game.
+    A mean-field analysis of the sharing game: best responses and
+    symmetric equilibria on the paper's action grid.
 ``repro.agents``
     Vectorized tabular Q-learning with Boltzmann exploration, behaviour
     policies, population mixes.
@@ -39,7 +36,7 @@ True
 
 __version__ = "2.0.0"
 
-from . import agents, analysis, core, gametheory, network, sim, trust
+from . import agents, analysis, core, gametheory, network, sim
 from . import api
 
 __all__ = [
@@ -50,6 +47,5 @@ __all__ = [
     "gametheory",
     "network",
     "sim",
-    "trust",
     "__version__",
 ]

@@ -5,7 +5,9 @@ Public surface:
 * :mod:`repro.core.params` — every model constant, documented.
 * :mod:`repro.core.reputation` — logistic reputation function (+ alternatives).
 * :mod:`repro.core.contribution` — vectorized ``C_S``/``C_E`` ledgers.
-* :mod:`repro.core.service` — bandwidth / voting / editing differentiation.
+* :mod:`repro.core.service` — the editing rules of service differentiation
+  (accept majority, edit threshold); the bandwidth and vote shares are the
+  engine's ``grouped_shares`` kernel (:mod:`repro.sim.backends`).
 * :mod:`repro.core.utility` — the paper's utility functions.
 * :mod:`repro.core.punishment` — malicious voter/editor punishment.
 * :mod:`repro.core.incentives` — scheme facade + no-incentive baseline.
@@ -33,14 +35,7 @@ from .reputation import (
     StepReputation,
     reputation_to_state,
 )
-from .service import (
-    allocate_by_reputation,
-    allocate_equal_split,
-    edit_eligibility,
-    required_majority,
-    voting_weights,
-)
-from .utility import editing_utility, sharing_utility
+from .service import edit_eligibility
 
 __all__ = [
     "KarmaScheme",
@@ -65,11 +60,5 @@ __all__ = [
     "ReputationFunction",
     "StepReputation",
     "reputation_to_state",
-    "allocate_by_reputation",
-    "allocate_equal_split",
     "edit_eligibility",
-    "required_majority",
-    "voting_weights",
-    "editing_utility",
-    "sharing_utility",
 ]

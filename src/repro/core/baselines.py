@@ -45,7 +45,15 @@ __all__ = ["PrivateHistoryScheme", "KarmaScheme"]
 
 class _UndifferentiatedEditingMixin:
     """Editing/voting behaviour shared by both baselines: no privileges,
-    unweighted votes, simple majority, no punishment."""
+    unweighted votes, no punishment.
+
+    Both baselines differentiate *bandwidth*, so the edit-vote phase runs
+    them through the reputation branch of its voting rules.  The flat
+    ``reputation_e`` of 1 makes every vote weigh the same, and it puts
+    every editor at the top of the reputation band, so each edit needs
+    the lane's ``majority_min``.  That is a simple majority only at the
+    paper's constants (``majority_min = 0.5``).
+    """
 
     n_peers: int
     #: Total peer slots across stacked replicates (== n_peers when R=1).
@@ -53,15 +61,6 @@ class _UndifferentiatedEditingMixin:
 
     def reputation_e(self) -> np.ndarray:
         return np.ones(self.n_slots)
-
-    def vote_weights(self, voter_ids: np.ndarray) -> np.ndarray:
-        voter_ids = np.asarray(voter_ids)
-        if voter_ids.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return np.full(voter_ids.shape, 1.0 / voter_ids.size)
-
-    def accept_majority(self, editor_id: int) -> float:
-        return 0.5
 
     def may_edit(self) -> np.ndarray:
         return np.ones(self.n_slots, dtype=bool)

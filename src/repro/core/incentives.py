@@ -9,8 +9,11 @@ rules behind one step-level API the simulation engine drives.
 are unweighted, anybody may edit or vote, and nothing is punished.  It
 still *tracks* contributions so that the same metrics can be reported.
 
-Both classes satisfy the same implicit protocol; the engine never needs to
-know which one it is driving.
+Both classes satisfy the same implicit protocol.  The edit-vote phase
+reads the voting rules from it: with ``differentiates_service`` set it
+weighs votes by ``reputation_e`` and takes the accept majority from
+:func:`~repro.core.service.required_majority_values`; without, votes are
+unweighted and a simple majority (0.5) decides.
 """
 
 from __future__ import annotations
@@ -25,11 +28,7 @@ from .reputation import (
     LogisticReputation,
     ReputationFunction,
 )
-from .service import (
-    edit_eligibility,
-    required_majority,
-    voting_weights,
-)
+from .service import edit_eligibility
 
 __all__ = ["ReputationIncentiveScheme", "NoIncentiveScheme", "make_scheme"]
 
@@ -100,17 +99,6 @@ class ReputationIncentiveScheme:
         """Fraction of each source's upload bandwidth granted per request."""
         rep = self.reputation_s()[downloader_ids]
         return self.kernels.grouped_shares(source_ids, rep, self.n_slots)
-
-    def vote_weights(self, voter_ids: np.ndarray) -> np.ndarray:
-        """Normalized voting power of one edit's voter set."""
-        return voting_weights(self.reputation_e()[voter_ids])
-
-    def accept_majority(self, editor_id: int) -> float:
-        """Required accept majority ``M`` for an edit by ``editor_id``."""
-        rep = self.reputation_e()[editor_id]
-        return float(
-            required_majority(rep, self.constants.service, self.constants.reputation_e)
-        )
 
     def may_edit(self) -> np.ndarray:
         """Mask of peers whose ``R_S >= theta`` (editing privilege)."""
@@ -217,16 +205,6 @@ class NoIncentiveScheme:
         source_ids = np.asarray(source_ids)
         ones = np.ones(source_ids.shape, dtype=np.float64)
         return self.kernels.grouped_shares(source_ids, ones, self.n_slots)
-
-    def vote_weights(self, voter_ids: np.ndarray) -> np.ndarray:
-        voter_ids = np.asarray(voter_ids)
-        if voter_ids.size == 0:
-            return np.zeros(0, dtype=np.float64)
-        return np.full(voter_ids.shape, 1.0 / voter_ids.size)
-
-    def accept_majority(self, editor_id: int) -> float:
-        # Simple unweighted majority rule.
-        return 0.5
 
     def may_edit(self) -> np.ndarray:
         return np.ones(self.n_slots, dtype=bool)

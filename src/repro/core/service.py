@@ -11,130 +11,22 @@ Three services are differentiated by reputation:
    majority ``M`` is inversely proportional to the editor's editing
    reputation (high-reputation editors need less consent).
 
-The allocation kernels are fully vectorized group-by-source reductions
-(``np.add.at`` scatter + gather) so the engine can settle thousands of
-concurrent downloads without a Python loop.
+The two shares are one group-normalized allocation, grouped by source or
+by proposal: the ``grouped_shares`` kernel of :mod:`repro.sim.backends`,
+which the download and edit-vote phases call directly.  This module holds
+the editing rules: the accept majority and the edit threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import ReputationParams, ServiceParams
+from .params import ServiceParams
 
 __all__ = [
-    "grouped_shares",
-    "allocate_by_reputation",
-    "allocate_equal_split",
-    "voting_weights",
-    "required_majority",
     "required_majority_values",
     "edit_eligibility",
 ]
-
-
-def grouped_shares(
-    group_ids: np.ndarray, weights: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Normalize ``weights`` within each group: ``w_i / sum_{j in group(i)} w_j``.
-
-    ``group_ids`` maps each element to its group in ``[0, n_groups)``.
-    Groups with a zero weight-sum fall back to an equal split among their
-    members, so the shares always sum to one per non-empty group.
-    """
-    group_ids = np.asarray(group_ids)
-    weights = np.asarray(weights, dtype=np.float64)
-    if group_ids.shape != weights.shape:
-        raise ValueError("group_ids and weights must have the same shape")
-    if group_ids.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if np.any((group_ids < 0) | (group_ids >= n_groups)):
-        raise ValueError("group ids out of range")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-
-    totals = np.zeros(n_groups, dtype=np.float64)
-    np.add.at(totals, group_ids, weights)
-    counts = np.bincount(group_ids, minlength=n_groups)
-
-    shares = np.empty_like(weights)
-    group_total = totals[group_ids]
-    degenerate = group_total <= 0.0
-    # Normal case: proportional share.
-    np.divide(weights, group_total, out=shares, where=~degenerate)
-    # Degenerate case (all weights zero in a group): equal split.
-    if np.any(degenerate):
-        shares[degenerate] = 1.0 / counts[group_ids[degenerate]]
-    return shares
-
-
-def allocate_by_reputation(
-    source_ids: np.ndarray,
-    downloader_reputation: np.ndarray,
-    n_sources: int,
-) -> np.ndarray:
-    """Reputation-proportional bandwidth shares (the incentive scheme).
-
-    Parameters
-    ----------
-    source_ids:
-        For each download request, the index of the source peer it targets.
-    downloader_reputation:
-        For each download request, the sharing reputation ``R_S`` of the
-        requesting peer.
-    n_sources:
-        Total number of peers (used to size the reduction).
-
-    Returns
-    -------
-    Per-request fraction ``B_i`` of the source's upload bandwidth; the
-    fractions of each source's requests sum to 1.
-    """
-    return grouped_shares(source_ids, downloader_reputation, n_sources)
-
-
-def allocate_equal_split(source_ids: np.ndarray, n_sources: int) -> np.ndarray:
-    """Equal-split shares — the no-incentive baseline allocator."""
-    source_ids = np.asarray(source_ids)
-    ones = np.ones(source_ids.shape, dtype=np.float64)
-    return grouped_shares(source_ids, ones, n_sources)
-
-
-def voting_weights(voter_reputation: np.ndarray) -> np.ndarray:
-    """Weighted voting: ``v_i = R_iE / sum_k R_kE`` for one edit's voter set.
-
-    A single edit's voters form one group, so this is a one-group special
-    case; empty voter sets return an empty array.
-    """
-    rep = np.asarray(voter_reputation, dtype=np.float64)
-    if rep.size == 0:
-        return rep.copy()
-    if np.any(rep < 0):
-        raise ValueError("reputations must be non-negative")
-    total = rep.sum()
-    if total <= 0.0:
-        return np.full(rep.shape, 1.0 / rep.size)
-    return rep / total
-
-
-def required_majority(
-    editor_reputation: np.ndarray | float,
-    service: ServiceParams,
-    reputation: ReputationParams,
-) -> np.ndarray:
-    """Adaptive accept-majority ``M`` for an edit (paper section III-C3).
-
-    "the majority M of a vote is inversely proportional to the editor's
-    reputation": we interpolate linearly from ``majority_max`` at ``R_min``
-    down to ``majority_min`` at ``R_max``.
-    """
-    return required_majority_values(
-        editor_reputation,
-        reputation.r_min,
-        reputation.r_max,
-        service.majority_min,
-        service.majority_max,
-    )
 
 
 def required_majority_values(
@@ -144,12 +36,14 @@ def required_majority_values(
     majority_min: np.ndarray | float,
     majority_max: np.ndarray | float,
 ) -> np.ndarray:
-    """:func:`required_majority` on explicit parameter values.
+    """Adaptive accept-majority ``M`` for an edit (paper section III-C3).
 
-    The lane-batched engine gathers per-editor parameters (each editor's
-    lane may configure its own majority band); scalars reproduce the
-    params-object spelling operation for operation, so the two entry
-    points are bit-identical.
+    "the majority M of a vote is inversely proportional to the editor's
+    reputation": we interpolate linearly from ``majority_max`` at ``r_min``
+    down to ``majority_min`` at ``r_max``, clipped outside the band.  The
+    lane-batched engine gathers per-editor parameters (each editor's lane
+    may configure its own reputation and majority band); scalars apply
+    one band to every editor.
     """
     r = np.asarray(editor_reputation, dtype=np.float64)
     span = r_max - r_min

@@ -11,29 +11,30 @@
     deliberately assigns editing/voting no rational *cost* ("there must be
     an altruistic motivation for them"), so ``U_E >= 0``.
 
-Both are pure, vectorized functions of per-peer arrays; the simulation
-engine feeds them straight into the Q-learning reward signal.
+Both are pure, vectorized functions of per-peer arrays; the download and
+edit-vote phases feed them straight into the Q-learning reward signal.
+The modifiers (``alpha`` ... ``epsilon``, see
+:class:`~repro.core.params.UtilityParams`) are scalars or per-slot
+``(R * N,)`` arrays: a lane batch rewards each lane with its own constants.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import UtilityParams
-
 __all__ = [
-    "sharing_utility",
     "sharing_utility_values",
-    "editing_utility",
     "editing_utility_values",
 ]
 
 
-def sharing_utility(
+def sharing_utility_values(
     received_bandwidth: np.ndarray,
     shared_articles: np.ndarray,
     offered_bandwidth: np.ndarray,
-    params: UtilityParams,
+    alpha: float | np.ndarray,
+    beta: float | np.ndarray,
+    gamma: float | np.ndarray,
 ) -> np.ndarray:
     """Per-peer sharing utility ``U_S`` for one step.
 
@@ -47,30 +48,6 @@ def sharing_utility(
     offered_bandwidth:
         ``UP_own`` — fraction of upload bandwidth the peer offers.
     """
-    return sharing_utility_values(
-        received_bandwidth,
-        shared_articles,
-        offered_bandwidth,
-        params.alpha,
-        params.beta,
-        params.gamma,
-    )
-
-
-def sharing_utility_values(
-    received_bandwidth: np.ndarray,
-    shared_articles: np.ndarray,
-    offered_bandwidth: np.ndarray,
-    alpha: float | np.ndarray,
-    beta: float | np.ndarray,
-    gamma: float | np.ndarray,
-) -> np.ndarray:
-    """:func:`sharing_utility` on explicit modifier values.
-
-    The lane-batched engine passes per-slot ``(R * N,)`` modifier arrays
-    (each lane rewards with its own constants); scalars reproduce the
-    params-object spelling operation for operation.
-    """
     received_bandwidth = np.asarray(received_bandwidth, dtype=np.float64)
     shared_articles = np.asarray(shared_articles, dtype=np.float64)
     offered_bandwidth = np.asarray(offered_bandwidth, dtype=np.float64)
@@ -81,24 +58,13 @@ def sharing_utility_values(
     )
 
 
-def editing_utility(
-    accepted_edits: np.ndarray,
-    successful_votes: np.ndarray,
-    params: UtilityParams,
-) -> np.ndarray:
-    """Per-peer editing/voting utility ``U_E`` for one step."""
-    return editing_utility_values(
-        accepted_edits, successful_votes, params.delta, params.epsilon
-    )
-
-
 def editing_utility_values(
     accepted_edits: np.ndarray,
     successful_votes: np.ndarray,
     delta: float | np.ndarray,
     epsilon: float | np.ndarray,
 ) -> np.ndarray:
-    """:func:`editing_utility` on explicit (scalar or per-slot) values."""
+    """Per-peer editing/voting utility ``U_E`` for one step."""
     accepted_edits = np.asarray(accepted_edits, dtype=np.float64)
     successful_votes = np.asarray(successful_votes, dtype=np.float64)
     return delta * accepted_edits + epsilon * successful_votes

@@ -1,56 +1,15 @@
-"""Game-theory substrate: PD, TFT, tournaments, replicator, sharing game."""
+"""Game-theory substrate: the mean-field analysis of the sharing game."""
 
-from .payoffs import COOPERATE, DEFECT, PayoffMatrix, prisoners_dilemma
-from .repeated_game import MatchResult, discounted_score, play_match
-from .replicator import ReplicatorTrajectory, replicator_dynamics
 from .sharing_game import (
     PAPER_GRID,
     EquilibriumResult,
     MeanFieldSharingGame,
     SharingLevel,
 )
-from .strategies import (
-    STRATEGY_REGISTRY,
-    Alternator,
-    AlwaysCooperate,
-    AlwaysDefect,
-    GrimTrigger,
-    Pavlov,
-    RandomStrategy,
-    Strategy,
-    SuspiciousTitForTat,
-    TitForTat,
-    TitForTwoTats,
-    make_strategy,
-)
-from .tournament import TournamentResult, round_robin
 
 __all__ = [
-    "COOPERATE",
-    "DEFECT",
-    "PayoffMatrix",
-    "prisoners_dilemma",
-    "MatchResult",
-    "discounted_score",
-    "play_match",
-    "ReplicatorTrajectory",
-    "replicator_dynamics",
     "PAPER_GRID",
     "EquilibriumResult",
     "MeanFieldSharingGame",
     "SharingLevel",
-    "STRATEGY_REGISTRY",
-    "Alternator",
-    "AlwaysCooperate",
-    "AlwaysDefect",
-    "GrimTrigger",
-    "Pavlov",
-    "RandomStrategy",
-    "Strategy",
-    "SuspiciousTitForTat",
-    "TitForTat",
-    "TitForTwoTats",
-    "make_strategy",
-    "TournamentResult",
-    "round_robin",
 ]

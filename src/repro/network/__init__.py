@@ -1,7 +1,7 @@
 """P2P collaboration-network substrate: peers, articles, bandwidth, overlay."""
 
 from .articles import ArticleStore
-from .bandwidth import DownloadRequests, sample_download_requests, settle_downloads
+from .bandwidth import DownloadRequests
 from .events import (
     DownloadEvent,
     EditEvent,
@@ -15,8 +15,6 @@ from .peer import ALTRUISTIC, IRRATIONAL, RATIONAL, TYPE_NAMES, PeerArrays
 __all__ = [
     "ArticleStore",
     "DownloadRequests",
-    "sample_download_requests",
-    "settle_downloads",
     "DownloadEvent",
     "EditEvent",
     "EventLog",

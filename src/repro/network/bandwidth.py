@@ -1,4 +1,4 @@
-"""Download-request sampling and bandwidth settlement.
+"""Download requests: the request record and the overlay sampler.
 
 Paper section IV: "At every time step, a peer downloads an article from
 another peer with probability P = 1/N_S, where N_S is the number of peers
@@ -8,14 +8,16 @@ random among the ``N_S`` sharing peers (never itself).  ``P`` defaults to
 the paper's ``1/N_S`` but is configurable (``download_probability``) so the
 download intensity can be studied independently.
 
-Settlement: all requests targeting the same source compete for that
-source's upload bandwidth; the incentive scheme (or the equal-split
-baseline) decides the shares.  The amount a downloader receives is
-``offered_bandwidth[source] * share`` — a source offering nothing transfers
-nothing, so free-riders throttle their *own* downloaders, which is exactly
-the pressure the scheme exploits.
-
-Everything here is vectorized over requests.
+The full-mesh sampler is lane-batched and lives with the download phase
+(:func:`repro.sim.phases.download.sample_download_requests_batch`); it
+calls :func:`sample_download_requests_overlay` once per lane when the run
+has an overlay.  Settlement is the ``settle_downloads`` kernel
+(:mod:`repro.sim.backends`): all requests targeting the same source
+compete for that source's upload bandwidth, the incentive scheme (or the
+equal-split baseline) decides the shares, and a downloader receives
+``offered_bandwidth[source] * share`` — a source offering nothing
+transfers nothing, so free-riders throttle their *own* downloaders, which
+is exactly the pressure the scheme exploits.
 """
 
 from __future__ import annotations
@@ -26,9 +28,7 @@ import numpy as np
 
 __all__ = [
     "DownloadRequests",
-    "sample_download_requests",
     "sample_download_requests_overlay",
-    "settle_downloads",
 ]
 
 
@@ -46,54 +46,6 @@ class DownloadRequests:
     def __post_init__(self) -> None:
         if self.downloader_ids.shape != self.source_ids.shape:
             raise ValueError("downloader_ids and source_ids must align")
-
-
-def sample_download_requests(
-    rng: np.random.Generator,
-    sharing_mask: np.ndarray,
-    download_probability: float | None = None,
-) -> DownloadRequests:
-    """Draw this step's download requests.
-
-    Parameters
-    ----------
-    sharing_mask:
-        Boolean mask of peers currently offering files (the sources).
-    download_probability:
-        Per-peer request probability; ``None`` uses the paper's ``1/N_S``.
-    """
-    sharing_mask = np.asarray(sharing_mask, dtype=bool)
-    n_peers = sharing_mask.size
-    sources = np.flatnonzero(sharing_mask)
-    n_s = sources.size
-    empty = DownloadRequests(
-        downloader_ids=np.empty(0, dtype=np.int64),
-        source_ids=np.empty(0, dtype=np.int64),
-    )
-    if n_s == 0:
-        return empty
-
-    p = 1.0 / n_s if download_probability is None else float(download_probability)
-    p = min(max(p, 0.0), 1.0)
-    wants = rng.random(n_peers) < p
-    downloaders = np.flatnonzero(wants)
-    if downloaders.size == 0:
-        return empty
-
-    # Uniform source choice among sharers; re-draw self-selections by
-    # shifting to the next sharer (cheap and unbiased enough for n_s >= 2).
-    choice_idx = rng.integers(0, n_s, size=downloaders.size)
-    chosen = sources[choice_idx]
-    if n_s > 1:
-        self_hit = chosen == downloaders
-        if np.any(self_hit):
-            chosen[self_hit] = sources[(choice_idx[self_hit] + 1) % n_s]
-    else:
-        # Only one sharer: that sharer cannot download from itself.
-        keep = chosen != downloaders
-        downloaders, chosen = downloaders[keep], chosen[keep]
-
-    return DownloadRequests(downloader_ids=downloaders, source_ids=chosen)
 
 
 def sample_download_requests_overlay(
@@ -142,47 +94,4 @@ def sample_download_requests_overlay(
     return DownloadRequests(
         downloader_ids=np.asarray(downloaders, dtype=np.int64),
         source_ids=np.asarray(sources, dtype=np.int64),
-    )
-
-
-def settle_downloads(
-    requests: DownloadRequests,
-    shares: np.ndarray,
-    offered_bandwidth: np.ndarray,
-    upload_capacity: np.ndarray,
-    n_peers: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convert shares into transferred bandwidth.
-
-    A checked front end to the ``settle_downloads`` kernel, which the
-    engine's download phase calls directly.  The kernel is
-    replicate-agnostic: with requests in the flat ``R * N`` slot space
-    and ``n_peers = R * N`` it settles ``R`` stacked replicates in one
-    scatter, bit-identically to settling each replicate alone (slot
-    ranges are disjoint and the per-source accumulation order within a
-    replicate is preserved).
-
-    Returns
-    -------
-    received : per-peer download bandwidth received this step.
-    served : per-peer upload bandwidth actually served this step (this is
-        the "actually shared bandwidth" that feeds ``C_S``).
-    """
-    if requests.n == 0:
-        return (
-            np.zeros(n_peers, dtype=np.float64),
-            np.zeros(n_peers, dtype=np.float64),
-        )
-    shares = np.asarray(shares, dtype=np.float64)
-    if shares.shape != (requests.n,):
-        raise ValueError("shares must align with requests")
-    from ..sim.backends import KERNELS  # late: repro.sim imports this module
-
-    return KERNELS.settle_downloads(
-        requests.downloader_ids,
-        requests.source_ids,
-        shares,
-        offered_bandwidth,
-        upload_capacity,
-        n_peers,
     )

@@ -1,10 +1,12 @@
 """P2P overlay topologies and churn.
 
 The paper's simulation treats the overlay as fully connected (any peer can
-download from any sharer), and so does our engine.  Real deployments are
-not, and the trust-propagation substrate (:mod:`repro.trust`) operates on a
-genuine overlay graph; this module builds those graphs and models churn
-(joins / leaves / whitewashing identity resets).
+download from any sharer), and so does the engine by default.  Real
+deployments are not: a config whose ``overlay_kind`` is not ``"full"``
+restricts each peer's download sources to its sharing neighbours
+(:func:`repro.network.bandwidth.sample_download_requests_overlay`).  This
+module builds those graphs and models churn (joins / leaves / whitewashing
+identity resets).
 
 Graphs are built with :mod:`networkx`; the adjacency is exported as index
 arrays so hot code never touches networkx objects.

@@ -108,9 +108,9 @@ class SnapshotStore:
 
     Standalone on purpose: subprocess sweep workers get only the store
     *root path* (a :class:`~repro.store._runstore.RunStore` is too heavy
-    to ship across the pool boundary), and :class:`RunStore` composes
-    one of these for its own ``put_snapshot``/``get_snapshot`` API —
-    both sides read and write the same ``checkpoints/`` directory.
+    to ship across the pool boundary), and :class:`RunStore` exposes
+    one of these as its ``snapshots`` property — both sides read and
+    write the same ``checkpoints/`` directory.
     """
 
     def __init__(self, root: str | os.PathLike):

@@ -19,7 +19,6 @@ from ._sweep import (
     available_workers,
     get_default_store,
     plan_lane_batches,
-    replicate,
     run_sweep,
     set_default_store,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "structural_key",
     "plan_lane_batches",
     "available_workers",
-    "replicate",
     "run_sweep",
     "SweepWorkerError",
     "set_default_store",

@@ -82,12 +82,11 @@ from typing import Any, Callable
 
 from ..obs import Stopwatch, get_tracer
 from .config import SimulationConfig
-from .engine import BatchedSimulation, SimulationResult, replicate_configs
+from .engine import BatchedSimulation, SimulationResult
 from .lanes import estimate_lane_state_bytes, structural_key
 
 __all__ = [
     "run_sweep",
-    "replicate",
     "available_workers",
     "SweepWorkerError",
     "SweepFailure",
@@ -700,7 +699,7 @@ def run_sweep(
             )
         )
         if snap_root is not None:
-            store.delete_snapshot(snapshot_key([h]))
+            store.snapshots.delete(snapshot_key([h]))
         return h
 
     def record_failure(
@@ -735,7 +734,7 @@ def run_sweep(
         from ..resilience import snapshot_key
         from ..store.hashing import config_hash
 
-        store.delete_snapshot(snapshot_key([config_hash(c) for c, _ in task]))
+        store.snapshots.delete(snapshot_key([config_hash(c) for c, _ in task]))
 
     snapshot = (snap_root, checkpoint_every) if snap_root is not None else None
 
@@ -985,16 +984,3 @@ def run_sweep(
     # of quarantined configs, which stay None (enumerated in failures).
     return results  # type: ignore[return-value]
 
-
-def replicate(
-    config: SimulationConfig, n_seeds: int, root_seed: int | None = None
-) -> list[SimulationConfig]:
-    """``n_seeds`` copies of one config with independent derived seeds.
-
-    The derived configs differ only in their seed, so :func:`run_sweep`
-    plans the whole ensemble as one lane batch.  Delegates to
-    :func:`repro.sim.engine.replicate_configs` — the single derivation
-    rule — so the seeds (and therefore the cache entries) are exactly
-    those of :func:`repro.sim.engine.run_replicates`.
-    """
-    return replicate_configs(config, n_seeds, root_seed)

@@ -88,10 +88,12 @@ def replicate_configs(
 ) -> list[SimulationConfig]:
     """``n_replicates`` copies of ``config`` with independent derived seeds.
 
-    This is the single seed-derivation rule every ensemble path uses —
-    :func:`run_replicates`, :func:`repro.sim._sweep.replicate` and through
-    them the ``repro`` CLI — so batched and per-seed executions always
-    address the same RunStore entries.
+    This is the seed-derivation rule of every ensemble path — a seed
+    ensemble is :func:`run_replicates` or
+    :func:`~repro.sim._sweep.run_sweep` over this list, and ``repro sweep
+    --seeds`` derives the same seeds from each config's own seed — so
+    batched and per-seed executions always address the same RunStore
+    entries.
     """
     if n_replicates < 1:
         raise ValueError("n_replicates must be >= 1")

@@ -74,14 +74,23 @@ def sample_download_requests_batch(
     """Replicate-axis request sampling: one request set over ``R`` stacked runs.
 
     ``sharing_mask`` is ``(R, N)``; ``rngs`` holds one generator per
-    replicate.  Each replicate's requests are drawn with the *same* calls
-    (and therefore the same stream consumption) as
-    :func:`~repro.network.bandwidth.sample_download_requests` on that
-    replicate alone, then the peer ids are offset by ``r * N`` into the
-    flat ``R * N`` slot space so one ``settle_downloads`` kernel call
-    (with ``n_peers = R * N``) settles all replicates at once — requests
-    never cross replicate boundaries because bandwidth competition is
-    grouped by source id.
+    replicate.  On the full mesh, a replicate with ``N_S`` sharers draws
+    ``N`` uniforms and each peer requests when its uniform falls below
+    ``P`` (the paper's ``1/N_S`` when ``download_probability`` is
+    ``None``, clipped to ``[0, 1]``).  It then draws one source per
+    requester, uniform over its sharers in ascending id order.  A
+    requester that picked itself shifts to the next sharer, or is dropped
+    when it is the only one.  A replicate with no sharers draws nothing.
+    With ``overlays``, each replicate calls
+    :func:`~repro.network.bandwidth.sample_download_requests_overlay` on
+    its own graph instead.
+
+    A replicate's draws come from its own generator only, so its requests
+    equal the ``R = 1`` call on that replicate alone, offset by ``r * N``
+    into the flat ``R * N`` slot space.  One ``settle_downloads`` kernel
+    call (with ``n_peers = R * N``) then settles all replicates at once —
+    requests never cross replicate boundaries because bandwidth
+    competition is grouped by source id.
 
     ``download_probability`` may be a per-replicate ``(R,)`` array (lane
     batching): each replicate's draw is thresholded against its own
@@ -124,15 +133,14 @@ def sample_download_requests_batch(
         )
 
     # Full-mesh fast path: only the RNG draws loop over replicates (each
-    # replicate's stream consumption — a uniform vector, then source
-    # choices sized to its requester count — matches the solo sampler
-    # call for call); the id arithmetic runs flat across replicates.
+    # replicate consumes a uniform vector, then source choices sized to
+    # its requester count); the id arithmetic runs flat across replicates.
     n_sharers = sharing_mask.sum(axis=1)  # N_S per replicate
     wants = np.zeros((n_rep, n_peers), dtype=bool)
     for r in range(n_rep):
         n_s = int(n_sharers[r])
         if n_s == 0:
-            continue  # no draw, exactly like the solo sampler's early out
+            continue
         p_r = lane_p(r)
         p = 1.0 / n_s if p_r is None else float(p_r)
         p = min(max(p, 0.0), 1.0)
@@ -152,9 +160,8 @@ def sample_download_requests_batch(
     seg_starts = np.concatenate(([0], np.cumsum(n_sharers)[:-1]))
     req_start = np.repeat(seg_starts, d_counts)
     req_n_s = np.repeat(n_sharers, d_counts)
-    # Same fix-ups as the solo sampler: with several sharers a
-    # self-selection shifts to the next one; a lone sharer cannot
-    # download from itself (the request is dropped).
+    # With several sharers a self-selection shifts to the next one; a
+    # lone sharer cannot download from itself (the request is dropped).
     downloaders, chosen = KERNELS.match_sources(
         downloaders, choice_idx, sources_flat, req_start, req_n_s
     )

@@ -531,19 +531,6 @@ class RunStore:
             self._snapshots = SnapshotStore(self.root)
         return self._snapshots
 
-    def put_snapshot(self, key: str, blob: bytes) -> None:
-        """Persist a mid-run resume snapshot under ``checkpoints/<key>.ckpt``."""
-        self.snapshots.save(key, blob)
-
-    def get_snapshot(self, key: str) -> bytes | None:
-        return self.snapshots.load(key)
-
-    def delete_snapshot(self, key: str) -> None:
-        self.snapshots.delete(key)
-
-    def snapshot_keys(self) -> list[str]:
-        return self.snapshots.keys()
-
     # ------------------------------------------------------------------
     # Sweep-grid manifests (distributed dispatch)
     # ------------------------------------------------------------------

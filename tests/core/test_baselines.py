@@ -45,7 +45,6 @@ class TestPrivateHistoryScheme:
         s = PrivateHistoryScheme(3)
         assert s.may_edit().all()
         assert s.may_vote().all()
-        assert s.accept_majority(0) == 0.5
 
     def test_reset(self):
         s = PrivateHistoryScheme(2)

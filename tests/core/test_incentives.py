@@ -1,4 +1,9 @@
-"""Tests for the incentive-scheme facade and the no-incentive baseline."""
+"""Tests for the incentive-scheme facade and the no-incentive baseline.
+
+The voting rules are the edit-vote phase's: it weighs votes with the
+``grouped_shares`` kernel and takes the accept majority from
+``required_majority_values``, both over the scheme's ``reputation_e``.
+"""
 
 import numpy as np
 import pytest
@@ -9,6 +14,40 @@ from repro.core.incentives import (
     make_scheme,
 )
 from repro.core.params import PaperConstants, ServiceParams
+from repro.core.service import required_majority_values
+from repro.sim.backends import KERNELS
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import run_simulation
+
+
+def accept_majority_of(scheme: ReputationIncentiveScheme) -> np.ndarray:
+    """Every peer's accept majority, as the edit-vote phase computes it."""
+    c = scheme.constants
+    return required_majority_values(
+        scheme.reputation_e(),
+        c.reputation_e.r_min,
+        c.reputation_e.r_max,
+        c.service.majority_min,
+        c.service.majority_max,
+    )
+
+
+@pytest.fixture(scope="module")
+def no_incentive_edits():
+    """Edits logged by a 250-step run without incentives.
+
+    Its majority band starts at 0.6, which the no-incentive rule ignores.
+    """
+    cfg = SimulationConfig(
+        incentives_enabled=False,
+        collect_events=True,
+        training_steps=150,
+        eval_steps=100,
+        constants=PaperConstants(service=ServiceParams(majority_min=0.6)),
+    )
+    edits = run_simulation(cfg).events.edits
+    assert edits
+    return edits
 
 
 @pytest.fixture
@@ -51,7 +90,8 @@ class TestReputationIncentiveScheme:
         votes[0] = 3.0
         for _ in range(50):
             scheme.record_editing(votes, votes)
-        assert scheme.accept_majority(0) < scheme.accept_majority(1)
+        majority = accept_majority_of(scheme)
+        assert majority[0] < majority[1]
 
     def test_vote_ban_flow(self, scheme):
         threshold = scheme.constants.service.vote_punish_threshold
@@ -90,7 +130,8 @@ class TestReputationIncentiveScheme:
         assert scheme.may_vote().all()
 
     def test_vote_weights_normalized(self, scheme):
-        w = scheme.vote_weights(np.array([0, 1, 2]))
+        rep = scheme.reputation_e()[[0, 1, 2]]
+        w = KERNELS.grouped_shares(np.zeros(3, dtype=np.int64), rep, 1)
         assert w.sum() == pytest.approx(1.0)
 
 
@@ -109,14 +150,14 @@ class TestNoIncentiveScheme:
         assert s.may_edit().all()
         assert s.may_vote().all()
 
-    def test_simple_majority(self):
-        s = NoIncentiveScheme(4)
-        assert s.accept_majority(0) == 0.5
+    def test_simple_majority(self, no_incentive_edits):
+        assert {ev.required_majority for ev in no_incentive_edits} == {0.5}
 
-    def test_unweighted_votes(self):
-        s = NoIncentiveScheme(4)
-        w = s.vote_weights(np.array([0, 1]))
-        assert w == pytest.approx([0.5, 0.5])
+    def test_unweighted_votes(self, no_incentive_edits):
+        """Each vote weighs 1 / n_voters, so the for-weight counts votes."""
+        for ev in no_incentive_edits:
+            votes_for = ev.for_weight * ev.n_voters
+            assert votes_for == pytest.approx(round(votes_for), abs=1e-9)
 
     def test_punishments_are_noops(self):
         s = NoIncentiveScheme(4)

@@ -1,4 +1,10 @@
-"""Tests for service differentiation (bandwidth, voting, editing)."""
+"""Tests for service differentiation (bandwidth, voting, editing).
+
+Bandwidth and vote shares are the engine's ``grouped_shares`` kernel,
+grouped by source or by proposal; the accept majority is
+``required_majority_values`` on the editor's band.  Both are exactly what
+the download and edit-vote phases call.
+"""
 
 import numpy as np
 import pytest
@@ -6,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import ReputationParams, ServiceParams
-from repro.core.service import (
-    allocate_by_reputation,
-    allocate_equal_split,
-    edit_eligibility,
-    required_majority,
-    voting_weights,
-)
+from repro.core.service import edit_eligibility, required_majority_values
+from repro.sim.backends import KERNELS
+
+
+def one_vote(voter_reputation):
+    """One edit's voter set: a single group of zeros."""
+    rep = np.asarray(voter_reputation, dtype=np.float64)
+    return KERNELS.grouped_shares(np.zeros(rep.shape, dtype=np.int64), rep, 1)
 
 
 class TestAllocateByReputation:
@@ -20,14 +27,14 @@ class TestAllocateByReputation:
         """B_i = R_i / sum_k R_k over downloaders of the same source."""
         sources = np.array([0, 0, 0])
         reps = np.array([0.2, 0.3, 0.5])
-        shares = allocate_by_reputation(sources, reps, n_sources=1)
+        shares = KERNELS.grouped_shares(sources, reps, 1)
         assert shares == pytest.approx([0.2, 0.3, 0.5])
 
     def test_shares_sum_to_one_per_source(self):
         rng = np.random.default_rng(0)
         sources = rng.integers(0, 5, size=40)
         reps = rng.uniform(0.05, 1.0, size=40)
-        shares = allocate_by_reputation(sources, reps, n_sources=5)
+        shares = KERNELS.grouped_shares(sources, reps, 5)
         for s in range(5):
             mask = sources == s
             if mask.any():
@@ -35,29 +42,29 @@ class TestAllocateByReputation:
 
     def test_higher_reputation_more_bandwidth(self):
         sources = np.array([0, 0])
-        shares = allocate_by_reputation(sources, np.array([0.05, 0.95]), 1)
+        shares = KERNELS.grouped_shares(sources, np.array([0.05, 0.95]), 1)
         assert shares[1] > shares[0]
         assert shares[1] / shares[0] == pytest.approx(19.0)
 
     def test_sole_downloader_gets_everything(self):
-        shares = allocate_by_reputation(np.array([3]), np.array([0.05]), 5)
+        shares = KERNELS.grouped_shares(np.array([3]), np.array([0.05]), 5)
         assert shares[0] == pytest.approx(1.0)
 
     def test_zero_reputation_group_falls_back_to_equal(self):
-        shares = allocate_by_reputation(np.array([0, 0]), np.array([0.0, 0.0]), 1)
+        shares = KERNELS.grouped_shares(np.array([0, 0]), np.array([0.0, 0.0]), 1)
         assert shares == pytest.approx([0.5, 0.5])
 
     def test_empty_requests(self):
-        shares = allocate_by_reputation(np.empty(0, np.int64), np.empty(0), 4)
+        shares = KERNELS.grouped_shares(np.empty(0, np.int64), np.empty(0), 4)
         assert shares.size == 0
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
-            allocate_by_reputation(np.array([0]), np.array([-0.1]), 1)
+            KERNELS.grouped_shares(np.array([0]), np.array([-0.1]), 1)
 
     def test_rejects_out_of_range_groups(self):
         with pytest.raises(ValueError):
-            allocate_by_reputation(np.array([5]), np.array([0.5]), 2)
+            KERNELS.grouped_shares(np.array([5]), np.array([0.5]), 2)
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=6))
     @settings(max_examples=50, deadline=None)
@@ -65,7 +72,7 @@ class TestAllocateByReputation:
         rng = np.random.default_rng(n_req * 100 + n_src)
         sources = rng.integers(0, n_src, size=n_req)
         reps = rng.uniform(0.05, 1.0, size=n_req)
-        shares = allocate_by_reputation(sources, reps, n_src)
+        shares = KERNELS.grouped_shares(sources, reps, n_src)
         totals = np.zeros(n_src)
         np.add.at(totals, sources, shares)
         occupied = np.bincount(sources, minlength=n_src) > 0
@@ -74,36 +81,38 @@ class TestAllocateByReputation:
 
 
 class TestAllocateEqualSplit:
+    """The no-incentive split: unit weights, grouped by source."""
+
     def test_equal_shares(self):
-        shares = allocate_equal_split(np.array([0, 0, 0, 1]), 2)
+        shares = KERNELS.grouped_shares(np.array([0, 0, 0, 1]), np.ones(4), 2)
         assert shares == pytest.approx([1 / 3, 1 / 3, 1 / 3, 1.0])
 
     def test_ignores_reputation_by_construction(self):
-        s1 = allocate_equal_split(np.array([0, 0]), 1)
+        s1 = KERNELS.grouped_shares(np.array([0, 0]), np.ones(2), 1)
         assert s1 == pytest.approx([0.5, 0.5])
 
 
 class TestVotingWeights:
     def test_paper_formula(self):
         """v_i = R_iE / sum_k R_kE."""
-        w = voting_weights(np.array([0.1, 0.3, 0.6]))
+        w = one_vote(np.array([0.1, 0.3, 0.6]))
         assert w == pytest.approx([0.1, 0.3, 0.6])
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(1)
-        w = voting_weights(rng.uniform(0.05, 1, 17))
+        w = one_vote(rng.uniform(0.05, 1, 17))
         assert w.sum() == pytest.approx(1.0)
 
     def test_empty_voters(self):
-        assert voting_weights(np.empty(0)).size == 0
+        assert one_vote(np.empty(0)).size == 0
 
     def test_all_zero_reputation_uniform(self):
-        w = voting_weights(np.zeros(4))
+        w = one_vote(np.zeros(4))
         assert w == pytest.approx([0.25] * 4)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            voting_weights(np.array([0.5, -0.1]))
+            one_vote(np.array([0.5, -0.1]))
 
 
 class TestRequiredMajority:
@@ -111,26 +120,35 @@ class TestRequiredMajority:
         self.service = ServiceParams(majority_min=0.5, majority_max=0.75)
         self.rep = ReputationParams()
 
+    def majority(self, editor_reputation):
+        return required_majority_values(
+            editor_reputation,
+            self.rep.r_min,
+            self.rep.r_max,
+            self.service.majority_min,
+            self.service.majority_max,
+        )
+
     def test_inverse_proportionality(self):
         """Higher editor reputation -> smaller required majority."""
-        lo = required_majority(0.05, self.service, self.rep)
-        hi = required_majority(1.0, self.service, self.rep)
+        lo = self.majority(0.05)
+        hi = self.majority(1.0)
         assert float(lo) == pytest.approx(0.75)
         assert float(hi) == pytest.approx(0.5)
 
     def test_monotone_decreasing(self):
         r = np.linspace(0.05, 1.0, 50)
-        m = required_majority(r, self.service, self.rep)
+        m = self.majority(r)
         assert np.all(np.diff(m) <= 1e-12)
 
     def test_clipped_outside_band(self):
-        assert float(required_majority(0.0, self.service, self.rep)) == pytest.approx(0.75)
-        assert float(required_majority(2.0, self.service, self.rep)) == pytest.approx(0.5)
+        assert float(self.majority(0.0)) == pytest.approx(0.75)
+        assert float(self.majority(2.0)) == pytest.approx(0.5)
 
     @given(st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_property_in_band(self, r):
-        m = float(required_majority(r, self.service, self.rep))
+        m = float(self.majority(r))
         assert 0.5 <= m <= 0.75
 
 

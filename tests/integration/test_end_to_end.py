@@ -1,4 +1,4 @@
-"""Cross-module integration tests: causality, punishment flow, trust stack."""
+"""Cross-module integration tests: causality, punishment flow, scale."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.agents.population import PopulationMix
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import CollaborationSimulation, run_simulation
-from repro.trust.eigentrust import eigentrust
-from repro.trust.local_trust import LocalTrustMatrix
 
 
 def cfg(**overrides) -> SimulationConfig:
@@ -80,30 +78,6 @@ class TestQualityProtection:
         sim = CollaborationSimulation(cfg(mix=PopulationMix(0.2, 0.2, 0.6)))
         sim.run()
         assert sim.articles.total_quality() < 0
-
-
-class TestTrustStackOnSimulationData:
-    def test_eigentrust_ranks_altruists_above_irrationals(self):
-        """Feed download outcomes into the trust substrate the paper
-        assumes, and check the propagated values agree with the oracle."""
-        config = cfg(mix=PopulationMix(0.0, 0.5, 0.5), collect_events=False)
-        sim = CollaborationSimulation(config)
-        sim.run()
-        # Build local trust from 'was the source offering bandwidth'.
-        lt = LocalTrustMatrix(config.n_agents)
-        rng = np.random.default_rng(0)
-        offered = sim.peers.offered_bandwidth
-        for _ in range(300):
-            i, j = rng.integers(0, config.n_agents, size=2)
-            if i == j:
-                continue
-            lt.record(
-                np.array([i]), np.array([j]), np.array([offered[j] > 0.0])
-            )
-        trust = eigentrust(lt.matrix()).trust
-        alt_mask = sim.peers.types == 1
-        irr_mask = sim.peers.types == 2
-        assert trust[alt_mask].mean() > trust[irr_mask].mean()
 
 
 class TestScaleVariations:

@@ -26,10 +26,10 @@ class TestFastExamples:
         assert "best response" in out
         assert "saturation" in out.lower()
 
-    def test_trust_propagation(self, capsys):
-        out = run_example("trust_propagation.py", capsys)
-        assert "EigenTrust" in out
-        assert "Max-flow" in out
+    def test_tft_vs_reputation(self, capsys):
+        out = run_example("tft_vs_reputation.py", capsys)
+        assert "ordered pairs with any direct history" in out
+        assert "shared-history reputation covers 100%" in out
 
     def test_experiment_store(self, capsys):
         out = run_example("experiment_store.py", capsys)

@@ -6,12 +6,13 @@ import pytest
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import (
     BatchedSimulation,
+    replicate_configs,
     run_replicates,
     run_simulation,
 )
 from repro.sim.rng import spawn_seeds
 from repro.sim.state import build_sim_state
-from repro.sim._sweep import replicate, run_sweep
+from repro.sim._sweep import run_sweep
 from repro.store._runstore import RunStore
 
 
@@ -46,7 +47,7 @@ class TestBuildState:
         assert state.articles.quality.shape == (tiny().n_articles,)
 
     def test_replicates_stack_flat(self):
-        cfgs = replicate(tiny(), 3)
+        cfgs = replicate_configs(tiny(), 3)
         state = build_sim_state(cfgs)
         assert state.n_replicates == 3
         assert state.peers.n == 36
@@ -73,7 +74,7 @@ class TestBuildState:
 
 class TestBatchedSimulation:
     def test_run_returns_one_result_per_replicate(self):
-        cfgs = replicate(tiny(), 3)
+        cfgs = replicate_configs(tiny(), 3)
         results = BatchedSimulation(cfgs).run()
         assert len(results) == 3
         assert [r.config.seed for r in results] == [c.seed for c in cfgs]
@@ -139,7 +140,7 @@ class TestRunReplicates:
 
 class TestSweepBatching:
     def test_batched_sweep_matches_sequential_sweep(self):
-        cfgs = replicate(tiny(), 3) + [tiny(seed=99, n_articles=5)]
+        cfgs = replicate_configs(tiny(), 3) + [tiny(seed=99, n_articles=5)]
         solo = [run_simulation(c) for c in cfgs]
         batched = run_sweep(cfgs, backend="serial")
         for a, b in zip(solo, batched):
@@ -148,7 +149,7 @@ class TestSweepBatching:
 
     def test_batched_sweep_persists_individually(self, tmp_path):
         store = RunStore(tmp_path / "rs")
-        cfgs = replicate(tiny(), 3)
+        cfgs = replicate_configs(tiny(), 3)
         run_sweep(cfgs, backend="serial", store=store)
         assert len(store) == 3
         # A later per-seed sweep is served entirely from cache.
@@ -161,7 +162,7 @@ class TestSweepBatching:
         assert all(r.events is not None for r in results)
 
     def test_thread_backend_batches(self):
-        cfgs = replicate(tiny(), 2) + replicate(tiny(seed=42, n_articles=5), 2)
+        cfgs = replicate_configs(tiny(), 2) + replicate_configs(tiny(seed=42, n_articles=5), 2)
         results = run_sweep(cfgs, backend="thread")
         assert len(results) == 4
         assert [r.config for r in results] == cfgs
@@ -182,6 +183,6 @@ class TestBehaviorRngModes:
 
 class TestWallTimeAmortization:
     def test_batched_wall_time_is_amortized(self):
-        results = BatchedSimulation(replicate(tiny(), 2)).run()
+        results = BatchedSimulation(replicate_configs(tiny(), 2)).run()
         assert results[0].wall_time_s == results[1].wall_time_s
         assert results[0].wall_time_s > 0.0

@@ -67,7 +67,7 @@ def trained_blob(cfg, steps=30):
 def run_with_planted(blob, cfg, tmp_path):
     """Plant ``blob`` as ``cfg``'s snapshot in a store; run the task."""
     store = RunStore(tmp_path / "store")
-    store.put_snapshot(snapshot_key([config_hash(cfg)]), blob)
+    store.snapshots.save(snapshot_key([config_hash(cfg)]), blob)
     task = ResumableTask([cfg], checkpoint_every=10, store_root=str(store.root))
     [result] = task.run()
     return task, result
@@ -80,7 +80,7 @@ class TestCheckpointStoreRoundTrip:
         store = RunStore(tmp_path / "store")
         with die_at_step(26), pytest.raises(SweepWorkerError):
             run_sweep([cfg], backend="serial", store=store, checkpoint_every=10)
-        assert store.snapshot_keys() == [snapshot_key([config_hash(cfg)])]
+        assert store.snapshots.keys() == [snapshot_key([config_hash(cfg)])]
         assert not store.contains(cfg)
 
         # 2. A sweep over [that config + a new one] resumes the first from
@@ -104,7 +104,7 @@ class TestCheckpointStoreRoundTrip:
         )
         assert resumed == [(9, True), (10, False)]
         assert_summaries_equal(results[0].summary, run_simulation(cfg).summary)
-        assert RunStore(tmp_path / "store").snapshot_keys() == []
+        assert RunStore(tmp_path / "store").snapshots.keys() == []
 
         # 3. Both landed in the store: a third sweep executes nothing.
         resumed.clear()

@@ -20,8 +20,8 @@ from repro.sim.lanes import (
     take,
 )
 import repro.sim._sweep as sweep_mod
-from repro.sim.engine import run_simulation
-from repro.sim._sweep import plan_lane_batches, replicate, run_sweep
+from repro.sim.engine import replicate_configs, run_simulation
+from repro.sim._sweep import plan_lane_batches, run_sweep
 from repro.store.hashing import config_hash
 from repro.store._runstore import RunStore
 
@@ -162,7 +162,7 @@ class TestLaneSweeps:
             assert same_summary(a.summary, b.summary)
 
     def test_lane_batch_subsumes_replicate_batching(self):
-        configs = replicate(tiny(), 3) + [tiny(seed=99, t_eval=0.5)]
+        configs = replicate_configs(tiny(), 3) + [tiny(seed=99, t_eval=0.5)]
         assert len(plan(configs)) == 1
         lane = run_sweep(configs, backend="serial")
         for a, b in zip((run_simulation(c) for c in configs), lane):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.sim.config import SimulationConfig
-from repro.sim._sweep import available_workers, replicate, run_sweep
+from repro.sim.engine import replicate_configs
+from repro.sim._sweep import available_workers, run_sweep
 
 
 def tiny(seed=0, **kw):
@@ -56,23 +57,23 @@ class TestRunSweep:
 
 class TestReplicate:
     def test_replicate_spawns_distinct_seeds(self):
-        configs = replicate(tiny(3), 4)
+        configs = replicate_configs(tiny(3), 4)
         seeds = [c.seed for c in configs]
         assert len(set(seeds)) == 4
 
     def test_replicate_deterministic(self):
-        a = [c.seed for c in replicate(tiny(3), 3)]
-        b = [c.seed for c in replicate(tiny(3), 3)]
+        a = [c.seed for c in replicate_configs(tiny(3), 3)]
+        b = [c.seed for c in replicate_configs(tiny(3), 3)]
         assert a == b
 
     def test_replicate_keeps_other_fields(self):
         cfg = tiny(3, incentives_enabled=False)
-        for c in replicate(cfg, 2):
+        for c in replicate_configs(cfg, 2):
             assert not c.incentives_enabled
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            replicate(tiny(), 0)
+            replicate_configs(tiny(), 0)
 
 
 def test_available_workers_positive():
