@@ -1,31 +1,10 @@
-"""Experiment drivers: one module per paper figure, plus ablations.
+"""Figure renderers: one module per paper figure, plus ablations.
+
+Each renders a scenario pack's results; ``runner.FIGURES`` maps every
+figure to its pack and runs them all as one deduplicated sweep.
 
 Regenerate from the command line::
 
     repro-experiments all --fast
     python -m repro.experiments fig3
 """
-
-from . import (  # noqa: F401  (re-exported for the runner)
-    ablations,
-    fig1_reputation,
-    fig2_boltzmann,
-    fig3_incentive_effect,
-    fig4_population_mix,
-    fig5_rational_stability,
-    fig6_edit_coin_flip,
-    fig7_majority_following,
-    scheme_comparison,
-)
-
-__all__ = [
-    "ablations",
-    "fig1_reputation",
-    "fig2_boltzmann",
-    "fig3_incentive_effect",
-    "fig4_population_mix",
-    "fig5_rational_stability",
-    "fig6_edit_coin_flip",
-    "fig7_majority_following",
-    "scheme_comparison",
-]

@@ -1,12 +1,12 @@
 """Ablations beyond the paper's figures (its future-work directions).
 
-* ``run_reputation_function_ablation`` — "future work will investigate new
-  and existing reputation functions in order to maximize sharing": sweeps
-  the logistic steepness beta and compares alternative function families
-  (linear / power / step) on the Figure-3 metric.
-* ``run_rmin_ablation`` — section III-A's R_min trade-off: "a high R_min
-  provides incentives for whitewashing the identity".  Sweeps R_min with a
-  whitewashing churn model switched on and reports sharing plus whitewash
+* ``render_reputation_function`` (``ablation/reputation-fn``) — "future
+  work will investigate new and existing reputation functions in order to
+  maximize sharing": the logistic steepness beta and alternative function
+  families (linear / power / step) on the Figure-3 metric.
+* ``render_rmin`` (``ablation/rmin``) — section III-A's R_min trade-off:
+  "a high R_min provides incentives for whitewashing the identity".  R_min
+  under a whitewashing churn model, reported as sharing plus whitewash
   pressure (how much reputation a peer loses by resetting its identity).
 """
 
@@ -15,129 +15,88 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.figures import FigureData
-from ..core.params import PaperConstants, ReputationParams, ServiceParams
-from ..sim.scenarios import base_config
-from ..sim._sweep import run_sweep
-from ._common import aggregate_metric, default_seeds
+from ..core.params import DEFAULT_CONSTANTS
+from ..sim.engine import SimulationResult
+from ._common import aggregate_metric, group_by
 
-__all__ = ["run_reputation_function_ablation", "run_rmin_ablation"]
+__all__ = ["render_reputation_function", "render_rmin"]
 
 
-def run_reputation_function_ablation(
-    fast: bool = False,
-    n_seeds: int = 2,
-    backend: str = "process",
-    workers: int | None = None,
-    betas: tuple[float, ...] = (0.1, 0.15, 0.2, 0.3),
-    families: tuple[str, ...] = ("logistic", "linear", "power", "step"),
-    **_: object,
+def render_reputation_function(
+    results: list[SimulationResult], n_seeds: int
 ) -> list[FigureData]:
-    seeds = default_seeds(n_seeds)
-    figs = []
+    """Both panels from the ``ablation/reputation-fn`` pack's results.
 
-    # Sweep the logistic steepness.
-    configs, labels = [], []
-    for beta in betas:
-        constants = PaperConstants().with_overrides(
-            reputation_s=ReputationParams(beta=beta)
-        )
-        for s in seeds:
-            configs.append(base_config(fast, constants=constants, seed=s))
-        labels.append(beta)
-    results = run_sweep(configs, backend=backend, workers=workers)
-    files_m, bw_m = [], []
-    for i, beta in enumerate(labels):
-        chunk = results[i * n_seeds : (i + 1) * n_seeds]
-        files_m.append(aggregate_metric(chunk, "shared_files")[0])
-        bw_m.append(aggregate_metric(chunk, "shared_bandwidth")[0])
-    figs.append(
+    The logistic configs at the default constants belong to both panels.
+    """
+    by_beta = group_by(
+        [r for r in results if r.config.reputation_fn_s == "logistic"],
+        lambda c: c.constants.reputation_s.beta,
+    )
+    by_family = group_by(
+        [r for r in results if r.config.constants == DEFAULT_CONSTANTS],
+        lambda c: c.reputation_fn_s,
+    )
+    families = list(by_family)
+    return [
         FigureData(
             name="ablation_beta",
             title="Sharing vs logistic steepness beta",
             x_label="beta",
             y_label="shared fraction",
-            x=np.asarray(labels, dtype=np.float64),
-            series={"articles": np.asarray(files_m), "bandwidth": np.asarray(bw_m)},
+            x=np.asarray(list(by_beta), dtype=np.float64),
+            series=_sharing_series(by_beta),
             meta={"n_seeds": n_seeds},
-        )
-    )
-
-    # Compare function families at the default operating point.
-    configs = []
-    for fam in families:
-        for s in seeds:
-            configs.append(base_config(fast, reputation_fn_s=fam, seed=s))
-    results = run_sweep(configs, backend=backend, workers=workers)
-    files_m, bw_m = [], []
-    for i, fam in enumerate(families):
-        chunk = results[i * n_seeds : (i + 1) * n_seeds]
-        files_m.append(aggregate_metric(chunk, "shared_files")[0])
-        bw_m.append(aggregate_metric(chunk, "shared_bandwidth")[0])
-    figs.append(
+        ),
         FigureData(
             name="ablation_family",
             title="Sharing vs reputation-function family",
             x_label="family_index",
             y_label="shared fraction",
             x=np.arange(len(families), dtype=np.float64),
-            series={"articles": np.asarray(files_m), "bandwidth": np.asarray(bw_m)},
+            series=_sharing_series(by_family),
             meta={"families": ",".join(families), "n_seeds": n_seeds},
             kind="bar",
-        )
+        ),
+    ]
+
+
+def render_rmin(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """The ``ablation/rmin`` pack's results as sharing and whitewash pressure."""
+    by_rmin = group_by(results, lambda c: c.constants.reputation_s.r_min)
+    series = _sharing_series(by_rmin)
+    # Whitewash pressure: the reputation a steady sharer forfeits by
+    # resetting to R_min.  High R_min => small loss => whitewashing
+    # is cheap (the paper's warning).
+    series["whitewash_loss"] = np.asarray(
+        [
+            aggregate_metric(chunk, "reputation_s_rational")[0] - r_min
+            for r_min, chunk in by_rmin.items()
+        ]
     )
-    return figs
-
-
-def run_rmin_ablation(
-    fast: bool = False,
-    n_seeds: int = 2,
-    backend: str = "process",
-    workers: int | None = None,
-    r_mins: tuple[float, ...] = (0.02, 0.05, 0.10, 0.20, 0.40),
-    whitewash_rate: float = 0.002,
-    **_: object,
-) -> list[FigureData]:
-    seeds = default_seeds(n_seeds)
-    configs = []
-    for r_min in r_mins:
-        theta = max(0.5 * (r_min + 1.0) * 0.2, r_min + 0.05)  # keep theta > r_min
-        constants = PaperConstants().with_overrides(
-            reputation_s=ReputationParams(r_min=r_min),
-            service=ServiceParams(edit_threshold=theta),
-        )
-        for s in seeds:
-            configs.append(
-                base_config(
-                    fast,
-                    constants=constants,
-                    whitewash_rate=whitewash_rate,
-                    seed=s,
-                )
-            )
-    results = run_sweep(configs, backend=backend, workers=workers)
-    files_m, bw_m, wash_loss = [], [], []
-    for i, r_min in enumerate(r_mins):
-        chunk = results[i * n_seeds : (i + 1) * n_seeds]
-        files_m.append(aggregate_metric(chunk, "shared_files")[0])
-        bw_m.append(aggregate_metric(chunk, "shared_bandwidth")[0])
-        # Whitewash pressure: the reputation a steady sharer forfeits by
-        # resetting to R_min.  High R_min => small loss => whitewashing
-        # is cheap (the paper's warning).
-        mean_rep = aggregate_metric(chunk, "reputation_s_rational")[0]
-        wash_loss.append(mean_rep - r_min)
-    figs = [
+    return [
         FigureData(
             name="ablation_rmin",
             title="Sharing and whitewash pressure vs R_min",
             x_label="r_min",
             y_label="value",
-            x=np.asarray(r_mins, dtype=np.float64),
-            series={
-                "articles": np.asarray(files_m),
-                "bandwidth": np.asarray(bw_m),
-                "whitewash_loss": np.asarray(wash_loss),
+            x=np.asarray(list(by_rmin), dtype=np.float64),
+            series=series,
+            meta={
+                "whitewash_rate": results[0].config.whitewash_rate,
+                "n_seeds": n_seeds,
             },
-            meta={"whitewash_rate": whitewash_rate, "n_seeds": n_seeds},
         )
     ]
-    return figs
+
+
+def _sharing_series(groups: dict) -> dict[str, np.ndarray]:
+    """Mean shared articles and bandwidth per group."""
+    return {
+        "articles": np.asarray(
+            [aggregate_metric(chunk, "shared_files")[0] for chunk in groups.values()]
+        ),
+        "bandwidth": np.asarray(
+            [aggregate_metric(chunk, "shared_bandwidth")[0] for chunk in groups.values()]
+        ),
+    }

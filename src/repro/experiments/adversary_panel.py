@@ -1,6 +1,6 @@
 """Adversary panel: every incentive scheme vs collusion and sybil attacks.
 
-Runs the ``adversary/shootout`` scenario pack — the four incentive
+Renders the ``adversary/shootout`` scenario pack — the four incentive
 schemes each facing (a) collusion rings (25% of peers in rings of 4
 that serve and upvote only each other) and (b) sybil attackers (20% of
 peers discarding their identity at rate 0.05) — and reports the sharing
@@ -18,35 +18,22 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.figures import FigureData
-from ..store.registry import expand_scenario
-from ..sim._sweep import run_sweep
-from ._common import aggregate_metric
+from ..sim.engine import SimulationResult
+from ._common import aggregate_metric, group_by
 
-__all__ = ["run", "SCHEMES", "ATTACKS"]
+__all__ = ["render", "SCHEMES", "ATTACKS"]
 
 SCHEMES = ("none", "tft", "karma", "reputation")
 ATTACKS = ("collusion", "sybil")
 
 
-def run(
-    fast: bool = False,
-    n_seeds: int = 3,
-    backend: str = "process",
-    workers: int | None = None,
-    **_: object,
-) -> list[FigureData]:
-    """Run the shootout grid and tabulate sharing per scheme x attack."""
-    configs = expand_scenario(
-        "adversary/shootout", fast=fast, n_seeds=n_seeds, schemes=SCHEMES
-    )
-    results = run_sweep(configs, backend=backend, workers=workers)
-
+def render(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """Tabulate the shootout's sharing per scheme x attack."""
     # Group by what each config actually enables, not by expansion order.
-    grouped: dict[tuple[str, str], list] = {}
-    for cfg, result in zip(configs, results):
-        attack = "collusion" if cfg.collusion_fraction > 0 else "sybil"
-        grouped.setdefault((cfg.scheme, attack), []).append(result)
-
+    grouped = group_by(
+        results,
+        lambda c: (c.scheme, "collusion" if c.collusion_fraction > 0 else "sybil"),
+    )
     series: dict[str, list[float]] = {a: [] for a in ATTACKS}
     errors: dict[str, list[float]] = {a: [] for a in ATTACKS}
     for scheme in SCHEMES:

@@ -11,25 +11,16 @@ import numpy as np
 
 from ..analysis.figures import FigureData
 from ..analysis.stats import relative_change, welch_t_test
-from ..sim.scenarios import fig3_configs
-from ..sim._sweep import run_sweep
-from ._common import aggregate_metric, default_seeds
+from ..sim.engine import SimulationResult
+from ._common import aggregate_metric, group_by
 
-__all__ = ["run"]
+__all__ = ["render"]
 
 
-def run(
-    fast: bool = False,
-    n_seeds: int = 3,
-    backend: str = "process",
-    workers: int | None = None,
-    **_: object,
-) -> list[FigureData]:
-    seeds = default_seeds(n_seeds)
-    with_cfgs, without_cfgs = fig3_configs(seeds, fast=fast)
-    results = run_sweep(with_cfgs + without_cfgs, backend=backend, workers=workers)
-    with_res = results[: len(with_cfgs)]
-    without_res = results[len(with_cfgs) :]
+def render(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """Figure 3 from the ``paper/fig3`` pack's results."""
+    grouped = group_by(results, lambda c: c.incentives_enabled)
+    with_res, without_res = grouped[True], grouped[False]
 
     rows = {}
     errs = {}

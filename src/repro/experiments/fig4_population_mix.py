@@ -11,10 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.figures import FigureData
-from ..sim.scenarios import mixture_configs
-from ._common import aggregate_metric, default_seeds, run_grid
+from ..sim.config import SimulationConfig
+from ..sim.engine import SimulationResult
+from ._common import aggregate_metric, group_by
 
-__all__ = ["run", "mixture_figure"]
+__all__ = ["render", "mixture_figures", "mixture_point"]
 
 
 #: (metric key for articles, metric key for bandwidth, title suffix)
@@ -28,96 +29,45 @@ FIGURE_METRICS = {
 }
 
 
-def mixture_figures(
-    which: tuple[str, ...],
-    fast: bool,
-    n_seeds: int,
-    backend: str,
-    workers: int | None,
-    percentages: list[int] | None = None,
-) -> list[FigureData]:
-    """Shared driver: Figures 4 and 5 differ only in the reported metric,
-    so one sweep regenerates any subset of them (``which``)."""
-    seeds = default_seeds(n_seeds)
-    # data[fig][store][vary] -> list of means over the percentage axis
-    data: dict[str, dict[str, dict[str, list[float]]]] = {}
-    err: dict[str, dict[str, dict[str, list[float]]]] = {}
-    pcts: list[int] = []
-    for vary in ("altruistic", "irrational"):
-        grid = mixture_configs(vary, seeds, fast=fast, percentages=percentages)
-        grouped = run_grid(grid, backend=backend, workers=workers)
-        pcts = [label for label, _ in grouped]
-        for fig_name in which:
-            metric_files, metric_bw, _ = FIGURE_METRICS[fig_name]
-            for metric, store in ((metric_files, "files"), (metric_bw, "bandwidth")):
-                means, hws = [], []
-                for _, res in grouped:
-                    m, hw = aggregate_metric(res, metric)
-                    means.append(m)
-                    hws.append(hw)
-                data.setdefault(fig_name, {}).setdefault(store, {})[vary] = means
-                err.setdefault(fig_name, {}).setdefault(store, {})[vary] = hws
+def mixture_point(cfg: SimulationConfig) -> tuple[str, int]:
+    """(varied type, its percentage) of a mixture-sweep config: the varied
+    type takes its share and the other two split the rest equally."""
+    mix = cfg.mix
+    vary = "altruistic" if mix.rational == mix.irrational else "irrational"
+    return vary, round(getattr(mix, vary) * 100)
 
-    x = np.asarray(pcts, dtype=np.float64)
+
+def mixture_figures(
+    fig_name: str, results: list[SimulationResult], n_seeds: int
+) -> list[FigureData]:
+    """Figures 4 and 5 differ only in the reported metric, so both render
+    from the ``paper/fig4`` pack's results."""
+    metric_files, metric_bw, suffix = FIGURE_METRICS[fig_name]
+    grouped = group_by(results, mixture_point)
+    x = np.asarray(list(dict.fromkeys(pct for _, pct in grouped)), dtype=np.float64)
     figs = []
-    for fig_name in which:
-        suffix = FIGURE_METRICS[fig_name][2]
-        for store, ylabel in (
-            ("files", "shared articles"),
-            ("bandwidth", "shared bandwidth"),
-        ):
-            figs.append(
-                FigureData(
-                    name=f"{fig_name}_{store}",
-                    title=f"{ylabel} {suffix} vs altruistic/irrational share",
-                    x_label="percentage of user type",
-                    y_label=ylabel,
-                    x=x,
-                    series={
-                        k: np.asarray(v) for k, v in data[fig_name][store].items()
-                    },
-                    errors={
-                        k: np.asarray(v) for k, v in err[fig_name][store].items()
-                    },
-                    meta={"n_seeds": n_seeds},
-                )
+    for metric, store, ylabel in (
+        (metric_files, "files", "shared articles"),
+        (metric_bw, "bandwidth", "shared bandwidth"),
+    ):
+        stats: dict[str, list[tuple[float, float]]] = {}
+        for (vary, _), res in grouped.items():
+            stats.setdefault(vary, []).append(aggregate_metric(res, metric))
+        figs.append(
+            FigureData(
+                name=f"{fig_name}_{store}",
+                title=f"{ylabel} {suffix} vs altruistic/irrational share",
+                x_label="percentage of user type",
+                y_label=ylabel,
+                x=x,
+                series={k: np.asarray([m for m, _ in v]) for k, v in stats.items()},
+                errors={k: np.asarray([hw for _, hw in v]) for k, v in stats.items()},
+                meta={"n_seeds": n_seeds},
             )
+        )
     return figs
 
 
-def run(
-    fast: bool = False,
-    n_seeds: int = 3,
-    backend: str = "process",
-    workers: int | None = None,
-    percentages: list[int] | None = None,
-    **_: object,
-) -> list[FigureData]:
-    return mixture_figures(
-        ("fig4",),
-        fast=fast,
-        n_seeds=n_seeds,
-        backend=backend,
-        workers=workers,
-        percentages=percentages,
-    )
-
-
-def run_fig4_and_fig5(
-    fast: bool = False,
-    n_seeds: int = 3,
-    backend: str = "process",
-    workers: int | None = None,
-    percentages: list[int] | None = None,
-    **_: object,
-) -> list[FigureData]:
-    """Regenerate Figures 4 and 5 from a single mixture sweep (the runner
-    uses this for ``all`` so the expensive sweep runs once)."""
-    return mixture_figures(
-        ("fig4", "fig5"),
-        fast=fast,
-        n_seeds=n_seeds,
-        backend=backend,
-        workers=workers,
-        percentages=percentages,
-    )
+def render(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """Figure 4 from the ``paper/fig4`` pack's results."""
+    return mixture_figures("fig4", results, n_seeds)

@@ -14,29 +14,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.figures import FigureData
-from ..sim.scenarios import fig6_configs
-from ._common import default_seeds, run_grid
+from ..sim.engine import SimulationResult
+from ._common import group_by
 
-__all__ = ["run"]
+__all__ = ["render"]
 
 
-def run(
-    fast: bool = False,
-    n_seeds: int = 5,
-    backend: str = "process",
-    workers: int | None = None,
-    percentages: list[int] | None = None,
-    **_: object,
-) -> list[FigureData]:
-    seeds = default_seeds(n_seeds)
-    grid = fig6_configs(seeds, fast=fast, percentages=percentages)
-    grouped = run_grid(grid, backend=backend, workers=workers)
-
+def render(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """Figure 6 from the ``paper/fig6`` pack's results."""
+    grouped = group_by(results, lambda c: round(c.mix.rational * 100))
     pcts, cons_mean, dest_mean, cons_std = [], [], [], []
     per_seed: dict[int, list[float]] = {}
-    for pct, results in grouped:
+    for pct, group in grouped.items():
         fracs = np.array(
-            [r.summary["edit_constructive_fraction_rational"] for r in results]
+            [r.summary["edit_constructive_fraction_rational"] for r in group]
         )
         fracs = fracs[~np.isnan(fracs)]
         pcts.append(pct)

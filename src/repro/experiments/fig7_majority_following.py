@@ -12,29 +12,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.figures import FigureData
-from ..sim.scenarios import mixture_configs
-from ._common import default_seeds, run_grid
+from ..sim.engine import SimulationResult
+from ._common import group_by
+from .fig4_population_mix import mixture_point
 
-__all__ = ["run"]
+__all__ = ["render"]
 
 
-def run(
-    fast: bool = False,
-    n_seeds: int = 3,
-    backend: str = "process",
-    workers: int | None = None,
-    percentages: list[int] | None = None,
-    **_: object,
-) -> list[FigureData]:
-    seeds = default_seeds(n_seeds)
+def render(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """Figure 7 from the ``paper/fig7`` pack's results."""
+    panels: dict[str, dict[int, list[SimulationResult]]] = {}
+    for (vary, pct), res in group_by(results, mixture_point).items():
+        panels.setdefault(vary, {})[pct] = res
     figs = []
-    for vary in ("altruistic", "irrational"):
-        grid = mixture_configs(vary, seeds, fast=fast, percentages=percentages)
-        grouped = run_grid(grid, backend=backend, workers=workers)
+    for vary, by_pct in panels.items():
         pcts, cons, dest, spread = [], [], [], []
-        for pct, results in grouped:
+        for pct, group in by_pct.items():
             fracs = np.array(
-                [r.summary["edit_constructive_fraction_rational"] for r in results]
+                [r.summary["edit_constructive_fraction_rational"] for r in group]
             )
             fracs = fracs[~np.isnan(fracs)]
             m = float(fracs.mean()) if fracs.size else float("nan")

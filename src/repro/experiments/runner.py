@@ -3,11 +3,15 @@
 Usage::
 
     repro-experiments fig3 --fast
-    repro-experiments all --out results/ --seeds 3 --backend process
-    python -m repro.experiments fig7 --fast --backend serial
+    repro-experiments all --out results/ --seeds 3 --executor process
+    python -m repro.experiments fig7 --fast --executor serial
 
-Each experiment prints an ASCII rendition of the figure and writes
-``<name>.csv`` + ``<name>.json`` under ``--out`` (default ``results/``).
+Every simulation-backed figure is a scenario pack plus a renderer over
+that pack's results (:data:`FIGURES`).  The runner expands the selected
+figures' packs, runs their distinct configs as one sweep, and renders
+each figure from that sweep's results; Figures 1 and 2 are analytic.
+Each figure prints an ASCII rendition and writes ``<name>.csv`` +
+``<name>.json`` under ``--out`` (default ``results/``).
 """
 
 from __future__ import annotations
@@ -15,8 +19,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
+from ..analysis.figures import FigureData
 from ..obs import Stopwatch, get_tracer
+from ..sim._sweep import run_sweep
+from ..sim.config import SimulationConfig
+from ..sim.engine import SimulationResult
+from ..store._runstore import RunStore
+from ..store.compose import resolve_scenario
+from ..store.hashing import config_hash
 
 from . import (
     ablations,
@@ -31,23 +43,41 @@ from . import (
     scheme_comparison,
 )
 
-EXPERIMENTS = {
-    "fig1": fig1_reputation.run,
-    "fig2": fig2_boltzmann.run,
-    "fig3": fig3_incentive_effect.run,
-    "fig4": fig4_population_mix.run,
-    "fig5": fig5_rational_stability.run,
-    # fig4+5 from one sweep; used by 'all' to avoid repeating the sweep.
-    "fig4+5": fig4_population_mix.run_fig4_and_fig5,
-    "fig6": fig6_edit_coin_flip.run,
-    "fig7": fig7_majority_following.run,
-    "ablation-repfunc": ablations.run_reputation_function_ablation,
-    "ablation-rmin": ablations.run_rmin_ablation,
-    "scheme-comparison": scheme_comparison.run,
-    "adversary-panel": adversary_panel.run,
+
+class Figure(NamedTuple):
+    """A simulation-backed figure: the pack it renders and how.
+
+    ``render(results, n_seeds)`` receives the results of the pack's
+    distinct configs, in expansion order.
+    """
+
+    pack: str
+    n_seeds: int
+    render: Callable[[list[SimulationResult], int], list[FigureData]]
+
+
+FIGURES = {
+    "fig3": Figure("paper/fig3", 3, fig3_incentive_effect.render),
+    "fig4": Figure("paper/fig4", 3, fig4_population_mix.render),
+    "fig5": Figure("paper/fig4", 3, fig5_rational_stability.render),
+    "fig6": Figure("paper/fig6", 5, fig6_edit_coin_flip.render),
+    "fig7": Figure("paper/fig7", 3, fig7_majority_following.render),
+    "ablation-repfunc": Figure(
+        "ablation/reputation-fn", 2, ablations.render_reputation_function
+    ),
+    "ablation-rmin": Figure("ablation/rmin", 2, ablations.render_rmin),
+    "scheme-comparison": Figure(
+        "base/default+schemes/all", 3, scheme_comparison.render
+    ),
+    "adversary-panel": Figure("adversary/shootout", 3, adversary_panel.render),
 }
 
-PAPER_FIGURES = ["fig1", "fig2", "fig3", "fig4+5", "fig6", "fig7"]
+#: Analytic figures: no simulation, rendered straight from the model.
+ANALYTIC = {"fig1": fig1_reputation.run, "fig2": fig2_boltzmann.run}
+
+EXPERIMENTS = [*ANALYTIC, *FIGURES]
+
+PAPER_FIGURES = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"]
 
 #: Added to ``all`` by ``--extras``: not part of the paper's figure set,
 #: so regenerating them by default would triple the runtime of ``all``.
@@ -72,10 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fast", action="store_true", help="reduced horizon")
     parser.add_argument("--seeds", type=int, default=None, help="seeds per point")
     parser.add_argument(
-        "--backend",
+        "--executor",
         choices=["serial", "thread", "process"],
         default="process",
-        help="sweep execution backend",
+        help="sweep executor",
     )
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", type=Path, default=Path("results"))
@@ -93,29 +123,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_experiment(name: str, args: argparse.Namespace, store=None) -> list:
-    kwargs = dict(fast=args.fast, backend=args.backend, workers=args.workers)
-    if args.seeds is not None:
-        kwargs["n_seeds"] = args.seeds
-    cache0 = (store.hits, store.misses) if store is not None else (0, 0)
-    # Timing via the obs layer: Stopwatch for the reported duration, plus
-    # an experiment/<name> span when an enabled tracer is ambient.
-    watch = Stopwatch()
-    with get_tracer().span(f"experiment/{name}"):
-        figs = EXPERIMENTS[name](**kwargs)
-    dt = watch.elapsed()
-    for fig in figs:
-        print(fig.render())
-        csv_path = fig.to_csv(args.out / f"{fig.name}.csv")
-        fig.to_json(args.out / f"{fig.name}.json")
-        print(f"-> wrote {csv_path}")
-    if store is not None:
-        print(
-            f"[{name}] cache: {store.hits - cache0[0]} hits / "
-            f"{store.misses - cache0[1]} misses"
+def run_figures(
+    names: list[str],
+    fast: bool = False,
+    n_seeds: int | None = None,
+    executor: str = "process",
+    workers: int | None = None,
+    store: Any = None,
+    **params: Any,
+) -> dict[str, list[FigureData]]:
+    """Render ``names`` from one sweep over their packs' distinct configs.
+
+    ``n_seeds`` defaults to each figure's own count; ``params`` reach
+    every pack's builder (e.g. ``percentages``), which ignores those it
+    does not take.
+    """
+    keyed = {
+        # {hash: config} keeps each distinct config once, in expansion order.
+        name: {
+            config_hash(c): c
+            for c in resolve_scenario(FIGURES[name].pack).expand(
+                fast=fast, n_seeds=n_seeds or FIGURES[name].n_seeds, **params
+            )
+        }
+        for name in names
+        if name in FIGURES
+    }
+    distinct: dict[str, SimulationConfig] = {}
+    for configs in keyed.values():
+        distinct.update(configs)
+    tracer = get_tracer()
+    with tracer.span("experiment/sweep"):
+        swept = run_sweep(
+            list(distinct.values()), backend=executor, workers=workers, store=store
         )
-    print(f"[{name}] done in {dt:.1f}s\n")
-    return figs
+    results = dict(zip(distinct, swept))
+    figures = {}
+    for name in names:
+        with tracer.span(f"experiment/{name}"):
+            if name in ANALYTIC:
+                figures[name] = ANALYTIC[name](fast=fast)
+            else:
+                figures[name] = FIGURES[name].render(
+                    [results[h] for h in keyed[name]], n_seeds or FIGURES[name].n_seeds
+                )
+    return figures
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,22 +176,25 @@ def main(argv: list[str] | None = None) -> int:
         names = PAPER_FIGURES + (EXTRA_EXPERIMENTS if args.extras else [])
     else:
         names = [args.experiment]
-    store = None
-    if args.store is not None:
-        # The experiment modules call run_sweep themselves, so the store
-        # is installed as the ambient default rather than threaded through
-        # every figure module's signature.
-        from ..sim._sweep import set_default_store
-        from ..store._runstore import RunStore
-
-        store = RunStore(args.store)
-        previous = set_default_store(store)
-    try:
-        for name in names:
-            run_experiment(name, args, store=store)
-    finally:
-        if store is not None:
-            set_default_store(previous)
+    store = RunStore(args.store) if args.store is not None else None
+    watch = Stopwatch()
+    figures = run_figures(
+        names,
+        fast=args.fast,
+        n_seeds=args.seeds,
+        executor=args.executor,
+        workers=args.workers,
+        store=store,
+    )
+    for figs in figures.values():
+        for fig in figs:
+            print(fig.render())
+            csv_path = fig.to_csv(args.out / f"{fig.name}.csv")
+            fig.to_json(args.out / f"{fig.name}.json")
+            print(f"-> wrote {csv_path}")
+    if store is not None:
+        print(f"cache: {store.hits} hits / {store.misses} misses")
+    print(f"[{', '.join(names)}] done in {watch.elapsed():.1f}s")
     return 0
 
 

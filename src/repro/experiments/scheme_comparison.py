@@ -1,6 +1,6 @@
 """Scheme bake-off: the paper's scheme vs its related-work categories.
 
-Runs the all-rational Figure-3 workload under four schemes — no
+Renders the all-rational Figure-3 workload under four schemes — no
 incentives, tit-for-tat (private history, section II-B2), karma
 (trade-based, section II-B1) and the paper's shared-history reputation
 scheme — and reports the sharing levels each one sustains.
@@ -17,33 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis.figures import FigureData
-from ..sim.scenarios import base_config
-from ..sim._sweep import run_sweep
-from ._common import aggregate_metric, default_seeds
+from ..sim.engine import SimulationResult
+from ._common import aggregate_metric, group_by
 
-__all__ = ["run", "SCHEMES"]
-
-SCHEMES = ("none", "tft", "karma", "reputation")
+__all__ = ["render"]
 
 
-def run(
-    fast: bool = False,
-    n_seeds: int = 3,
-    backend: str = "process",
-    workers: int | None = None,
-    **_: object,
-) -> list[FigureData]:
-    seeds = default_seeds(n_seeds)
-    configs = [
-        base_config(fast, scheme=scheme, seed=s)
-        for scheme in SCHEMES
-        for s in seeds
-    ]
-    results = run_sweep(configs, backend=backend, workers=workers)
-
+def render(results: list[SimulationResult], n_seeds: int) -> list[FigureData]:
+    """The ``base/default+schemes/all`` composition's results, per scheme."""
+    by_scheme = group_by(results, lambda c: c.scheme)
+    schemes = list(by_scheme)
     files_m, files_e, bw_m, bw_e = [], [], [], []
-    for i, scheme in enumerate(SCHEMES):
-        chunk = results[i * n_seeds : (i + 1) * n_seeds]
+    for chunk in by_scheme.values():
         fm, fh = aggregate_metric(chunk, "shared_files")
         bm, bh = aggregate_metric(chunk, "shared_bandwidth")
         files_m.append(fm)
@@ -56,10 +41,10 @@ def run(
         title="Sharing sustained per incentive scheme (rational peers)",
         x_label="scheme_index",
         y_label="shared fraction",
-        x=np.arange(len(SCHEMES), dtype=np.float64),
+        x=np.arange(len(schemes), dtype=np.float64),
         series={"articles": np.asarray(files_m), "bandwidth": np.asarray(bw_m)},
         errors={"articles": np.asarray(files_e), "bandwidth": np.asarray(bw_e)},
-        meta={"schemes": ",".join(SCHEMES), "n_seeds": n_seeds},
+        meta={"schemes": ",".join(schemes), "n_seeds": n_seeds},
         kind="bar",
     )
     return [fig]

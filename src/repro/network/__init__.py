@@ -2,24 +2,16 @@
 
 from .articles import ArticleStore
 from .bandwidth import DownloadRequests
-from .events import (
-    DownloadEvent,
-    EditEvent,
-    EventLog,
-    PunishmentEvent,
-    VoteEvent,
-)
+from .events import EditEvent, EventLog, PunishmentEvent
 from .overlay import ChurnEvent, ChurnModel, OverlayNetwork
 from .peer import ALTRUISTIC, IRRATIONAL, RATIONAL, TYPE_NAMES, PeerArrays
 
 __all__ = [
     "ArticleStore",
     "DownloadRequests",
-    "DownloadEvent",
     "EditEvent",
     "EventLog",
     "PunishmentEvent",
-    "VoteEvent",
     "ChurnEvent",
     "ChurnModel",
     "OverlayNetwork",

@@ -1,32 +1,17 @@
 """Structured event records for analysis and debugging.
 
-The engine can optionally log per-step events (downloads, edits, votes,
-punishments) into an :class:`EventLog`.  Logging is off by default — the
-hot path never pays for it — but the integration tests and the examples
-use it to assert on causality (e.g. "the punished editor had N declined
-edits first").
+The engine can optionally log per-step edits and punishments into an
+:class:`EventLog` (``SimulationConfig.collect_events``).  Logging is off
+by default — the hot path never pays for it — but the integration tests
+and the examples use it to assert on causality (e.g. "the punished
+editor had N declined edits first").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
-__all__ = [
-    "DownloadEvent",
-    "EditEvent",
-    "VoteEvent",
-    "PunishmentEvent",
-    "EventLog",
-]
-
-
-@dataclass(frozen=True)
-class DownloadEvent:
-    step: int
-    downloader_id: int
-    source_id: int
-    amount: float
+__all__ = ["EditEvent", "PunishmentEvent", "EventLog"]
 
 
 @dataclass(frozen=True)
@@ -42,16 +27,6 @@ class EditEvent:
 
 
 @dataclass(frozen=True)
-class VoteEvent:
-    step: int
-    article_id: int
-    voter_id: int
-    vote_for: bool
-    successful: bool
-    weight: float
-
-
-@dataclass(frozen=True)
 class PunishmentEvent:
     step: int
     peer_id: int
@@ -62,36 +37,14 @@ class PunishmentEvent:
 class EventLog:
     """Append-only store of simulation events."""
 
-    downloads: list[DownloadEvent] = field(default_factory=list)
     edits: list[EditEvent] = field(default_factory=list)
-    votes: list[VoteEvent] = field(default_factory=list)
     punishments: list[PunishmentEvent] = field(default_factory=list)
-
-    def record_download(self, event: DownloadEvent) -> None:
-        self.downloads.append(event)
 
     def record_edit(self, event: EditEvent) -> None:
         self.edits.append(event)
-
-    def record_vote(self, event: VoteEvent) -> None:
-        self.votes.append(event)
 
     def record_punishment(self, event: PunishmentEvent) -> None:
         self.punishments.append(event)
 
     def __len__(self) -> int:
-        return (
-            len(self.downloads) + len(self.edits) + len(self.votes) + len(self.punishments)
-        )
-
-    def edits_by(self, editor_id: int) -> Iterator[EditEvent]:
-        return (e for e in self.edits if e.editor_id == editor_id)
-
-    def votes_by(self, voter_id: int) -> Iterator[VoteEvent]:
-        return (v for v in self.votes if v.voter_id == voter_id)
-
-    def clear(self) -> None:
-        self.downloads.clear()
-        self.edits.clear()
-        self.votes.clear()
-        self.punishments.clear()
+        return len(self.edits) + len(self.punishments)

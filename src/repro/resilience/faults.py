@@ -4,9 +4,10 @@ The paper argues decentralized collaboration must survive unreliable
 participants; this module holds our own infrastructure to the same
 standard.  A :class:`FaultPlan` is a seeded, replayable schedule of
 failures at **named failure points** threaded through the store, the
-lease-based dispatcher, sweep workers and service compute units.  The
-same plan against the same workload fires the same faults in the same
-order — chaos tests are ordinary deterministic tests.
+lease-based dispatcher and sweep workers (a service compute unit fails
+through its sweep's ``sweep/compute``).  The same plan against the same
+workload fires the same faults in the same order — chaos tests are
+ordinary deterministic tests.
 
 Failure-point registry (the ``site`` names call sites use):
 
@@ -27,7 +28,6 @@ site                      where it fires
                           (``key`` = the config hash — use ``match`` to
                           poison one config)
 ``sweep/step``            per protocol step inside a resumable task
-``service/compute``       before a service compute unit executes
 ========================  ====================================================
 
 Actions:

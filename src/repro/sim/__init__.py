@@ -17,10 +17,8 @@ from .scenarios import base_config, fig3_configs, fig6_configs, mixture_configs
 from ._sweep import (
     SweepWorkerError,
     available_workers,
-    get_default_store,
     plan_lane_batches,
     run_sweep,
-    set_default_store,
 )
 
 __all__ = [
@@ -48,6 +46,4 @@ __all__ = [
     "available_workers",
     "run_sweep",
     "SweepWorkerError",
-    "set_default_store",
-    "get_default_store",
 ]

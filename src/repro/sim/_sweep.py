@@ -28,14 +28,13 @@ Pools split the plan evenly across their workers (at most
 ``ceil(G / workers)`` lanes per task for a group of ``G``), so a grid
 keeps its fan-out; an explicit ``lane_width`` overrides that split.
 
-With a :class:`repro.store.RunStore` attached (``store=`` argument, or the
-ambient default installed via :func:`set_default_store`), a sweep becomes
-*incremental and resumable*: configs already in the store are served from
-cache without executing, duplicate configs within one grid execute once,
-and every freshly finished task is persisted the moment it completes — an
-interrupted sweep re-run against the same store only executes the missing
-configs.  Results are persisted and reported as tasks land, not after the
-whole grid.
+With a :class:`repro.store.RunStore` attached (``store=`` argument), a
+sweep becomes *incremental and resumable*: configs already in the store
+are served from cache without executing, duplicate configs within one
+grid execute once, and every freshly finished task is persisted the
+moment it completes — an interrupted sweep re-run against the same store
+only executes the missing configs.  Results are persisted and reported
+as tasks land, not after the whole grid.
 
 Failed tasks are settled by one rule, for local and dispatched sweeps
 alike: a failed multi-lane task splits into solo tasks, a failed solo
@@ -92,8 +91,6 @@ __all__ = [
     "SweepFailure",
     "SweepProgress",
     "last_sweep_failures",
-    "set_default_store",
-    "get_default_store",
     "plan_lane_batches",
     "default_lane_width",
     "DEFAULT_LANE_MEMORY_BUDGET",
@@ -107,11 +104,6 @@ __all__ = [
 #: stops is an unbounded lane count multiplying ``(N, N)`` tft history
 #: stacks into tens of gigabytes.
 DEFAULT_LANE_MEMORY_BUDGET = 2 << 30
-
-#: Ambient store used by sweeps that are not passed one explicitly; lets
-#: the experiment runner cache every figure sweep without threading a
-#: ``store=`` argument through each experiment module's signature.
-_DEFAULT_STORE: Any = None
 
 @dataclass(frozen=True)
 class SweepProgress:
@@ -246,19 +238,6 @@ class SweepWorkerError(RuntimeError):
             listed = ", ".join(h[:12] for h in self.task_hashes)
             message += f" (claimed task configs: {listed})"
         super().__init__(message)
-
-
-def set_default_store(store: Any) -> Any:
-    """Install the ambient run store; returns the previous one."""
-    global _DEFAULT_STORE
-    previous = _DEFAULT_STORE
-    _DEFAULT_STORE = store
-    return previous
-
-
-def get_default_store() -> Any:
-    """The ambient run store (``None`` unless one was installed)."""
-    return _DEFAULT_STORE
 
 
 def available_workers() -> int:
@@ -468,8 +447,8 @@ def run_sweep(
 ) -> list[SimulationResult]:
     """Run every config; results align with the input list.
 
-    ``store`` (or the ambient default) enables cache-skip and immediate
-    persistence; ``progress`` observes each completed slot.
+    ``store`` enables cache-skip and immediate persistence; ``progress``
+    observes each completed slot.
 
     The pending configs run as the tasks :func:`plan_lane_batches`
     plans: structurally compatible configs share one lane-batched
@@ -553,17 +532,15 @@ def run_sweep(
     if not configs:
         _SWEEP_FAILURES.value = []
         return []
-    store = store if store is not None else _DEFAULT_STORE
     if dispatch == "store" and store is None:
         raise ValueError(
-            "dispatch='store' needs a store: the store is the coordination "
-            "substrate (pass store= or install a default via set_default_store)"
+            "dispatch='store' needs a store (pass store=): the store is the "
+            "coordination substrate"
         )
     if quarantine and store is None:
         raise ValueError(
-            "on_error='quarantine' needs a store: quarantine artifacts "
-            "persist as errors/<config-hash>.json (pass store= or install "
-            "a default via set_default_store)"
+            "on_error='quarantine' needs a store (pass store=): quarantine "
+            "artifacts persist as errors/<config-hash>.json"
         )
     if checkpoint_every > 0 and store is None:
         raise ValueError(

@@ -300,9 +300,8 @@ def run_replicates(
     so the replicates run as one lane batch and seeds —
     ``SeedSequence`` children of ``root_seed``, default the config's
     seed — address the same cache entries as any
-    other sweep of them.  Like every sweep it uses ``store``, or the
-    ambient default store (:func:`repro.sim._sweep.set_default_store`)
-    when none is passed: cached replicates are served without
+    other sweep of them.  Like every sweep it caches into ``store``
+    when one is passed: cached replicates are served without
     executing, fresh ones are persisted individually the moment the
     batch finishes.
 

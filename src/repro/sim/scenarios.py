@@ -1,9 +1,9 @@
 """Canned configurations matching the paper's experiments.
 
-Each figure's experiment module asks this factory for its configs; the
-``fast`` flag shrinks the horizon for benchmarks and smoke tests while
-preserving the protocol (train at ``T = inf``, reset, evaluate at
-``T = 1``).
+The ``paper/`` scenario packs (:mod:`repro.store.registry`) build their
+grids from this factory; the ``fast`` flag shrinks the horizon for
+benchmarks and smoke tests while preserving the protocol (train at
+``T = inf``, reset, evaluate at ``T = 1``).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ __all__ = [
     "fig6_configs",
 ]
 
-#: Root seed of the figure grids: the ``repro-experiments`` figure modules
-#: and the ``paper/`` scenario packs both derive their run seeds from it,
-#: so both front-ends expand to the same config hashes and share store
-#: entries.
+#: Root seed of every scenario pack's run seeds; ``repro-experiments``
+#: renders its figures from those packs, so ``repro run paper/fig3`` and
+#: ``repro-experiments fig3`` share store entries.
 ROOT_SEED = 20080414  # IPDPS 2008 conference date
 
 #: Reduced horizon used by benchmarks / CI (protocol preserved).

@@ -2,11 +2,12 @@
 
 A *scenario pack* maps a name like ``"churn/whitewash"`` to a function
 that expands into a flat list of :class:`SimulationConfig` — the unit the
-sweep runner, the run store and the ``repro`` CLI all speak.  Packs cover
-the paper's simulation-backed figures (so ``repro run paper/fig3``
-regenerates the Figure 3 grid) plus the incentive-design grids the figure
-modules cannot express: churn storms, whitewashing pressure, sparse
-overlays, heterogeneous capacity and scheme shootouts.
+sweep runner, the run store and the ``repro`` CLI all speak.  Packs are
+the only source of the paper's simulation-backed figures and ablations
+(``repro-experiments`` renders ``paper/fig3`` as Figure 3, and ``repro
+run paper/fig3`` fills the same store entries) and also hold the
+incentive-design grids beyond them: churn storms, whitewashing pressure,
+sparse overlays, heterogeneous capacity and scheme shootouts.
 
 Every builder takes ``(fast, n_seeds, **params)`` and the pack applies an
 optional ``overrides`` dict (``SimulationConfig.with_`` keywords) to each
@@ -20,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..agents.population import PopulationMix
+from ..core.params import PaperConstants, ReputationParams, ServiceParams
 from ..sim.config import ScaleConfig, SimulationConfig
 from ..sim.rng import spawn_seeds
 from ..sim.scenarios import (
@@ -202,11 +204,64 @@ def _paper_fig7(
     percentages: list[int] | None = None,
     **_: Any,
 ) -> list[SimulationConfig]:
+    return _paper_fig4(fast, n_seeds, percentages)
+
+
+# ----------------------------------------------------------------------
+# Ablation packs: the paper's future-work directions
+# ----------------------------------------------------------------------
+@register_scenario(
+    "ablation/reputation-fn",
+    "Reputation-function ablation: logistic steepness beta, then function families.",
+    tags=("ablation",),
+)
+def _ablation_reputation_fn(
+    fast: bool,
+    n_seeds: int,
+    betas: tuple[float, ...] = (0.1, 0.15, 0.2, 0.3),
+    families: tuple[str, ...] = ("logistic", "linear", "power", "step"),
+    **_: Any,
+) -> list[SimulationConfig]:
     seeds = _seeds(n_seeds)
+    steepness = [
+        base_config(
+            fast,
+            constants=PaperConstants().with_overrides(
+                reputation_s=ReputationParams(beta=beta)
+            ),
+            seed=s,
+        )
+        for beta in betas
+        for s in seeds
+    ]
+    return steepness + [
+        base_config(fast, reputation_fn_s=fam, seed=s) for fam in families for s in seeds
+    ]
+
+
+@register_scenario(
+    "ablation/rmin",
+    "R_min ablation under whitewashing: a high R_min makes identity resets cheap.",
+    tags=("ablation", "churn"),
+)
+def _ablation_rmin(
+    fast: bool,
+    n_seeds: int,
+    r_mins: tuple[float, ...] = (0.02, 0.05, 0.10, 0.20, 0.40),
+    whitewash_rate: float = 0.002,
+    **_: Any,
+) -> list[SimulationConfig]:
     out: list[SimulationConfig] = []
-    for vary in ("altruistic", "irrational"):
-        for _pct, cfgs in mixture_configs(vary, seeds, fast=fast, percentages=percentages):
-            out.extend(cfgs)
+    for r_min in r_mins:
+        theta = max(0.5 * (r_min + 1.0) * 0.2, r_min + 0.05)  # keep theta > r_min
+        constants = PaperConstants().with_overrides(
+            reputation_s=ReputationParams(r_min=r_min),
+            service=ServiceParams(edit_threshold=theta),
+        )
+        out.extend(
+            base_config(fast, constants=constants, whitewash_rate=whitewash_rate, seed=s)
+            for s in _seeds(n_seeds)
+        )
     return out
 
 

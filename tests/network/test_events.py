@@ -1,12 +1,6 @@
 """Tests for the event log."""
 
-from repro.network.events import (
-    DownloadEvent,
-    EditEvent,
-    EventLog,
-    PunishmentEvent,
-    VoteEvent,
-)
+from repro.network.events import EditEvent, EventLog, PunishmentEvent
 
 
 def make_edit(step=0, editor=1, accepted=True):
@@ -25,27 +19,6 @@ def make_edit(step=0, editor=1, accepted=True):
 class TestEventLog:
     def test_record_and_len(self):
         log = EventLog()
-        log.record_download(DownloadEvent(0, 1, 2, 0.5))
         log.record_edit(make_edit())
-        log.record_vote(VoteEvent(0, 0, 3, True, True, 0.2))
         log.record_punishment(PunishmentEvent(0, 3, "vote_ban"))
-        assert len(log) == 4
-
-    def test_edits_by(self):
-        log = EventLog()
-        log.record_edit(make_edit(editor=1))
-        log.record_edit(make_edit(editor=2))
-        log.record_edit(make_edit(editor=1))
-        assert sum(1 for _ in log.edits_by(1)) == 2
-
-    def test_votes_by(self):
-        log = EventLog()
-        log.record_vote(VoteEvent(0, 0, 3, True, True, 0.2))
-        log.record_vote(VoteEvent(1, 0, 4, False, False, 0.1))
-        assert sum(1 for _ in log.votes_by(3)) == 1
-
-    def test_clear(self):
-        log = EventLog()
-        log.record_edit(make_edit())
-        log.clear()
-        assert len(log) == 0
+        assert len(log) == 2

@@ -1,10 +1,14 @@
 """FaultPlan mechanics: matching, scheduling, serialization, activation."""
 
+import ast
 import json
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.resilience import faults
 from repro.resilience import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -184,3 +188,35 @@ class TestFaultPointActions:
         assert clone.site == "sweep/compute"
         assert clone.spec_index == 2
         assert str(clone) == str(exc)
+
+
+class TestSiteRegistry:
+    """Both failure-point tables list exactly the sites the code fires."""
+
+    ROOT = Path(__file__).resolve().parents[2]
+
+    def fired_sites(self) -> set[str]:
+        """String literals passed to ``fault_point(`` under ``src/``."""
+        sites = set()
+        for path in (self.ROOT / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    == "fault_point"
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    sites.add(node.args[0].value)
+        return sites
+
+    def test_module_table_matches_fired_sites(self):
+        listed = set(re.findall(r"^``([\w/-]+)``", faults.__doc__, re.MULTILINE))
+        assert listed == self.fired_sites()
+
+    def test_resilience_doc_table_matches_fired_sites(self):
+        doc = (self.ROOT / "docs" / "RESILIENCE.md").read_text()
+        table = doc.split("### Failure points", 1)[1].split("\n\n")[1]
+        rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+        listed = {name for cell in rows for name in re.findall(r"`([\w/-]+)`", cell)}
+        assert listed == self.fired_sites()

@@ -113,9 +113,10 @@ class TestRunReplicates:
         with pytest.raises(ValueError):
             run_replicates(tiny(), 0)
 
-    def test_event_configs_fall_back_to_sequential(self):
+    def test_each_event_collecting_replicate_carries_its_log(self):
         results = run_replicates(tiny(collect_events=True), 2)
         assert all(r.events is not None for r in results)
+        assert results[0].events is not results[1].events
 
     def test_store_roundtrip(self, tmp_path):
         store = RunStore(tmp_path / "rs")
@@ -156,10 +157,11 @@ class TestSweepBatching:
         run_sweep(cfgs, backend="serial", store=store)
         assert store.hits == 3
 
-    def test_event_configs_stay_solo(self):
+    def test_each_event_collecting_config_carries_its_log(self):
         cfgs = [tiny(collect_events=True, seed=s) for s in (1, 2)]
         results = run_sweep(cfgs, backend="serial")
         assert all(r.events is not None for r in results)
+        assert results[0].events is not results[1].events
 
     def test_thread_backend_batches(self):
         cfgs = replicate_configs(tiny(), 2) + replicate_configs(tiny(seed=42, n_articles=5), 2)

@@ -6,12 +6,7 @@ from tests.conftest import assert_summaries_equal
 
 import repro.sim._sweep as sweep_mod
 from repro.sim.config import SimulationConfig
-from repro.sim._sweep import (
-    SweepWorkerError,
-    get_default_store,
-    run_sweep,
-    set_default_store,
-)
+from repro.sim._sweep import SweepWorkerError, run_sweep
 from repro.store.hashing import config_hash
 from repro.store._runstore import RunStore
 
@@ -173,33 +168,6 @@ class TestProgressCallback:
             progress=lambda *args: events.append(args),
         )
         assert len(events) == 1
-
-
-class TestDefaultStore:
-    def test_ambient_store_used(self, tmp_path, monkeypatch):
-        store = RunStore(tmp_path)
-        previous = set_default_store(store)
-        try:
-            assert get_default_store() is store
-            run_sweep([tiny(1)], backend="serial")
-            assert store.stats["stored"] == 1
-
-            calls = counting_worker(monkeypatch)
-            run_sweep([tiny(1)], backend="serial")
-            assert calls == []
-        finally:
-            set_default_store(previous)
-
-    def test_explicit_store_wins_over_ambient(self, tmp_path):
-        ambient = RunStore(tmp_path / "ambient")
-        explicit = RunStore(tmp_path / "explicit")
-        previous = set_default_store(ambient)
-        try:
-            run_sweep([tiny(1)], backend="serial", store=explicit)
-        finally:
-            set_default_store(previous)
-        assert explicit.stats["stored"] == 1
-        assert ambient.stats["stored"] == 0
 
 
 class TestWorkerFailure:

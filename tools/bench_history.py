@@ -20,7 +20,10 @@ Two modes:
     machine fingerprint (arch, cpu count, python major.minor) differs
     from the baseline's the gate downgrades to warnings — reseed the
     baseline on the new machine class, or pass ``--strict`` to enforce
-    anyway.
+    anyway.  A failing bench does not hide the others: pytest-benchmark
+    still writes the medians of the benches that ran, so the report
+    covers them all before the failed run makes the exit non-zero.
+    Seeding refuses to write a baseline from a failed run.
 
 No third-party dependencies beyond the test stack the repo already uses.
 """
@@ -46,19 +49,22 @@ BASELINE = REPO_ROOT / "BENCH_engine.json"
 KERNEL_BENCH_FILE = "benchmarks/test_bench_kernels.py"
 ENGINE_BENCH_FILE = "benchmarks/test_bench_engine.py"
 SWEEP_BENCH_FILE = "benchmarks/test_bench_sweep.py"
+BENCH_FILES = (KERNEL_BENCH_FILE, ENGINE_BENCH_FILE, SWEEP_BENCH_FILE)
 
 
-def run_benches(extra_args: list[str] | None = None) -> dict:
-    """Execute the benches and return pytest-benchmark's JSON payload."""
+def run_benches(extra_args: list[str] | None = None) -> tuple[dict, int]:
+    """Execute the benches: pytest-benchmark's JSON payload and the exit code.
+
+    The payload holds every bench that produced a median, failed ones
+    included; it is empty when pytest wrote none (say, a collection error).
+    """
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         json_path = Path(tmp.name)
     cmd = [
         sys.executable,
         "-m",
         "pytest",
-        KERNEL_BENCH_FILE,
-        ENGINE_BENCH_FILE,
-        SWEEP_BENCH_FILE,
+        *BENCH_FILES,
         "-q",
         f"--benchmark-json={json_path}",
         *(extra_args or []),
@@ -67,12 +73,15 @@ def run_benches(extra_args: list[str] | None = None) -> dict:
     # more than PATH to start) and only pin PYTHONPATH at the repo's src.
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     proc = subprocess.run(cmd, cwd=REPO_ROOT, env=env)
-    if proc.returncode != 0:
-        raise SystemExit(f"bench run failed with exit code {proc.returncode}")
     try:
-        return json.loads(json_path.read_text())
+        text = json_path.read_text()
     finally:
         json_path.unlink(missing_ok=True)
+    return (json.loads(text) if text else {"benchmarks": []}), proc.returncode
+
+
+def _failed_run(returncode: int) -> str:
+    return f"bench run failed with exit code {returncode}: pytest {' '.join(BENCH_FILES)}"
 
 
 def distill(payload: dict) -> dict:
@@ -109,7 +118,10 @@ def distill(payload: dict) -> dict:
 
 def seed(args: argparse.Namespace) -> int:
     """Run the benches and (re)write the committed baseline."""
-    baseline = distill(run_benches())
+    payload, returncode = run_benches()
+    if returncode != 0:
+        raise SystemExit(_failed_run(returncode) + "; baseline not written")
+    baseline = distill(payload)
     BASELINE.write_text(json.dumps(baseline, indent=2, sort_keys=True) + "\n")
     n = len(baseline["benchmarks"])
     print(f"wrote {BASELINE.name}: {n} bench medians")
@@ -140,7 +152,8 @@ def check(args: argparse.Namespace) -> int:
         raise SystemExit(f"no baseline at {BASELINE}; run without --check first")
     baseline_doc = json.loads(BASELINE.read_text())
     baseline = baseline_doc["benchmarks"]
-    fresh = distill(run_benches())
+    payload, returncode = run_benches()
+    fresh = distill(payload)
     if args.out:
         Path(args.out).write_text(
             json.dumps(fresh, indent=2, sort_keys=True) + "\n"
@@ -172,6 +185,9 @@ def check(args: argparse.Namespace) -> int:
         )
         if gated and ratio > args.max_regression:
             failures.append(f"{name}: {ratio:.2f}x > {args.max_regression}x")
+    for name in sorted(set(baseline) - set(fresh["benchmarks"])):
+        print(f"  MISSING  {name}: no fresh median")
+    status = 0
     if failures:
         stream = sys.stderr if enforce else sys.stdout
         label = "kernel bench regressions beyond the gate" + (
@@ -180,9 +196,13 @@ def check(args: argparse.Namespace) -> int:
         print(f"{label}:", file=stream)
         for line in failures:
             print(f"  {line}", file=stream)
-        return 1 if enforce else 0
-    print("no kernel bench regression beyond the gate")
-    return 0
+        status = 1 if enforce else 0
+    else:
+        print("no kernel bench regression beyond the gate")
+    if returncode != 0:
+        print(_failed_run(returncode), file=sys.stderr)
+        status = 1
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
