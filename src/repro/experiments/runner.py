@@ -138,16 +138,20 @@ def run_figures(
     every pack's builder (e.g. ``percentages``), which ignores those it
     does not take.
     """
+    seeds = {
+        name: FIGURES[name].n_seeds if n_seeds is None else n_seeds
+        for name in names
+        if name in FIGURES
+    }
     keyed = {
         # {hash: config} keeps each distinct config once, in expansion order.
         name: {
             config_hash(c): c
             for c in resolve_scenario(FIGURES[name].pack).expand(
-                fast=fast, n_seeds=n_seeds or FIGURES[name].n_seeds, **params
+                fast=fast, n_seeds=n, **params
             )
         }
-        for name in names
-        if name in FIGURES
+        for name, n in seeds.items()
     }
     distinct: dict[str, SimulationConfig] = {}
     for configs in keyed.values():
@@ -165,7 +169,7 @@ def run_figures(
                 figures[name] = ANALYTIC[name](fast=fast)
             else:
                 figures[name] = FIGURES[name].render(
-                    [results[h] for h in keyed[name]], n_seeds or FIGURES[name].n_seeds
+                    [results[h] for h in keyed[name]], seeds[name]
                 )
     return figures
 

@@ -119,6 +119,11 @@ class TestOneSweep:
         assert family.meta["families"] == "logistic,linear,power,step"
         assert family.series["articles"].tolist() == [0.2, 1.0, 2.0, 3.0]
 
+    def test_zero_seeds_rejected(self, recorded_sweeps):
+        with pytest.raises(ValueError, match="n_seeds must be >= 1"):
+            run_figures(["fig3"], n_seeds=0)
+        assert recorded_sweeps == []
+
     def test_rmin_axis(self, recorded_sweeps):
         (fig,) = run_figures(["ablation-rmin"], n_seeds=1)["ablation-rmin"]
         assert fig.x.tolist() == [0.02, 0.05, 0.1, 0.2, 0.4]
