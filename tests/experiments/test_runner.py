@@ -16,7 +16,6 @@ from repro.experiments.runner import (
 from repro.sim import scenarios
 from repro.sim._sweep import run_sweep
 from repro.sim.engine import SimulationResult
-from repro.sim.scenarios import base_config
 from repro.store._runstore import RunStore
 from repro.store.hashing import config_hash
 
@@ -152,5 +151,5 @@ class TestStoreIntegration:
         assert "cache: 2 hits / 0 misses" in capsys.readouterr().out
         # The store is passed to the runner's sweep only: a later sweep
         # without one leaves it untouched.
-        run_sweep([base_config(True, seed=1)], backend="serial")
+        run_sweep([scenarios.base_config(True, seed=1)], backend="serial")
         assert len(RunStore(tmp_path / "cache")) == 2
