@@ -15,7 +15,7 @@ def run_families():
     configs = [
         bench_config(reputation_fn_s=f, seed=23) for f in FAMILIES
     ]
-    results = run_sweep(configs, backend="process", workers=3)
+    results = run_sweep(configs, executor="process", workers=3)
     return {
         f: (r.summary["shared_files"], r.summary["shared_bandwidth"])
         for f, r in zip(FAMILIES, results)

@@ -18,7 +18,7 @@ def run_fig3():
         bench_config(incentives_enabled=False, seed=101),
         bench_config(incentives_enabled=False, seed=202),
     ]
-    return run_sweep(configs, backend="process", workers=4)
+    return run_sweep(configs, executor="process", workers=4)
 
 
 def test_fig3_incentive_effect(benchmark):

@@ -18,7 +18,7 @@ def run_fig4():
             bench_config(mix=mix, seed=7)
             for mix in mixture_sweep(vary, pcts)
         ]
-        results = run_sweep(configs, backend="process", workers=3)
+        results = run_sweep(configs, executor="process", workers=3)
         out[vary] = [r.summary["shared_files"] for r in results]
     return out
 

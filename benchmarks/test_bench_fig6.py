@@ -21,7 +21,7 @@ def run_fig6():
         bench_config(mix=mix, enforce_edit_threshold=False, seed=s)
         for s in (5, 17, 29)
     ]
-    results = run_sweep(configs, backend="process", workers=3)
+    results = run_sweep(configs, executor="process", workers=3)
     return np.array(
         [r.summary["edit_constructive_fraction_rational"] for r in results]
     )

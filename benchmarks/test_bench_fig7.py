@@ -28,7 +28,7 @@ def run_fig7():
         )
         for s in SEEDS
     ]
-    results = run_sweep(configs, backend="process", workers=4)
+    results = run_sweep(configs, executor="process", workers=4)
     fracs = [r.summary["edit_constructive_fraction_rational"] for r in results]
     k = len(SEEDS)
     return sum(fracs[:k]) / k, sum(fracs[k:]) / k

@@ -55,7 +55,7 @@ def _single_drain_wall(store_root) -> float:
     """Drain the grid alone through the dispatcher; returns drain wall."""
     run_sweep(
         sweep_grid(),
-        backend="serial",
+        executor="serial",
         store=RunStore(store_root),
         dispatch="store",
         lane_width=1,

@@ -31,14 +31,14 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as root:
         store = RunStore(root)
-        run_sweep(configs, backend="serial", store=store)
+        run_sweep(configs, executor="serial", store=store)
         print(f"\nfirst sweep:  {store.stats}")
 
         # Same grid, fresh store handle: everything is a cache hit, no
         # simulation executes.  An interrupted sweep resumes the same way,
         # executing only the configs whose results never hit the disk.
         store = RunStore(root)
-        run_sweep(configs, backend="serial", store=store)
+        run_sweep(configs, executor="serial", store=store)
         print(f"second sweep: {store.stats}")
 
         metrics = ("shared_files", "shared_bandwidth")

@@ -23,8 +23,8 @@ Subpackages
 ``repro.analysis``
     Statistics, series utilities, ASCII plots and figure containers.
 ``repro.experiments``
-    One driver per paper figure (1-7) plus future-work ablations; also a
-    CLI (``repro-experiments``).
+    One renderer per paper figure (1-7) plus future-work ablations, run
+    by ``repro figures``; not imported by ``import repro``.
 
 Quickstart
 ----------

@@ -1,8 +1,8 @@
 """FigureData: the uniform container every experiment produces.
 
 One figure = an x-axis, one or more named series (with optional CI
-half-widths), free-form metadata and a rendering hint.  The experiment
-runner renders it to the terminal and writes a CSV next to it, so each of
+half-widths), free-form metadata and a rendering hint.  ``repro figures``
+renders it to the terminal and writes a CSV next to it, so each of
 the paper's figures has a machine-readable regeneration artifact.
 """
 

@@ -73,7 +73,7 @@ def sweep(
                 DeprecationWarning,
                 stacklevel=2,
             )
-    return _run_sweep(configs, backend=executor, store=store, **kwargs)
+    return _run_sweep(configs, executor=executor, store=store, **kwargs)
 
 
 def compose(

@@ -3,8 +3,9 @@
 Each renders a scenario pack's results; ``runner.FIGURES`` maps every
 figure to its pack and runs them all as one deduplicated sweep.
 
-Regenerate from the command line::
+Regenerate from the command line (``repro`` imports this package only
+when ``figures`` runs)::
 
-    repro-experiments all --fast
-    python -m repro.experiments fig3
+    repro figures all --fast
+    python -m repro.store.cli figures fig3
 """

@@ -1,32 +1,25 @@
-"""CLI: regenerate any of the paper's figures (or the ablations).
-
-Usage::
-
-    repro-experiments fig3 --fast
-    repro-experiments all --out results/ --seeds 3 --executor process
-    python -m repro.experiments fig7 --fast --executor serial
+"""The paper's figures (and the ablations) as packs plus renderers.
 
 Every simulation-backed figure is a scenario pack plus a renderer over
-that pack's results (:data:`FIGURES`).  The runner expands the selected
-figures' packs, runs their distinct configs as one sweep, and renders
-each figure from that sweep's results; Figures 1 and 2 are analytic.
-Each figure prints an ASCII rendition and writes ``<name>.csv`` +
-``<name>.json`` under ``--out`` (default ``results/``).
+that pack's results (:data:`FIGURES`).  :func:`run_figures` expands the
+selected figures' packs, runs their distinct configs as one sweep, and
+renders each figure from that sweep's results; Figures 1 and 2 are
+analytic.  ``repro figures`` is the command-line front end::
+
+    repro figures fig3 --fast
+    repro figures all --extras --out results/ --seeds 3
+    python -m repro.store.cli figures fig7 --fast --executor serial
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from ..analysis.figures import FigureData
-from ..obs import Stopwatch, get_tracer
+from ..obs import get_tracer
 from ..sim._sweep import run_sweep
 from ..sim.config import SimulationConfig
 from ..sim.engine import SimulationResult
-from ..store._runstore import RunStore
 from ..store.compose import resolve_scenario
 from ..store.hashing import config_hash
 
@@ -89,55 +82,26 @@ EXTRA_EXPERIMENTS = [
 ]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate figures from Bocek et al. (IPDPS 2008).",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS) + ["all"],
-        help="which figure/ablation to regenerate ('all' = fig1..fig7)",
-    )
-    parser.add_argument("--fast", action="store_true", help="reduced horizon")
-    parser.add_argument("--seeds", type=int, default=None, help="seeds per point")
-    parser.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        default="process",
-        help="sweep executor",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument(
-        "--extras",
-        action="store_true",
-        help="with 'all': also run the ablations and the scheme comparison",
-    )
-    parser.add_argument(
-        "--store",
-        type=Path,
-        default=None,
-        help="cache sweeps in this run-store directory (skips cached configs)",
-    )
-    return parser
-
-
 def run_figures(
     names: list[str],
     fast: bool = False,
     n_seeds: int | None = None,
-    executor: str = "process",
-    workers: int | None = None,
-    store: Any = None,
+    expand: Callable[[str, int], list[SimulationConfig]] | None = None,
+    sweep: Callable[[list[SimulationConfig]], list[SimulationResult]] | None = None,
     **params: Any,
 ) -> dict[str, list[FigureData]]:
     """Render ``names`` from one sweep over their packs' distinct configs.
 
-    ``n_seeds`` defaults to each figure's own count; ``params`` reach
-    every pack's builder (e.g. ``percentages``), which ignores those it
-    does not take.
+    ``n_seeds`` defaults to each figure's own count.  ``expand(pack,
+    n_seeds)`` lists a pack's configs; by default the registry expands
+    it at ``fast``, passing ``params`` to every pack's builder (e.g.
+    ``percentages``), which ignores those it does not take.
+    ``sweep(configs)`` runs the distinct configs of every selected
+    figure at once (default: :func:`run_sweep` on its process pool).
     """
+    if expand is None:
+        def expand(pack: str, n: int) -> list[SimulationConfig]:
+            return resolve_scenario(pack).expand(fast=fast, n_seeds=n, **params)
     seeds = {
         name: FIGURES[name].n_seeds if n_seeds is None else n_seeds
         for name in names
@@ -145,12 +109,7 @@ def run_figures(
     }
     keyed = {
         # {hash: config} keeps each distinct config once, in expansion order.
-        name: {
-            config_hash(c): c
-            for c in resolve_scenario(FIGURES[name].pack).expand(
-                fast=fast, n_seeds=n, **params
-            )
-        }
+        name: {config_hash(c): c for c in expand(FIGURES[name].pack, n)}
         for name, n in seeds.items()
     }
     distinct: dict[str, SimulationConfig] = {}
@@ -158,9 +117,7 @@ def run_figures(
         distinct.update(configs)
     tracer = get_tracer()
     with tracer.span("experiment/sweep"):
-        swept = run_sweep(
-            list(distinct.values()), backend=executor, workers=workers, store=store
-        )
+        swept = (sweep or run_sweep)(list(distinct.values()))
     results = dict(zip(distinct, swept))
     figures = {}
     for name in names:
@@ -172,35 +129,3 @@ def run_figures(
                     [results[h] for h in keyed[name]], seeds[name]
                 )
     return figures
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.experiment == "all":
-        names = PAPER_FIGURES + (EXTRA_EXPERIMENTS if args.extras else [])
-    else:
-        names = [args.experiment]
-    store = RunStore(args.store) if args.store is not None else None
-    watch = Stopwatch()
-    figures = run_figures(
-        names,
-        fast=args.fast,
-        n_seeds=args.seeds,
-        executor=args.executor,
-        workers=args.workers,
-        store=store,
-    )
-    for figs in figures.values():
-        for fig in figs:
-            print(fig.render())
-            csv_path = fig.to_csv(args.out / f"{fig.name}.csv")
-            fig.to_json(args.out / f"{fig.name}.json")
-            print(f"-> wrote {csv_path}")
-    if store is not None:
-        print(f"cache: {store.hits} hits / {store.misses} misses")
-    print(f"[{', '.join(names)}] done in {watch.elapsed():.1f}s")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

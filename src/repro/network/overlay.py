@@ -8,7 +8,8 @@ restricts each peer's download sources to its sharing neighbours
 module builds those graphs and models churn (joins / leaves / whitewashing
 identity resets).
 
-Graphs are built with :mod:`networkx`; the adjacency is exported as index
+Graphs are built with :mod:`networkx`, imported only when an overlay is
+built (full-mesh runs never load it); the adjacency is exported as index
 arrays so hot code never touches networkx objects.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 __all__ = ["OverlayNetwork", "ChurnModel", "ChurnEvent"]
@@ -38,6 +38,8 @@ class OverlayNetwork:
         degree: int = 8,
         rewire_p: float = 0.1,
     ) -> None:
+        import networkx as nx
+
         if n_peers < 2:
             raise ValueError("need at least two peers")
         self.n_peers = int(n_peers)

@@ -447,7 +447,7 @@ class JobManager:
         """
         run_sweep(
             configs,
-            backend="serial",
+            executor="serial",
             store=self.store,
             progress=progress,
             dispatch=self.dispatch,

@@ -17,7 +17,7 @@ group is a one-lane batch — and an event-collecting lane logs its own
 events.  Batched == sequential holds lane for lane, so every result
 (and its per-config cache entry) is bit-identical to a solo run.
 
-The executor (``backend`` argument) runs the planned tasks:
+The executor (``executor`` argument) runs the planned tasks:
 
 * ``serial``  — one task after another in the calling thread;
 * ``thread``  — ``ThreadPoolExecutor``; NumPy releases the GIL in the big
@@ -90,7 +90,6 @@ __all__ = [
     "SweepWorkerError",
     "SweepFailure",
     "SweepProgress",
-    "last_sweep_failures",
     "plan_lane_batches",
     "default_lane_width",
     "DEFAULT_LANE_MEMORY_BUDGET",
@@ -165,7 +164,7 @@ class SweepFailure:
     when a cooperating dispatch peer quarantined a config this
     invocation never owned); ``attempts`` is how many executions were
     spent before giving up; ``traceback_text`` is the worker-side
-    traceback (remote text under ``backend="process"``).  The same
+    traceback (remote text under ``executor="process"``).  The same
     information persists as the store's ``errors/<config_hash>.json``
     artifact.
     """
@@ -178,24 +177,10 @@ class SweepFailure:
     traceback_text: str
 
 
-#: Failures of the calling thread's most recent quarantine-mode sweep —
-#: lets CLI/reporting code enumerate partial-result gaps without
-#: threading a callback through every call site.
-_SWEEP_FAILURES = threading.local()
-
 #: Per-(worker-)thread flags the most recent ``_task_worker`` call set;
 #: ``resumed`` tells an in-process dispatch coordinator that the task
 #: continued from a mid-run snapshot rather than step 0.
 _TASK_STATE = threading.local()
-
-
-def last_sweep_failures() -> list[SweepFailure]:
-    """Failures recorded by this thread's most recent ``run_sweep``.
-
-    Empty unless that sweep ran with ``on_error="quarantine"`` and at
-    least one config exhausted its retry budget.
-    """
-    return list(getattr(_SWEEP_FAILURES, "value", ()) or ())
 
 
 class SweepWorkerError(RuntimeError):
@@ -205,7 +190,7 @@ class SweepWorkerError(RuntimeError):
     ``config_hash`` (the store's content hash, so the failure can be
     correlated with cache state), ``traceback_text`` (the worker-side
     traceback — the *remote* text when the worker was a
-    ``backend="process"`` subprocess) and ``task_hashes`` (under
+    ``executor="process"`` subprocess) and ``task_hashes`` (under
     distributed dispatch, every config hash of the claimed task — so a
     failed task is attributable from any cooperating worker's logs,
     whichever lane actually raised).
@@ -368,7 +353,7 @@ def plan_lane_batches(
 
     ``lane_width`` caps the lanes per batch: a compatible group larger
     than the cap is chunked into consecutive batches of at most that
-    width.  Use it to keep process-backend parallelism (several chunks
+    width.  Use it to keep process-executor parallelism (several chunks
     fan out across workers) and to bound per-batch memory — the dense
     tft scheme's private-history stack is ``(R, N, N)``, so an unbounded
     1000-lane batch holds a thousand ``(N, N)`` matrices at once.  With
@@ -433,7 +418,7 @@ def plan_lane_batches(
 
 def run_sweep(
     configs: list[SimulationConfig],
-    backend: str = "process",
+    executor: str = "process",
     workers: int | None = None,
     store: Any = None,
     progress: ProgressCallback | None = None,
@@ -443,7 +428,6 @@ def run_sweep(
     on_error: str = "raise",
     checkpoint_every: int = 0,
     on_failure: Callable[[SweepFailure], None] | None = None,
-    compute_retry: Any = None,
 ) -> list[SimulationResult]:
     """Run every config; results align with the input list.
 
@@ -462,18 +446,14 @@ def run_sweep(
     historical behaviour): the first worker failure raises
     :class:`SweepWorkerError` and cancels remaining work.
     ``"quarantine"`` (requires a store): a failing config is retried up
-    to its budget (``compute_retry``, default
-    :data:`repro.resilience.DEFAULT_COMPUTE_RETRY` — two attempts), and
-    on exhaustion is *quarantined*: an ``errors/<hash>.json`` artifact
-    persists the error, remote traceback and fault context, the slot is
-    left ``None`` in the returned list, and the sweep keeps draining —
-    every healthy config still completes exactly once.  Failures are
-    enumerated via ``on_failure`` (one :class:`SweepFailure` per
-    quarantined config) and :func:`last_sweep_failures`; the progress
-    callback never fires for failed slots.  An explicit ``compute_retry``
-    (:class:`repro.resilience.RetryPolicy`) also engages retries under
-    ``on_error="raise"`` — the error only propagates once the budget is
-    exhausted.  Under either policy a failed multi-lane task is split
+    to :data:`repro.resilience.DEFAULT_COMPUTE_RETRY`'s budget (two
+    attempts), and on exhaustion is *quarantined*: an
+    ``errors/<hash>.json`` artifact persists the error, remote traceback
+    and fault context, the slot is left ``None`` in the returned list,
+    and the sweep keeps draining — every healthy config still completes
+    exactly once.  ``on_failure`` receives one :class:`SweepFailure` per
+    quarantined config; the progress callback never fires for failed
+    slots.  Under either policy a failed multi-lane task is split
     into solo tasks at once, its attempt counting as one for each lane:
     a poisonous config costs exactly its budget (but always gets one solo
     attempt), its healthy siblings land once, and a raised
@@ -497,14 +477,14 @@ def run_sweep(
     invocation computes only the tasks it wins — configs computed by
     peers are served from the store as they land.  Requires a store;
     parallelism comes from the cooperating *processes*, so claimed
-    tasks execute in-process and ``backend``/``workers`` only govern
+    tasks execute in-process and ``executor``/``workers`` only govern
     the non-dispatchable leftovers (event-collecting configs).  A
     raised :class:`SweepWorkerError` also lists the claimed task's
     config hashes (``task_hashes``), and the lease is released so peers
     need not wait out its expiry.
     ``lease_expiry_s`` tunes how long a crashed peer's claim survives
-    before survivors reclaim it.  ``dispatch=None`` (or ``"local"``)
-    keeps the classic single-invocation behaviour.
+    before survivors reclaim it.  ``dispatch=None`` keeps the classic
+    single-invocation behaviour.
 
     Example::
 
@@ -514,23 +494,22 @@ def run_sweep(
         ...                          founders_per_article=2,
         ...                          training_steps=5, eval_steps=5,
         ...                          seed=s) for s in (0, 1)]
-        >>> results = run_sweep(grid, backend="serial")
+        >>> results = run_sweep(grid, executor="serial")
         >>> [r.config.seed for r in results]
         [0, 1]
         >>> "shared_bandwidth" in results[0].summary
         True
     """
-    if backend not in ("serial", "thread", "process"):
-        raise ValueError(f"unknown backend {backend!r}; use serial|thread|process")
-    if dispatch not in (None, "local", "store"):
-        raise ValueError(f"unknown dispatch {dispatch!r}; use local|store")
+    if executor not in ("serial", "thread", "process"):
+        raise ValueError(f"unknown executor {executor!r}; use serial|thread|process")
+    if dispatch not in (None, "store"):
+        raise ValueError(f"unknown dispatch {dispatch!r}; use None or 'store'")
     if on_error not in ("raise", "quarantine"):
         raise ValueError(f"unknown on_error {on_error!r}; use raise|quarantine")
     if checkpoint_every < 0:
         raise ValueError("checkpoint_every must be >= 0 (0 disables snapshots)")
     quarantine = on_error == "quarantine"
     if not configs:
-        _SWEEP_FAILURES.value = []
         return []
     if dispatch == "store" and store is None:
         raise ValueError(
@@ -547,19 +526,14 @@ def run_sweep(
             "checkpoint_every needs a store: snapshots persist under the "
             "store's checkpoints/ directory"
         )
-    if compute_retry is not None or quarantine:
-        from ..resilience import DEFAULT_COMPUTE_RETRY
+    if quarantine:
+        from ..resilience import DEFAULT_COMPUTE_RETRY as retry_policy
 
-        retry_policy = (
-            compute_retry if compute_retry is not None else DEFAULT_COMPUTE_RETRY
-        )
         attempts_budget = max(1, int(retry_policy.max_attempts))
     else:
         retry_policy = None
         attempts_budget = 1
     snap_root = str(store.root) if checkpoint_every > 0 else None
-    failures: list[SweepFailure] = []
-    _SWEEP_FAILURES.value = failures
     tracer = get_tracer()
     n = len(configs)
     results: list[SimulationResult | None] = [None] * n
@@ -682,24 +656,24 @@ def run_sweep(
     def record_failure(
         cfg: SimulationConfig, index: int, exc: BaseException, attempts: int
     ) -> None:
-        """Quarantine ``cfg`` locally: artifact, counters, enumeration."""
+        """Quarantine ``cfg`` locally: artifact, counter, ``on_failure``."""
         h = quarantine_artifact(cfg, exc, attempts)
-        failure = SweepFailure(
-            index=index,
-            config=cfg,
-            config_hash=h,
-            attempts=attempts,
-            error=repr(exc),
-            traceback_text=_cause_traceback(exc),
-        )
-        failures.append(failure)
         if tracer.enabled:
             tracer.metrics.counter(
                 "resilience_quarantined_total",
                 "Configs settled by a quarantine artifact",
             ).inc()
         if on_failure is not None:
-            on_failure(failure)
+            on_failure(
+                SweepFailure(
+                    index=index,
+                    config=cfg,
+                    config_hash=h,
+                    attempts=attempts,
+                    error=repr(exc),
+                    traceback_text=_cause_traceback(exc),
+                )
+            )
 
     def drop_task_snapshot(
         task: list[tuple[SimulationConfig, list[int]]]
@@ -729,7 +703,7 @@ def run_sweep(
         """
         exec_s = sum(r.wall_time_s for r in task_results)
         tracer.record(
-            "sweep/task", exec_s, attrs={"backend": backend, "lanes": len(task)}
+            "sweep/task", exec_s, attrs={"executor": executor, "lanes": len(task)}
         )
         tracer.metrics.histogram(
             "sweep_task_seconds", "Per-task execution wall time"
@@ -741,7 +715,7 @@ def run_sweep(
 
     def drive(
         tasks: list[list[tuple[SimulationConfig, list[int]]]],
-        executor: Any,
+        pool: Any,
         width: int,
         land: Callable[[SimulationConfig, list[int], SimulationResult], None],
         fail: Callable[[SimulationConfig, int, BaseException, int], None],
@@ -766,12 +740,12 @@ def run_sweep(
         #: future -> (task, attempt, submit watch); at most ``width`` run
         #: at once, so a task's turnaround is its own, not the grid's.
         running: dict[Future, tuple[list, int, Stopwatch]] = {}
-        with executor:
+        with pool:
             try:
                 while queue or running:
                     while queue and len(running) < width:
                         task, attempt = queue.popleft()
-                        fut = executor.submit(
+                        fut = pool.submit(
                             _task_worker, [cfg for cfg, _ in task], snapshot
                         )
                         running[fut] = (task, attempt, Stopwatch())
@@ -886,27 +860,29 @@ def run_sweep(
                 return [landed.get(cfg) for cfg in task_configs]
 
             def on_failed(cfg: SimulationConfig, config_hash_: str) -> None:
-                """Enumerate a quarantined config — ours or a peer's.
+                """Report a quarantined config — ours or a peer's.
 
                 The drain fires this exactly once per failed config
                 (artifact already persisted, by us in ``run_claimed`` or
                 by a peer), so this is the single place dispatch-mode
-                failures are recorded; the artifact supplies the details
-                for configs a peer quarantined.  Slots stay ``None``.
+                failures reach ``on_failure``; the artifact supplies the
+                details for configs a peer quarantined.  Slots stay
+                ``None``.
                 """
                 indices = shared.pop(cfg, None)
+                if on_failure is None:
+                    return
                 payload = store.get_error(config_hash_) or {}
-                failure = SweepFailure(
-                    index=indices[0] if indices else -1,
-                    config=cfg,
-                    config_hash=config_hash_,
-                    attempts=int(payload.get("attempts", 0) or 0),
-                    error=str(payload.get("error", "")),
-                    traceback_text=str(payload.get("traceback", "")),
+                on_failure(
+                    SweepFailure(
+                        index=indices[0] if indices else -1,
+                        config=cfg,
+                        config_hash=config_hash_,
+                        attempts=int(payload.get("attempts", 0) or 0),
+                        error=str(payload.get("error", "")),
+                        traceback_text=str(payload.get("traceback", "")),
+                    )
                 )
-                failures.append(failure)
-                if on_failure is not None:
-                    on_failure(failure)
 
             def on_computed(
                 cfg: SimulationConfig, config_hash_: str, result: SimulationResult
@@ -939,7 +915,7 @@ def run_sweep(
             )
 
     if pending:
-        pooled = backend != "serial"
+        pooled = executor != "serial"
         if pooled:
             workers = max(1, workers if workers is not None else available_workers())
         tasks = plan_lane_batches(
@@ -947,17 +923,17 @@ def run_sweep(
         )
         width = min(workers, len(tasks)) if pooled else 1
         if width > 1:
-            pool_cls = ThreadPoolExecutor if backend == "thread" else ProcessPoolExecutor
-            executor: Any = pool_cls(max_workers=width)
+            pool_cls = ThreadPoolExecutor if executor == "thread" else ProcessPoolExecutor
+            pool: Any = pool_cls(max_workers=width)
             if tracer.enabled:
                 tracer.metrics.gauge(
                     "sweep_workers", "Worker-pool width of the last sweep"
                 ).set(width)
         else:
-            executor = _InlineExecutor()
-        drive(tasks, executor, width, complete, record_failure)
+            pool = _InlineExecutor()
+        drive(tasks, pool, width, complete, record_failure)
 
     # Every slot is filled — except, under on_error="quarantine", slots
-    # of quarantined configs, which stay None (enumerated in failures).
+    # of quarantined configs, which stay None (reported to on_failure).
     return results  # type: ignore[return-value]
 

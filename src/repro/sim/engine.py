@@ -320,6 +320,6 @@ def run_replicates(
 
     return run_sweep(
         replicate_configs(config, n_replicates, root_seed),
-        backend="serial",
+        executor="serial",
         store=store,
     )

@@ -3,7 +3,7 @@
 Every simulation run owns exactly one ``numpy.random.Generator`` derived
 from the run's seed through ``SeedSequence``, and parameter sweeps spawn
 *independent* child sequences per run — results are bit-identical no matter
-which backend (serial / threads / processes) executed the sweep or in what
+which executor (serial / threads / processes) ran the sweep or in what
 order the runs finished.
 """
 

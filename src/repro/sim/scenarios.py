@@ -20,9 +20,9 @@ __all__ = [
     "fig6_configs",
 ]
 
-#: Root seed of every scenario pack's run seeds; ``repro-experiments``
+#: Root seed of every scenario pack's run seeds; ``repro figures``
 #: renders its figures from those packs, so ``repro run paper/fig3`` and
-#: ``repro-experiments fig3`` share store entries.
+#: ``repro figures fig3`` share store entries.
 ROOT_SEED = 20080414  # IPDPS 2008 conference date
 
 #: Reduced horizon used by benchmarks / CI (protocol preserved).

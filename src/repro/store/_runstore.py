@@ -195,7 +195,7 @@ class RunStore:
     """Content-addressed store of :class:`SimulationResult` summaries.
 
     ``hits``/``misses`` count ``get`` outcomes since the store was opened;
-    the experiment runner prints them per experiment.  Example::
+    every executing ``repro`` command prints them after its sweep.  Example::
 
         >>> import tempfile
         >>> from repro.sim.config import SimulationConfig

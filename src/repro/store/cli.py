@@ -1,12 +1,13 @@
-"""Unified ``repro`` CLI: run scenarios, sweep grids, inspect the store.
+"""The ``repro`` command line: scenarios, figures, sweeps and the store.
 
-Layered over the experiment infrastructure rather than replacing it —
-``repro-experiments`` keeps regenerating the paper figures; this command
-drives the scenario registry and the content-addressed run store::
+One front door over the scenario registry and the content-addressed run
+store::
 
     repro scenarios                      # what can I run?
     repro run schemes/shootout --fast    # run a named pack, cached
     repro run paper/fig3 --seeds 5
+    repro figures fig3 fig4 --fast       # render paper figures, cached
+    repro figures all --extras --out results/
     repro sweep --set scheme=karma,tft --set n_agents=50,100
     repro sweep --set t_eval=0.5,1,2     # one vectorized lane batch
     repro sweep --set scheme=karma,tft --dispatch=store  # cooperative drain
@@ -21,11 +22,13 @@ drives the scenario registry and the content-addressed run store::
     repro report --metric shared_files   # aggregate table, no simulation
     repro stats                          # aggregate stored telemetry
 
-``run`` and ``sweep`` persist into ``--store`` (default ``./runstore``),
-so repeating a command is free and an interrupted grid resumes where it
-stopped.  ``ls``, ``report`` and ``stats`` only read the store.
-``trace`` executes one config under the :mod:`repro.obs` tracer and
-persists both the result and its ``telemetry/<hash>.json`` artifact.
+``run``, ``sweep``, ``chaos`` and ``figures`` share one execution path
+and one definition of each execution flag (:data:`_FLAGS`), and persist
+into ``--store`` (default ``./runstore``), so repeating a command is
+free and an interrupted grid resumes where it stopped.  ``ls``,
+``report`` and ``stats`` only read the store.  ``trace`` executes one
+config under the :mod:`repro.obs` tracer and persists both the result
+and its ``telemetry/<hash>.json`` artifact.
 """
 
 from __future__ import annotations
@@ -37,15 +40,16 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..analysis.report import aggregate_stored_runs, render_stored_table
 from ..sim.config import ScaleConfig, SimulationConfig
+from ..sim.engine import SimulationResult
 from ..sim.scenarios import base_config
-from ..sim._sweep import last_sweep_failures, run_sweep
+from ..sim._sweep import SweepFailure, run_sweep
 from .compose import iter_modifiers, resolve_scenario
 from .hashing import revive_floats, short_hash
-from .registry import iter_scenarios
+from .registry import ScenarioPack, iter_scenarios
 from ._runstore import RunStore, StoredRun
 
 __all__ = ["build_parser", "main"]
@@ -138,35 +142,62 @@ def _progress_printer(quiet: bool):
     return progress
 
 
-def _run_and_report(
+def _expand(
+    spec: str, args: argparse.Namespace, n_seeds: int | None = None
+) -> tuple[ScenarioPack, list[SimulationConfig]]:
+    """Resolve a pack or ``pack+modifier`` spec and expand it.
+
+    The one scenario expansion of ``run``, ``chaos``, ``profile``,
+    ``trace`` and ``figures``: ``--fast`` and the command's single-valued
+    ``--set`` overrides (if it takes any) apply to every config, and
+    ``n_seeds`` defaults to ``--seeds`` (3 when not given).  An unknown
+    name exits with the registry's message.
+    """
+    try:
+        pack = resolve_scenario(spec)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"error: {exc.args[0]}") from None
+    if n_seeds is None:
+        n_seeds = args.seeds if args.seeds is not None else _DEFAULT_SEEDS
+    overrides = _single_overrides(_parse_set(getattr(args, "set", None)))
+    configs = pack.expand(
+        fast=args.fast, n_seeds=n_seeds, overrides=overrides or None
+    )
+    return pack, configs
+
+
+def _execute(
     configs: list[SimulationConfig], args: argparse.Namespace
-) -> int:
-    if args.dispatch == "store" and args.no_store:
+) -> list[SimulationResult | None]:
+    """Run ``configs`` as one sweep under the command's execution flags.
+
+    The execution path of ``run``, ``sweep``, ``chaos`` and ``figures``:
+    prints the dispatch counters, every quarantined config and the
+    store's cache line.  A quarantined config's slot is ``None``.
+    """
+    if args.no_store and (
+        args.dispatch or args.on_error == "quarantine" or args.checkpoint_every
+    ):
         raise SystemExit(
-            "error: --dispatch=store needs the store (it is the "
-            "coordination substrate); drop --no-store"
-        )
-    on_error = getattr(args, "on_error", "raise")
-    checkpoint_every = getattr(args, "checkpoint_every", 0)
-    if args.no_store and (on_error == "quarantine" or checkpoint_every):
-        raise SystemExit(
-            "error: --on-error=quarantine and --checkpoint-every persist "
-            "artifacts into the store; drop --no-store"
+            "error: --dispatch=store, --on-error=quarantine and "
+            "--checkpoint-every keep their state in the store; drop --no-store"
         )
     store = None if args.no_store else RunStore(args.store)
+    failures: list[SweepFailure] = []
     results = run_sweep(
         configs,
-        backend=args.executor,
+        executor=args.executor,
         workers=args.workers,
         store=store,
         progress=_progress_printer(args.quiet),
         lane_width=args.lane_width,
         dispatch=args.dispatch,
         lease_expiry_s=args.lease_expiry,
-        on_error=on_error,
-        checkpoint_every=checkpoint_every,
+        on_error=args.on_error,
+        checkpoint_every=args.checkpoint_every,
+        on_failure=failures.append,
     )
-    if args.dispatch == "store" and not args.quiet:
+    if args.dispatch and not args.quiet:
         from .dispatch import last_dispatch_stats
 
         stats = last_dispatch_stats()
@@ -177,7 +208,6 @@ def _run_and_report(
                 f"{stats.reclaimed} reclaimed "
                 f"({stats.configs_per_sec:.2f} configs/s as {stats.owner})"
             )
-    failures = last_sweep_failures()
     if failures:
         print(f"quarantined {len(failures)} config(s):")
         for f in failures:
@@ -189,9 +219,6 @@ def _run_and_report(
             f"  (details in {args.store}/errors/<hash>.json; "
             f"list with: repro ls --errors --store {args.store})"
         )
-    records = [StoredRun.from_result(r) for r in results if r is not None]
-    metrics = tuple(args.metric or _DEFAULT_METRICS)
-    print(render_stored_table(aggregate_stored_runs(records, metrics), metrics))
     if store is not None:
         # The store was opened above with zeroed counters, so the session
         # totals are exactly this command's hits/misses.
@@ -199,6 +226,18 @@ def _run_and_report(
             f"cache: {store.hits} hits / {store.misses} misses "
             f"({len(store)} runs stored in {store.root})"
         )
+    return results
+
+
+def _run_and_report(
+    configs: list[SimulationConfig], args: argparse.Namespace
+) -> int:
+    """Execute ``configs`` and print the ``--metric`` table over them."""
+    records = [
+        StoredRun.from_result(r) for r in _execute(configs, args) if r is not None
+    ]
+    metrics = tuple(args.metric or _DEFAULT_METRICS)
+    print(render_stored_table(aggregate_stored_runs(records, metrics), metrics))
     return 0
 
 
@@ -237,19 +276,65 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Expand a pack or a ``pack+modifier`` spec and run it cached."""
-    try:
-        pack = resolve_scenario(args.scenario)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-    overrides = _single_overrides(_parse_set(args.set))
-    configs = pack.expand(
-        fast=args.fast,
-        n_seeds=args.seeds if args.seeds is not None else _DEFAULT_SEEDS,
-        overrides=overrides or None,
-    )
+    pack, configs = _expand(args.scenario, args)
     if not args.quiet:
         print(f"scenario {pack.name}: {len(configs)} configs")
     return _run_and_report(configs, args)
+
+
+def cmd_figures(args: argparse.Namespace) -> int:
+    """Regenerate the paper's figures (or the ablations) from one sweep.
+
+    Expands the selected figures' packs, runs their distinct configs as
+    one sweep through ``run``'s execution path (so a store makes a
+    re-run all cache hits), and renders each figure: an ASCII rendition
+    on stdout and ``<name>.csv`` + ``<name>.json`` under ``--out``.
+    Figures 1 and 2 are analytic and run nothing.
+    """
+    from ..experiments.runner import (
+        EXPERIMENTS,
+        EXTRA_EXPERIMENTS,
+        PAPER_FIGURES,
+        run_figures,
+    )
+    from ..obs import Stopwatch
+
+    unknown = sorted(set(args.names) - {"all", *EXPERIMENTS})
+    if unknown:
+        raise SystemExit(
+            f"error: unknown figure(s) {', '.join(unknown)}; choose from: "
+            f"all, {', '.join(sorted(EXPERIMENTS))}"
+        )
+    every = PAPER_FIGURES + (EXTRA_EXPERIMENTS if args.extras else [])
+    names = list(
+        dict.fromkeys(n for name in args.names for n in (every if name == "all" else [name]))
+    )
+
+    def sweep(configs: list[SimulationConfig]) -> list[SimulationResult]:
+        """Run the figures' distinct configs; a gap leaves nothing to render."""
+        if not args.quiet:
+            print(f"figures {', '.join(names)}: {len(configs)} distinct configs")
+        results = _execute(configs, args)
+        if any(r is None for r in results):
+            raise SystemExit("error: quarantined configs leave the figures incomplete")
+        return results
+
+    watch = Stopwatch()
+    figures = run_figures(
+        names,
+        fast=args.fast,
+        n_seeds=args.seeds,
+        expand=lambda pack, n_seeds: _expand(pack, args, n_seeds)[1],
+        sweep=sweep,
+    )
+    for figs in figures.values():
+        for fig in figs:
+            print(fig.render())
+            csv_path = fig.to_csv(args.out / f"{fig.name}.csv")
+            fig.to_json(args.out / f"{fig.name}.json")
+            print(f"-> wrote {csv_path}")
+    print(f"[{', '.join(names)}] done in {watch.elapsed():.1f}s")
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -324,9 +409,10 @@ def cmd_sweep_worker(args: argparse.Namespace) -> int:
         """Cooperatively drain one grid and book its stats."""
         if not args.quiet:
             print(f"draining grid {key} ({len(manifest.configs)} configs)")
+        failures: list[SweepFailure] = []
         run_sweep(
             manifest.configs,
-            backend="serial",
+            executor="serial",
             store=store,
             progress=_progress_printer(args.quiet),
             lane_width=manifest.lane_width,
@@ -334,8 +420,8 @@ def cmd_sweep_worker(args: argparse.Namespace) -> int:
             lease_expiry_s=args.lease_expiry,
             on_error=args.on_error,
             checkpoint_every=args.checkpoint_every,
+            on_failure=failures.append,
         )
-        failures = last_sweep_failures()
         if failures and not args.quiet:
             print(
                 f"grid {key[:12]}: {len(failures)} config(s) quarantined "
@@ -417,30 +503,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     a chaos failure debuggable.  Exits 0 when every config either
     completed or quarantined as scheduled.
     """
-    import os
-
     from ..resilience import FAULT_PLAN_ENV, FaultPlan, inject_faults
 
-    try:
-        pack = resolve_scenario(args.scenario)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
+    pack, configs = _expand(args.scenario, args)
     try:
         plan = FaultPlan.parse(args.plan)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise SystemExit(f"error: cannot load fault plan: {exc}") from None
-    overrides = _single_overrides(_parse_set(args.set))
-    configs = pack.expand(
-        fast=args.fast,
-        n_seeds=args.seeds if args.seeds is not None else _DEFAULT_SEEDS,
-        overrides=overrides or None,
-    )
     if not args.quiet:
         print(
             f"chaos {pack.name}: {len(configs)} configs under "
             f"{len(plan.specs)} fault spec(s) (seed {plan.seed})"
         )
-    # Subprocess workers (backend=process, dispatch peers) inherit the
+    # Subprocess workers (executor=process, dispatch peers) inherit the
     # schedule through the environment; this process uses the installed
     # plan so the fired log below reflects coordinator-side faults.
     previous_env = os.environ.get(FAULT_PLAN_ENV)
@@ -480,12 +555,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     functions by ``--sort``.  Never touches the store — a profiled run's
     timings would be meaningless to cache.
     """
-    try:
-        pack = resolve_scenario(args.scenario)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-    overrides = _single_overrides(_parse_set(args.set))
-    configs = pack.expand(fast=args.fast, n_seeds=1, overrides=overrides or None)
+    pack, configs = _expand(args.scenario, args, n_seeds=1)
     cfg = configs[0]
     print(
         f"profiling {pack.name} config 1/{len(configs)} "
@@ -517,12 +587,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--store`` unless ``--no-store`` is given, so ``repro stats`` and
     reports can aggregate phase-time breakdowns later.
     """
-    try:
-        pack = resolve_scenario(args.scenario)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"error: {exc.args[0]}") from None
-    overrides = _single_overrides(_parse_set(args.set))
-    configs = pack.expand(fast=args.fast, n_seeds=1, overrides=overrides or None)
+    pack, configs = _expand(args.scenario, args, n_seeds=1)
     cfg = configs[0]
     if not args.json:
         print(
@@ -680,91 +745,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-# ----------------------------------------------------------------------
-# Parser
-# ----------------------------------------------------------------------
-def _add_store_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--store",
-        type=Path,
-        default=Path("runstore"),
-        help="run-store directory (default: ./runstore)",
-    )
-
-
-def _add_exec_args(p: argparse.ArgumentParser) -> None:
-    _add_store_arg(p)
-    p.add_argument("--no-store", action="store_true", help="do not cache results")
-    p.add_argument("--fast", action="store_true", help="reduced horizon")
-    p.add_argument(
-        "--seeds",
-        type=int,
-        default=None,
-        help="seeds per grid point (default 3; exclusive with --set seed=...)",
-    )
-    p.add_argument(
-        "--executor",
-        choices=["serial", "thread", "process"],
-        default="process",
-        help="grid parallelization: serial | thread | process "
-        "(default: process)",
-    )
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument(
-        "--lane-width",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap lanes per batch: chunk each structurally compatible "
-        "group into batches of at most N, bounding per-batch memory and "
-        "overriding the even split across --workers (default: one batch "
-        "per group within a memory budget, split across the pool)",
-    )
-    p.add_argument(
-        "--dispatch",
-        choices=["local", "store"],
-        default=None,
-        help="'store': drain the grid cooperatively with every other "
-        "invocation pointed at the same store (lease-claimed task units, "
-        "zero duplicate computation); default: classic local execution",
-    )
-    p.add_argument(
-        "--lease-expiry",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="with --dispatch=store: seconds without a heartbeat before "
-        "a crashed peer's task claim is reclaimed (default 30)",
-    )
-    p.add_argument(
-        "--on-error",
-        choices=["raise", "quarantine"],
-        default="raise",
-        dest="on_error",
-        help="'quarantine': retry failing configs, then persist an "
-        "errors/<hash>.json artifact and keep going (partial results); "
-        "default: fail fast on the first worker error",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="STEPS",
-        dest="checkpoint_every",
-        help="persist a mid-run resume snapshot every N steps so a "
-        "retried or re-dispatched task resumes bit-identically instead "
-        "of restarting (default 0 = off)",
-    )
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VAL[,VAL...]",
-        help="config override (repeatable); multi-value only for 'sweep'",
-    )
-    p.add_argument("--metric", action="append", help="summary metric(s) to report")
-    p.add_argument("--quiet", action="store_true", help="suppress per-run lines")
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation service HTTP API until SIGINT/SIGTERM.
 
@@ -784,12 +764,138 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         max_pending=args.max_pending,
         batch_width=args.batch_width,
-        dispatch="store" if args.dispatch_store else None,
+        dispatch=args.dispatch,
         checkpoint_every=args.checkpoint_every,
         heartbeat_s=args.heartbeat,
         shutdown_timeout_s=args.shutdown_timeout,
     )
     return serve(settings)
+
+
+# ----------------------------------------------------------------------
+# Parser
+# ----------------------------------------------------------------------
+#: Every flag more than one command takes, defined once; a command
+#: lists the ones it takes (see :func:`_add_flags`).
+_FLAGS: dict[str, Callable[[argparse.ArgumentParser], Any]] = {
+    "scenario": lambda p: p.add_argument(
+        "scenario",
+        help="pack name or pack+modifier[+modifier...] spec (see 'scenarios')",
+    ),
+    "--fast": lambda p: p.add_argument(
+        "--fast", action="store_true", help="reduced horizon"
+    ),
+    "--seeds": lambda p: p.add_argument(
+        "--seeds",
+        type=int,
+        default=None,
+        help="seeds per grid point (default 3, or each figure's own count; "
+        "exclusive with --set seed=...)",
+    ),
+    "--set": lambda p: p.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VAL[,VAL...]",
+        help="config override (repeatable); multi-value only for 'sweep'",
+    ),
+    "--store": lambda p: p.add_argument(
+        "--store",
+        type=Path,
+        default=Path("runstore"),
+        help="run-store directory (default: ./runstore)",
+    ),
+    "--no-store": lambda p: p.add_argument(
+        "--no-store", action="store_true", help="do not read or write the run store"
+    ),
+    "--executor": lambda p: p.add_argument(
+        "--executor",
+        choices=["serial", "thread", "process"],
+        default="process",
+        help="grid parallelization: serial | thread | process "
+        "(default: process)",
+    ),
+    "--workers": lambda p: p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="pool width of the thread/process executor "
+        "(default: one per core, less one)",
+    ),
+    "--lane-width": lambda p: p.add_argument(
+        "--lane-width",
+        type=int,
+        default=None,
+        metavar="N",
+        help="cap lanes per batch: chunk each structurally compatible "
+        "group into batches of at most N, bounding per-batch memory and "
+        "overriding the even split across --workers (default: one batch "
+        "per group within a memory budget, split across the pool)",
+    ),
+    "--dispatch": lambda p: p.add_argument(
+        "--dispatch",
+        choices=["store"],
+        default=None,
+        help="'store': coordinate compute through store leases, so every "
+        "command and sweep-worker pointed at the same store drains the "
+        "work together with zero duplicate computation "
+        "(default: this process alone)",
+    ),
+    "--lease-expiry": lambda p: p.add_argument(
+        "--lease-expiry",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="under store dispatch: seconds without a heartbeat before a "
+        "crashed peer's task claim is reclaimed (default 30)",
+    ),
+    "--on-error": lambda p: p.add_argument(
+        "--on-error",
+        choices=["raise", "quarantine"],
+        default="raise",
+        help="'quarantine': retry failing configs, then persist an "
+        "errors/<hash>.json artifact and keep going (partial results); "
+        "'raise': fail fast on the first worker error (default, except "
+        "for chaos)",
+    ),
+    "--checkpoint-every": lambda p: p.add_argument(
+        "--checkpoint-every",
+        type=int,
+        default=0,
+        metavar="STEPS",
+        help="persist a mid-run resume snapshot every N steps so a "
+        "retried or reclaimed task resumes bit-identically instead of "
+        "restarting (default 0 = off)",
+    ),
+    "--metric": lambda p: p.add_argument(
+        "--metric", action="append", help="summary metric(s) to report"
+    ),
+    "--quiet": lambda p: p.add_argument(
+        "--quiet", action="store_true", help="suppress per-run lines"
+    ),
+}
+
+#: The flags of every command that executes a grid: run, sweep, chaos
+#: and figures.
+_EXEC_FLAGS = (
+    "--fast",
+    "--seeds",
+    "--store",
+    "--no-store",
+    "--executor",
+    "--workers",
+    "--lane-width",
+    "--dispatch",
+    "--lease-expiry",
+    "--on-error",
+    "--checkpoint-every",
+    "--quiet",
+)
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Give ``p`` the named shared flags, in order."""
+    for name in names:
+        _FLAGS[name](p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -810,15 +916,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser("run", help="run a scenario pack or composition (cached)")
-    p.add_argument(
-        "scenario",
-        help="pack name or pack+modifier[+modifier...] spec (see 'scenarios')",
-    )
-    _add_exec_args(p)
+    _add_flags(p, "scenario", *_EXEC_FLAGS, "--set", "--metric")
     p.set_defaults(func=cmd_run)
 
+    p = sub.add_parser(
+        "figures", help="regenerate the paper's figures from one sweep (cached)"
+    )
+    p.add_argument(
+        "names",
+        nargs="+",
+        metavar="NAME",
+        help="figures to render: fig1..fig7, the extras, or 'all' (fig1..fig7)",
+    )
+    _add_flags(p, *_EXEC_FLAGS)
+    p.add_argument(
+        "--out",
+        type=Path,
+        default=Path("results"),
+        help="directory for <figure>.csv and <figure>.json (default: ./results)",
+    )
+    p.add_argument(
+        "--extras",
+        action="store_true",
+        help="with 'all': also the ablations, the scheme comparison and the "
+        "adversary panel",
+    )
+    p.set_defaults(func=cmd_figures)
+
     p = sub.add_parser("sweep", help="run an ad-hoc --set grid (cached)")
-    _add_exec_args(p)
+    _add_flags(p, *_EXEC_FLAGS, "--set", "--metric")
     p.add_argument(
         "--publish-only",
         action="store_true",
@@ -854,14 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="sleep between polls while waiting for grids (default 1.0)",
     )
-    p.add_argument(
-        "--lease-expiry",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="seconds without a heartbeat before a crashed peer's task "
-        "claim is reclaimed (default 30)",
-    )
+    _add_flags(p, "--lease-expiry", "--on-error", "--checkpoint-every", "--quiet")
     p.add_argument(
         "--trace",
         action="store_true",
@@ -874,36 +993,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit a JSON summary (per-grid lease counters, locally "
         "computed config hashes) to stdout on exit",
     )
-    p.add_argument(
-        "--on-error",
-        choices=["raise", "quarantine"],
-        default="raise",
-        dest="on_error",
-        help="'quarantine': retry failing configs, persist an "
-        "errors/<hash>.json artifact and treat them as settled so the "
-        "drain still completes; default: fail fast",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="STEPS",
-        dest="checkpoint_every",
-        help="persist a mid-run resume snapshot every N steps; a task "
-        "reclaimed from a crashed peer resumes from its latest snapshot "
-        "instead of step 0 (default 0 = off)",
-    )
-    p.add_argument("--quiet", action="store_true", help="suppress per-run lines")
     p.set_defaults(func=cmd_sweep_worker)
 
     p = sub.add_parser(
         "chaos",
         help="run a scenario under a deterministic fault-injection plan",
     )
-    p.add_argument(
-        "scenario",
-        help="pack name or pack+modifier[+modifier...] spec (see 'scenarios')",
-    )
+    _add_flags(p, "scenario", *_EXEC_FLAGS, "--set", "--metric")
     p.add_argument(
         "--plan",
         required=True,
@@ -911,7 +1007,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault plan: inline JSON (starts with '{') or a plan file; "
         "see docs/RESILIENCE.md for the schema",
     )
-    _add_exec_args(p)
     p.set_defaults(func=cmd_chaos, on_error="quarantine")
 
     p = sub.add_parser(
@@ -922,7 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--port", type=int, default=8321, help="bind port (0 = ephemeral)"
     )
-    _add_store_arg(p)
+    _add_flags(p, "--store", "--dispatch", "--checkpoint-every")
     p.add_argument(
         "--workers",
         type=int,
@@ -946,21 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
         "lane batch one service worker runs (default 4)",
     )
     p.add_argument(
-        "--dispatch-store",
-        action="store_true",
-        help="coordinate compute through store leases so external "
-        "sweep-workers can co-drain service jobs",
-    )
-    p.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=0,
-        metavar="STEPS",
-        dest="checkpoint_every",
-        help="persist mid-run checkpoints for service compute every N "
-        "steps (0 = off)",
-    )
-    p.add_argument(
         "--heartbeat",
         type=float,
         default=15.0,
@@ -980,11 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="cProfile one pack config and print the hottest functions",
     )
-    p.add_argument(
-        "scenario",
-        help="pack name or pack+modifier[+modifier...] spec (see 'scenarios')",
-    )
-    p.add_argument("--fast", action="store_true", help="reduced horizon")
+    _add_flags(p, "scenario", "--fast", "--set")
     p.add_argument(
         "--sort",
         choices=_PROFILE_SORTS,
@@ -997,35 +1073,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=25,
         help="number of functions to print (default: 25)",
     )
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VAL",
-        help="config override (repeatable, single-valued)",
-    )
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser(
         "trace",
         help="run one pack config with tracing on; phase-time breakdown",
     )
-    p.add_argument(
-        "scenario",
-        help="pack name or pack+modifier[+modifier...] spec (see 'scenarios')",
-    )
-    _add_store_arg(p)
-    p.add_argument(
-        "--no-store",
-        action="store_true",
-        help="do not persist the run or its telemetry artifact",
-    )
-    p.add_argument("--fast", action="store_true", help="reduced horizon")
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VAL",
-        help="config override (repeatable, single-valued)",
-    )
+    _add_flags(p, "scenario", "--fast", "--set", "--store", "--no-store")
     p.add_argument(
         "--json",
         action="store_true",
@@ -1046,9 +1100,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("ls", help="list stored runs (no simulation)")
-    _add_store_arg(p)
+    _add_flags(p, "--store", "--metric")
     p.add_argument("--limit", type=int, default=None, help="show only the last N")
-    p.add_argument("--metric", action="append", help="summary metric(s) to show")
     p.add_argument(
         "--errors",
         action="store_true",
@@ -1057,8 +1110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ls)
 
     p = sub.add_parser("report", help="aggregate stored runs (no simulation)")
-    _add_store_arg(p)
-    p.add_argument("--metric", action="append", help="summary metric(s) to report")
+    _add_flags(p, "--store", "--metric")
     p.add_argument(
         "--where",
         action="append",
@@ -1070,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "stats", help="aggregate stored telemetry artifacts (no simulation)"
     )
-    _add_store_arg(p)
+    _add_flags(p, "--store")
     p.add_argument(
         "--json", action="store_true", help="emit the aggregate as JSON"
     )

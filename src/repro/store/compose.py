@@ -213,7 +213,6 @@ def composed_pack(spec: str) -> ScenarioPack:
         ),
         build=build,
         tags=tuple(sorted(tags)),
-        default_params=dict(base.default_params),
     )
 
 

@@ -394,9 +394,9 @@ class DispatchStats:
         }
 
 
-#: Snapshot of the most recent drain in this process (ambient, like the
-#: default store): lets the CLI report lease counters without threading
-#: a stats object through ``run_sweep``'s signature.
+#: Snapshot of the most recent drain in this process, a module global:
+#: lets the CLI report lease counters without threading a stats object
+#: through ``run_sweep``'s signature.
 _LAST_STATS: DispatchStats | None = None
 
 

@@ -4,7 +4,7 @@ A *scenario pack* maps a name like ``"churn/whitewash"`` to a function
 that expands into a flat list of :class:`SimulationConfig` — the unit the
 sweep runner, the run store and the ``repro`` CLI all speak.  Packs are
 the only source of the paper's simulation-backed figures and ablations
-(``repro-experiments`` renders ``paper/fig3`` as Figure 3, and ``repro
+(``repro figures fig3`` renders ``paper/fig3`` as Figure 3, and ``repro
 run paper/fig3`` fills the same store entries) and also hold the
 incentive-design grids beyond them: churn storms, whitewashing pressure,
 sparse overlays, heterogeneous capacity and scheme shootouts.
@@ -17,7 +17,7 @@ smoke-test horizon without the pack having to anticipate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..agents.population import PopulationMix
@@ -59,7 +59,6 @@ class ScenarioPack:
     description: str
     build: Callable[..., list[SimulationConfig]]
     tags: tuple[str, ...] = ()
-    default_params: dict[str, Any] = field(default_factory=dict)
 
     def expand(
         self,
@@ -69,17 +68,13 @@ class ScenarioPack:
         **params: Any,
     ) -> list[SimulationConfig]:
         """The pack's configs; ``overrides`` patches every config last."""
-        merged = dict(self.default_params)
-        merged.update(params)
-        configs = list(self.build(fast=fast, n_seeds=n_seeds, **merged))
+        configs = list(self.build(fast=fast, n_seeds=n_seeds, **params))
         if overrides:
             configs = [c.with_(**overrides) for c in configs]
         return configs
 
 
-def register_scenario(
-    name: str, description: str, tags: tuple[str, ...] = (), **default_params: Any
-):
+def register_scenario(name: str, description: str, tags: tuple[str, ...] = ()):
     """Decorator registering a grid-expansion function under ``name``.
 
     The decorated builder takes ``(fast, n_seeds, **params)`` and returns
@@ -110,7 +105,6 @@ def register_scenario(
             description=description,
             build=fn,
             tags=tuple(tags),
-            default_params=dict(default_params),
         )
         return fn
 

@@ -166,7 +166,7 @@ class TestBaselinesInEngine:
 
         seeds = (11, 22)
         configs = [mk(s, sd) for s in ("none", "tft", "reputation") for sd in seeds]
-        results = run_sweep(configs, backend="process")
+        results = run_sweep(configs, executor="process")
         bw = {
             s: np.mean(
                 [

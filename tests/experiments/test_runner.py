@@ -1,6 +1,8 @@
-"""Tests for the experiment CLI."""
+"""Tests for the figure table and its front end, ``repro figures``."""
 
+import re
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +11,14 @@ from repro.experiments.runner import (
     EXPERIMENTS,
     EXTRA_EXPERIMENTS,
     PAPER_FIGURES,
-    build_parser,
-    main,
     run_figures,
 )
 from repro.sim import scenarios
 from repro.sim._sweep import run_sweep
 from repro.sim.engine import SimulationResult
+from repro.store import cli
 from repro.store._runstore import RunStore
+from repro.store.cli import build_parser, main
 from repro.store.hashing import config_hash
 
 FAMILY_VALUE = {"linear": 1.0, "power": 2.0, "step": 3.0}
@@ -24,7 +26,7 @@ FAMILY_VALUE = {"linear": 1.0, "power": 2.0, "step": 3.0}
 
 @pytest.fixture
 def recorded_sweeps(monkeypatch):
-    """Replace the runner's sweep with a recorder returning fake results.
+    """Replace the runner's and the CLI's sweep with a recorder of fake results.
 
     A result's ``shared_files`` is its sharing beta for logistic configs
     and a per-family constant otherwise, so renderers' grouping shows.
@@ -43,6 +45,7 @@ def recorded_sweeps(monkeypatch):
         return results
 
     monkeypatch.setattr(runner, "run_sweep", record)
+    monkeypatch.setattr(cli, "run_sweep", record)
     return calls
 
 
@@ -56,18 +59,18 @@ class TestParser:
         assert "ablation-rmin" in EXPERIMENTS
 
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["fig1"])
-        assert args.experiment == "fig1"
+        args = build_parser().parse_args(["figures", "fig1"])
+        assert args.names == ["fig1"]
         assert not args.fast
         assert args.executor == "process"
 
-    def test_parser_rejects_unknown(self):
+    def test_parser_rejects_unknown(self, tmp_path):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig99"])
+            main(["figures", "fig99", "--no-store", "--out", str(tmp_path)])
 
     def test_parser_rejects_backend_flag(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig1", "--backend", "serial"])
+            build_parser().parse_args(["figures", "fig1", "--backend", "serial"])
 
     def test_extras_are_registered_experiments(self):
         for name in EXTRA_EXPERIMENTS:
@@ -75,15 +78,17 @@ class TestParser:
             assert name not in PAPER_FIGURES
 
     def test_parser_store_and_extras(self):
-        args = build_parser().parse_args(["all", "--extras", "--store", "cache"])
+        args = build_parser().parse_args(
+            ["figures", "all", "--extras", "--store", "cache"]
+        )
         assert args.extras
         assert str(args.store) == "cache"
-        assert build_parser().parse_args(["fig1"]).store is None
+        assert build_parser().parse_args(["figures", "fig1"]).store == Path("runstore")
 
 
 class TestMain:
     def test_fig1_end_to_end(self, tmp_path, capsys):
-        rc = main(["fig1", "--fast", "--out", str(tmp_path)])
+        rc = main(["figures", "fig1", "--fast", "--no-store", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "fig1.csv").exists()
         assert (tmp_path / "fig1.json").exists()
@@ -91,7 +96,7 @@ class TestMain:
         assert "fig1" in out
 
     def test_fig2_end_to_end(self, tmp_path):
-        rc = main(["fig2", "--fast", "--out", str(tmp_path)])
+        rc = main(["figures", "fig2", "--fast", "--no-store", "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "fig2_T2.csv").exists()
         assert (tmp_path / "fig2_T1000.csv").exists()
@@ -104,7 +109,7 @@ class TestOneSweep:
     def test_each_distinct_config_runs_once(
         self, recorded_sweeps, tmp_path, argv, n_configs
     ):
-        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert main(["figures", *argv, "--no-store", "--out", str(tmp_path)]) == 0
         (configs,) = recorded_sweeps
         assert len({config_hash(c) for c in configs}) == len(configs) == n_configs
 
@@ -130,10 +135,16 @@ class TestOneSweep:
 
 
 class TestStoreIntegration:
-    def test_store_line_printed_and_ambient_reset(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture(autouse=True)
+    def tiny_scale(self, monkeypatch):
         monkeypatch.setattr(scenarios, "FAST_TRAINING_STEPS", 40)
         monkeypatch.setattr(scenarios, "FAST_EVAL_STEPS", 30)
+
+    def test_cache_line_printed_and_later_sweeps_leave_the_store_alone(
+        self, tmp_path, capsys
+    ):
         argv = [
+            "figures",
             "fig3",
             "--fast",
             "--seeds",
@@ -149,7 +160,29 @@ class TestStoreIntegration:
         assert "cache: 0 hits / 2 misses" in capsys.readouterr().out
         assert main(argv) == 0
         assert "cache: 2 hits / 0 misses" in capsys.readouterr().out
-        # The store is passed to the runner's sweep only: a later sweep
+        # The store is passed to the command's sweep only: a later sweep
         # without one leaves it untouched.
-        run_sweep([scenarios.base_config(True, seed=1)], backend="serial")
+        run_sweep([scenarios.base_config(True, seed=1)], executor="serial")
         assert len(RunStore(tmp_path / "cache")) == 2
+
+    def test_rerun_serves_every_config_from_the_store_and_writes_the_same_files(
+        self, tmp_path, capsys
+    ):
+        def figures(out):
+            argv = ["figures", "fig1", "fig3", "fig7", "--fast", "--seeds", "1",
+                    "--executor", "serial", "--quiet",
+                    "--store", str(tmp_path / "cache"), "--out", str(out)]
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        first = re.search(r"cache: 0 hits / (\d+) misses", figures(tmp_path / "a"))
+        n_configs = int(first.group(1))
+        assert n_configs > 0
+        assert f"cache: {n_configs} hits / 0 misses" in figures(tmp_path / "b")
+        written = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert written == sorted(p.name for p in (tmp_path / "b").iterdir())
+        assert {"fig1.csv", "fig3.json", "fig7_irrational.csv"} <= set(written)
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (
+                tmp_path / "b" / name
+            ).read_bytes()

@@ -33,7 +33,7 @@ def fig3_results():
     configs = [cfg(incentives_enabled=True, seed=s) for s in SEEDS] + [
         cfg(incentives_enabled=False, seed=s) for s in SEEDS
     ]
-    results = run_sweep(configs, backend="process")
+    results = run_sweep(configs, executor="process")
     return results[:3], results[3:]
 
 
@@ -69,7 +69,7 @@ class TestFig7MajorityFollowing:
                 )
                 for s in SEEDS
             ],
-            backend="process",
+            executor="process",
         )
         fracs = [r.summary["edit_constructive_fraction_rational"] for r in results]
         assert np.mean(fracs) > 0.6
@@ -84,7 +84,7 @@ class TestFig7MajorityFollowing:
                 )
                 for s in SEEDS
             ],
-            backend="process",
+            executor="process",
         )
         fracs = [r.summary["edit_constructive_fraction_rational"] for r in results]
         assert np.mean(fracs) < 0.4
@@ -134,7 +134,7 @@ class TestFig4NetworkScaling:
     def test_sharing_scales_with_population_mix(self):
         lo_alt = cfg(mix=PopulationMix(0.4, 0.2, 0.4), seed=SEEDS[0])
         hi_alt = cfg(mix=PopulationMix(0.4, 0.4, 0.2), seed=SEEDS[0])
-        results = run_sweep([lo_alt, hi_alt], backend="process")
+        results = run_sweep([lo_alt, hi_alt], executor="process")
         assert (
             results[1].summary["shared_files"] > results[0].summary["shared_files"]
         )
@@ -150,7 +150,7 @@ class TestFig5RationalStability:
         mixes = [PopulationMix(0.3, 0.5, 0.2), PopulationMix(0.3, 0.2, 0.5)]
         results = run_sweep(
             [cfg(mix=m, seed=s) for m in mixes for s in SEEDS[:2]],
-            backend="process",
+            executor="process",
         )
         a = np.mean(
             [r.summary["shared_bandwidth_rational"] for r in results[:2]]

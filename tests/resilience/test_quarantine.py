@@ -21,7 +21,7 @@ from repro.resilience import (
     inject_faults,
 )
 from repro.sim.config import SimulationConfig
-from repro.sim._sweep import SweepFailure, last_sweep_failures, run_sweep
+from repro.sim._sweep import SweepFailure, run_sweep
 from repro.store.hashing import config_hash
 from repro.store._runstore import RunStore
 
@@ -97,7 +97,7 @@ class TestSweepQuarantine:
         bad = configs[1]
         with inject_faults(poison_plan(bad)) as plan:
             results = run_sweep(
-                configs, backend="serial", store=store, on_error="quarantine"
+                configs, executor="serial", store=store, on_error="quarantine"
             )
         # The failed slot is None; the siblings' results are positional.
         assert results[1] is None
@@ -122,14 +122,12 @@ class TestSweepQuarantine:
         with inject_faults(poison_plan(configs[0])):
             run_sweep(
                 configs,
-                backend="serial",
+                executor="serial",
                 store=store,
                 on_error="quarantine",
                 on_failure=seen.append,
             )
-        failures = last_sweep_failures()
-        assert seen == failures
-        [f] = failures
+        [f] = seen
         assert isinstance(f, SweepFailure)
         assert f.index == 0
         assert f.config_hash == config_hash(configs[0])
@@ -141,13 +139,13 @@ class TestSweepQuarantine:
         cfg = tiny(seed=4)
         with inject_faults(poison_plan(cfg)):
             assert run_sweep(
-                [cfg], backend="serial", store=store, on_error="quarantine"
+                [cfg], executor="serial", store=store, on_error="quarantine"
             ) == [None]
         assert store.has_error(config_hash(cfg))
         # The fault is gone (plan deactivated): the re-run lands normally
         # and retires the quarantine artifact.
         [result] = run_sweep(
-            [cfg], backend="serial", store=store, on_error="quarantine"
+            [cfg], executor="serial", store=store, on_error="quarantine"
         )
         assert result is not None
         assert not store.has_error(config_hash(cfg))
@@ -160,7 +158,7 @@ class TestSweepQuarantine:
         cfg = tiny(seed=5)
         with inject_faults(poison_plan(cfg)):
             with pytest.raises((SweepWorkerError, OSError)):
-                run_sweep([cfg, tiny(seed=6)], backend="serial", store=store)
+                run_sweep([cfg, tiny(seed=6)], executor="serial", store=store)
         assert not store.has_error(config_hash(cfg))
 
     def test_thread_pool_batch_blast_radius_isolated(self, tmp_path):
@@ -172,7 +170,7 @@ class TestSweepQuarantine:
         with inject_faults(poison_plan(bad)):
             results = run_sweep(
                 configs,
-                backend="thread",
+                executor="thread",
                 workers=2,
                 store=store,
                 on_error="quarantine",
@@ -192,7 +190,7 @@ class TestSweepQuarantine:
         with inject_faults(poison_plan(bad)):
             results = run_sweep(
                 configs,
-                backend="serial",
+                executor="serial",
                 store=store,
                 dispatch="store",
                 on_error="quarantine",
@@ -228,7 +226,7 @@ class TestOneFailureRule:
             with pytest.raises(SweepWorkerError) as err:
                 run_sweep(
                     configs,
-                    backend="serial",
+                    executor="serial",
                     store=store,
                     dispatch=dispatch,
                     lane_width=4,
@@ -249,21 +247,23 @@ class TestOneFailureRule:
         store = RunStore(tmp_path)
         configs = self.grid()
         bad = configs[2]
+        failures = []
         with inject_faults(poison_plan(bad)) as plan:
             results = run_sweep(
                 configs,
-                backend="serial",
+                executor="serial",
                 store=store,
                 dispatch=dispatch,
                 lane_width=4,
                 on_error="quarantine",
+                on_failure=failures.append,
             )
         assert [r is None for r in results] == [False, False, True, False]
         # DEFAULT_COMPUTE_RETRY allows 2 attempts: the batch attempt and
         # one solo attempt.
         assert len(plan.fired) == 2
         assert store.get_error(config_hash(bad))["attempts"] == 2
-        [failure] = last_sweep_failures()
+        [failure] = failures
         assert failure.index == 2 and failure.attempts == 2
 
 

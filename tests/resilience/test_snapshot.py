@@ -282,5 +282,5 @@ class TestCrashResume:
         task = ResumableTask([cfg], checkpoint_every=10, store_root=str(tmp_path))
         resumed = task.run()
         assert task.resumed and task.resumed_at_step == 10
-        [swept] = run_sweep([cfg], backend="serial")
+        [swept] = run_sweep([cfg], executor="serial")
         assert_summaries_equal(resumed[0].summary, swept.summary)

@@ -46,7 +46,7 @@ class GatedRunner:
                 self.first_done.set()
                 assert self.release.wait(timeout=30), "gate never released"
 
-        run_sweep(configs, backend="serial", store=self.store, progress=paced)
+        run_sweep(configs, executor="serial", store=self.store, progress=paced)
 
 
 class TestEndpoints:
@@ -261,7 +261,7 @@ class TestBackpressureHttp:
             def blocking_runner(configs, progress, on_failure):
                 assert hold.wait(timeout=30)
                 run_sweep(
-                    configs, backend="serial", store=store, progress=progress
+                    configs, executor="serial", store=store, progress=progress
                 )
 
             svc = SimulationService(
@@ -324,7 +324,7 @@ class TestShutdown:
             # Pre-seed the store so a submitted job completes instantly,
             # then hold a stream on a *second*, never-completing job.
             cfg = make_tiny(seed=9)
-            run_sweep([cfg], backend="serial", store=store)
+            run_sweep([cfg], executor="serial", store=store)
             hold = threading.Event()
 
             def stuck_runner(configs, progress, on_failure):

@@ -96,7 +96,7 @@ def run_solo(cfg: SimulationConfig) -> dict:
 
 def run_two_lanes(cfg: SimulationConfig) -> list:
     grid = [cfg, cfg.with_(seed=cfg.seed + 100)]
-    return run_sweep(grid, backend="serial")
+    return run_sweep(grid, executor="serial")
 
 
 class TestKernelSeam:

@@ -143,7 +143,7 @@ class TestSweepBatching:
     def test_batched_sweep_matches_sequential_sweep(self):
         cfgs = replicate_configs(tiny(), 3) + [tiny(seed=99, n_articles=5)]
         solo = [run_simulation(c) for c in cfgs]
-        batched = run_sweep(cfgs, backend="serial")
+        batched = run_sweep(cfgs, executor="serial")
         for a, b in zip(solo, batched):
             assert a.config == b.config
             assert same_summary(a.summary, b.summary)
@@ -151,21 +151,21 @@ class TestSweepBatching:
     def test_batched_sweep_persists_individually(self, tmp_path):
         store = RunStore(tmp_path / "rs")
         cfgs = replicate_configs(tiny(), 3)
-        run_sweep(cfgs, backend="serial", store=store)
+        run_sweep(cfgs, executor="serial", store=store)
         assert len(store) == 3
         # A later per-seed sweep is served entirely from cache.
-        run_sweep(cfgs, backend="serial", store=store)
+        run_sweep(cfgs, executor="serial", store=store)
         assert store.hits == 3
 
     def test_each_event_collecting_config_carries_its_log(self):
         cfgs = [tiny(collect_events=True, seed=s) for s in (1, 2)]
-        results = run_sweep(cfgs, backend="serial")
+        results = run_sweep(cfgs, executor="serial")
         assert all(r.events is not None for r in results)
         assert results[0].events is not results[1].events
 
     def test_thread_backend_batches(self):
         cfgs = replicate_configs(tiny(), 2) + replicate_configs(tiny(seed=42, n_articles=5), 2)
-        results = run_sweep(cfgs, backend="thread")
+        results = run_sweep(cfgs, executor="thread")
         assert len(results) == 4
         assert [r.config for r in results] == cfgs
 

@@ -79,7 +79,7 @@ class TestCheckpointStoreRoundTrip:
         cfg = make_config()
         store = RunStore(tmp_path / "store")
         with die_at_step(26), pytest.raises(SweepWorkerError):
-            run_sweep([cfg], backend="serial", store=store, checkpoint_every=10)
+            run_sweep([cfg], executor="serial", store=store, checkpoint_every=10)
         assert store.snapshots.keys() == [snapshot_key([config_hash(cfg)])]
         assert not store.contains(cfg)
 
@@ -97,7 +97,7 @@ class TestCheckpointStoreRoundTrip:
         new_cfg = make_config(seed=10)
         results = run_sweep(
             [cfg, new_cfg],
-            backend="serial",
+            executor="serial",
             store=RunStore(tmp_path / "store"),
             checkpoint_every=10,
             lane_width=1,
@@ -109,7 +109,7 @@ class TestCheckpointStoreRoundTrip:
         # 3. Both landed in the store: a third sweep executes nothing.
         resumed.clear()
         again = run_sweep(
-            [cfg, new_cfg], backend="serial", store=RunStore(tmp_path / "store")
+            [cfg, new_cfg], executor="serial", store=RunStore(tmp_path / "store")
         )
         assert resumed == []
         assert [r.config.seed for r in again] == [9, 10]

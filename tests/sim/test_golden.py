@@ -295,7 +295,7 @@ def test_snapshot_resume_matches_uninterrupted(tmp_path):
 def test_sweep_summaries_unchanged(executor):
     expected = recorded()["summaries"]
     slots = sweep_slots()
-    results = run_sweep([cfg for _, cfg in slots], backend=executor, workers=2)
+    results = run_sweep([cfg for _, cfg in slots], executor=executor, workers=2)
     got = {label: summary_digest(r) for (label, _), r in zip(slots, results)}
     assert got == expected
 
@@ -313,7 +313,7 @@ def test_scenario_pack_config_hashes_unchanged():
 def record() -> None:
     """Compute this environment's digests and merge them into the file."""
     slots = sweep_slots()
-    results = run_sweep([cfg for _, cfg in slots], backend="serial")
+    results = run_sweep([cfg for _, cfg in slots], executor="serial")
     states = {name: run_state(configs) for name, configs in sorted(CORPUS.items())}
     entry = {
         "state": {

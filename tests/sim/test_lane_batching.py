@@ -131,8 +131,8 @@ class TestPlanner:
 
     def test_lane_width_sweep_matches_unchunked(self):
         configs = [tiny(seed=s, t_eval=t) for s in (1, 2) for t in (0.5, 1.0)]
-        chunked = run_sweep(configs, backend="serial", lane_width=2)
-        plain = run_sweep(configs, backend="serial")
+        chunked = run_sweep(configs, executor="serial", lane_width=2)
+        plain = run_sweep(configs, executor="serial")
         for a, b in zip(chunked, plain):
             assert same_summary(a.summary, b.summary)
 
@@ -143,7 +143,7 @@ class TestPlanner:
 
     def test_event_collecting_sweep_still_yields_events(self):
         configs = [tiny(seed=s, collect_events=True) for s in (1, 2)]
-        results = run_sweep(configs, backend="serial")
+        results = run_sweep(configs, executor="serial")
         assert all(r.events is not None for r in results)
 
 
@@ -156,7 +156,7 @@ class TestLaneSweeps:
             tiny(seed=4, n_agents=16),  # incompatible: second batch
         ]
         solo = [run_simulation(c) for c in configs]
-        lane = run_sweep(configs, backend="serial")
+        lane = run_sweep(configs, executor="serial")
         for a, b in zip(solo, lane):
             assert a.config == b.config
             assert same_summary(a.summary, b.summary)
@@ -164,7 +164,7 @@ class TestLaneSweeps:
     def test_lane_batch_subsumes_replicate_batching(self):
         configs = replicate_configs(tiny(), 3) + [tiny(seed=99, t_eval=0.5)]
         assert len(plan(configs)) == 1
-        lane = run_sweep(configs, backend="serial")
+        lane = run_sweep(configs, executor="serial")
         for a, b in zip((run_simulation(c) for c in configs), lane):
             assert same_summary(a.summary, b.summary)
 
@@ -172,7 +172,7 @@ class TestLaneSweeps:
         configs = [tiny(seed=1, t_eval=t) for t in (0.5, 1.0)] + [
             tiny(seed=2, n_agents=16)
         ]
-        results = run_sweep(configs, backend="thread")
+        results = run_sweep(configs, executor="thread")
         assert [r.config for r in results] == configs
 
 
@@ -198,7 +198,7 @@ class TestPoolFanOut:
     ):
         tasks = record_tasks(monkeypatch)
         configs = [tiny(seed=s, t_eval=0.5 + 0.25 * s) for s in range(n_configs)]
-        results = run_sweep(configs, backend="thread", workers=workers)
+        results = run_sweep(configs, executor="thread", workers=workers)
         n_tasks = min(workers, n_configs)
         assert len(tasks) == n_tasks
         assert max(len(t) for t in tasks) == -(-n_configs // n_tasks)
@@ -210,7 +210,7 @@ class TestPoolFanOut:
     def test_explicit_lane_width_overrides_worker_split(self, monkeypatch):
         tasks = record_tasks(monkeypatch)
         configs = [tiny(seed=s, t_eval=0.5 + 0.25 * s) for s in range(5)]
-        results = run_sweep(configs, backend="thread", workers=4, lane_width=3)
+        results = run_sweep(configs, executor="thread", workers=4, lane_width=3)
         assert sorted(len(t) for t in tasks) == [2, 3]
         for cfg, result in zip(configs, results):
             assert same_summary(result.summary, run_simulation(cfg).summary)
@@ -237,7 +237,7 @@ class TestStoreRoundTrip:
         store = RunStore(tmp_path / "rs")
         dup = tiny(seed=5, t_eval=0.5)
         results = run_sweep(
-            [dup, tiny(seed=6), dup], backend="serial", store=store,
+            [dup, tiny(seed=6), dup], executor="serial", store=store,
         )
         assert store.misses == 2  # the duplicate slot never executed
         assert len(store) == 2
@@ -248,10 +248,10 @@ class TestStoreRoundTrip:
         store = RunStore(tmp_path / "rs")
         configs = [tiny(seed=1), tiny(seed=2, t_eval=0.5),
                    tiny(seed=3, download_probability=0.4)]
-        lane = run_sweep(configs, backend="serial", store=store)
+        lane = run_sweep(configs, executor="serial", store=store)
         assert store.misses == len(configs) and len(store) == len(configs)
         # A later unbatched sweep is served entirely from cache ...
-        plain = run_sweep(configs, backend="serial", store=store)
+        plain = run_sweep(configs, executor="serial", store=store)
         assert store.hits == len(configs)
         # ... and the payloads are the lane-batched results, bit for bit.
         for a, b in zip(lane, plain):
@@ -261,15 +261,15 @@ class TestStoreRoundTrip:
     def test_sequential_cache_serves_lane_batched_sweep(self, tmp_path):
         store = RunStore(tmp_path / "rs")
         configs = [tiny(seed=1), tiny(seed=2, t_eval=0.5)]
-        run_sweep(configs, backend="serial", store=store)
-        run_sweep(configs, backend="serial", store=store)
+        run_sweep(configs, executor="serial", store=store)
+        run_sweep(configs, executor="serial", store=store)
         assert store.hits == len(configs)
         assert len(store) == len(configs)
 
     def test_partial_cache_only_executes_missing_lanes(self, tmp_path):
         store = RunStore(tmp_path / "rs")
         configs = [tiny(seed=1), tiny(seed=2, t_eval=0.5), tiny(seed=3)]
-        run_sweep([configs[1]], backend="serial", store=store)
-        run_sweep(configs, backend="serial", store=store)
+        run_sweep([configs[1]], executor="serial", store=store)
+        run_sweep(configs, executor="serial", store=store)
         assert store.hits == 1
         assert len(store) == 3

@@ -19,21 +19,21 @@ class TestRunSweep:
         assert run_sweep([]) == []
 
     def test_serial(self):
-        results = run_sweep([tiny(1), tiny(2)], backend="serial")
+        results = run_sweep([tiny(1), tiny(2)], executor="serial")
         assert len(results) == 2
         assert results[0].config.seed == 1
 
     def test_results_align_with_inputs(self):
         configs = [tiny(s) for s in (5, 6, 7)]
-        results = run_sweep(configs, backend="serial")
+        results = run_sweep(configs, executor="serial")
         assert [r.config.seed for r in results] == [5, 6, 7]
 
     def test_thread_backend_matches_serial(self):
         from tests.conftest import assert_summaries_equal
 
         configs = [tiny(1), tiny(2)]
-        serial = run_sweep(configs, backend="serial")
-        threaded = run_sweep(configs, backend="thread", workers=2)
+        serial = run_sweep(configs, executor="serial")
+        threaded = run_sweep(configs, executor="thread", workers=2)
         for a, b in zip(serial, threaded):
             assert_summaries_equal(a.summary, b.summary)
 
@@ -41,17 +41,17 @@ class TestRunSweep:
         from tests.conftest import assert_summaries_equal
 
         configs = [tiny(1), tiny(2)]
-        serial = run_sweep(configs, backend="serial")
-        procs = run_sweep(configs, backend="process", workers=2)
+        serial = run_sweep(configs, executor="serial")
+        procs = run_sweep(configs, executor="process", workers=2)
         for a, b in zip(serial, procs):
             assert_summaries_equal(a.summary, b.summary)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
-            run_sweep([tiny(), tiny()], backend="gpu")
+            run_sweep([tiny(), tiny()], executor="gpu")
 
     def test_single_config_short_circuits(self):
-        results = run_sweep([tiny()], backend="process")
+        results = run_sweep([tiny()], executor="process")
         assert len(results) == 1
 
 

@@ -29,10 +29,10 @@ class TestDispatchSweep:
     def test_matches_local_execution(self, tmp_path):
         grid = [tiny(seed=s) for s in range(5)]
         dispatched = run_sweep(
-            grid, backend="serial", store=RunStore(tmp_path / "a"),
+            grid, executor="serial", store=RunStore(tmp_path / "a"),
             dispatch="store", lane_width=2,
         )
-        local = run_sweep(grid, backend="serial", store=RunStore(tmp_path / "b"))
+        local = run_sweep(grid, executor="serial", store=RunStore(tmp_path / "b"))
         for d, loc in zip(dispatched, local):
             assert d.config == loc.config
             assert_summaries_equal(d.summary, loc.summary)
@@ -40,18 +40,18 @@ class TestDispatchSweep:
     def test_persists_and_resumes(self, tmp_path):
         store = RunStore(tmp_path)
         grid = [tiny(seed=s) for s in range(4)]
-        run_sweep(grid, backend="serial", store=store, dispatch="store")
+        run_sweep(grid, executor="serial", store=store, dispatch="store")
         assert last_dispatch_stats().computed == 4
         assert all(store.contains(c) for c in grid)
         # Second invocation computes nothing; slots fill from the store.
-        again = run_sweep(grid, backend="serial", store=store, dispatch="store")
+        again = run_sweep(grid, executor="serial", store=store, dispatch="store")
         assert last_dispatch_stats().computed == 0
         assert [r.config for r in again] == grid
 
     def test_duplicate_configs_compute_once(self, tmp_path):
         store = RunStore(tmp_path)
         grid = [tiny(seed=1), tiny(seed=2), tiny(seed=1)]
-        results = run_sweep(grid, backend="serial", store=store, dispatch="store")
+        results = run_sweep(grid, executor="serial", store=store, dispatch="store")
         assert last_dispatch_stats().computed == 2
         assert results[0].config == results[2].config
         # Duplicate slots carry distinct objects (no aliasing).
@@ -60,7 +60,7 @@ class TestDispatchSweep:
     def test_event_configs_run_locally(self, tmp_path):
         store = RunStore(tmp_path)
         grid = [tiny(seed=0), tiny(seed=1, collect_events=True)]
-        results = run_sweep(grid, backend="serial", store=store, dispatch="store")
+        results = run_sweep(grid, executor="serial", store=store, dispatch="store")
         assert results[1].events is not None
         # The event config never entered the published grid.
         manifest = store.get_grid(store.grid_keys()[0])
@@ -70,7 +70,7 @@ class TestDispatchSweep:
         seen = []
         grid = [tiny(seed=s) for s in range(3)]
         run_sweep(
-            grid, backend="serial", store=RunStore(tmp_path), dispatch="store",
+            grid, executor="serial", store=RunStore(tmp_path), dispatch="store",
             progress=lambda done, total, index, result, cached, stats: seen.append(
                 (done, total, index)
             ),
@@ -80,16 +80,18 @@ class TestDispatchSweep:
 
     def test_requires_store(self):
         with pytest.raises(ValueError, match="needs a store"):
-            run_sweep([tiny()], backend="serial", dispatch="store")
+            run_sweep([tiny()], executor="serial", dispatch="store")
 
     def test_rejects_unknown_dispatch(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown dispatch"):
-            run_sweep([tiny()], backend="serial", dispatch="remote")
+        # "local" was once an alias of None; the one name now is None.
+        for dispatch in ("remote", "local"):
+            with pytest.raises(ValueError, match="unknown dispatch"):
+                run_sweep([tiny()], executor="serial", dispatch=dispatch)
 
-    def test_local_dispatch_is_classic_path(self, tmp_path):
+    def test_no_dispatch_is_classic_path(self, tmp_path):
         store = RunStore(tmp_path)
-        results = run_sweep([tiny()], backend="serial", store=store,
-                            dispatch="local")
+        results = run_sweep([tiny()], executor="serial", store=store,
+                            dispatch=None)
         assert store.grid_keys() == []  # nothing published
         assert results[0].config == tiny()
 
@@ -106,7 +108,7 @@ class TestDispatchSweep:
 
         monkeypatch.setattr(sweep_mod, "_task_worker", boom)
         with pytest.raises(SweepWorkerError) as err:
-            run_sweep(grid, backend="serial", store=store, dispatch="store",
+            run_sweep(grid, executor="serial", store=store, dispatch="store",
                       lane_width=2)
         assert isinstance(err.value.__cause__, RuntimeError)
         assert "kernel fault" in str(err.value)

@@ -47,10 +47,10 @@ class TestCachedSweep:
     def test_second_sweep_executes_nothing(self, tmp_path, monkeypatch):
         configs = [tiny(1), tiny(2), tiny(3)]
         store = RunStore(tmp_path)
-        first = run_sweep(configs, backend="serial", store=store)
+        first = run_sweep(configs, executor="serial", store=store)
 
         calls = counting_worker(monkeypatch)
-        second = run_sweep(configs, backend="serial", store=RunStore(tmp_path))
+        second = run_sweep(configs, executor="serial", store=RunStore(tmp_path))
         assert calls == []  # zero simulations the second time
         for a, b in zip(first, second):
             assert_summaries_equal(a.summary, b.summary)
@@ -60,25 +60,25 @@ class TestCachedSweep:
         configs = [tiny(s) for s in (1, 2, 3, 4)]
         # "Killed midway": only the first two runs reached the store.
         store = RunStore(tmp_path)
-        run_sweep(configs[:2], backend="serial", store=store)
+        run_sweep(configs[:2], executor="serial", store=store)
 
         calls = counting_worker(monkeypatch)
-        results = run_sweep(configs, backend="serial", store=RunStore(tmp_path))
+        results = run_sweep(configs, executor="serial", store=RunStore(tmp_path))
         assert [c.seed for c in calls] == [3, 4]  # only the missing configs
         assert [r.config.seed for r in results] == [1, 2, 3, 4]
 
     def test_cached_matches_fresh(self, tmp_path):
         configs = [tiny(1), tiny(2)]
-        run_sweep(configs, backend="serial", store=RunStore(tmp_path))
-        cached = run_sweep(configs, backend="serial", store=RunStore(tmp_path))
-        fresh = run_sweep(configs, backend="serial")
+        run_sweep(configs, executor="serial", store=RunStore(tmp_path))
+        cached = run_sweep(configs, executor="serial", store=RunStore(tmp_path))
+        fresh = run_sweep(configs, executor="serial")
         for a, b in zip(cached, fresh):
             assert_summaries_equal(a.summary, b.summary)
 
     def test_duplicate_configs_execute_once(self, tmp_path, monkeypatch):
         calls = counting_worker(monkeypatch)
         results = run_sweep(
-            [tiny(1), tiny(1), tiny(1)], backend="serial", store=RunStore(tmp_path)
+            [tiny(1), tiny(1), tiny(1)], executor="serial", store=RunStore(tmp_path)
         )
         assert len(calls) == 1
         assert len(results) == 3
@@ -93,44 +93,44 @@ class TestCachedSweep:
         # is the single miss, the duplicate slots count as hits (served
         # from the store after the put) — never more misses than slots.
         store = RunStore(tmp_path)
-        run_sweep([tiny(1), tiny(1), tiny(1)], backend="serial", store=store)
+        run_sweep([tiny(1), tiny(1), tiny(1)], executor="serial", store=store)
         assert store.stats == {"stored": 1, "hits": 2, "misses": 1}
 
     def test_no_store_duplicates_execute_independently(self, monkeypatch):
         calls = counting_worker(monkeypatch)
-        results = run_sweep([tiny(1), tiny(1)], backend="serial")
+        results = run_sweep([tiny(1), tiny(1)], executor="serial")
         assert len(calls) == 2  # no store identity -> no dedupe
         assert results[0] is not results[1]
 
     def test_collect_events_bypasses_cache(self, tmp_path, monkeypatch):
         cfg = tiny(1, collect_events=True)
         store = RunStore(tmp_path)
-        first = run_sweep([cfg], backend="serial", store=store)
+        first = run_sweep([cfg], executor="serial", store=store)
         assert first[0].events is not None
         assert not store.contains(cfg)  # event runs are never persisted
 
         calls = counting_worker(monkeypatch)
-        second = run_sweep([cfg], backend="serial", store=RunStore(tmp_path))
+        second = run_sweep([cfg], executor="serial", store=RunStore(tmp_path))
         assert len(calls) == 1  # re-executed, not served summary-only
         assert second[0].events is not None
 
     def test_thread_backend_with_store(self, tmp_path):
         configs = [tiny(1), tiny(2)]
         store = RunStore(tmp_path)
-        run_sweep(configs, backend="thread", workers=2, store=store)
+        run_sweep(configs, executor="thread", workers=2, store=store)
         assert store.stats["stored"] == 2
-        again = run_sweep(configs, backend="thread", workers=2, store=store)
+        again = run_sweep(configs, executor="thread", workers=2, store=store)
         assert store.hits == 2
-        serial = run_sweep(configs, backend="serial")
+        serial = run_sweep(configs, executor="serial")
         for a, b in zip(again, serial):
             assert_summaries_equal(a.summary, b.summary)
 
     def test_process_backend_with_store(self, tmp_path):
         configs = [tiny(1), tiny(2)]
         store = RunStore(tmp_path)
-        results = run_sweep(configs, backend="process", workers=2, store=store)
+        results = run_sweep(configs, executor="process", workers=2, store=store)
         assert store.stats["stored"] == 2
-        serial = run_sweep(configs, backend="serial")
+        serial = run_sweep(configs, executor="serial")
         for a, b in zip(results, serial):
             assert_summaries_equal(a.summary, b.summary)
 
@@ -140,7 +140,7 @@ class TestProgressCallback:
         events = []
         run_sweep(
             [tiny(1), tiny(2)],
-            backend="serial",
+            executor="serial",
             store=RunStore(tmp_path),
             progress=lambda done, total, i, r, cached, stats: events.append(
                 (done, total, i, cached)
@@ -152,7 +152,7 @@ class TestProgressCallback:
         events.clear()
         run_sweep(
             [tiny(1), tiny(2)],
-            backend="serial",
+            executor="serial",
             store=RunStore(tmp_path),
             progress=lambda done, total, i, r, cached, stats: events.append(
                 (done, total, i, cached)
@@ -164,7 +164,7 @@ class TestProgressCallback:
         events = []
         run_sweep(
             [tiny(1)],
-            backend="serial",
+            executor="serial",
             progress=lambda *args: events.append(args),
         )
         assert len(events) == 1
@@ -175,7 +175,7 @@ class TestWorkerFailure:
         boom = tiny(2)
         failing_task_worker(monkeypatch, 2, RuntimeError("numerical doom"))
         with pytest.raises(SweepWorkerError) as err:
-            run_sweep([tiny(1), boom, tiny(3)], backend="serial")
+            run_sweep([tiny(1), boom, tiny(3)], executor="serial")
         assert err.value.index == 1
         assert err.value.config == boom
         assert err.value.config_hash == config_hash(boom)
@@ -186,7 +186,7 @@ class TestWorkerFailure:
     def test_thread_failure_names_config(self, monkeypatch):
         failing_task_worker(monkeypatch, 3, ValueError("bad grid point"))
         with pytest.raises(SweepWorkerError) as err:
-            run_sweep([tiny(1), tiny(2), tiny(3)], backend="thread", workers=2)
+            run_sweep([tiny(1), tiny(2), tiny(3)], executor="thread", workers=2)
         assert err.value.index == 2
         assert isinstance(err.value.__cause__, ValueError)
 
@@ -208,7 +208,7 @@ class TestWorkerFailure:
         with pytest.raises(SweepWorkerError) as err:
             run_sweep(
                 [tiny(1), tiny(2), tiny(3)],
-                backend="thread",
+                executor="thread",
                 workers=3,
                 store=store,
             )
@@ -223,7 +223,7 @@ class TestWorkerFailure:
         store = RunStore(tmp_path)
         failing_task_worker(monkeypatch, 2, RuntimeError("doom"))
         with pytest.raises(SweepWorkerError):
-            run_sweep([tiny(1), tiny(2)], backend="serial", store=store)
+            run_sweep([tiny(1), tiny(2)], executor="serial", store=store)
         # The run that finished before the failure is durable: a retry
         # sweep only needs the failing config.
         assert RunStore(tmp_path).contains(tiny(1))

@@ -34,6 +34,7 @@ class TestParser:
         for argv in (
             ["scenarios"],
             ["run", "paper/fig3"],
+            ["figures", "all"],
             ["sweep"],
             ["profile", "base/default"],
             ["ls"],
@@ -326,6 +327,14 @@ class TestDispatchCLI:
         "--set", "founders_per_article=2",
         "--set", "training_steps=5", "--set", "eval_steps=5",
     ]
+
+    def test_serve_takes_the_shared_dispatch_flag(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["serve", "--dispatch", "store"]).dispatch == "store"
+        assert parser.parse_args(["serve"]).dispatch is None
+        with pytest.raises(SystemExit):
+            parser.parse_args(["serve", "--dispatch-store"])
+        assert "unrecognized arguments: --dispatch-store" in capsys.readouterr().err
 
     def test_sweep_worker_registered(self):
         args = build_parser().parse_args(["sweep-worker", "rs"])

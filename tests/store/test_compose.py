@@ -139,7 +139,7 @@ class TestHashStability:
             "base/default", "churn/spike", n_seeds=2, overrides=TINY
         )
         store = RunStore(tmp_path / "rs")
-        run_sweep(composed, backend="serial", store=store)
+        run_sweep(composed, executor="serial", store=store)
         assert store.misses == len(composed)
 
         hand = [
@@ -147,7 +147,7 @@ class TestHashStability:
             for c in expand_scenario("base/default", n_seeds=2, overrides=TINY)
         ]
         reopened = RunStore(tmp_path / "rs")
-        results = run_sweep(hand, backend="serial", store=reopened)
+        results = run_sweep(hand, executor="serial", store=reopened)
         assert reopened.misses == 0 and reopened.hits == len(hand)
         assert all(r is not None for r in results)
 

@@ -430,7 +430,7 @@ class TestCrashRecovery:
 
         results = run_sweep(
             configs,
-            backend="serial",
+            executor="serial",
             store=store,
             dispatch="store",
             lane_width=1,

@@ -2,6 +2,9 @@
 ``repro.api.__all__`` works as documented, and the package has one
 version string."""
 
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -66,6 +69,20 @@ class TestFacade:
 
         assert api.SimulationConfig is SimulationConfig
         assert api.ScaleConfig is ScaleConfig
+
+
+@pytest.mark.parametrize("module", ["repro.api", "repro.store.cli"])
+def test_import_loads_neither_networkx_nor_the_figures(module):
+    # A fresh interpreter: this one has imported both long ago.
+    code = (
+        f"import sys, {module}; "
+        "print([m for m in ('networkx', 'repro.experiments') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_pyproject_reads_the_package_version():
