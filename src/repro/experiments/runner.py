@@ -17,7 +17,6 @@ from typing import Any, Callable, NamedTuple
 
 from ..analysis.figures import FigureData
 from ..obs import get_tracer
-from ..sim._sweep import run_sweep
 from ..sim.config import SimulationConfig
 from ..sim.engine import SimulationResult
 from ..store.compose import resolve_scenario
@@ -84,24 +83,21 @@ EXTRA_EXPERIMENTS = [
 
 def run_figures(
     names: list[str],
+    *,
+    sweep: Callable[[list[SimulationConfig]], list[SimulationResult]],
     fast: bool = False,
     n_seeds: int | None = None,
-    expand: Callable[[str, int], list[SimulationConfig]] | None = None,
-    sweep: Callable[[list[SimulationConfig]], list[SimulationResult]] | None = None,
     **params: Any,
 ) -> dict[str, list[FigureData]]:
     """Render ``names`` from one sweep over their packs' distinct configs.
 
-    ``n_seeds`` defaults to each figure's own count.  ``expand(pack,
-    n_seeds)`` lists a pack's configs; by default the registry expands
-    it at ``fast``, passing ``params`` to every pack's builder (e.g.
-    ``percentages``), which ignores those it does not take.
+    Each figure's pack expands at ``fast`` and ``n_seeds`` (default: the
+    figure's own count), passing ``params`` to every pack's builder
+    (e.g. ``percentages``), which ignores those it does not take.
     ``sweep(configs)`` runs the distinct configs of every selected
-    figure at once (default: :func:`run_sweep` on its process pool).
+    figure at once; it is not called when only analytic figures are
+    selected.
     """
-    if expand is None:
-        def expand(pack: str, n: int) -> list[SimulationConfig]:
-            return resolve_scenario(pack).expand(fast=fast, n_seeds=n, **params)
     seeds = {
         name: FIGURES[name].n_seeds if n_seeds is None else n_seeds
         for name in names
@@ -109,16 +105,22 @@ def run_figures(
     }
     keyed = {
         # {hash: config} keeps each distinct config once, in expansion order.
-        name: {config_hash(c): c for c in expand(FIGURES[name].pack, n)}
+        name: {
+            config_hash(c): c
+            for c in resolve_scenario(FIGURES[name].pack).expand(
+                fast=fast, n_seeds=n, **params
+            )
+        }
         for name, n in seeds.items()
     }
     distinct: dict[str, SimulationConfig] = {}
     for configs in keyed.values():
         distinct.update(configs)
     tracer = get_tracer()
-    with tracer.span("experiment/sweep"):
-        swept = (sweep or run_sweep)(list(distinct.values()))
-    results = dict(zip(distinct, swept))
+    results = {}
+    if distinct:
+        with tracer.span("experiment/sweep"):
+            results = dict(zip(distinct, sweep(list(distinct.values()))))
     figures = {}
     for name in names:
         with tracer.span(f"experiment/{name}"):

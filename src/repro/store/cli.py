@@ -147,8 +147,8 @@ def _expand(
 ) -> tuple[ScenarioPack, list[SimulationConfig]]:
     """Resolve a pack or ``pack+modifier`` spec and expand it.
 
-    The one scenario expansion of ``run``, ``chaos``, ``profile``,
-    ``trace`` and ``figures``: ``--fast`` and the command's single-valued
+    The one scenario expansion of ``run``, ``chaos``, ``profile`` and
+    ``trace``: ``--fast`` and the command's single-valued
     ``--set`` overrides (if it takes any) apply to every config, and
     ``n_seeds`` defaults to ``--seeds`` (3 when not given).  An unknown
     name exits with the registry's message.
@@ -289,7 +289,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     one sweep through ``run``'s execution path (so a store makes a
     re-run all cache hits), and renders each figure: an ASCII rendition
     on stdout and ``<name>.csv`` + ``<name>.json`` under ``--out``.
-    Figures 1 and 2 are analytic and run nothing.
+    Figures 1 and 2 are analytic: selected alone, they run no sweep and
+    open no store.
     """
     from ..experiments.runner import (
         EXPERIMENTS,
@@ -320,13 +321,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         return results
 
     watch = Stopwatch()
-    figures = run_figures(
-        names,
-        fast=args.fast,
-        n_seeds=args.seeds,
-        expand=lambda pack, n_seeds: _expand(pack, args, n_seeds)[1],
-        sweep=sweep,
-    )
+    figures = run_figures(names, sweep=sweep, fast=args.fast, n_seeds=args.seeds)
     for figs in figures.values():
         for fig in figs:
             print(fig.render())

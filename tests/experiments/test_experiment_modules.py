@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments.runner import run_figures
 from repro.sim import scenarios
+from repro.sim._sweep import run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -22,7 +23,11 @@ def tiny_scale(monkeypatch):
 def render(*names, n_seeds=1, **params):
     """The named figures' FigureData, from one tiny serial sweep."""
     figures = run_figures(
-        list(names), fast=True, n_seeds=n_seeds, executor="serial", **params
+        list(names),
+        sweep=lambda configs: run_sweep(configs, executor="serial"),
+        fast=True,
+        n_seeds=n_seeds,
+        **params,
     )
     return [fig for figs in figures.values() for fig in figs]
 

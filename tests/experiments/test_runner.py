@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
 from repro.experiments.runner import (
     EXPERIMENTS,
     EXTRA_EXPERIMENTS,
@@ -24,17 +23,18 @@ from repro.store.hashing import config_hash
 FAMILY_VALUE = {"linear": 1.0, "power": 2.0, "step": 3.0}
 
 
-@pytest.fixture
-def recorded_sweeps(monkeypatch):
-    """Replace the runner's and the CLI's sweep with a recorder of fake results.
+class SweepRecorder:
+    """A sweep that records each call's configs and returns fake results.
 
     A result's ``shared_files`` is its sharing beta for logistic configs
     and a per-family constant otherwise, so renderers' grouping shows.
     """
-    calls = []
 
-    def record(configs, **_):
-        calls.append(list(configs))
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, configs, **_):
+        self.calls.append(list(configs))
         results = []
         for c in configs:
             summary = defaultdict(lambda: 0.5)
@@ -44,9 +44,13 @@ def recorded_sweeps(monkeypatch):
             results.append(SimulationResult(c, summary, {}, 0.0))
         return results
 
-    monkeypatch.setattr(runner, "run_sweep", record)
-    monkeypatch.setattr(cli, "run_sweep", record)
-    return calls
+
+@pytest.fixture
+def recorded_sweeps(monkeypatch):
+    """A :class:`SweepRecorder` that also stands in for the CLI's sweep."""
+    recorder = SweepRecorder()
+    monkeypatch.setattr(cli, "run_sweep", recorder)
+    return recorder
 
 
 class TestParser:
@@ -101,6 +105,16 @@ class TestMain:
         assert (tmp_path / "fig2_T2.csv").exists()
         assert (tmp_path / "fig2_T1000.csv").exists()
 
+    def test_analytic_figures_open_no_store(self, tmp_path, capsys):
+        store = tmp_path / "cache"
+        argv = ["figures", "fig1", "fig2", "--fast", "--store", str(store),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert not store.exists()
+        out = capsys.readouterr().out
+        assert "distinct configs" not in out
+        assert "cache:" not in out
+
 
 class TestOneSweep:
     @pytest.mark.parametrize(
@@ -110,14 +124,16 @@ class TestOneSweep:
         self, recorded_sweeps, tmp_path, argv, n_configs
     ):
         assert main(["figures", *argv, "--no-store", "--out", str(tmp_path)]) == 0
-        (configs,) = recorded_sweeps
+        (configs,) = recorded_sweeps.calls
         assert len({config_hash(c) for c in configs}) == len(configs) == n_configs
 
     def test_ablation_panels_share_the_default_logistic_arm(self, recorded_sweeps):
-        beta, family = run_figures(["ablation-repfunc"], n_seeds=2)["ablation-repfunc"]
+        beta, family = run_figures(
+            ["ablation-repfunc"], sweep=recorded_sweeps, n_seeds=2
+        )["ablation-repfunc"]
         # 4 betas + 4 families at 2 seeds, the beta = 0.2 arm being the
         # logistic family's: 14 distinct configs.
-        assert len(recorded_sweeps[0]) == 14
+        assert len(recorded_sweeps.calls[0]) == 14
         assert beta.x.tolist() == [0.1, 0.15, 0.2, 0.3]
         assert beta.series["articles"].tolist() == [0.1, 0.15, 0.2, 0.3]
         assert family.meta["families"] == "logistic,linear,power,step"
@@ -125,11 +141,13 @@ class TestOneSweep:
 
     def test_zero_seeds_rejected(self, recorded_sweeps):
         with pytest.raises(ValueError, match="n_seeds must be >= 1"):
-            run_figures(["fig3"], n_seeds=0)
-        assert recorded_sweeps == []
+            run_figures(["fig3"], sweep=recorded_sweeps, n_seeds=0)
+        assert recorded_sweeps.calls == []
 
     def test_rmin_axis(self, recorded_sweeps):
-        (fig,) = run_figures(["ablation-rmin"], n_seeds=1)["ablation-rmin"]
+        (fig,) = run_figures(
+            ["ablation-rmin"], sweep=recorded_sweeps, n_seeds=1
+        )["ablation-rmin"]
         assert fig.x.tolist() == [0.02, 0.05, 0.1, 0.2, 0.4]
         assert fig.meta["whitewash_rate"] == 0.002
 
