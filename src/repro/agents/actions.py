@@ -37,7 +37,7 @@ class SharingActionSpace:
     def decode(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Action indices -> (bandwidth fractions, files fractions)."""
         actions = np.asarray(actions)
-        if np.any((actions < 0) | (actions >= self.n_actions)):
+        if ((actions < 0) | (actions >= self.n_actions)).any():
             raise ValueError("action index out of range")
         bw = self.levels[actions // self.n_levels]
         files = self.levels[actions % self.n_levels]
@@ -71,7 +71,7 @@ class EditActionSpace:
     def decode(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Action indices -> (edit_constructive, vote_constructive) bools."""
         actions = np.asarray(actions)
-        if np.any((actions < 0) | (actions >= self.n_actions)):
+        if ((actions < 0) | (actions >= self.n_actions)).any():
             raise ValueError("action index out of range")
         edit_constructive = (actions // 2).astype(bool)
         vote_constructive = (actions % 2).astype(bool)

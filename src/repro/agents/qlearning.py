@@ -40,7 +40,7 @@ def _row_temperature(temperature: float | np.ndarray, ndim: int):
     rows of an ``ndim``-D block (one temperature per row)."""
     if np.ndim(temperature) > 0:
         t = np.asarray(temperature, dtype=np.float64)
-        if np.any(t <= 0):
+        if (t <= 0).any():
             raise ValueError("temperature must be positive (use small T for greedy)")
         return t.reshape(t.shape + (1,) * (ndim - t.ndim))
     if temperature <= 0:

@@ -13,7 +13,10 @@ floored at zero (``C >= 0`` by definition in the paper).
 
 The ledger is a struct-of-arrays container over the whole population so the
 simulation engine can update all peers with a handful of vectorized
-operations per step.
+operations per step.  It counts the mutations of each book
+(:attr:`ContributionLedger.sharing_version` and
+:attr:`ContributionLedger.editing_version`), so a reputation view derived
+from a book can be reused until that book next changes.
 """
 
 from __future__ import annotations
@@ -41,6 +44,10 @@ class ContributionLedger:
         self._apply_retention = bool(np.any(np.asarray(self.params.retention) < 1.0))
         self._c_s = np.zeros(self.n_peers, dtype=np.float64)
         self._c_e = np.zeros(self.n_peers, dtype=np.float64)
+        #: Mutation counts of the ``C_S`` and ``C_E`` books: every method
+        #: below that writes a book bumps its count first.
+        self.sharing_version = 0
+        self.editing_version = 0
 
     # ------------------------------------------------------------------
     # Views (read-only by convention; engine treats these as snapshots)
@@ -77,6 +84,7 @@ class ContributionLedger:
         p = self.params
         self._check(shared_articles, "shared_articles")
         self._check(shared_bandwidth, "shared_bandwidth")
+        self.sharing_version += 1
         if self._apply_retention:
             self._c_s *= p.retention
         self._c_s += p.alpha_s * shared_articles
@@ -95,6 +103,7 @@ class ContributionLedger:
         p = self.params
         self._check(successful_votes, "successful_votes")
         self._check(accepted_edits, "accepted_edits")
+        self.editing_version += 1
         if self._apply_retention:
             self._c_e *= p.retention
         self._c_e += p.alpha_e * successful_votes
@@ -111,14 +120,18 @@ class ContributionLedger:
         minimum value as well".
         """
         if sharing:
+            self.sharing_version += 1
             self._c_s[indices] = 0.0
         if editing:
+            self.editing_version += 1
             self._c_e[indices] = 0.0
 
     def reset_all(self) -> None:
         """Zero every ledger — used between the training and evaluation
         phases ("the reputation values are reset but the agents keep their
         Q-Matrices")."""
+        self.sharing_version += 1
+        self.editing_version += 1
         self._c_s.fill(0.0)
         self._c_e.fill(0.0)
 
@@ -128,7 +141,7 @@ class ContributionLedger:
             raise ValueError(
                 f"{name} must have shape ({self.n_peers},), got {arr.shape}"
             )
-        if np.any(arr < 0):
+        if (arr < 0).any():
             raise ValueError(f"{name} must be non-negative")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

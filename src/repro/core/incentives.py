@@ -14,6 +14,11 @@ reads the voting rules from it: with ``differentiates_service`` set it
 weighs votes by ``reputation_e`` and takes the accept majority from
 :func:`~repro.core.service.required_majority_values`; without, votes are
 unweighted and a simple majority (0.5) decides.
+
+Both return each reputation view as a read-only array computed once per
+state of the ledger book it reads: the view is memoized under the
+book's mutation count (:class:`~repro.core.reputation.ViewMemo`), so the
+several phases that read it between two bookings share one evaluation.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .reputation import (
     ConstantReputation,
     LogisticReputation,
     ReputationFunction,
+    ViewMemo,
 )
 from .service import edit_eligibility
 
@@ -38,6 +44,17 @@ def _kernels():
     from ..sim.backends import KERNELS
 
     return KERNELS
+
+
+def _view(memo: ViewMemo, version: int, fn, book: np.ndarray) -> np.ndarray:
+    """``fn(book)`` as a read-only array, recomputed only when ``version``
+    (the book's mutation count) differs from the memo's key."""
+    if memo.key != version:
+        view = fn(book)
+        view.flags.writeable = False
+        memo.value = view
+        memo.key = version
+    return memo.value
 
 
 class ReputationIncentiveScheme:
@@ -78,17 +95,21 @@ class ReputationIncentiveScheme:
         self.edit_punishment = EditPunishment(
             self.n_slots, c.service.edit_punish_threshold
         )
+        self._memo_s = ViewMemo()
+        self._memo_e = ViewMemo()
 
     # ------------------------------------------------------------------
-    # Reputation views
+    # Reputation views (read-only; one evaluation per state of the book)
     # ------------------------------------------------------------------
     def reputation_s(self) -> np.ndarray:
         """Sharing reputation ``R_S`` per peer."""
-        return self.fn_s(self.ledger.sharing)
+        ledger = self.ledger
+        return _view(self._memo_s, ledger.sharing_version, self.fn_s, ledger.sharing)
 
     def reputation_e(self) -> np.ndarray:
         """Editing/voting reputation ``R_E`` per peer."""
-        return self.fn_e(self.ledger.editing)
+        ledger = self.ledger
+        return _view(self._memo_e, ledger.editing_version, self.fn_e, ledger.editing)
 
     # ------------------------------------------------------------------
     # Service differentiation
@@ -192,12 +213,16 @@ class NoIncentiveScheme:
         # they never influence any service decision.
         self.ledger = ContributionLedger(self.n_slots, self.constants.contribution)
         self._flat = ConstantReputation(self.constants.reputation_s, value=1.0)
+        self._memo_s = ViewMemo()
+        self._memo_e = ViewMemo()
 
     def reputation_s(self) -> np.ndarray:
-        return self._flat(self.ledger.sharing)
+        ledger = self.ledger
+        return _view(self._memo_s, ledger.sharing_version, self._flat, ledger.sharing)
 
     def reputation_e(self) -> np.ndarray:
-        return self._flat(self.ledger.editing)
+        ledger = self.ledger
+        return _view(self._memo_e, ledger.editing_version, self._flat, ledger.editing)
 
     def bandwidth_shares(
         self, source_ids: np.ndarray, downloader_ids: np.ndarray

@@ -18,7 +18,9 @@ provides linear, power and step functions behind the same interface; the
 ablation benchmark sweeps them.
 
 All functions are vectorized: they accept scalars or NumPy arrays and never
-allocate more than the output array.
+allocate more than the output array.  :class:`ViewMemo` holds one array
+derived from another (a reputation view of a contribution book, or the
+discretized states of a reputation view) until its key moves.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "StepReputation",
     "ConstantReputation",
     "reputation_to_state",
+    "ViewMemo",
     "REPUTATION_FUNCTIONS",
 ]
 
@@ -61,7 +64,7 @@ class ReputationFunction(abc.ABC):
     def __call__(self, contribution: ArrayLike) -> np.ndarray:
         """Evaluate the reputation for (an array of) contribution values."""
         c = np.asarray(contribution, dtype=np.float64)
-        if np.any(c < 0):
+        if (c < 0).any():
             raise ValueError("contribution values must be non-negative")
         r = self._raw(c)
         # Clip into the admissible band; _raw implementations are already
@@ -191,12 +194,35 @@ def reputation_to_state(
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
-    if np.any(np.asarray(r_min) >= np.asarray(r_max)):
+    if (np.asarray(r_min) >= np.asarray(r_max)).any():
         raise ValueError("need r_min < r_max")
     r = np.asarray(reputation, dtype=np.float64)
     frac = (r - r_min) / (r_max - r_min)
     states = np.floor(frac * n_states).astype(np.int64)
     return np.clip(states, 0, n_states - 1)
+
+
+class ViewMemo:
+    """One derived array (``value``) and the key it was derived under.
+
+    The incentive schemes key a reputation view by the mutation count of
+    the ledger book it reads; the act and learn phases key discretized
+    states by the reputation array they came from (compared by
+    identity, and held, so the key cannot be recycled).  A memo is
+    derived data, not run state: it has no ``__dict__``, so the state
+    fingerprint walk (:func:`repro.sim.testing.collect_arrays`) never
+    reaches it, and it pickles empty, so a restored scheme or state
+    derives its first view afresh.
+    """
+
+    __slots__ = ("key", "value")
+
+    def __init__(self) -> None:
+        self.key = None
+        self.value = None
+
+    def __reduce__(self):
+        return (ViewMemo, ())
 
 
 #: Registry used by the reputation-function ablation experiment.

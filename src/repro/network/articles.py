@@ -120,12 +120,17 @@ class ArticleStore:
 
         ``editors`` are lane-local peer ids; ``first_time`` marks the
         editors who held no voting right on their row yet — they gain
-        one, appended to the row's log in proposal order.
+        one, appended to the row's log in proposal order.  Every book
+        moves by whole numbers, so per-row ``np.bincount`` totals add up
+        to exactly what an element-by-element scatter-add would.
         """
-        np.add.at(self.n_versions, rows, 1)
-        np.add.at(self.quality, rows, np.where(constructive, 1.0, -1.0))
-        np.add.at(self.n_constructive, rows, constructive)
-        np.add.at(self.n_destructive, rows, ~constructive)
+        n_rows = self.quality.size
+        versions = np.bincount(rows, minlength=n_rows)
+        good = np.bincount(rows[constructive], minlength=n_rows)
+        self.n_versions += versions
+        self.n_constructive += good
+        self.n_destructive += versions - good
+        self.quality += 2 * good - versions
         if first_time.any():
             self._append(rows[first_time], editors[first_time])
 

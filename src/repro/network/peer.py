@@ -111,7 +111,7 @@ class PeerArrays:
         of = np.asarray(offered_files, dtype=np.float64)
         if ob.shape != (self.n,) or of.shape != (self.n,):
             raise ValueError("action arrays must have shape (n_peers,)")
-        if np.any((ob < 0) | (ob > 1)) or np.any((of < 0) | (of > 1)):
+        if ((ob < 0) | (ob > 1)).any() or ((of < 0) | (of > 1)).any():
             raise ValueError("action fractions must lie in [0, 1]")
         self.offered_bandwidth[:] = ob
         self.offered_files[:] = of

@@ -25,6 +25,19 @@ kernel                       hot loop it implements
 the per-replicate stream loops of the phases, so a kernel can never
 shift a lane's stream.
 
+**Scatter-adds are bincounts.**  Where a scatter-add's target starts at
+zero (``grouped_shares``' group totals, ``settle_downloads``' served
+amounts, ``tally_votes``' for-weights), the kernel calls
+``np.bincount(ids, weights=..., minlength=...)``: it adds each weight
+into its bin in input order, starting from ``0.0``, which is the
+summation ``np.add.at`` performs on a zeroed target, so the sums are
+bit-identical at a fraction of the call cost.  The step path keeps
+``np.add.at`` for the karma balances and the tft histories (targets
+that carry state, with real-valued addends) and for integer scatters of a few indices into
+full-width books (punishment streaks, the sparse ledger's row counts
+below), where a bincount's pass over every slot costs more than the
+scatter at large N.
+
 Every call site looks its kernel up on the one :data:`KERNELS` instance
 at call time (``KERNELS.q_update(...)`` or ``self.kernels.q_update(...)``
 on an object holding it), never through a module-level alias of a bound
@@ -57,20 +70,19 @@ class NumpyKernels:
     def grouped_shares(
         self, group_ids: np.ndarray, weights: np.ndarray, n_groups: int
     ) -> np.ndarray:
-        """Group-normalized shares via one scatter-add."""
+        """Group-normalized shares via one weighted bincount."""
         group_ids = np.asarray(group_ids)
         weights = np.asarray(weights, dtype=np.float64)
         if group_ids.shape != weights.shape:
             raise ValueError("group_ids and weights must have the same shape")
         if group_ids.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if np.any((group_ids < 0) | (group_ids >= n_groups)):
+        if ((group_ids < 0) | (group_ids >= n_groups)).any():
             raise ValueError("group ids out of range")
-        if np.any(weights < 0):
+        if (weights < 0).any():
             raise ValueError("weights must be non-negative")
 
-        totals = np.zeros(n_groups, dtype=np.float64)
-        np.add.at(totals, group_ids, weights)
+        totals = np.bincount(group_ids, weights=weights, minlength=n_groups)
         counts = np.bincount(group_ids, minlength=n_groups)
 
         shares = np.empty_like(weights)
@@ -79,7 +91,7 @@ class NumpyKernels:
         # Normal case: proportional share.
         np.divide(weights, group_total, out=shares, where=~degenerate)
         # Degenerate case (all weights zero in a group): equal split.
-        if np.any(degenerate):
+        if degenerate.any():
             shares[degenerate] = 1.0 / counts[group_ids[degenerate]]
         return shares
 
@@ -94,16 +106,16 @@ class NumpyKernels:
         """Source fix-ups exactly as the batch sampler always applied them."""
         chosen = sources_flat[req_start + choice_idx]
         self_hit = chosen == downloaders
-        if np.any(self_hit):
+        if self_hit.any():
             # With several sharers shift to the next one; a lone sharer
             # cannot download from itself.
             shift = self_hit & (req_n_s > 1)
-            if np.any(shift):
+            if shift.any():
                 chosen[shift] = sources_flat[
                     req_start[shift] + (choice_idx[shift] + 1) % req_n_s[shift]
                 ]
             drop = self_hit & (req_n_s == 1)
-            if np.any(drop):
+            if drop.any():
                 keep = ~drop
                 downloaders, chosen = downloaders[keep], chosen[keep]
         return downloaders, chosen
@@ -119,15 +131,14 @@ class NumpyKernels:
     ) -> tuple[np.ndarray, np.ndarray]:
         """One gather + two scatters, preserving per-source input order."""
         received = np.zeros(n_peers, dtype=np.float64)
-        served = np.zeros(n_peers, dtype=np.float64)
         if downloader_ids.size == 0:
-            return received, served
+            return received, np.zeros(n_peers, dtype=np.float64)
         capacity = offered_bandwidth[source_ids] * upload_capacity[source_ids]
         amount = capacity * shares
         # A downloader can issue at most one request per step, so a plain
         # scatter is enough for `received`; sources may serve many requests.
         received[downloader_ids] = amount
-        np.add.at(served, source_ids, amount)
+        served = np.bincount(source_ids, weights=amount, minlength=n_peers)
         return received, served
 
     def filter_vote_candidates(
@@ -173,10 +184,14 @@ class NumpyKernels:
         votes_for: np.ndarray,
         n_prop: int,
     ) -> np.ndarray:
-        """Masked scatter-add; ``np.add.at`` accumulates in input order."""
-        for_weight = np.zeros(n_prop)
-        np.add.at(for_weight, flat_prop[votes_for], weights[votes_for])
-        return for_weight
+        """Masked weighted bincount; it accumulates in input order.
+
+        ``np.bincount`` returns integer zeros when no vote is for, so the
+        result is cast (a no-op otherwise) to keep it float64.
+        """
+        return np.bincount(
+            flat_prop[votes_for], weights=weights[votes_for], minlength=n_prop
+        ).astype(np.float64, copy=False)
 
     def ledger_lookup(
         self,

@@ -231,26 +231,32 @@ class MetricsCollector:
         if i >= self.n_steps:
             raise RuntimeError("metrics store is full")
         R, N = self.n_replicates, self._n_per_rep
-        files = np.asarray(stats.offered_files).reshape(R, N)
-        bw = np.asarray(stats.offered_bandwidth).reshape(R, N)
+        # The four all-peer means in one reduction over a stacked copy
+        # (axis=None flattens each input, whichever per-peer shape it
+        # has): each is np.add.reduce over one lane's N contiguous values
+        # divided by N, which is what np.mean computes.
+        stacked = np.concatenate(
+            (
+                stats.offered_files,
+                stats.offered_bandwidth,
+                stats.sharing_utility,
+                stats.editing_utility,
+            ),
+            axis=None,
+            dtype=np.float64,
+        ).reshape(4, R, N)
+        means = np.add.reduce(stacked, axis=2) / N
+        self._files_all[:, i] = means[0]
+        self._bandwidth_all[:, i] = means[1]
+        self._utility_s_all[:, i] = means[2]
+        self._utility_e_all[:, i] = means[3]
+        files, bw = stacked[0], stacked[1]
         rep_s = np.asarray(stats.reputation_s).reshape(R, N)
         rep_e = np.asarray(stats.reputation_e).reshape(R, N)
-        np.mean(files, axis=1, out=self._files_all[:, i])
-        np.mean(bw, axis=1, out=self._bandwidth_all[:, i])
         if self.streaming:
             self._record_types_streaming(i, files, bw, rep_s, rep_e)
         else:
             self._record_types_gathered(i, files, bw, rep_s, rep_e)
-        np.mean(
-            np.asarray(stats.sharing_utility).reshape(R, N),
-            axis=1,
-            out=self._utility_s_all[:, i],
-        )
-        np.mean(
-            np.asarray(stats.editing_utility).reshape(R, N),
-            axis=1,
-            out=self._utility_e_all[:, i],
-        )
         self._proposals[:, i] = np.asarray(stats.proposals).reshape(R, 3, 2)
         self._accepted[:, i] = np.asarray(stats.accepted).reshape(R, 3, 2)
         self._votes_cast[:, i] = np.asarray(stats.votes_cast)

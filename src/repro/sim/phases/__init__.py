@@ -14,7 +14,23 @@ state's per-replicate RNG streams:
 ``record``     per-step metric capture
 
 :func:`step_state` composes them in protocol order (the two adversary
-kernels are no-ops unless their config knobs are set).  Every kernel is
+kernels are no-ops unless their config knobs are set).
+
+Reputations are computed once per state of the books.  The ledger-backed
+schemes return a read-only reputation view memoized under the write
+count of the book it reads, and the learn phase's discretized next
+states are memoized under the reputation array they came from, where
+the next step's act phase finds them again
+(:func:`~repro.sim.phases.act.observe_states`).  In a step without
+resets, edit eligibility (``edit_vote``) evaluates ``R_S`` after the
+sharing booking, ``learn`` evaluates ``R_E`` after the editing booking
+and discretizes both, and ``act`` and ``download`` reuse what the
+previous step computed.  A churn whitewash, a sybil reset, an edit
+punishment or the phase-boundary reset writes the books and so forces
+the next reader to recompute.  The memos are derived data: the state
+fingerprint never sees them and they pickle empty.
+
+Every kernel is
 batched over the replicate axis: elementwise work runs once on the flat
 ``(R * N,)`` slot arrays, and only the irreducibly per-replicate piece —
 the RNG draws — loops over replicates, consuming each replicate's stream

@@ -133,8 +133,7 @@ def collusion_shares(
     sub_src = source_ids[rows]
     sub_blocked = blocked[rows]
     weights = np.where(sub_blocked, 0.0, shares[rows])
-    totals = np.zeros(state.peers.n)
-    np.add.at(totals, sub_src, weights)
+    totals = np.bincount(sub_src, weights=weights, minlength=state.peers.n)
     # Zero-reputation ring-mates: the ring policy ignores reputation, so
     # a zero-weight-total source still splits equally among its ring-mate
     # requests (not grouped_shares' all-rows fallback, which would leak

@@ -13,6 +13,14 @@ from .adversary import collusion_shares
 
 __all__ = ["download_phase"]
 
+#: The answer of a step with no requests, shared (its arrays are frozen).
+_NO_REQUESTS = DownloadRequests(
+    downloader_ids=np.empty(0, dtype=np.int64),
+    source_ids=np.empty(0, dtype=np.int64),
+)
+_NO_REQUESTS.downloader_ids.flags.writeable = False
+_NO_REQUESTS.source_ids.flags.writeable = False
+
 
 def download_phase(state: SimState, cfg: SimulationConfig) -> None:
     """Sample per-replicate download requests and settle them in one pass.
@@ -97,7 +105,9 @@ def sample_download_requests_batch(
     probability, exactly as its solo run would be.
 
     The post-draw matching fix-ups run in the ``match_sources`` kernel;
-    the RNG draws themselves never enter a kernel.
+    the RNG draws themselves never enter a kernel.  Per-requester lane
+    facts (its lane's sharer segment and sharer count) are gathered by
+    the requester's lane, ``slot // N``, from one per-lane vector each.
     """
     sharing_mask = np.asarray(sharing_mask, dtype=bool)
     if sharing_mask.ndim != 2:
@@ -105,28 +115,24 @@ def sample_download_requests_batch(
     n_rep, n_peers = sharing_mask.shape
     if len(rngs) != n_rep:
         raise ValueError("need one rng per replicate")
-    per_lane_p = np.ndim(download_probability) > 0
+    if np.ndim(download_probability) > 0:
+        lane_ps = download_probability
+    else:
+        lane_ps = (download_probability,) * n_rep
 
-    def lane_p(r: int):
-        return download_probability[r] if per_lane_p else download_probability
-
-    empty = DownloadRequests(
-        downloader_ids=np.empty(0, dtype=np.int64),
-        source_ids=np.empty(0, dtype=np.int64),
-    )
     if overlays is not None:
         dl_parts: list[np.ndarray] = []
         src_parts: list[np.ndarray] = []
         for r in range(n_rep):
             req = sample_download_requests_overlay(
-                rngs[r], sharing_mask[r], overlays[r], lane_p(r)
+                rngs[r], sharing_mask[r], overlays[r], lane_ps[r]
             )
             if req.n:
                 offset = r * n_peers
                 dl_parts.append(req.downloader_ids + offset)
                 src_parts.append(req.source_ids + offset)
         if not dl_parts:
-            return empty
+            return _NO_REQUESTS
         return DownloadRequests(
             downloader_ids=np.concatenate(dl_parts),
             source_ids=np.concatenate(src_parts),
@@ -135,36 +141,36 @@ def sample_download_requests_batch(
     # Full-mesh fast path: only the RNG draws loop over replicates (each
     # replicate consumes a uniform vector, then source choices sized to
     # its requester count); the id arithmetic runs flat across replicates.
-    n_sharers = sharing_mask.sum(axis=1)  # N_S per replicate
+    n_sharers = np.add.reduce(sharing_mask, axis=1)  # N_S per replicate
+    n_sharers_list = n_sharers.tolist()
     wants = np.zeros((n_rep, n_peers), dtype=bool)
-    for r in range(n_rep):
-        n_s = int(n_sharers[r])
+    for r, n_s in enumerate(n_sharers_list):
         if n_s == 0:
             continue
-        p_r = lane_p(r)
+        p_r = lane_ps[r]
         p = 1.0 / n_s if p_r is None else float(p_r)
         p = min(max(p, 0.0), 1.0)
         wants[r] = rngs[r].random(n_peers) < p
-    downloaders = np.flatnonzero(wants.reshape(-1))  # global slot ids
+    downloaders = wants.reshape(-1).nonzero()[0]  # global slot ids
     if downloaders.size == 0:
-        return empty
-    d_counts = wants.sum(axis=1)
-    choice_parts = [
-        rngs[r].integers(0, int(n_sharers[r]), size=int(d_counts[r]))
-        for r in range(n_rep)
-        if d_counts[r]
-    ]
-    choice_idx = np.concatenate(choice_parts)
-    # Per-replicate segments of the flat (ascending) sharer list.
-    sources_flat = np.flatnonzero(sharing_mask.reshape(-1))
-    seg_starts = np.concatenate(([0], np.cumsum(n_sharers)[:-1]))
-    req_start = np.repeat(seg_starts, d_counts)
-    req_n_s = np.repeat(n_sharers, d_counts)
+        return _NO_REQUESTS
+    choice_idx = np.concatenate(
+        [
+            rngs[r].integers(0, n_sharers_list[r], size=k)
+            for r, k in enumerate(np.add.reduce(wants, axis=1).tolist())
+            if k
+        ]
+    )
+    # Each requester's lane segment of the flat (ascending) sharer list.
+    sources_flat = sharing_mask.reshape(-1).nonzero()[0]
+    lane = downloaders // n_peers
+    req_start = (n_sharers.cumsum() - n_sharers)[lane]
+    req_n_s = n_sharers[lane]
     # With several sharers a self-selection shifts to the next one; a
     # lone sharer cannot download from itself (the request is dropped).
     downloaders, chosen = KERNELS.match_sources(
         downloaders, choice_idx, sources_flat, req_start, req_n_s
     )
     if downloaders.size == 0:
-        return empty
+        return _NO_REQUESTS
     return DownloadRequests(downloader_ids=downloaders, source_ids=chosen)

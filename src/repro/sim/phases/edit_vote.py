@@ -5,7 +5,9 @@ simultaneously against the step-start reputation snapshot: candidate
 voters are gathered from the lane-stacked article store in one ragged
 pass and filtered, voter weights are normalized per proposal with the
 same grouped-share kernel the bandwidth allocator uses, and outcomes are
-scattered back with ``np.add.at`` and booked into the store in one call.
+counted back with ``np.bincount`` (every count is integer-valued, so the
+counts equal the element-by-element scatter-add's) and booked into the
+store in one call.
 Only the RNG draws (proposer masks, article picks, subsample keys) run
 in per-replicate loops — each replicate consumes its own stream exactly
 as a solo run would.
@@ -147,7 +149,7 @@ def _voting_rounds(
         voter_counts = np.zeros(n_prop, dtype=np.int64)
 
     max_of_prop = take(max_voters, rep_of_prop)  # scalar or (n_prop,)
-    if np.any(voter_counts > max_of_prop):
+    if (voter_counts > max_of_prop).any():
         # Subsample oversubscribed proposals by the random-keys method:
         # one uniform key per candidate, keep each proposal's
         # ``max_voters`` smallest keys — a uniform without-replacement
@@ -213,16 +215,22 @@ def _voting_rounds(
     majority_for = for_weight >= 0.5
     successful = votes_for == majority_for[flat_prop]
 
-    np.add.at(sc.succ_votes, flat_voters[successful], 1.0)
+    n_slots = sc.succ_votes.size
+    sc.succ_votes += np.bincount(flat_voters[successful], minlength=n_slots)
     newly_banned = scheme.record_vote_outcomes(flat_voters, successful)
     punished = scheme.record_edit_outcomes(proposers, accepted)
 
-    types = state.peers.types[proposers]
-    cons_idx = prop_constructive.astype(np.int64)
-    np.add.at(sc.proposals_count, (rep_of_prop, types, cons_idx), 1)
-    acc = np.flatnonzero(accepted)
-    np.add.at(sc.accepted_count, (rep_of_prop[acc], types[acc], cons_idx[acc]), 1)
-    np.add.at(sc.acc_edits, proposers[acc], 1.0)
+    # One (lane, type, constructive) cell id per proposal.
+    cell = (rep_of_prop * 3 + state.peers.types[proposers]) * 2 + prop_constructive
+    n_cells = sc.proposals_count.size
+    sc.proposals_count += np.bincount(cell, minlength=n_cells).reshape(
+        sc.proposals_count.shape
+    )
+    acc = accepted.nonzero()[0]
+    sc.accepted_count += np.bincount(cell[acc], minlength=n_cells).reshape(
+        sc.accepted_count.shape
+    )
+    sc.acc_edits += np.bincount(proposers[acc], minlength=n_slots)
     if acc.size:
         # A proposer already holds a voting right on its article exactly
         # when it is among its own (unfiltered, step-start) candidates.
@@ -234,14 +242,17 @@ def _voting_rounds(
         )
 
     # Per-replicate step counters.
+    n_rep = state.n_replicates
     if flat_voters.size:
         rep_of_voter = rep_of_prop[flat_prop]
-        np.add.at(sc.votes_cast, rep_of_voter, 1.0)
-        np.add.at(sc.votes_successful, rep_of_voter[successful], 1.0)
+        sc.votes_cast += np.bincount(rep_of_voter, minlength=n_rep)
+        sc.votes_successful += np.bincount(
+            rep_of_voter[successful], minlength=n_rep
+        )
     if newly_banned.size:
-        np.add.at(sc.vote_bans, newly_banned // n, 1.0)
+        sc.vote_bans += np.bincount(newly_banned // n, minlength=n_rep)
     if punished.size:
-        np.add.at(sc.reputation_resets, punished // n, 1.0)
+        sc.reputation_resets += np.bincount(punished // n, minlength=n_rep)
 
     if state.events.count(None) != len(state.events):  # any lane logs
         _record_events(

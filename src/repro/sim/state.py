@@ -42,7 +42,7 @@ from ..agents.behaviors import BatchedBehaviorEngine
 from ..agents.qlearning import VectorQLearner
 from ..core.baselines import KarmaScheme, PrivateHistoryScheme
 from ..core.incentives import make_scheme
-from ..core.reputation import REPUTATION_FUNCTIONS
+from ..core.reputation import REPUTATION_FUNCTIONS, ViewMemo
 from ..network.articles import ArticleStore
 from ..network.events import EventLog
 from ..network.overlay import ChurnModel, OverlayNetwork
@@ -182,6 +182,12 @@ class SimState:
     step_count: int = 0
     whitewash_counts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
     sybil_counts: np.ndarray = field(default_factory=lambda: np.zeros(1, np.int64))
+    #: Discretized rational states of the last sharing / editing
+    #: reputation array observed (see
+    #: :func:`repro.sim.phases.act.observe_states`).  Derived data, not
+    #: run state: invisible to the fingerprint walk, pickled empty.
+    memo_s: ViewMemo = field(default_factory=ViewMemo)
+    memo_e: ViewMemo = field(default_factory=ViewMemo)
 
     @property
     def config(self) -> SimulationConfig:

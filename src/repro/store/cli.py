@@ -65,6 +65,17 @@ _DEFAULT_METRICS = ("shared_files", "shared_bandwidth")
 _DEFAULT_SEEDS = 3
 
 
+def _positive_int(token: str) -> int:
+    """argparse type: an integer >= 1 (a usage error otherwise)."""
+    try:
+        value = int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_value(token: str) -> Any:
     """One ``--set`` value: JSON scalar if it parses, else a string."""
     stripped = token.strip()
@@ -782,7 +793,7 @@ _FLAGS: dict[str, Callable[[argparse.ArgumentParser], Any]] = {
     ),
     "--seeds": lambda p: p.add_argument(
         "--seeds",
-        type=int,
+        type=_positive_int,
         default=None,
         help="seeds per grid point (default 3, or each figure's own count; "
         "exclusive with --set seed=...)",

@@ -6,7 +6,6 @@ in-process via runpy so coverage tools see them.
 """
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -1,6 +1,5 @@
 """Tests for the parallel sweep runner."""
 
-import numpy as np
 import pytest
 
 from repro.sim.config import SimulationConfig

@@ -49,6 +49,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "base/default", "--no-store"],
+            ["chaos", "base/default", "--plan", "{}"],
+            ["figures", "fig3", "--no-store"],
+            ["sweep", "--no-store"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seeds_must_be_positive(self, argv, seeds, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seeds", seeds])
+        assert exc.value.code == 2
+        assert f"argument --seeds: must be >= 1, got {seeds}" in capsys.readouterr().err
+        assert not (tmp_path / "runstore").exists()
+
     def test_bad_set_field(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["sweep", "--set", "no_such_field=1", "--store", str(tmp_path)])

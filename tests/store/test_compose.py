@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.sim.config import SimulationConfig
 from repro.sim._sweep import run_sweep
 from repro.store import (
     RunStore,
