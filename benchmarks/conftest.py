@@ -1,18 +1,19 @@
 """Benchmark-suite configuration.
 
-Every paper figure has one bench that regenerates its data at a reduced
-but protocol-preserving scale (``BENCH_*`` constants below); the kernel
-benches guard the hot vectorized paths against performance regressions.
+``benchmarks/`` holds timings only: the kernel microbenchmarks, which
+the CI bench-smoke job compares against the same benches at the base
+commit, and the bounded speedup and overhead gates.  Correctness checks
+live under ``tests/``; tier-1 collects that tree alone.
 
-Simulation-backed figure benches run ``benchmark.pedantic`` with a single
-round — they are end-to-end regenerations, not microbenchmarks — while the
-kernel benches use the default calibration.
+Gate benches run ``benchmark.pedantic`` with a single round (each
+takes its own paired repeats), while the kernel benches use the default
+calibration.
 """
 
 import numpy as np
 import pytest
 
-#: Reduced scale for simulation-backed figure benches.
+#: Reduced scale for simulation-backed benches.
 BENCH_AGENTS = 50
 BENCH_ARTICLES = 10
 BENCH_TRAIN = 400

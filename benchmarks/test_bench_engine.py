@@ -1,24 +1,19 @@
-"""Bench ENGINE: phase-kernel throughput, sequential vs batched lanes.
+"""Bench ENGINE: the lane axis must pay for itself.
 
-Records the engine's steps/sec at a fig3-sized configuration (100 agents,
-30 articles, full protocol) in three execution shapes:
-
-* sequential — the historical one-run ``CollaborationSimulation``;
-* batched R=1 — the same pipeline through ``BatchedSimulation`` (measures
-  the replicate-axis overhead at unit width, which must be ~zero);
-* batched R=8 — eight seed replicates as stacked ``(8, N)`` arrays
-  (throughput counted in replicate-steps/sec).
-
-Two speedup tests assert the headline properties (both as CPU time,
-median of back-to-back paired rounds, which is robust to the throttling
-and clock changes of shared CI runners; the batched engine holds one
-core, so CPU time ~ wall time):
+Two speedup gates at a fig3-sized configuration (100 agents, 30
+articles, a bench-scale horizon), both as CPU time, median of
+back-to-back paired rounds, which is robust to the throttling and clock
+changes of shared CI runners; the batched engine holds one core, so CPU
+time ~ wall time:
 
 * 8 seed replicates batched beat 8 in-process sequential runs by >= 3x;
 * a *heterogeneous* grid of 8 distinct configs (different temperatures,
   workload intensities, population mixes) lane-batched as one
   ``BatchedSimulation`` beats running the same grid sequentially by
   >= 2.5x — the sweep axis itself vectorizes, not just the seed axis.
+
+The sweep-layer round trip over the same grid is
+``tests/sim/test_lane_batching.py::test_engine_lane_batched_sweep_roundtrip``.
 """
 
 import statistics
@@ -26,15 +21,9 @@ import time
 
 from conftest import bench_config
 from repro.agents.population import PopulationMix
-from repro.sim.engine import (
-    BatchedSimulation,
-    CollaborationSimulation,
-    replicate_configs,
-    run_replicates,
-    run_simulation,
-)
+from repro.sim.engine import BatchedSimulation, run_replicates, run_simulation
 from repro.sim.rng import spawn_seeds
-from repro.sim._sweep import plan_lane_batches, run_sweep
+from repro.sim._sweep import plan_lane_batches
 
 #: Fig3-sized population/workload at a bench-scale horizon.
 ENGINE_CFG = dict(
@@ -51,41 +40,6 @@ def engine_config(**overrides):
     cfg = dict(ENGINE_CFG)
     cfg.update(overrides)
     return bench_config(**cfg)
-
-
-def _steps(cfg) -> int:
-    return cfg.training_steps + cfg.eval_steps
-
-
-def test_engine_steps_sequential(benchmark):
-    cfg = engine_config()
-    result = benchmark.pedantic(
-        lambda: CollaborationSimulation(cfg).run(), rounds=1, iterations=1
-    )
-    benchmark.extra_info["steps_per_sec"] = _steps(cfg) / result.wall_time_s
-    assert result.summary["shared_bandwidth"] > 0.0
-
-
-def test_engine_steps_batched_r1(benchmark):
-    cfg = engine_config()
-    results = benchmark.pedantic(
-        lambda: BatchedSimulation([cfg]).run(), rounds=1, iterations=1
-    )
-    benchmark.extra_info["steps_per_sec"] = _steps(cfg) / results[0].wall_time_s
-    assert results[0].summary["shared_bandwidth"] > 0.0
-
-
-def test_engine_steps_batched_r8(benchmark):
-    cfg = engine_config()
-    configs = replicate_configs(cfg, N_REPLICATES)
-    results = benchmark.pedantic(
-        lambda: BatchedSimulation(configs).run(), rounds=1, iterations=1
-    )
-    total_wall = sum(r.wall_time_s for r in results)
-    benchmark.extra_info["replicate_steps_per_sec"] = (
-        N_REPLICATES * _steps(cfg) / total_wall
-    )
-    assert len(results) == N_REPLICATES
 
 
 def _cpu_time(fn) -> float:
@@ -167,16 +121,3 @@ def test_engine_lane_batched_grid_speedup(benchmark):
     assert speedup >= 2.5, (
         f"lane-batched grid speedup {speedup:.2f}x below the 2.5x floor"
     )
-
-
-def test_engine_lane_batched_sweep_roundtrip(benchmark):
-    """End-to-end: run_sweep over the bench grid, serial
-    executor, one vectorized batch (sanity on the sweep-layer plumbing)."""
-    grid = _lane_grid()
-    results = benchmark.pedantic(
-        lambda: run_sweep(grid, executor="serial"),
-        rounds=1,
-        iterations=1,
-    )
-    assert [r.config for r in results] == grid
-    assert all(r.summary["shared_bandwidth"] > 0.0 for r in results)

@@ -1,24 +1,21 @@
-"""Bench SWEEP: store-coordinated cooperative grid draining.
+"""Bench SWEEP: two sweep-worker processes drain one grid cooperatively.
 
-Measures the distributed dispatch layer end to end:
-
-* single drain — one ``run_sweep(dispatch="store")`` invocation drains a
-  compute-bound grid alone (records configs/sec throughput and the
-  lease-protocol overhead against plain execution);
-* cooperative drain — the same grid published once and drained by two
-  real ``repro sweep-worker`` processes.  Always asserts the
-  distributed-correctness properties (disjoint computed sets whose union
-  is the whole grid — zero duplicate computation); on machines with at
-  least two usable cores it additionally gates the headline property:
-  two cooperating processes finish in <= 0.6x the single-invocation
-  drain wall clock.
+The same compute-bound grid is drained once alone through the
+dispatcher, then published once and drained by two real
+``repro sweep-worker`` processes.  Always asserts the
+distributed-correctness properties (disjoint computed sets whose union
+is the whole grid — zero duplicate computation); on machines with at
+least two usable cores it additionally gates the headline property: two
+cooperating processes finish in <= 0.6x the single-invocation drain
+wall clock.
 
 Wall clocks compare drain loops (``DispatchStats.wall_s``), not process
 lifetimes, so interpreter startup does not pollute the ratio.  The core
 gate is skipped on single-core runners, where two compute-bound
 processes cannot beat one by construction; the dispatcher's cooperative
 wall-clock behaviour is still proven there by the sleep-bound tests in
-``tests/store/test_dispatch.py``.
+``tests/store/test_dispatch.py``, and the single drain's counts by
+``tests/sim/test_sweep_dispatch.py::test_sweep_dispatch_single_drain``.
 """
 
 import json
@@ -61,18 +58,6 @@ def _single_drain_wall(store_root) -> float:
         lane_width=1,
     )
     return last_dispatch_stats().wall_s
-
-
-def test_sweep_dispatch_single_drain(benchmark, tmp_path):
-    """Single-invocation dispatch drain: throughput and lease overhead."""
-    wall = benchmark.pedantic(
-        lambda: _single_drain_wall(tmp_path / "store"), rounds=1, iterations=1
-    )
-    stats = last_dispatch_stats()
-    benchmark.extra_info["configs_per_sec"] = stats.configs_per_sec
-    assert stats.computed == N_CONFIGS
-    assert stats.claimed == N_CONFIGS  # lane_width=1: one task per config
-    assert wall > 0
 
 
 def test_sweep_dispatch_cooperative_two_workers(benchmark, tmp_path):

@@ -43,11 +43,11 @@ def base_config(fast: bool = False, **overrides) -> SimulationConfig:
 def scale_config(n_agents: int, **overrides) -> SimulationConfig:
     """The canonical large-N sparse workload, shared by every scale gate.
 
-    One definition serves the ``scale/`` scenario packs, the nightly
-    memory-budget tool (``tools/mem_budget.py``) and the scale
-    benchmarks (``benchmarks/test_bench_scale.py``), so tuning the
-    workload here retunes what CI gates and what ``repro run scale/50k``
-    executes in one place.  Workload knobs scale with the population
+    One definition serves the ``scale/`` scenario packs and the scale
+    memory tests (``tests/sim/test_scale_memory.py``, which the nightly
+    CI job re-runs at 10,000 agents), so tuning the workload here
+    retunes what CI gates and what ``repro run scale/50k`` executes in
+    one place.  Workload knobs scale with the population
     (more articles, thinner per-peer edit pressure) so per-step totals
     stay proportionate; the horizon is short because large populations
     measure steady-state service, not learning curves.
@@ -69,9 +69,8 @@ def scale_peak_bytes(
 ) -> tuple[int, int]:
     """(tracemalloc peak, resident ledger bytes) of a short scale run.
 
-    The one measurement recipe behind the nightly memory gate
-    (``tools/mem_budget.py``) and the scale benchmarks
-    (``benchmarks/test_bench_scale.py``): build a
+    The one measurement recipe behind the scale memory tests
+    (``tests/sim/test_scale_memory.py``): build a
     :func:`scale_config` simulation, step it ``steps`` times, and read
     the traced allocation peak (numpy routes its buffers through the
     traced allocator).  The second element is the sparse ledger's

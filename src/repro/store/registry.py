@@ -451,8 +451,8 @@ def _scale_base(
 ) -> SimulationConfig:
     """Shared shape of the large-N packs: one call into the canonical
     :func:`~repro.sim.scenarios.scale_config` workload (the same recipe
-    the nightly memory gate and scale benchmarks measure), with the
-    ``fast`` flag shrinking population and horizon for smoke tests."""
+    the scale memory tests measure), with the ``fast`` flag shrinking
+    population and horizon for smoke tests."""
     if fast:
         overrides = {"training_steps": 40, "eval_steps": 30, **overrides}
     return scale_config(fast_agents if fast else n_agents, **overrides)

@@ -2,7 +2,8 @@
 
 These render each figure at tiny scale (serial executor, reduced steps)
 and verify the FigureData contracts — the directional assertions live in
-the benchmarks, and full-scale numbers are ROADMAP item 2.
+``tests/integration/test_paper_claims.py``, and full-scale numbers are
+ROADMAP item 2.
 """
 
 import numpy as np

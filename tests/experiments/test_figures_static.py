@@ -59,3 +59,23 @@ class TestFig2:
     def test_monotone_increasing_in_x(self):
         for fig in fig2_boltzmann.run():
             assert np.all(np.diff(fig.series["p"]) > 0)
+
+
+def test_fig1_reputation_curves():
+    fig = fig1_reputation.run()[0]
+    assert len(fig.series) == 4
+    assert fig.x.size == 101
+    for curve in fig.series.values():
+        assert curve[0] == np.float64(0.05) or abs(curve[0] - 0.05) < 1e-12
+        assert np.all(np.diff(curve) >= 0)
+
+
+def test_fig2_boltzmann_distributions():
+    figs = fig2_boltzmann.run()
+    assert len(figs) == 2
+    low_t, high_t = figs
+    assert low_t.series["p"].sum() == np.float64(1.0) or abs(
+        low_t.series["p"].sum() - 1.0
+    ) < 1e-12
+    assert low_t.series["p"][-1] > 0.3  # T=2 concentrates
+    assert np.all(np.abs(high_t.series["p"] - 0.1) < 0.01)  # T=1000 flat

@@ -2,15 +2,19 @@
 
 These run reduced-scale simulations (smaller population, shorter horizon)
 with fixed seeds, asserting the *direction* of each effect the paper
-reports.  Checking the magnitudes at the paper's full horizon is
-ROADMAP item 2.
+reports.  The classes run at :func:`cfg`'s scale; the per-figure checks
+after them (Figures 4-6 and the two ablations) regenerate one figure
+each at :func:`short_cfg`'s shorter horizon.  Checking the magnitudes at
+the paper's full horizon is ROADMAP item 2.
 """
 
 import numpy as np
 import pytest
 
-from repro.agents.population import PopulationMix
+from repro.agents.population import PopulationMix, mixture_sweep
+from repro.core.params import PaperConstants, ReputationParams, ServiceParams
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import run_replicates
 from repro.sim._sweep import run_sweep
 
 
@@ -20,6 +24,18 @@ def cfg(**overrides) -> SimulationConfig:
         n_articles=15,
         training_steps=900,
         eval_steps=500,
+    )
+    defaults.update(overrides)
+    return SimulationConfig(**defaults)
+
+
+def short_cfg(**overrides) -> SimulationConfig:
+    defaults = dict(
+        n_agents=50,
+        n_articles=10,
+        training_steps=400,
+        eval_steps=250,
+        seed=9,
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
@@ -168,3 +184,110 @@ class TestFig5RationalStability:
             res.summary["shared_bandwidth_rational"]
             > res.summary["shared_files_rational"]
         )
+
+
+def test_fig4_population_mix():
+    """Sharing rises with the altruistic share and falls with the
+    irrational share (three points per curve)."""
+    series = {}
+    for vary in ("altruistic", "irrational"):
+        configs = [
+            short_cfg(mix=mix, seed=7) for mix in mixture_sweep(vary, [20, 50, 80])
+        ]
+        results = run_sweep(configs, executor="process", workers=3)
+        series[vary] = [r.summary["shared_files"] for r in results]
+    alt = series["altruistic"]
+    irr = series["irrational"]
+    assert alt[-1] > alt[0], "sharing must rise with altruistic share"
+    assert irr[-1] < irr[0], "sharing must fall with irrational share"
+
+
+def test_fig5_rational_stability():
+    """Rational sharing is insensitive to the population mix.
+
+    Each mix is averaged over two seed replicates: a single
+    reduced-horizon run leaves the per-mix estimate too noisy for a band
+    assertion.  The paper's second observation (bandwidth shared more
+    than articles) only separates at full horizon, so this asserts the
+    robust part: rational peers settle on substantial-but-partial
+    sharing in every mix rather than full sharing or free-riding.
+    """
+    points = []
+    for vary in ("altruistic", "irrational"):
+        for mix in mixture_sweep(vary, [20, 80]):
+            results = run_replicates(short_cfg(mix=mix, seed=11), 2)
+            points.append(
+                (
+                    np.mean([r.summary["shared_files_rational"] for r in results]),
+                    np.mean(
+                        [r.summary["shared_bandwidth_rational"] for r in results]
+                    ),
+                )
+            )
+    bw = np.array([p[1] for p in points])
+    files = np.array([p[0] for p in points])
+    # Stability: the rational bandwidth band stays narrow across mixes.
+    assert bw.max() - bw.min() < 0.25
+    # Partial sharing: every mix lands between free-riding and all-in.
+    assert np.all((bw > 0.2) & (bw < 0.8))
+    assert np.all((files > 0.2) & (files < 0.8))
+
+
+def test_fig6_edit_coin_flip():
+    """At a 50/50 split of the fixed camps rational edits are a coin flip.
+
+    One mid-grid point over three seeds: the outcome stays undetermined
+    on average (neither camp captures every seed), the signature of the
+    paper's "completely random" regime.
+    """
+    mix = PopulationMix(rational=0.4, altruistic=0.3, irrational=0.3)
+    configs = [
+        short_cfg(mix=mix, enforce_edit_threshold=False, seed=s)
+        for s in (5, 17, 29)
+    ]
+    results = run_sweep(configs, executor="process", workers=3)
+    fracs = np.array(
+        [r.summary["edit_constructive_fraction_rational"] for r in results]
+    )
+    fracs = fracs[~np.isnan(fracs)]
+    assert fracs.size == 3
+    assert np.all(fracs >= 0.0) and np.all(fracs <= 1.0)
+    assert 0.05 < fracs.mean() < 0.95
+
+
+def test_ablation_reputation_function():
+    """Every reputation-function family runs to bounded sharing (the
+    paper's future work compares them)."""
+    families = ("logistic", "linear", "power")
+    results = run_sweep(
+        [short_cfg(reputation_fn_s=f, seed=23) for f in families],
+        executor="process",
+        workers=3,
+    )
+    table = {
+        f: (r.summary["shared_files"], r.summary["shared_bandwidth"])
+        for f, r in zip(families, results)
+    }
+    assert set(table) == set(families)
+    for files, bw in table.values():
+        assert 0.0 <= files <= 1.0
+        assert 0.0 <= bw <= 1.0
+
+
+def test_ablation_rmin_whitewash_pressure():
+    """Section III-A: "A high R_min provides incentives for whitewashing".
+
+    The reputation a steady contributor forfeits by resetting to R_min
+    (the deterrent) must shrink as R_min grows; both points run with
+    identity-reset churn enabled.
+    """
+    loss = {}
+    for r_min in (0.05, 0.40):
+        constants = PaperConstants().with_overrides(
+            reputation_s=ReputationParams(r_min=r_min),
+            service=ServiceParams(edit_threshold=r_min + 0.05),
+        )
+        config = short_cfg(constants=constants, whitewash_rate=0.002, seed=3)
+        res = run_sweep([config])[0]
+        loss[r_min] = res.summary["reputation_s_rational"] - r_min
+    assert loss[0.05] > loss[0.40]

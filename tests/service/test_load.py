@@ -12,7 +12,7 @@ whole point of the service layer:
 
 The per-PR run keeps the client count small (the tier-1 suite must stay
 fast); the nightly lane re-runs it with ``SERVICE_LOAD_CLIENTS=24`` the
-same way the scale benchmarks re-run with ``SCALE_BENCH_AGENTS``.
+same way the scale memory tests re-run with ``SCALE_BENCH_AGENTS``.
 """
 
 import asyncio

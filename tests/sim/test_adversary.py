@@ -15,7 +15,11 @@ from repro.agents.population import PopulationMix
 from repro.core.baselines import KarmaScheme, PrivateHistoryScheme
 from repro.core.incentives import NoIncentiveScheme, ReputationIncentiveScheme
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import CollaborationSimulation, run_simulation
+from repro.sim.engine import (
+    BatchedSimulation,
+    CollaborationSimulation,
+    run_simulation,
+)
 from repro.sim.phases.adversary import collusion_shares, collusion_votes
 from repro.sim.state import assign_collusion_rings, build_sim_state
 
@@ -305,3 +309,39 @@ class TestSybilInEngine:
             tiny(scheme=scheme, sybil_fraction=0.25, sybil_rate=0.2)
         )
         assert result.extras["sybil_count"] > 0
+
+
+#: Both attacks at once, at a 50-peer, 400 + 250-step horizon.
+ADVERSARY = dict(
+    n_agents=50,
+    n_articles=10,
+    training_steps=400,
+    eval_steps=250,
+    seed=9,
+    collusion_fraction=0.25,
+    collusion_ring_size=4,
+    sybil_fraction=0.2,
+    sybil_rate=0.05,
+)
+
+
+def test_engine_with_adversaries_batched():
+    cfg = SimulationConfig(**ADVERSARY)
+    configs = [cfg.with_(seed=s) for s in range(4)]
+    results = BatchedSimulation(configs).run()
+    assert all(r.extras["sybil_count"] > 0 for r in results)
+    assert all(0.0 <= r.summary["shared_bandwidth"] <= 1.0 for r in results)
+
+
+def test_collusion_ring_captures_service():
+    """Ring members farm reputation all-in and serve only each other, so
+    they receive more service than the population average."""
+    cfg = SimulationConfig(**ADVERSARY).with_(training_steps=0, eval_steps=150)
+    sim = CollaborationSimulation(cfg)
+    state = sim.state
+    received = np.zeros(state.peers.n)
+    for _ in range(cfg.eval_steps):
+        sim.step(temperature=1.0)
+        received += state.ctx.received
+    ring = state.colluder_mask
+    assert received[ring].mean() > received.mean()

@@ -11,6 +11,7 @@ runs of the same grid.
 import numpy as np
 import pytest
 
+from repro.agents.population import PopulationMix
 from repro.sim.config import SimulationConfig
 from repro.sim.lanes import (
     assert_lane_compatible,
@@ -273,3 +274,29 @@ class TestStoreRoundTrip:
         run_sweep(configs, executor="serial", store=store)
         assert store.hits == 1
         assert len(store) == 3
+
+
+def test_engine_lane_batched_sweep_roundtrip():
+    """run_sweep over eight distinct fig3-sized configs that share one
+    structural key (temperature, download intensity, edit rate and mix
+    all differ): one serial batch, results in grid order, and every lane
+    shares bandwidth."""
+    base = SimulationConfig(
+        n_agents=100, n_articles=30, training_steps=150, eval_steps=100
+    )
+    grid = [
+        base.with_(seed=11),
+        base.with_(seed=12, t_eval=0.5),
+        base.with_(seed=13, t_eval=2.0, download_probability=0.7),
+        base.with_(seed=14, edit_attempt_prob=0.05),
+        base.with_(seed=15, edit_attempt_prob=0.12, t_eval=0.8),
+        base.with_(seed=16, mix=PopulationMix(0.8, 0.1, 0.1)),
+        base.with_(seed=17, mix=PopulationMix(0.6, 0.2, 0.2),
+                   download_probability=0.8),
+        base.with_(seed=18, learning_rate=0.2, t_eval=1.5),
+    ]
+    assert len({hash(c) for c in grid}) == len(grid)
+    assert len(plan(grid)) == 1
+    results = run_sweep(grid, executor="serial")
+    assert [r.config for r in results] == grid
+    assert all(r.summary["shared_bandwidth"] > 0.0 for r in results)

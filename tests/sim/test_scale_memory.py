@@ -1,18 +1,24 @@
-"""Scale-path benchmarks: peak-memory growth and large-N step cost.
+"""The scale path's memory gates: sparse tit-for-tat stays O(N).
 
-The memory tests are the teeth of the scale path: peak traced allocation
-of a sparse tit-for-tat run must grow **sub-quadratically** in the
-population (doubling N must cost well under the 4x a dense history
-matrix would), and must stay a small fraction of the dense equivalent.
+Peak traced allocation of a sparse tit-for-tat run must grow
+**sub-quadratically** in the population (doubling N must cost well
+under the 4x a dense history matrix would), and must stay a small
+fraction of the dense equivalent.  Each peak comes from
+``repro.sim.scenarios.scale_peak_bytes``, the one measurement recipe
+over the canonical ``scale_config`` workload (tit-for-tat, ledger cap
+64, 5 steps).
 
-Sizes default small enough for the per-PR suite; the nightly
-``scale-smoke`` CI job re-runs with ``SCALE_BENCH_AGENTS=10000`` to
-exercise a genuinely large population (see .github/workflows/ci.yml).
+Sizes default small enough for tier-1; the nightly ``scale-smoke`` CI
+job re-runs this file with ``SCALE_BENCH_AGENTS=10000`` to exercise a
+genuinely large population (see .github/workflows/ci.yml).
 """
 
 import os
 
 import numpy as np
+
+from repro.sim.engine import CollaborationSimulation
+from repro.sim.scenarios import scale_config, scale_peak_bytes
 
 #: Population for the large size; the growth test pairs it with half.
 SCALE_AGENTS = int(os.environ.get("SCALE_BENCH_AGENTS", "3000"))
@@ -20,10 +26,7 @@ SCALE_STEPS = 5
 
 
 def _scale_config(n_agents, **overrides):
-    """The canonical scale workload (shared with the scale/ packs and
-    tools/mem_budget.py) at benchmark horizon."""
-    from repro.sim.scenarios import scale_config
-
+    """The canonical scale workload at a 5-step horizon."""
     defaults = dict(
         training_steps=SCALE_STEPS, eval_steps=1, scheme="tft", seed=4
     )
@@ -32,10 +35,6 @@ def _scale_config(n_agents, **overrides):
 
 
 def _peak_bytes(n_agents) -> int:
-    """tracemalloc peak of building + stepping one sparse run (shared
-    recipe: repro.sim.scenarios.scale_peak_bytes)."""
-    from repro.sim.scenarios import scale_peak_bytes
-
     peak, _ = scale_peak_bytes(n_agents, SCALE_STEPS, scheme="tft", seed=4)
     return peak
 
@@ -71,24 +70,15 @@ def test_sparse_peak_memory_beats_dense_equivalent():
 
 def test_sparse_ledger_state_is_linear():
     """Resident ledger bytes scale with N * cap, not N * N."""
-    from repro.sim.engine import CollaborationSimulation
-
     sim = CollaborationSimulation(_scale_config(SCALE_AGENTS))
     ledger = sim.scheme._ledger
     assert ledger.nbytes <= SCALE_AGENTS * 64 * 17  # 16B/entry + counts
 
 
-def test_bench_scale_step(benchmark):
-    """Wall time of one large-N sparse step (trend-watched in nightly CI)."""
-    from repro.sim.engine import CollaborationSimulation
-
+def test_bench_scale_step():
+    """A large-N sparse run keeps stepping with per-peer state of width N."""
     sim = CollaborationSimulation(_scale_config(SCALE_AGENTS, training_steps=20))
-    sim.step(float("inf"))  # warm the buffers
-
-    def run():
-        for _ in range(3):
-            sim.step(float("inf"))
-
-    benchmark.pedantic(run, rounds=1)
+    for _ in range(4):
+        sim.step(float("inf"))
     offered = np.asarray(sim.peers.offered_bandwidth)
     assert offered.shape == (SCALE_AGENTS,)

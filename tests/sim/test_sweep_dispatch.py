@@ -119,6 +119,28 @@ class TestDispatchSweep:
         assert LeaseBoard(store.root).active() == []
 
 
+def test_sweep_dispatch_single_drain(tmp_path):
+    """One invocation drains a compute-bound grid alone: one lease per
+    config at ``lane_width=1``, every config computed."""
+    grid = [
+        SimulationConfig(
+            n_agents=50, n_articles=10, training_steps=400, eval_steps=250, seed=s
+        )
+        for s in range(16)
+    ]
+    run_sweep(
+        grid,
+        executor="serial",
+        store=RunStore(tmp_path / "store"),
+        dispatch="store",
+        lane_width=1,
+    )
+    stats = last_dispatch_stats()
+    assert stats.computed == 16
+    assert stats.claimed == 16
+    assert stats.wall_s > 0
+
+
 class TestSweepWorkerError:
     def test_message_without_task_hashes_unchanged(self):
         err = SweepWorkerError(3, tiny(), RuntimeError("x"))

@@ -97,6 +97,19 @@ class TestPersistence:
         assert payload["created_at"] is not None
 
 
+def test_bench_store_open_loaded(tmp_path):
+    """Opening a store re-reads an index of 50 runs."""
+    config = SimulationConfig(
+        n_agents=10, n_articles=10, training_steps=20, eval_steps=10, seed=9
+    )
+    result = run_simulation(config)
+    seed_store = RunStore(tmp_path)
+    for seed in range(50):
+        result.config = config.with_(seed=seed)
+        seed_store.put(result)
+    assert len(RunStore(tmp_path)) == 50
+
+
 class TestCorruptionTolerance:
     def test_garbage_index_lines_skipped(self, tmp_path):
         store = RunStore(tmp_path)
