@@ -33,31 +33,24 @@ class SharingActionSpace:
             raise ValueError("levels must lie in [0, 1]")
         self.n_levels = self.levels.size
         self.n_actions = self.n_levels**2
+        #: The all-in action (100% bandwidth, 100 files) — the altruist's.
+        self.max_action = self.encode(self.n_levels - 1, self.n_levels - 1)
+        #: The free-rider action (0, 0) — the irrational peer's.
+        self.min_action = self.encode(0, 0)
 
     def decode(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Action indices -> (bandwidth fractions, files fractions)."""
         actions = np.asarray(actions)
         if ((actions < 0) | (actions >= self.n_actions)).any():
             raise ValueError("action index out of range")
-        bw = self.levels[actions // self.n_levels]
-        files = self.levels[actions % self.n_levels]
-        return bw, files
+        bw_level, files_level = np.divmod(actions, self.n_levels)
+        return self.levels[bw_level], self.levels[files_level]
 
     def encode(self, bandwidth_level: int, files_level: int) -> int:
         """(level indices) -> action index."""
         if not (0 <= bandwidth_level < self.n_levels and 0 <= files_level < self.n_levels):
             raise ValueError("level index out of range")
         return bandwidth_level * self.n_levels + files_level
-
-    @property
-    def max_action(self) -> int:
-        """The all-in action (100% bandwidth, 100 files) — the altruist's."""
-        return self.encode(self.n_levels - 1, self.n_levels - 1)
-
-    @property
-    def min_action(self) -> int:
-        """The free-rider action (0, 0) — the irrational peer's."""
-        return self.encode(0, 0)
 
 
 class EditActionSpace:
@@ -67,25 +60,19 @@ class EditActionSpace:
     """
 
     n_actions = 4
+    #: Fully constructive (altruist): ``encode(True, True)``.
+    constructive_action = 3
+    #: Fully destructive (irrational peer): ``encode(False, False)``.
+    destructive_action = 0
 
     def decode(self, actions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Action indices -> (edit_constructive, vote_constructive) bools."""
         actions = np.asarray(actions)
         if ((actions < 0) | (actions >= self.n_actions)).any():
             raise ValueError("action index out of range")
-        edit_constructive = (actions // 2).astype(bool)
-        vote_constructive = (actions % 2).astype(bool)
+        edit_constructive = actions >= 2
+        vote_constructive = (actions & 1) == 1
         return edit_constructive, vote_constructive
 
     def encode(self, edit_constructive: bool, vote_constructive: bool) -> int:
         return int(edit_constructive) * 2 + int(vote_constructive)
-
-    @property
-    def constructive_action(self) -> int:
-        """Fully constructive (altruist)."""
-        return self.encode(True, True)
-
-    @property
-    def destructive_action(self) -> int:
-        """Fully destructive (irrational peer)."""
-        return self.encode(False, False)

@@ -93,7 +93,7 @@ class BatchedBehaviorEngine:
         """
         rngs = self._as_rngs(rngs)
         if np.ndim(temperature) == 0:
-            if np.isinf(temperature):
+            if temperature == np.inf:
                 parts = [
                     rngs[r].integers(0, learner.n_actions, size=k)
                     for r, k in enumerate(self.rational_counts)
@@ -119,7 +119,7 @@ class BatchedBehaviorEngine:
             if not k:
                 continue
             span = slice(int(starts[r]), int(starts[r]) + k)
-            if np.isinf(t[r]):
+            if t[r] == np.inf:
                 actions[span] = rngs[r].integers(0, learner.n_actions, size=k)
             else:
                 u_parts.append(rngs[r].random((k, 1)))

@@ -37,13 +37,16 @@ __all__ = ["boltzmann_probabilities", "sample_categorical", "VectorQLearner"]
 
 def _row_temperature(temperature: float | np.ndarray, ndim: int):
     """``temperature`` checked positive; an array is shaped to divide the
-    rows of an ``ndim``-D block (one temperature per row)."""
+    rows of an ``ndim``-D block (one temperature per row).
+
+    ``not t > 0`` rejects NaN as well as ``t <= 0`` (and so ``-inf``).
+    """
     if np.ndim(temperature) > 0:
         t = np.asarray(temperature, dtype=np.float64)
-        if (t <= 0).any():
+        if not (t > 0).all():
             raise ValueError("temperature must be positive (use small T for greedy)")
         return t.reshape(t.shape + (1,) * (ndim - t.ndim))
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError("temperature must be positive (use small T for greedy)")
     return temperature
 
@@ -62,7 +65,7 @@ def boltzmann_probabilities(
     """
     q = np.asarray(q_values, dtype=np.float64)
     t = _row_temperature(temperature, q.ndim)
-    if np.ndim(t) == 0 and np.isinf(t):
+    if np.ndim(t) == 0 and t == np.inf:
         shape = q.shape
         return np.full(shape, 1.0 / shape[-1])
     z = q / t
@@ -196,7 +199,7 @@ class VectorQLearner:
         states = np.asarray(states)
         if states.shape != idx.shape:
             raise ValueError("states must align with the selected agents")
-        if np.ndim(temperature) == 0 and np.isinf(temperature):
+        if np.ndim(temperature) == 0 and temperature == np.inf:
             if rng is None:
                 raise ValueError("the T=inf fast path draws from rng directly")
             return rng.integers(0, self.n_actions, size=idx.size)
@@ -238,7 +241,7 @@ class VectorQLearner:
         view of ``q`` (a copy if ``q`` is not C-contiguous).
         """
         n, s, a = self.q.shape
-        return np.take(self.q.reshape(n * s, a), idx * s + states, axis=0)
+        return self.q.reshape(n * s, a).take(idx * s + states, axis=0)
 
     def update(
         self,

@@ -267,7 +267,7 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
                 self._given *= decay
             self._totals *= decay
         else:
-            settled = np.unique(rep_ids)
+            settled = np.bincount(rep_ids, minlength=self.n_replicates).nonzero()[0]
             if self._given is None:
                 self._ledger.decay_replicates(settled, decay)
             elif isinstance(decay, np.ndarray):

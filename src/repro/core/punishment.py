@@ -66,7 +66,7 @@ class VotePunishment:
         np.add.at(self.unsuccessful_votes, losers, 1)
         newly = (self.unsuccessful_votes >= self.threshold) & ~self.banned
         self.banned |= newly
-        return np.flatnonzero(newly)
+        return newly.nonzero()[0]
 
     def restore(self, peer_ids: np.ndarray) -> None:
         """Restore voting rights after constructive (accepted) edits."""
@@ -116,7 +116,7 @@ class EditPunishment:
         bad = editor_ids[~accepted]
         self.declined_edits[good] = 0
         np.add.at(self.declined_edits, bad, 1)
-        punished = np.flatnonzero(self.declined_edits >= self.threshold)
+        punished = (self.declined_edits >= self.threshold).nonzero()[0]
         self.declined_edits[punished] = 0
         return punished
 

@@ -66,10 +66,13 @@ class ReputationFunction(abc.ABC):
         c = np.asarray(contribution, dtype=np.float64)
         if (c < 0).any():
             raise ValueError("contribution values must be non-negative")
-        r = self._raw(c)
-        # Clip into the admissible band; _raw implementations are already
-        # monotone so this only guards the boundaries.
-        return np.clip(r, self.r_min, self.r_max)
+        p = self.params
+        # Clamp into the admissible band; _raw implementations are already
+        # monotone so this only guards the boundaries.  maximum/minimum
+        # give np.clip's values, NaN included, in fewer calls (they could
+        # differ only in the sign of a zero at a zero bound, and _raw never
+        # returns -0.0).
+        return np.minimum(np.maximum(self._raw(c), p.r_min), p.r_max)
 
     @abc.abstractmethod
     def _raw(self, c: np.ndarray) -> np.ndarray:
@@ -194,12 +197,12 @@ def reputation_to_state(
     """
     if n_states < 1:
         raise ValueError("n_states must be >= 1")
-    if (np.asarray(r_min) >= np.asarray(r_max)).any():
+    if np.greater_equal(r_min, r_max).any():
         raise ValueError("need r_min < r_max")
     r = np.asarray(reputation, dtype=np.float64)
     frac = (r - r_min) / (r_max - r_min)
     states = np.floor(frac * n_states).astype(np.int64)
-    return np.clip(states, 0, n_states - 1)
+    return np.minimum(np.maximum(states, 0), n_states - 1)
 
 
 class ViewMemo:

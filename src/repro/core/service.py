@@ -47,7 +47,7 @@ def required_majority_values(
     """
     r = np.asarray(editor_reputation, dtype=np.float64)
     span = r_max - r_min
-    frac = np.clip((r - r_min) / span, 0.0, 1.0)
+    frac = np.minimum(np.maximum((r - r_min) / span, 0.0), 1.0)
     return majority_max - (majority_max - majority_min) * frac
 
 

@@ -138,14 +138,14 @@ class ChurnModel:
             return events
         n = online.size
         u = rng.random(n)
-        leaving = np.flatnonzero(online & (u < self.leave_rate))
-        joining = np.flatnonzero(~online & (u < self.join_rate))
+        leaving = (online & (u < self.leave_rate)).nonzero()[0]
+        joining = (~online & (u < self.join_rate)).nonzero()[0]
         online[leaving] = False
         online[joining] = True
         events.extend(ChurnEvent("leave", int(i)) for i in leaving)
         events.extend(ChurnEvent("join", int(i)) for i in joining)
         if self.whitewash_rate > 0.0:
             w = rng.random(n)
-            washing = np.flatnonzero(online & (w < self.whitewash_rate))
+            washing = (online & (w < self.whitewash_rate)).nonzero()[0]
             events.extend(ChurnEvent("whitewash", int(i)) for i in washing)
         return events

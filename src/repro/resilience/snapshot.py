@@ -45,7 +45,10 @@ __all__ = [
     "SnapshotStore",
 ]
 
-SNAPSHOT_VERSION = 1
+#: Bumped whenever the pickled state's layout changes, so an older
+#: snapshot decodes to ``None`` (start over) instead of a state the
+#: phases cannot step.  2: the step scratch pickles as one block.
+SNAPSHOT_VERSION = 2
 SNAPSHOT_DIR = "checkpoints"
 _MAGIC = b"RSNP"
 

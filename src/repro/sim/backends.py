@@ -70,29 +70,35 @@ class NumpyKernels:
     def grouped_shares(
         self, group_ids: np.ndarray, weights: np.ndarray, n_groups: int
     ) -> np.ndarray:
-        """Group-normalized shares via one weighted bincount."""
+        """Group-normalized shares via one weighted bincount.
+
+        The group-id range check rides on that bincount: a negative id
+        makes it raise ``ValueError``, and an id ``>= n_groups`` makes its
+        result longer than ``n_groups``.  A group whose weights are all
+        zero splits equally; only then are the group sizes counted.
+        """
         group_ids = np.asarray(group_ids)
         weights = np.asarray(weights, dtype=np.float64)
         if group_ids.shape != weights.shape:
             raise ValueError("group_ids and weights must have the same shape")
         if group_ids.size == 0:
             return np.zeros(0, dtype=np.float64)
-        if ((group_ids < 0) | (group_ids >= n_groups)).any():
-            raise ValueError("group ids out of range")
         if (weights < 0).any():
             raise ValueError("weights must be non-negative")
-
         totals = np.bincount(group_ids, weights=weights, minlength=n_groups)
-        counts = np.bincount(group_ids, minlength=n_groups)
+        if totals.size != n_groups:
+            raise ValueError("group ids out of range")
 
-        shares = np.empty_like(weights)
         group_total = totals[group_ids]
         degenerate = group_total <= 0.0
-        # Normal case: proportional share.
+        if not degenerate.any():
+            # Normal case: proportional share.
+            return weights / group_total
+        shares = np.empty_like(weights)
         np.divide(weights, group_total, out=shares, where=~degenerate)
         # Degenerate case (all weights zero in a group): equal split.
-        if degenerate.any():
-            shares[degenerate] = 1.0 / counts[group_ids[degenerate]]
+        counts = np.bincount(group_ids, minlength=n_groups)
+        shares[degenerate] = 1.0 / counts[group_ids[degenerate]]
         return shares
 
     def match_sources(
@@ -103,21 +109,25 @@ class NumpyKernels:
         req_start: np.ndarray,
         req_n_s: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Source fix-ups exactly as the batch sampler always applied them."""
+        """Source fix-ups exactly as the batch sampler always applied them.
+
+        Self-hits are rare (about one per step at N = 100), so the fix-ups
+        index the hits instead of masking every request.
+        """
         chosen = sources_flat[req_start + choice_idx]
-        self_hit = chosen == downloaders
-        if self_hit.any():
+        hits = (chosen == downloaders).nonzero()[0]
+        if hits.size:
             # With several sharers shift to the next one; a lone sharer
             # cannot download from itself.
-            shift = self_hit & (req_n_s > 1)
-            if shift.any():
-                chosen[shift] = sources_flat[
-                    req_start[shift] + (choice_idx[shift] + 1) % req_n_s[shift]
-                ]
-            drop = self_hit & (req_n_s == 1)
-            if drop.any():
-                keep = ~drop
-                downloaders, chosen = downloaders[keep], chosen[keep]
+            lone = req_n_s[hits] == 1
+            shift = hits[~lone]
+            chosen[shift] = sources_flat[
+                req_start[shift] + (choice_idx[shift] + 1) % req_n_s[shift]
+            ]
+            drop = hits[lone]
+            if drop.size:
+                downloaders = np.delete(downloaders, drop)
+                chosen = np.delete(chosen, drop)
         return downloaders, chosen
 
     def settle_downloads(
@@ -144,37 +154,37 @@ class NumpyKernels:
     def filter_vote_candidates(
         self,
         cand_local: np.ndarray,
-        counts: np.ndarray,
-        local_proposers: np.ndarray,
+        cand_prop: np.ndarray,
+        is_editor: np.ndarray,
         rep_of_prop: np.ndarray,
         can_vote: np.ndarray,
         all_can_vote: bool,
         n_agents: int,
         chunk_size: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked ragged filter (chunks bound temporaries, never results)."""
-        n_prop = counts.size
-        csum = np.cumsum(counts)
+        """The kept candidates as flat slot ids, and their proposal ids.
+
+        ``cand_local`` holds the lane-local candidates of every proposal
+        in gather order, ``cand_prop`` each one's proposal and
+        ``is_editor`` whether it is that proposal's own editor.  A
+        candidate is kept unless it is the editor or, when
+        ``all_can_vote`` is false, ``can_vote`` denies its slot.  Pools
+        of up to ``chunk_size`` candidates take one pass; larger ones are
+        filtered ``chunk_size`` at a time, which bounds the temporaries
+        and, every step being elementwise, never changes the result.
+        """
+        args = (rep_of_prop, can_vote, all_can_vote, n_agents)
+        if cand_local.size <= chunk_size:
+            return _kept_voters(cand_local, cand_prop, is_editor, *args)
         kept_voters: list[np.ndarray] = []
         kept_props: list[np.ndarray] = []
-        start = 0
-        while start < n_prop:
-            base = int(csum[start - 1]) if start else 0
-            end = int(np.searchsorted(csum, base + chunk_size, side="right"))
-            if end <= start:
-                end = start + 1  # one oversized pool still processes alone
-            chunk_cand = cand_local[base : int(csum[end - 1])]
-            prop_of_cand = np.repeat(np.arange(start, end), counts[start:end])
-            keep = chunk_cand != local_proposers[prop_of_cand]
-            flat_cand = chunk_cand + rep_of_prop[prop_of_cand] * n_agents
-            if not all_can_vote:
-                keep &= can_vote[flat_cand]
-            kept_voters.append(flat_cand[keep])
-            kept_props.append(prop_of_cand[keep])
-            start = end
-        if not kept_voters:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.int64)
+        for lo in range(0, cand_local.size, chunk_size):
+            hi = lo + chunk_size
+            voters, props = _kept_voters(
+                cand_local[lo:hi], cand_prop[lo:hi], is_editor[lo:hi], *args
+            )
+            kept_voters.append(voters)
+            kept_props.append(props)
         return np.concatenate(kept_voters), np.concatenate(kept_props)
 
     def tally_votes(
@@ -287,9 +297,8 @@ class NumpyKernels:
         new_run = np.empty(sr.size, dtype=bool)
         new_run[0] = True
         np.not_equal(sr[1:], sr[:-1], out=new_run[1:])
-        run_start = np.flatnonzero(new_run)
-        run_len = np.diff(np.append(run_start, sr.size))
-        rank = np.arange(sr.size) - np.repeat(run_start, run_len)
+        run_start = new_run.nonzero()[0]
+        rank = np.arange(sr.size) - run_start[new_run.cumsum() - 1]
         slot = counts[sr] + rank
         ok = slot < gather_param(row_cap, sr)
         if ok.any():
@@ -297,7 +306,7 @@ class NumpyKernels:
             partners[sr[ok], slot[ok]] = cols[src]
             amounts[sr[ok], slot[ok]] = add_amounts[src]
             np.add.at(counts, sr[ok], 1)
-        overflow = np.flatnonzero(~ok)
+        overflow = (~ok).nonzero()[0]
         if not overflow.size:
             return None
         # Decay-eviction (rare; the approximation regime): replace the
@@ -337,14 +346,32 @@ class NumpyKernels:
         a reward is exactly -0.0.
         """
         n, s, a = q.shape
-        rows = np.take(q.reshape(n * s, a), idx * s + next_states, axis=0)
-        best_next = rows[:, 0].copy()
-        for j in range(1, a):
+        base = idx * s
+        rows = q.reshape(n * s, a).take(base + next_states, axis=0)
+        best_next = np.maximum(rows[:, 0], rows[:, 1])
+        for j in range(2, a):
             np.maximum(best_next, rows[:, j], out=best_next)
         target = rewards + discount * best_next
-        cells = (idx * s + states) * a + actions
+        cells = (base + states) * a + actions
         current = q.take(cells)
         q.put(cells, (1.0 - learning_rate) * current + learning_rate * target)
+
+
+def _kept_voters(
+    cand_local: np.ndarray,
+    cand_prop: np.ndarray,
+    is_editor: np.ndarray,
+    rep_of_prop: np.ndarray,
+    can_vote: np.ndarray,
+    all_can_vote: bool,
+    n_agents: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pass of :meth:`NumpyKernels.filter_vote_candidates`."""
+    flat_cand = cand_local + (rep_of_prop * n_agents)[cand_prop]
+    keep = ~is_editor
+    if not all_can_vote:
+        keep &= can_vote[flat_cand]
+    return flat_cand[keep], cand_prop[keep]
 
 
 def _first_match(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

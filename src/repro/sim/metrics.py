@@ -299,7 +299,7 @@ class MetricsCollector:
         buf[1] = bw.reshape(-1)
         buf[2] = rep_s.reshape(-1)
         buf[3] = rep_e.reshape(-1)
-        g = np.take(buf, self._flat_idx, axis=1, out=self._gather_buf)
+        g = buf.take(self._flat_idx, axis=1, out=self._gather_buf)
         for t, lanes, k, cols in self._groups:
             m = np.add.reduce(g[:, cols].reshape(4, lanes.size, k), axis=2) / k
             self._files_by_type[t][lanes, i] = m[0]

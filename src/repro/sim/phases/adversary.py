@@ -72,7 +72,7 @@ def sybil_phase(state: SimState, cfg: SimulationConfig) -> None:
         if rate_r <= 0.0 or not lanes.sybil_any[r]:
             continue
         u = state.rngs[r].random(n)
-        resets = np.flatnonzero(sybil2d[r] & (u < rate_r))
+        resets = (sybil2d[r] & (u < rate_r)).nonzero()[0]
         if resets.size:
             online2d[r][resets] = True  # a fresh identity rejoins
             state.sybil_counts[r] += resets.size
@@ -96,7 +96,7 @@ def collusion_phase(state: SimState, cfg: SimulationConfig) -> None:
     actually reaches.  Draws nothing, so it is exactly
     replicate-elementwise.
     """
-    if not state.colluder_mask.any():
+    if not state.collusion_active:
         return
     ctx = state.ctx
     state.behavior.apply_ring_policy(
@@ -129,7 +129,7 @@ def collusion_shares(
     blocked = colluding & (src_ring != rings[downloader_ids])
     if not blocked.any():
         return shares
-    rows = np.flatnonzero(colluding)
+    rows = colluding.nonzero()[0]
     sub_src = source_ids[rows]
     sub_blocked = blocked[rows]
     weights = np.where(sub_blocked, 0.0, shares[rows])

@@ -46,7 +46,7 @@ def download_phase(state: SimState, cfg: SimulationConfig) -> None:
     shares = state.scheme.bandwidth_shares(
         requests.source_ids, requests.downloader_ids
     )
-    if state.colluder_mask.any() and requests.n:
+    if state.collusion_active and requests.n:
         shares = collusion_shares(
             state, requests.source_ids, requests.downloader_ids, shares
         )

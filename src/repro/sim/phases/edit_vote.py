@@ -3,11 +3,14 @@
 All proposals of one step — across *all* replicates — are settled
 simultaneously against the step-start reputation snapshot: candidate
 voters are gathered from the lane-stacked article store in one ragged
-pass and filtered, voter weights are normalized per proposal with the
-same grouped-share kernel the bandwidth allocator uses, and outcomes are
-counted back with ``np.bincount`` (every count is integer-valued, so the
-counts equal the element-by-element scatter-add's) and booked into the
-store in one call.
+pass, mapped to their proposals once (that map and the mask of each
+proposal's own editor serve both the voter filter and the voting rights
+booked afterwards), and filtered; voter weights are normalized per
+proposal with the same grouped-share kernel the bandwidth allocator
+uses; accepted edits are booked into the store in one call; and every
+count of the step lands in the scratch block through one
+``np.bincount`` (every count is integer-valued, so the counts equal the
+element-by-element scatter-add's).
 Only the RNG draws (proposer masks, article picks, subsample keys) run
 in per-replicate loops — each replicate consumes its own stream exactly
 as a solo run would.
@@ -49,8 +52,12 @@ def proposal_key_order(cand_prop: np.ndarray, keys: np.ndarray) -> np.ndarray:
     input order, as in the lexsort.
     """
     code = (keys * 2.0**53).astype(np.uint64)
-    code |= (cand_prop % _SORT_BLOCK).astype(np.uint64) << np.uint64(53)
     n_blocks = int(cand_prop[-1]) // _SORT_BLOCK + 1 if cand_prop.size else 0
+    if n_blocks <= 1:
+        # Every proposal id fits the 11 bits: one sort, no block ids.
+        code |= cand_prop.astype(np.uint64) << np.uint64(53)
+        return code.argsort(kind="stable")
+    code |= (cand_prop % _SORT_BLOCK).astype(np.uint64) << np.uint64(53)
     bounds = cand_prop.searchsorted(np.arange(n_blocks + 1) * _SORT_BLOCK).tolist()
     order = np.empty(cand_prop.size, dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -74,7 +81,7 @@ def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
     if cfg.enforce_edit_threshold:
         may_edit = scheme.may_edit() & online
     else:
-        may_edit = online.copy()
+        may_edit = online
     n = state.n_agents
     n_rep = state.n_replicates
     # Per-replicate proposer draws (stream parity), flat thresholding.
@@ -82,7 +89,7 @@ def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
     for r in range(n_rep):
         u[r] = state.rngs[r].random(n)
     proposer_mask = may_edit & (u.reshape(-1) < lanes.edit_attempt_prob)
-    proposers = np.flatnonzero(proposer_mask)
+    proposers = proposer_mask.nonzero()[0]
     if proposers.size:
         _voting_rounds(state, cfg, proposers)
 
@@ -106,6 +113,7 @@ def _voting_rounds(
     lanes = state.lanes
     store = state.articles
     n = state.n_agents
+    n_rep = state.n_replicates
     can_vote = scheme.may_vote() & state.peers.online
     all_can_vote = bool(can_vote.all())
     max_voters = lanes.max_voters  # scalar, or (R,) for mixed-config lanes
@@ -124,32 +132,31 @@ def _voting_rounds(
             lo += k
     rows = rep_of_prop * store.n_articles + article_ids
 
-    # One ragged filter over every proposal's candidate voters, processed
-    # in chunks of at most ``scale.chunk_size`` candidates (voter pools
-    # grow with accepted edits, so unchunked temporaries would scale with
-    # pool size, not population).  Chunk boundaries fall between
-    # proposals and every step below is elementwise, so the kept voters
-    # are identical to a single-pass filter for any chunk size.
+    # One pass over every proposal's candidate voters: the map from each
+    # candidate to its proposal and the mask of proposals' own editors
+    # are built once, for the filter and for the voting rights booked
+    # below.  The filter runs in chunks of at most ``scale.chunk_size``
+    # candidates when the pools outgrow one (voter pools grow with
+    # accepted edits); it is elementwise, so the kept voters are the same
+    # for any chunk size.
     cand_local, counts = store.gather(rows)
-    if cand_local.size:
-        flat_voters, cand_prop = KERNELS.filter_vote_candidates(
-            cand_local,
-            counts,
-            local_proposers,
-            rep_of_prop,
-            can_vote,
-            all_can_vote,
-            n,
-            state.config.scale.chunk_size,
-        )
-        voter_counts = np.bincount(cand_prop, minlength=n_prop)
-    else:
-        flat_voters = np.empty(0, dtype=np.int64)
-        cand_prop = np.empty(0, dtype=np.int64)
-        voter_counts = np.zeros(n_prop, dtype=np.int64)
+    cand_map = np.arange(n_prop).repeat(counts)
+    is_editor = cand_local == local_proposers[cand_map]
+    flat_voters, flat_prop = KERNELS.filter_vote_candidates(
+        cand_local,
+        cand_map,
+        is_editor,
+        rep_of_prop,
+        can_vote,
+        all_can_vote,
+        n,
+        state.config.scale.chunk_size,
+    )
+    voter_counts = np.bincount(flat_prop, minlength=n_prop)
 
     max_of_prop = take(max_voters, rep_of_prop)  # scalar or (n_prop,)
-    if (voter_counts > max_of_prop).any():
+    over = voter_counts > max_of_prop
+    if over.any():
         # Subsample oversubscribed proposals by the random-keys method:
         # one uniform key per candidate, keep each proposal's
         # ``max_voters`` smallest keys — a uniform without-replacement
@@ -160,31 +167,32 @@ def _voting_rounds(
         # replicates that drew no keys keep their original candidate
         # order under key 0.
         keys = np.zeros(flat_voters.size)
-        cand_rep = rep_of_prop[cand_prop]
-        over_reps = np.unique(rep_of_prop[voter_counts > max_of_prop])
-        cand_per_rep = np.bincount(cand_rep, minlength=state.n_replicates)
-        rep_bounds = np.concatenate(([0], np.cumsum(cand_per_rep)))
-        for r in over_reps.tolist():
-            keys[rep_bounds[r] : rep_bounds[r + 1]] = state.rngs[r].random(
-                int(cand_per_rep[r])
-            )
-        order = proposal_key_order(cand_prop, keys)
-        rank = np.arange(flat_voters.size) - np.repeat(
-            np.cumsum(voter_counts) - voter_counts, voter_counts
-        )
-        # Per-position limit: sorted positions group by proposal in
-        # proposal order, so repeating each proposal's limit by its
-        # candidate count aligns with ``rank``.
+        # Per lane: oversubscribed proposals, and kept candidates (whole
+        # numbers, summed exactly in float64).
+        over_per_rep = np.bincount(rep_of_prop, weights=over, minlength=n_rep)
+        cand_per_rep = np.bincount(rep_of_prop, weights=voter_counts, minlength=n_rep)
+        lo = 0
+        for r, (n_over, k) in enumerate(zip(over_per_rep.tolist(), cand_per_rep.tolist())):
+            hi = lo + int(k)
+            if n_over:
+                keys[lo:hi] = state.rngs[r].random(hi - lo)
+            lo = hi
+        order = proposal_key_order(flat_prop, keys)
+        # Sorted positions group by proposal in proposal order, as
+        # ``flat_prop`` does, so ``flat_prop`` names each position's
+        # proposal: its rank within the proposal and its limit.
+        starts = voter_counts.cumsum() - voter_counts
+        rank = np.arange(flat_voters.size) - starts[flat_prop]
         limit = (
-            np.repeat(max_of_prop, voter_counts)
+            max_of_prop[flat_prop]
             if isinstance(max_of_prop, np.ndarray)
             else max_of_prop
         )
         keep_sel = order[rank < limit]
         flat_voters = flat_voters[keep_sel]
+        flat_prop = flat_prop[keep_sel]
         voter_counts = np.minimum(voter_counts, max_of_prop)
 
-    flat_prop = np.repeat(np.arange(n_prop), voter_counts)
     prop_constructive = ctx.edit_constructive[proposers]
 
     if scheme.differentiates_service:
@@ -205,7 +213,7 @@ def _voting_rounds(
         required = np.full(n_prop, 0.5)
 
     votes_for = ctx.vote_constructive[flat_voters] == prop_constructive[flat_prop]
-    if state.colluder_mask.any() and flat_voters.size:
+    if state.collusion_active and flat_voters.size:
         votes_for = collusion_votes(
             state, flat_voters, proposers[flat_prop], votes_for
         )
@@ -215,46 +223,42 @@ def _voting_rounds(
     majority_for = for_weight >= 0.5
     successful = votes_for == majority_for[flat_prop]
 
-    n_slots = sc.succ_votes.size
-    sc.succ_votes += np.bincount(flat_voters[successful], minlength=n_slots)
     newly_banned = scheme.record_vote_outcomes(flat_voters, successful)
     punished = scheme.record_edit_outcomes(proposers, accepted)
 
-    # One (lane, type, constructive) cell id per proposal.
-    cell = (rep_of_prop * 3 + state.peers.types[proposers]) * 2 + prop_constructive
-    n_cells = sc.proposals_count.size
-    sc.proposals_count += np.bincount(cell, minlength=n_cells).reshape(
-        sc.proposals_count.shape
-    )
     acc = accepted.nonzero()[0]
-    sc.accepted_count += np.bincount(cell[acc], minlength=n_cells).reshape(
-        sc.accepted_count.shape
-    )
-    sc.acc_edits += np.bincount(proposers[acc], minlength=n_slots)
     if acc.size:
         # A proposer already holds a voting right on its article exactly
         # when it is among its own (unfiltered, step-start) candidates.
-        own = cand_local == local_proposers.repeat(counts)
         held = np.zeros(n_prop, dtype=bool)
-        held[np.arange(n_prop).repeat(counts)[own]] = True
+        held[cand_map[is_editor]] = True
         store.book(
             rows[acc], local_proposers[acc], prop_constructive[acc], ~held[acc]
         )
 
-    # Per-replicate step counters.
-    n_rep = state.n_replicates
-    if flat_voters.size:
-        rep_of_voter = rep_of_prop[flat_prop]
-        sc.votes_cast += np.bincount(rep_of_voter, minlength=n_rep)
-        sc.votes_successful += np.bincount(
-            rep_of_voter[successful], minlength=n_rep
+    # Every count of the step, booked into the scratch block with one
+    # bincount: each entry names its block cell, one per accepted edit,
+    # successful vote, proposal by (lane, type, constructive) cell, cast
+    # vote, ban and reset.
+    at = sc.offsets
+    cell = (rep_of_prop * 3 + state.peers.types[proposers]) * 2 + prop_constructive
+    rep_of_voter = rep_of_prop[flat_prop]
+    sc.count(
+        np.concatenate(
+            (
+                flat_voters[successful] + at["succ_votes"],
+                proposers[acc] + at["acc_edits"],
+                cell + at["proposals_count"],
+                cell[acc] + at["accepted_count"],
+                rep_of_voter + at["votes_cast"],
+                rep_of_voter[successful] + at["votes_successful"],
+                newly_banned // n + at["vote_bans"],
+                punished // n + at["reputation_resets"],
+            )
         )
-    if newly_banned.size:
-        sc.vote_bans += np.bincount(newly_banned // n, minlength=n_rep)
-    if punished.size:
-        sc.reputation_resets += np.bincount(punished // n, minlength=n_rep)
+    )
 
-    if state.events.count(None) != len(state.events):  # any lane logs
+    if state.events_active:
         _record_events(
             state,
             rep_of_prop,

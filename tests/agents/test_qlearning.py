@@ -53,6 +53,16 @@ class TestBoltzmannProbabilities:
             boltzmann_probabilities(np.array([[1.0, 2.0]]), 0.0)
         with pytest.raises(ValueError):
             boltzmann_probabilities(np.array([[1.0, 2.0]]), -1.0)
+        ql = VectorQLearner(2, 1, 3)
+        states = np.zeros(2, dtype=np.int64)
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="positive"):
+                boltzmann_probabilities(np.array([[1.0, 2.0]]), bad)
+            with pytest.raises(ValueError, match="positive"):
+                boltzmann_probabilities(np.array([[1.0, 2.0]]), np.array([1.0, bad]))
+            # -inf must not take the T = inf uniform path, nor NaN any path.
+            with pytest.raises(ValueError, match="positive"):
+                ql.select_actions(states, bad, rng=np.random.default_rng(0))
 
     def test_three_dimensional_input(self):
         q = np.zeros((4, 5, 3))

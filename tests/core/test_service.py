@@ -63,8 +63,9 @@ class TestAllocateByReputation:
             KERNELS.grouped_shares(np.array([0]), np.array([-0.1]), 1)
 
     def test_rejects_out_of_range_groups(self):
-        with pytest.raises(ValueError):
-            KERNELS.grouped_shares(np.array([5]), np.array([0.5]), 2)
+        for group_ids in ([5], [1, -1]):  # past the last group; negative
+            with pytest.raises(ValueError):
+                KERNELS.grouped_shares(np.array(group_ids), np.array([0.5] * len(group_ids)), 2)
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=6))
     @settings(max_examples=50, deadline=None)
@@ -72,12 +73,17 @@ class TestAllocateByReputation:
         rng = np.random.default_rng(n_req * 100 + n_src)
         sources = rng.integers(0, n_src, size=n_req)
         reps = rng.uniform(0.05, 1.0, size=n_req)
-        shares = KERNELS.grouped_shares(sources, reps, n_src)
-        totals = np.zeros(n_src)
-        np.add.at(totals, sources, shares)
         occupied = np.bincount(sources, minlength=n_src) > 0
-        assert totals[occupied] == pytest.approx(np.ones(occupied.sum()))
-        assert np.all(shares >= 0)
+        # Also with one group's weights all zero (the equal-split route).
+        zeroed = np.where(sources == sources[0], 0.0, reps)
+        for weights in (reps, zeroed):
+            shares = KERNELS.grouped_shares(sources, weights, n_src)
+            totals = np.zeros(n_src)
+            np.add.at(totals, sources, shares)
+            assert totals[occupied] == pytest.approx(np.ones(occupied.sum()))
+            assert np.all(shares >= 0)
+        group = sources == sources[0]
+        assert shares[group] == pytest.approx(np.full(group.sum(), 1 / group.sum()))
 
 
 class TestAllocateEqualSplit:

@@ -90,6 +90,16 @@ class TestBootstrap:
             ArticleStore(1, 5, [])
 
 
+def filter_voters(cand, counts, proposers, lanes, can_vote, all_can_vote, n, chunk):
+    """The edit-vote phase's filter call: the candidate->proposal map and
+    the editor mask built from the gather, then the kernel."""
+    cand_map = np.arange(counts.size).repeat(counts)
+    is_editor = cand == proposers[cand_map]
+    return KERNELS.filter_vote_candidates(
+        cand, cand_map, is_editor, lanes, can_vote, all_can_vote, n, chunk
+    )
+
+
 class TestEligibleVoters:
     def test_gather_concatenates_rows_in_gather_order(self, store):
         rows = np.array([0, 3, 0])
@@ -101,25 +111,60 @@ class TestEligibleVoters:
     def test_filters_by_vote_rights(self, store):
         cand, counts = store.gather(np.array([0]))
         proposer = np.array([19 if 19 not in cand else 18])
+        lanes = np.zeros(1, np.int64)
         none_vote = np.zeros(20, dtype=bool)
-        voters, _ = KERNELS.filter_vote_candidates(
-            cand, counts, proposer, np.zeros(1, np.int64), none_vote, False, 20, 64
-        )
+        voters, _ = filter_voters(cand, counts, proposer, lanes, none_vote, False, 20, 64)
         assert voters.size == 0
-        voters, _ = KERNELS.filter_vote_candidates(
-            cand, counts, proposer, np.zeros(1, np.int64), ~none_vote, True, 20, 64
-        )
+        voters, _ = filter_voters(cand, counts, proposer, lanes, ~none_vote, True, 20, 64)
         assert voters.tolist() == store.voters(0, 0).tolist()
 
     def test_excludes_editor(self, store):
         cand, counts = store.gather(np.array([0]))
         editor = int(cand[0])  # a founder proposing an edit of its own
-        voters, _ = KERNELS.filter_vote_candidates(
+        voters, _ = filter_voters(
             cand, counts, np.array([editor]), np.zeros(1, np.int64),
             np.ones(20, dtype=bool), True, 20, 64,
         )
         assert editor not in voters.tolist()
         assert voters.size == 3
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 3),
+        st.integers(1, 12),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunking_never_changes_the_kept_voters(
+        self, seed, n_lanes, n_prop, all_can_vote
+    ):
+        """Any chunk size keeps what one pass keeps, in the same order."""
+        rng = np.random.default_rng(seed)
+        n = 10
+        store = make_store(lanes=n_lanes, n_articles=3, n_peers=n, founders=2, seed=seed)
+        for row in rng.integers(0, store.quality.size, size=12).tolist():
+            book_one(store, row, int(rng.integers(0, n)), True)  # ragged pools
+        lanes = np.sort(rng.integers(0, n_lanes, size=n_prop))
+        rows = lanes * store.n_articles + rng.integers(0, store.n_articles, size=n_prop)
+        proposers = rng.integers(0, n, size=n_prop)
+        can_vote = np.ones(n_lanes * n, dtype=bool)
+        if not all_can_vote:
+            can_vote = rng.random(n_lanes * n) < 0.7
+        cand, counts = store.gather(rows)
+        args = (cand, counts, proposers, lanes, can_vote, all_can_vote, n)
+        total = cand.size
+        one_pass = filter_voters(*args, total)
+        for chunk in {1, 2, 3, max(total - 1, 1)}:
+            chunked = filter_voters(*args, chunk)
+            for got, want in zip(chunked, one_pass):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        # Reference: every candidate but the editor, if it may vote.
+        cand_map = np.arange(n_prop).repeat(counts)
+        flat = cand + lanes[cand_map] * n
+        keep = (cand != proposers[cand_map]) & (all_can_vote | can_vote[flat])
+        assert np.array_equal(one_pass[0], flat[keep])
+        assert np.array_equal(one_pass[1], cand_map[keep])
 
 
 class TestOutcomes:

@@ -77,6 +77,21 @@ class TestPhaseProtocol:
         assert np.allclose(sim.scheme.reputation_s(), 0.05)
         assert np.array_equal(sim.sharing_learner.q, q_before)
 
+    @pytest.mark.parametrize("t_train", [0.0, float("nan"), float("-inf")])
+    def test_non_positive_training_temperature_fails_the_first_step(self, t_train):
+        """NaN and -inf are rejected like 0, solo and on a batched lane:
+        NaN once played action 0 all training, -inf explored as +inf."""
+        from repro.sim.engine import BatchedSimulation
+
+        cfg = tiny_config(n_agents=16, training_steps=5, eval_steps=2, t_train=t_train)
+        for sim in (
+            CollaborationSimulation(cfg),
+            BatchedSimulation([cfg.with_(t_train=2.0, seed=6), cfg]),
+        ):
+            with pytest.raises(ValueError, match="positive"):
+                sim.run()
+            assert sim.state.step_count == 0
+
     def test_training_is_uniform_exploration(self):
         """At T = inf every sharing action is visited roughly equally."""
         cfg = tiny_config(n_agents=40, training_steps=200, eval_steps=1)
