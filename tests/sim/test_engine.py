@@ -79,8 +79,9 @@ class TestPhaseProtocol:
 
     @pytest.mark.parametrize("t_train", [0.0, float("nan"), float("-inf")])
     def test_non_positive_training_temperature_fails_the_first_step(self, t_train):
-        """NaN and -inf are rejected like 0, solo and on a batched lane:
-        NaN once played action 0 all training, -inf explored as +inf."""
+        """NaN and -inf are rejected like 0, solo and on a batched lane,
+        before any step runs: neither is a temperature (NaN would play
+        action 0 throughout, -inf would explore as +inf)."""
         from repro.sim.engine import BatchedSimulation
 
         cfg = tiny_config(n_agents=16, training_steps=5, eval_steps=2, t_train=t_train)
