@@ -47,7 +47,8 @@ __all__ = [
 
 #: Bumped whenever the pickled state's layout changes, so an older
 #: snapshot decodes to ``None`` (start over) instead of a state the
-#: phases cannot step.  2: the step scratch pickles as one block.
+#: phases cannot step.  2: the state carries ``collusion_active`` and
+#: ``events_active``.
 SNAPSHOT_VERSION = 2
 SNAPSHOT_DIR = "checkpoints"
 _MAGIC = b"RSNP"

@@ -160,7 +160,6 @@ class NumpyKernels:
         can_vote: np.ndarray,
         all_can_vote: bool,
         n_agents: int,
-        chunk_size: int,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The kept candidates as flat slot ids, and their proposal ids.
 
@@ -168,24 +167,13 @@ class NumpyKernels:
         in gather order, ``cand_prop`` each one's proposal and
         ``is_editor`` whether it is that proposal's own editor.  A
         candidate is kept unless it is the editor or, when
-        ``all_can_vote`` is false, ``can_vote`` denies its slot.  Pools
-        of up to ``chunk_size`` candidates take one pass; larger ones are
-        filtered ``chunk_size`` at a time, which bounds the temporaries
-        and, every step being elementwise, never changes the result.
+        ``all_can_vote`` is false, ``can_vote`` denies its slot.
         """
-        args = (rep_of_prop, can_vote, all_can_vote, n_agents)
-        if cand_local.size <= chunk_size:
-            return _kept_voters(cand_local, cand_prop, is_editor, *args)
-        kept_voters: list[np.ndarray] = []
-        kept_props: list[np.ndarray] = []
-        for lo in range(0, cand_local.size, chunk_size):
-            hi = lo + chunk_size
-            voters, props = _kept_voters(
-                cand_local[lo:hi], cand_prop[lo:hi], is_editor[lo:hi], *args
-            )
-            kept_voters.append(voters)
-            kept_props.append(props)
-        return np.concatenate(kept_voters), np.concatenate(kept_props)
+        flat_cand = cand_local + (rep_of_prop * n_agents)[cand_prop]
+        keep = ~is_editor
+        if not all_can_vote:
+            keep &= can_vote[flat_cand]
+        return flat_cand[keep], cand_prop[keep]
 
     def tally_votes(
         self,
@@ -355,23 +343,6 @@ class NumpyKernels:
         cells = (base + states) * a + actions
         current = q.take(cells)
         q.put(cells, (1.0 - learning_rate) * current + learning_rate * target)
-
-
-def _kept_voters(
-    cand_local: np.ndarray,
-    cand_prop: np.ndarray,
-    is_editor: np.ndarray,
-    rep_of_prop: np.ndarray,
-    can_vote: np.ndarray,
-    all_can_vote: bool,
-    n_agents: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of :meth:`NumpyKernels.filter_vote_candidates`."""
-    flat_cand = cand_local + (rep_of_prop * n_agents)[cand_prop]
-    keep = ~is_editor
-    if not all_can_vote:
-        keep &= can_vote[flat_cand]
-    return flat_cand[keep], cand_prop[keep]
 
 
 def _first_match(match: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

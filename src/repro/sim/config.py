@@ -37,9 +37,9 @@ class ScaleConfig:
     #: Partners remembered per peer on the sparse path.  Lane batching
     #: lifts this per lane like any other non-structural knob.
     ledger_cap: int = 64
-    #: Rows per vectorized chunk in the sparse-ledger and edit/vote
-    #: gather kernels; bounds peak temporaries without changing results
-    #: (processing stays in input order).
+    #: Rows per vectorized chunk in the sparse-ledger kernels; bounds
+    #: peak temporaries without changing results (processing stays in
+    #: input order).
     chunk_size: int = 32_768
     #: Populations at or above this stream per-step metric reductions
     #: (bincount segment sums) instead of materializing per-type gather

@@ -7,10 +7,9 @@ pass, mapped to their proposals once (that map and the mask of each
 proposal's own editor serve both the voter filter and the voting rights
 booked afterwards), and filtered; voter weights are normalized per
 proposal with the same grouped-share kernel the bandwidth allocator
-uses; accepted edits are booked into the store in one call; and every
-count of the step lands in the scratch block through one
-``np.bincount`` (every count is integer-valued, so the counts equal the
-element-by-element scatter-add's).
+uses, and outcomes are counted back with ``np.bincount`` (every count is
+integer-valued, so the counts equal the element-by-element
+scatter-add's) and booked into the store in one call.
 Only the RNG draws (proposer masks, article picks, subsample keys) run
 in per-replicate loops — each replicate consumes its own stream exactly
 as a solo run would.
@@ -135,22 +134,12 @@ def _voting_rounds(
     # One pass over every proposal's candidate voters: the map from each
     # candidate to its proposal and the mask of proposals' own editors
     # are built once, for the filter and for the voting rights booked
-    # below.  The filter runs in chunks of at most ``scale.chunk_size``
-    # candidates when the pools outgrow one (voter pools grow with
-    # accepted edits); it is elementwise, so the kept voters are the same
-    # for any chunk size.
+    # below.  Like the gather itself, they span the step's candidates.
     cand_local, counts = store.gather(rows)
     cand_map = np.arange(n_prop).repeat(counts)
     is_editor = cand_local == local_proposers[cand_map]
     flat_voters, flat_prop = KERNELS.filter_vote_candidates(
-        cand_local,
-        cand_map,
-        is_editor,
-        rep_of_prop,
-        can_vote,
-        all_can_vote,
-        n,
-        state.config.scale.chunk_size,
+        cand_local, cand_map, is_editor, rep_of_prop, can_vote, all_can_vote, n
     )
     voter_counts = np.bincount(flat_prop, minlength=n_prop)
 
@@ -223,10 +212,22 @@ def _voting_rounds(
     majority_for = for_weight >= 0.5
     successful = votes_for == majority_for[flat_prop]
 
+    n_slots = sc.succ_votes.size
+    sc.succ_votes += np.bincount(flat_voters[successful], minlength=n_slots)
     newly_banned = scheme.record_vote_outcomes(flat_voters, successful)
     punished = scheme.record_edit_outcomes(proposers, accepted)
 
+    # One (lane, type, constructive) cell id per proposal.
+    cell = (rep_of_prop * 3 + state.peers.types[proposers]) * 2 + prop_constructive
+    n_cells = sc.proposals_count.size
+    sc.proposals_count += np.bincount(cell, minlength=n_cells).reshape(
+        sc.proposals_count.shape
+    )
     acc = accepted.nonzero()[0]
+    sc.accepted_count += np.bincount(cell[acc], minlength=n_cells).reshape(
+        sc.accepted_count.shape
+    )
+    sc.acc_edits += np.bincount(proposers[acc], minlength=n_slots)
     if acc.size:
         # A proposer already holds a voting right on its article exactly
         # when it is among its own (unfiltered, step-start) candidates.
@@ -236,27 +237,17 @@ def _voting_rounds(
             rows[acc], local_proposers[acc], prop_constructive[acc], ~held[acc]
         )
 
-    # Every count of the step, booked into the scratch block with one
-    # bincount: each entry names its block cell, one per accepted edit,
-    # successful vote, proposal by (lane, type, constructive) cell, cast
-    # vote, ban and reset.
-    at = sc.offsets
-    cell = (rep_of_prop * 3 + state.peers.types[proposers]) * 2 + prop_constructive
-    rep_of_voter = rep_of_prop[flat_prop]
-    sc.count(
-        np.concatenate(
-            (
-                flat_voters[successful] + at["succ_votes"],
-                proposers[acc] + at["acc_edits"],
-                cell + at["proposals_count"],
-                cell[acc] + at["accepted_count"],
-                rep_of_voter + at["votes_cast"],
-                rep_of_voter[successful] + at["votes_successful"],
-                newly_banned // n + at["vote_bans"],
-                punished // n + at["reputation_resets"],
-            )
+    # Per-replicate step counters.
+    if flat_voters.size:
+        rep_of_voter = rep_of_prop[flat_prop]
+        sc.votes_cast += np.bincount(rep_of_voter, minlength=n_rep)
+        sc.votes_successful += np.bincount(
+            rep_of_voter[successful], minlength=n_rep
         )
-    )
+    if newly_banned.size:
+        sc.vote_bans += np.bincount(newly_banned // n, minlength=n_rep)
+    if punished.size:
+        sc.reputation_resets += np.bincount(punished // n, minlength=n_rep)
 
     if state.events_active:
         _record_events(

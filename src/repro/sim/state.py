@@ -80,46 +80,9 @@ def _make_reputation_fn(name: str, params):
     return cls(params)
 
 
-class _Block:
-    """The flat buffer behind :class:`StepScratch`'s count views.
-
-    It has no ``__dict__``, so the state fingerprint walk
-    (:func:`repro.sim.testing.collect_arrays`) sees the counts once,
-    under their own names, and never the block itself.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-
-
-def _count_shapes(n_replicates: int, n_agents: int) -> dict[str, tuple]:
-    """Shape of each :class:`StepScratch` count buffer, in block order."""
-    slots = n_replicates * n_agents
-    lanes = (n_replicates,)
-    return {
-        "succ_votes": (slots,),
-        "acc_edits": (slots,),
-        "proposals_count": (n_replicates, 3, 2),
-        "accepted_count": (n_replicates, 3, 2),
-        "votes_cast": lanes,
-        "votes_successful": lanes,
-        "vote_bans": lanes,
-        "reputation_resets": lanes,
-    }
-
-
 @dataclass
 class StepScratch:
-    """Per-step accumulation buffers, zeroed and reused every step.
-
-    The eight count buffers are views of one flat float64 block, in
-    field order: :meth:`reset` zeroes them with one ``fill``, and the
-    edit/vote phase books a step's counts with one :meth:`count`, whose
-    ids are block cells (``offsets[name]`` plus the index into that
-    buffer's flattened view).
-    """
+    """Per-step accumulation buffers, zeroed and reused every step."""
 
     succ_votes: np.ndarray  # (R*N,) successful votes this step
     acc_edits: np.ndarray  # (R*N,) accepted edits this step
@@ -130,46 +93,31 @@ class StepScratch:
     vote_bans: np.ndarray  # (R,)
     reputation_resets: np.ndarray  # (R,)
     proposer_u: np.ndarray  # (R, N) per-replicate proposer uniforms
-    #: Start of each count buffer in the block.
-    offsets: dict[str, int] = field(default_factory=dict)
-    block: _Block | None = None
 
     @classmethod
     def create(cls, n_replicates: int, n_agents: int) -> "StepScratch":
-        shapes = _count_shapes(n_replicates, n_agents).values()
-        size = sum(int(np.prod(shape)) for shape in shapes)
-        return cls._over(np.zeros(size), np.empty((n_replicates, n_agents)))
-
-    @classmethod
-    def _over(cls, block: np.ndarray, proposer_u: np.ndarray) -> "StepScratch":
-        """The scratch whose count buffers view ``block``."""
-        views: dict[str, np.ndarray] = {}
-        offsets: dict[str, int] = {}
-        lo = 0
-        for name, shape in _count_shapes(*proposer_u.shape).items():
-            hi = lo + int(np.prod(shape))
-            views[name] = block[lo:hi].reshape(shape)
-            offsets[name] = lo
-            lo = hi
+        slots = n_replicates * n_agents
         return cls(
-            **views, proposer_u=proposer_u, offsets=offsets, block=_Block(block)
+            succ_votes=np.zeros(slots, dtype=np.float64),
+            acc_edits=np.zeros(slots, dtype=np.float64),
+            proposals_count=np.zeros((n_replicates, 3, 2)),
+            accepted_count=np.zeros((n_replicates, 3, 2)),
+            votes_cast=np.zeros(n_replicates),
+            votes_successful=np.zeros(n_replicates),
+            vote_bans=np.zeros(n_replicates),
+            reputation_resets=np.zeros(n_replicates),
+            proposer_u=np.empty((n_replicates, n_agents)),
         )
 
-    def __reduce__(self):
-        # Pickled as the block, so the restored views share one again.
-        return (StepScratch._over, (self.block.array, self.proposer_u))
-
     def reset(self) -> None:
-        self.block.array.fill(0.0)
-
-    def count(self, cells: np.ndarray) -> None:
-        """Add one to the block cell of every entry of ``cells``.
-
-        The counts are whole numbers added to zeroed floats, so the
-        totals equal per-buffer bincounts (or scatter-adds) exactly.
-        """
-        block = self.block.array
-        block += np.bincount(cells, minlength=block.size)
+        self.succ_votes.fill(0.0)
+        self.acc_edits.fill(0.0)
+        self.proposals_count.fill(0.0)
+        self.accepted_count.fill(0.0)
+        self.votes_cast.fill(0.0)
+        self.votes_successful.fill(0.0)
+        self.vote_bans.fill(0.0)
+        self.reputation_resets.fill(0.0)
 
 
 @dataclass

@@ -90,13 +90,13 @@ class TestBootstrap:
             ArticleStore(1, 5, [])
 
 
-def filter_voters(cand, counts, proposers, lanes, can_vote, all_can_vote, n, chunk):
+def filter_voters(cand, counts, proposers, lanes, can_vote, all_can_vote, n):
     """The edit-vote phase's filter call: the candidate->proposal map and
     the editor mask built from the gather, then the kernel."""
     cand_map = np.arange(counts.size).repeat(counts)
     is_editor = cand == proposers[cand_map]
     return KERNELS.filter_vote_candidates(
-        cand, cand_map, is_editor, lanes, can_vote, all_can_vote, n, chunk
+        cand, cand_map, is_editor, lanes, can_vote, all_can_vote, n
     )
 
 
@@ -113,9 +113,9 @@ class TestEligibleVoters:
         proposer = np.array([19 if 19 not in cand else 18])
         lanes = np.zeros(1, np.int64)
         none_vote = np.zeros(20, dtype=bool)
-        voters, _ = filter_voters(cand, counts, proposer, lanes, none_vote, False, 20, 64)
+        voters, _ = filter_voters(cand, counts, proposer, lanes, none_vote, False, 20)
         assert voters.size == 0
-        voters, _ = filter_voters(cand, counts, proposer, lanes, ~none_vote, True, 20, 64)
+        voters, _ = filter_voters(cand, counts, proposer, lanes, ~none_vote, True, 20)
         assert voters.tolist() == store.voters(0, 0).tolist()
 
     def test_excludes_editor(self, store):
@@ -123,7 +123,7 @@ class TestEligibleVoters:
         editor = int(cand[0])  # a founder proposing an edit of its own
         voters, _ = filter_voters(
             cand, counts, np.array([editor]), np.zeros(1, np.int64),
-            np.ones(20, dtype=bool), True, 20, 64,
+            np.ones(20, dtype=bool), True, 20,
         )
         assert editor not in voters.tolist()
         assert voters.size == 3
@@ -135,10 +135,10 @@ class TestEligibleVoters:
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunking_never_changes_the_kept_voters(
+    def test_keeps_every_candidate_but_the_editor_that_may_vote(
         self, seed, n_lanes, n_prop, all_can_vote
     ):
-        """Any chunk size keeps what one pass keeps, in the same order."""
+        """Over random ragged gathers: the reference filter, in order."""
         rng = np.random.default_rng(seed)
         n = 10
         store = make_store(lanes=n_lanes, n_articles=3, n_peers=n, founders=2, seed=seed)
@@ -151,20 +151,14 @@ class TestEligibleVoters:
         if not all_can_vote:
             can_vote = rng.random(n_lanes * n) < 0.7
         cand, counts = store.gather(rows)
-        args = (cand, counts, proposers, lanes, can_vote, all_can_vote, n)
-        total = cand.size
-        one_pass = filter_voters(*args, total)
-        for chunk in {1, 2, 3, max(total - 1, 1)}:
-            chunked = filter_voters(*args, chunk)
-            for got, want in zip(chunked, one_pass):
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-        # Reference: every candidate but the editor, if it may vote.
+        voters, props = filter_voters(
+            cand, counts, proposers, lanes, can_vote, all_can_vote, n
+        )
         cand_map = np.arange(n_prop).repeat(counts)
         flat = cand + lanes[cand_map] * n
         keep = (cand != proposers[cand_map]) & (all_can_vote | can_vote[flat])
-        assert np.array_equal(one_pass[0], flat[keep])
-        assert np.array_equal(one_pass[1], cand_map[keep])
+        assert np.array_equal(voters, flat[keep])
+        assert np.array_equal(props, cand_map[keep])
 
 
 class TestOutcomes:
