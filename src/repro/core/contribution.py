@@ -82,9 +82,8 @@ class ContributionLedger:
         rule.  Either way an inactive peer's ``C_S`` decays towards zero.
         """
         p = self.params
-        self._check(
-            shared_articles, shared_bandwidth, "shared_articles", "shared_bandwidth"
-        )
+        self._check(shared_articles, "shared_articles")
+        self._check(shared_bandwidth, "shared_bandwidth")
         self.sharing_version += 1
         if self._apply_retention:
             self._c_s *= p.retention
@@ -102,9 +101,8 @@ class ContributionLedger:
     ) -> None:
         """Accrue one step of editing/voting contributions (same contract)."""
         p = self.params
-        self._check(
-            successful_votes, accepted_edits, "successful_votes", "accepted_edits"
-        )
+        self._check(successful_votes, "successful_votes")
+        self._check(accepted_edits, "accepted_edits")
         self.editing_version += 1
         if self._apply_retention:
             self._c_e *= p.retention
@@ -138,15 +136,12 @@ class ContributionLedger:
         self._c_e.fill(0.0)
 
     # ------------------------------------------------------------------
-    def _check(self, a: np.ndarray, b: np.ndarray, name_a: str, name_b: str) -> None:
-        """Both inflows per peer and non-negative, with one reduction."""
-        for arr, name in ((a, name_a), (b, name_b)):
-            if arr.shape != (self.n_peers,):
-                raise ValueError(
-                    f"{name} must have shape ({self.n_peers},), got {arr.shape}"
-                )
-        if ((a < 0) | (b < 0)).any():
-            name = name_a if (a < 0).any() else name_b
+    def _check(self, arr: np.ndarray, name: str) -> None:
+        if arr.shape != (self.n_peers,):
+            raise ValueError(
+                f"{name} must have shape ({self.n_peers},), got {arr.shape}"
+            )
+        if (arr < 0).any():
             raise ValueError(f"{name} must be non-negative")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
