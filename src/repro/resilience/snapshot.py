@@ -48,8 +48,10 @@ __all__ = [
 #: Bumped whenever the pickled state's layout changes, so an older
 #: snapshot decodes to ``None`` (start over) instead of a state the
 #: phases cannot step.  2: the state carries ``collusion_active`` and
-#: ``events_active``.
-SNAPSHOT_VERSION = 2
+#: ``events_active``.  3: the behaviour engine is gone; the state
+#: carries the pinned actions (``pin_share``, ``pin_edit``) and the
+#: per-lane ``rational_counts`` instead.
+SNAPSHOT_VERSION = 3
 SNAPSHOT_DIR = "checkpoints"
 _MAGIC = b"RSNP"
 

@@ -209,7 +209,6 @@ class CollaborationSimulation:
         self.rational_idx = s.rational_idx
         self.sharing_learner = s.sharing_learner
         self.edit_learner = s.edit_learner
-        self.behavior = s.behavior
         self.churn = s.churn[0]
         self.metrics = s.metrics
         self.events = s.events[0]

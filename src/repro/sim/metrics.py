@@ -63,13 +63,13 @@ class StepStats:
 class MetricsCollector:
     """Fixed-size store of per-step series (optionally replicate-stacked).
 
-    ``streaming=True`` switches the per-type reductions from gather
-    buffers (copy each type's members, then row means) to one-pass
-    segment sums (``np.bincount`` over a precomputed ``(replicate,
-    type)`` label array).  The streaming path allocates nothing
-    per-peer beyond the label vector — the scale engine flips it on
-    above ``scale.stream_metrics_threshold`` agents, where the four
-    ``(4, R·k)`` gather scratch buffers stop being free.  Recorded
+    ``streaming=True`` switches the per-type reductions from one gather
+    (copy each type's members, then row means) to one-pass segment sums
+    (``np.bincount`` over a precomputed ``(replicate, type)`` label
+    array).  The streaming path allocates nothing per-peer beyond the
+    label vector — the scale engine flips it on above
+    ``scale.stream_metrics_threshold`` agents, where the per-step
+    ``(4, R·N)`` gather copy stops being free.  Recorded
     means are statistically identical; they are bitwise identical to
     the gather path only for single-member types (the accumulation
     tree differs), which is why the threshold default leaves small
@@ -121,7 +121,7 @@ class MetricsCollector:
         self._reputation_resets = np.zeros(shape)
         if self.streaming:
             # One (replicate, type) label per slot: per-type means become
-            # bincount segment sums — no per-peer gather buffers at all.
+            # bincount segment sums — no per-peer gather at all.
             pos = np.full(self.types.size, -1, dtype=np.int64)
             for k, t in enumerate(self._TYPES):
                 pos[self.types == t] = k
@@ -156,10 +156,6 @@ class MetricsCollector:
                     self._groups.append((t, group, k, slice(lo, lo + group.size * k)))
                     lo += group.size * k
             self._flat_idx = np.concatenate(flat_idx)
-            # Scratch: the four per-peer series stacked so one gather
-            # serves every group, and that gather's target.
-            self._type_buf = np.empty((4, self.types.size))
-            self._gather_buf = np.empty((4, self._flat_idx.size))
 
     # ------------------------------------------------------------------
     # Public series: single runs see the historical 1-D (row-0) arrays,
@@ -231,32 +227,32 @@ class MetricsCollector:
         if i >= self.n_steps:
             raise RuntimeError("metrics store is full")
         R, N = self.n_replicates, self._n_per_rep
-        # The four all-peer means in one reduction over a stacked copy
-        # (axis=None flattens each input, whichever per-peer shape it
-        # has): each is np.add.reduce over one lane's N contiguous values
-        # divided by N, which is what np.mean computes.
+        # One stacked copy of the six per-peer rows (axis=None flattens
+        # each input, whichever per-peer shape it has).  The first four
+        # feed the per-type means; files, bandwidth, U_S and U_E the
+        # all-peer means, each np.add.reduce over one lane's N contiguous
+        # values divided by N, which is what np.mean computes.
         stacked = np.concatenate(
             (
                 stats.offered_files,
                 stats.offered_bandwidth,
+                stats.reputation_s,
+                stats.reputation_e,
                 stats.sharing_utility,
                 stats.editing_utility,
             ),
             axis=None,
             dtype=np.float64,
-        ).reshape(4, R, N)
+        ).reshape(6, R, N)
         means = np.add.reduce(stacked, axis=2) / N
         self._files_all[:, i] = means[0]
         self._bandwidth_all[:, i] = means[1]
-        self._utility_s_all[:, i] = means[2]
-        self._utility_e_all[:, i] = means[3]
-        files, bw = stacked[0], stacked[1]
-        rep_s = np.asarray(stats.reputation_s).reshape(R, N)
-        rep_e = np.asarray(stats.reputation_e).reshape(R, N)
+        self._utility_s_all[:, i] = means[4]
+        self._utility_e_all[:, i] = means[5]
         if self.streaming:
-            self._record_types_streaming(i, files, bw, rep_s, rep_e)
+            self._record_types_streaming(i, stacked)
         else:
-            self._record_types_gathered(i, files, bw, rep_s, rep_e)
+            self._record_types_gathered(i, stacked)
         self._proposals[:, i] = np.asarray(stats.proposals).reshape(R, 3, 2)
         self._accepted[:, i] = np.asarray(stats.accepted).reshape(R, 3, 2)
         self._votes_cast[:, i] = np.asarray(stats.votes_cast)
@@ -265,16 +261,14 @@ class MetricsCollector:
         self._reputation_resets[:, i] = np.asarray(stats.reputation_resets)
         self._cursor += 1
 
-    def _record_types_streaming(self, i, files, bw, rep_s, rep_e) -> None:
+    def _record_types_streaming(self, i, stacked) -> None:
         """Per-type means as one-pass label-segment sums (large N)."""
         R = self.n_replicates
         nt = len(self._TYPES)
-        for series, arr in (
-            (self._files_by_type, files),
-            (self._bandwidth_by_type, bw),
-            (self._rep_s_by_type, rep_s),
-            (self._rep_e_by_type, rep_e),
-        ):
+        by_type = (
+            self._files_by_type, self._bandwidth_by_type, self._rep_s_by_type, self._rep_e_by_type
+        )
+        for series, arr in zip(by_type, stacked):
             sums = np.bincount(
                 self._labels, weights=arr.reshape(-1), minlength=R * nt
             ).reshape(R, nt)
@@ -287,19 +281,16 @@ class MetricsCollector:
             for k, t in enumerate(self._TYPES):
                 series[t][:, i] = means[:, k]
 
-    def _record_types_gathered(self, i, files, bw, rep_s, rep_e) -> None:
+    def _record_types_gathered(self, i, stacked) -> None:
         """Per-type means, one reduction per (type, member count) group.
 
-        Each mean is ``np.add.reduce`` over a contiguous row of the
-        group's k members divided by k — what ``np.mean`` computes — so
-        every lane's values equal a solo run's bit for bit.
+        One gather over the stacked files, bandwidth, R_S and R_E rows
+        serves every group.  Each mean is ``np.add.reduce`` over a
+        contiguous row of the group's k members divided by k — what
+        ``np.mean`` computes — so every lane's values equal a solo run's
+        bit for bit.
         """
-        buf = self._type_buf
-        buf[0] = files.reshape(-1)
-        buf[1] = bw.reshape(-1)
-        buf[2] = rep_s.reshape(-1)
-        buf[3] = rep_e.reshape(-1)
-        g = buf.take(self._flat_idx, axis=1, out=self._gather_buf)
+        g = stacked[:4].reshape(4, -1).take(self._flat_idx, axis=1)
         for t, lanes, k, cols in self._groups:
             m = np.add.reduce(g[:, cols].reshape(4, lanes.size, k), axis=2) / k
             self._files_by_type[t][lanes, i] = m[0]

@@ -6,15 +6,15 @@ state's per-replicate RNG streams:
 
 ``churn``      joins / leaves / whitewash identity resets
 ``sybil``      sybil attackers discard identities and rejoin fresh
-``act``        observe reputations, pick sharing + edit/vote actions
-``collusion``  rings override their members' sharing actions
+``act``        observe reputations, pick sharing + edit/vote actions,
+               apply the pinned actions (fixed types, online ring members)
 ``download``   sample requests, settle bandwidth, sharing utilities
 ``edit_vote``  edit proposals, weighted voting rounds, punishment
 ``learn``      temporal-difference backups of the rational learners
 ``record``     per-step metric capture
 
-:func:`step_state` composes them in protocol order (the two adversary
-kernels are no-ops unless their config knobs are set).
+:func:`step_state` composes them in protocol order (the sybil kernel and
+the ring pins are no-ops unless their config knobs are set).
 
 Reputations are computed once per state of the books.  The ledger-backed
 schemes return a read-only reputation view memoized under the write
@@ -45,7 +45,7 @@ from time import perf_counter
 from ...obs import get_tracer
 from ..state import SimState
 from .act import act_phase
-from .adversary import collusion_phase, sybil_phase
+from .adversary import sybil_phase
 from .churn import churn_phase
 from .download import download_phase
 from .edit_vote import edit_vote_phase
@@ -56,7 +56,6 @@ __all__ = [
     "churn_phase",
     "sybil_phase",
     "act_phase",
-    "collusion_phase",
     "download_phase",
     "edit_vote_phase",
     "learn_phase",
@@ -92,7 +91,6 @@ def _step_state_plain(state: SimState, temperature, learn: bool) -> None:
     churn_phase(state, cfg)
     sybil_phase(state, cfg)
     act_phase(state, cfg, temperature)
-    collusion_phase(state, cfg)
     download_phase(state, cfg)
     edit_vote_phase(state, cfg)
     learn_phase(state, cfg, learn)
@@ -119,7 +117,6 @@ def _step_state_traced(state: SimState, temperature, learn: bool, tracer) -> Non
         ("phase/churn", churn_phase, (state, cfg)),
         ("phase/sybil", sybil_phase, (state, cfg)),
         ("phase/act", act_phase, (state, cfg, temperature)),
-        ("phase/collusion", collusion_phase, (state, cfg)),
         ("phase/download", download_phase, (state, cfg)),
         ("phase/edit_vote", edit_vote_phase, (state, cfg)),
         ("phase/learn", learn_phase, (state, cfg, learn)),

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...agents.qlearning import VectorQLearner
 from ...core.reputation import ViewMemo, reputation_to_state
 from ..config import SimulationConfig
 from ..state import SimState
 
-__all__ = ["act_phase", "install_actions", "observe_states"]
+__all__ = ["act_phase", "observe_states", "pin_actions", "select_rational"]
 
 
 def observe_states(
@@ -29,38 +30,100 @@ def observe_states(
     return memo.value
 
 
-def install_actions(state: SimState) -> None:
-    """Decode ``ctx``'s action indices and install them on the state.
+def select_rational(
+    state: SimState, learner: VectorQLearner, states: np.ndarray, temperature
+) -> np.ndarray:
+    """Stacked rational action selection, each lane from its own stream.
 
-    Single point of truth for turning ``ctx.share_actions`` /
-    ``ctx.edit_actions`` into the derived per-slot arrays (bandwidth and
-    file offers masked by online-ness, edit/vote constructiveness) and
-    the peers' installed offers.  Called by the act phase after action
-    selection and again by the collusion kernel after it overrides ring
-    members' action indices — both must agree on the derivation.
+    One learner stacks every lane's rational peers (ordered like
+    ``state.rational_idx``), so selection is one vectorized call.  Each
+    lane draws its uniforms (or ``T = inf`` integers) from its own
+    generator in the order and shapes a solo run draws them, which keeps
+    a batched lane bit-identical to its sequential twin; a lane without
+    rational peers draws nothing.  ``temperature`` is a scalar (the
+    homogeneous fast path) or a per-lane ``(R,)`` array: ``T = inf``
+    lanes take the uniform-integer path, finite lanes are
+    Boltzmann-sampled in one stacked call with per-row temperatures.
+    """
+    rngs = state.rngs
+    counts = state.rational_counts
+    if np.ndim(temperature) == 0:
+        if temperature == np.inf:
+            parts = [
+                rngs[r].integers(0, learner.n_actions, size=k)
+                for r, k in enumerate(counts)
+                if k
+            ]
+            return np.concatenate(parts)
+        u = np.concatenate(
+            [rngs[r].random((k, 1)) for r, k in enumerate(counts) if k]
+        )
+        return learner.select_actions(states, temperature, u=u)
+
+    t = np.asarray(temperature, dtype=np.float64)
+    actions = np.empty(states.size, dtype=np.int64)
+    u_parts: list[np.ndarray] = []
+    finite_spans: list[np.ndarray] = []
+    t_rows: list[np.ndarray] = []
+    start = 0
+    for r, k in enumerate(counts):
+        if not k:
+            continue
+        span = slice(start, start + k)
+        start += k
+        if t[r] == np.inf:
+            actions[span] = rngs[r].integers(0, learner.n_actions, size=k)
+        else:
+            u_parts.append(rngs[r].random((k, 1)))
+            finite_spans.append(np.arange(span.start, span.stop))
+            t_rows.append(np.full(k, t[r]))
+    if u_parts:
+        sub = np.concatenate(finite_spans)
+        actions[sub] = learner.select_actions(
+            states[sub],
+            np.concatenate(t_rows),
+            subset=sub,
+            u=np.concatenate(u_parts),
+        )
+    return actions
+
+
+def pin_actions(state: SimState) -> None:
+    """Overwrite every pinned slot's selected action with its pin.
+
+    ``state.pin_share`` / ``pin_edit`` hold one action per slot (-1 =
+    free); the build pins the fixed behaviour types, which are never
+    selected for and so draw nothing.  An online collusion-ring member
+    is pinned to the ring policy (all-in sharing, constructive edits and
+    votes: reputation farming for the ring) whatever its type; an
+    offline one keeps its own action.  Pins replace the action indices
+    after selection, so a pinned rational peer still draws, and its
+    learner trains on the pinned action.  Vote rigging is not an action
+    and lives in the edit/vote kernel.
     """
     ctx = state.ctx
-    bw, files = state.sharing_space.decode(ctx.share_actions)
-    online = state.peers.online
-    ctx.bw = bw * online
-    ctx.files = files * online
-    state.peers.set_actions(ctx.bw, ctx.files)
-    ctx.edit_constructive, ctx.vote_constructive = state.edit_space.decode(
-        ctx.edit_actions
-    )
+    share, edit = ctx.share_actions, ctx.edit_actions
+    np.copyto(share, state.pin_share, where=state.pin_share >= 0)
+    np.copyto(edit, state.pin_edit, where=state.pin_edit >= 0)
+    if state.collusion_active:
+        ring = state.colluder_mask & state.peers.online
+        share[ring] = state.sharing_space.max_action
+        edit[ring] = state.edit_space.constructive_action
 
 
 def act_phase(state: SimState, cfg: SimulationConfig, temperature) -> None:
-    """Snapshot reputations, select this step's actions, install them.
+    """Snapshot reputations, select this step's actions, pin and install them.
 
     Reputation snapshots (``rep_s``/``rep_e``) are taken once here and
     reused by the voting and metrics phases — reputations only move
     between steps.  Their discretized states come from the state's
     memos (:func:`observe_states`): the previous step's learn phase
     already discretized these arrays unless churn, a sybil reset or the
-    phase-boundary reset changed the books since.  Action selection is
-    one stacked call over all replicates' rational peers; fixed types
-    are filled in vectorized.
+    phase-boundary reset changed the books since.  The rational slots
+    take their selections (:func:`select_rational`), the pins apply over
+    them (:func:`pin_actions`), and the action indices are decoded once
+    into the offers the peers install (masked by online-ness) and the
+    edit/vote constructiveness.
     ``temperature`` is a scalar or a per-lane ``(R,)`` array; the
     discretization bounds come from each lane's own reputation band
     (``state.lanes``), both applied per rational slot.
@@ -77,10 +140,21 @@ def act_phase(state: SimState, cfg: SimulationConfig, temperature) -> None:
     ctx.states_e = observe_states(
         state.memo_e, ctx.rep_e, ridx, cfg.n_states, lanes.disc_e_min, lanes.disc_e_max
     )
-    ctx.share_actions = state.behavior.sharing_actions(
-        ctx.states_s, temperature, state.rngs
+    ctx.share_actions = state.pin_share.copy()
+    ctx.edit_actions = state.pin_edit.copy()
+    if ridx.size:
+        ctx.share_actions[ridx] = select_rational(
+            state, state.sharing_learner, ctx.states_s, temperature
+        )
+        ctx.edit_actions[ridx] = select_rational(
+            state, state.edit_learner, ctx.states_e, temperature
+        )
+    pin_actions(state)
+    bw, files = state.sharing_space.decode(ctx.share_actions)
+    online = state.peers.online
+    ctx.bw = bw * online
+    ctx.files = files * online
+    state.peers.set_actions(ctx.bw, ctx.files)
+    ctx.edit_constructive, ctx.vote_constructive = state.edit_space.decode(
+        ctx.edit_actions
     )
-    ctx.edit_actions = state.behavior.edit_actions(
-        ctx.states_e, temperature, state.rngs
-    )
-    install_actions(state)

@@ -1,7 +1,7 @@
-"""Adversary phase kernels: sybil identity churn and collusion rings.
+"""Adversary kernels: sybil identity churn and collusion rings.
 
 Two attack models the paper's robustness claim must survive, expressed
-as phase kernels over :class:`~repro.sim.state.SimState`:
+over :class:`~repro.sim.state.SimState`:
 
 * **Sybil / whitewash** (:func:`sybil_phase`) — a designated attacker
   subpopulation (``sybil_fraction``) discards its identity with
@@ -14,19 +14,21 @@ as phase kernels over :class:`~repro.sim.state.SimState`:
   grant) — via each scheme's ``reset_identities``.  An offline attacker
   rejoins online as part of the reset.
 
-* **Collusion rings** (:func:`collusion_phase` plus hooks in the
+* **Collusion rings** (a pin in the act phase,
+  :func:`~repro.sim.phases.act.pin_actions`, plus the hooks here for the
   download and edit/vote kernels) — ``collusion_fraction`` of each
   replicate's population is partitioned into rings of
   ``collusion_ring_size`` at build time.  Ring members farm reputation
-  for the ring: they always offer maximal bandwidth and files
-  (overriding their behaviour type's action, Q-learners included — the
-  ring dictates, the learner still trains on the forced outcome), serve
+  for the ring: while online they always offer maximal bandwidth and
+  files and edit constructively (overriding their behaviour type's
+  action, Q-learners included — the ring dictates, the learner still
+  trains on the forced outcome), serve
   bandwidth *only* to ring-mates (outsider requests are zero-weighted
   and the source's bandwidth renormalizes over ring-mates), and vote
   for ring-mates' proposals and against everyone else's regardless of
   content (ballot stuffing + bad-mouthing).
 
-Both kernels preserve the batched == sequential bit-identity contract:
+Both preserve the batched == sequential bit-identity contract:
 per-replicate RNG draws happen in replicate order with
 replicate-independent shapes, and all cross-slot math is elementwise or
 grouped by same-replicate slot pairs (ring ids are offset per replicate
@@ -40,9 +42,8 @@ import numpy as np
 from ..backends import KERNELS
 from ..config import SimulationConfig
 from ..state import SimState
-from .act import install_actions
 
-__all__ = ["sybil_phase", "collusion_phase", "collusion_shares", "collusion_votes"]
+__all__ = ["sybil_phase", "collusion_shares", "collusion_votes"]
 
 
 def sybil_phase(state: SimState, cfg: SimulationConfig) -> None:
@@ -79,32 +80,6 @@ def sybil_phase(state: SimState, cfg: SimulationConfig) -> None:
             washed_rows.append(resets + r * n)
     if washed_rows:
         state.scheme.reset_identities(np.concatenate(washed_rows))
-
-
-def collusion_phase(state: SimState, cfg: SimulationConfig) -> None:
-    """Override ring members' actions with the ring's policy.
-
-    Runs right after the act phase: colluders play the all-in sharing
-    action and the constructive edit action (reputation farming),
-    regardless of what their behaviour type — fixed or learned —
-    selected.  The override rewrites the *action indices* (via
-    :meth:`~repro.agents.behaviors.BatchedBehaviorEngine.apply_ring_policy`),
-    so rational colluders' Q-learners train on the action the ring forced,
-    not the one they picked; the decoded bandwidth/files/constructiveness
-    arrays are then re-derived exactly as the act phase derives them.
-    The download kernel separately restricts whom the offered bandwidth
-    actually reaches.  Draws nothing, so it is exactly
-    replicate-elementwise.
-    """
-    if not state.collusion_active:
-        return
-    ctx = state.ctx
-    state.behavior.apply_ring_policy(
-        state.colluder_mask & state.peers.online,
-        ctx.share_actions,
-        ctx.edit_actions,
-    )
-    install_actions(state)
 
 
 def collusion_shares(

@@ -12,7 +12,9 @@ __all__ = ["learn_phase"]
 def learn_phase(state: SimState, cfg: SimulationConfig, learn: bool) -> None:
     """One stacked TD update from this step's utilities (if learning).
 
-    The next states are discretized through the state's memos, where the
+    Only the rational peers learn: each learner row backs up its slot's
+    played action (a pinned one included) with its own utility.  The
+    next states are discretized through the state's memos, where the
     next step's act phase finds them again (:func:`observe_states`).
     """
     if not learn or not state.rational_idx.size:
@@ -37,9 +39,9 @@ def learn_phase(state: SimState, cfg: SimulationConfig, learn: bool) -> None:
         lanes.disc_e_min,
         lanes.disc_e_max,
     )
-    state.behavior.learn_sharing(
-        ctx.states_s, ctx.share_actions, ctx.u_s, next_states_s
+    state.sharing_learner.update(
+        ctx.states_s, ctx.share_actions[ridx], ctx.u_s[ridx], next_states_s
     )
-    state.behavior.learn_editing(
-        ctx.states_e, ctx.edit_actions, ctx.u_e, next_states_e
+    state.edit_learner.update(
+        ctx.states_e, ctx.edit_actions[ridx], ctx.u_e[ridx], next_states_e
     )

@@ -38,7 +38,6 @@ from typing import Any
 import numpy as np
 
 from ..agents.actions import EditActionSpace, SharingActionSpace
-from ..agents.behaviors import BatchedBehaviorEngine
 from ..agents.qlearning import VectorQLearner
 from ..core.baselines import KarmaScheme, PrivateHistoryScheme
 from ..core.incentives import make_scheme
@@ -46,7 +45,7 @@ from ..core.reputation import REPUTATION_FUNCTIONS, ViewMemo
 from ..network.articles import ArticleStore
 from ..network.events import EventLog
 from ..network.overlay import ChurnModel, OverlayNetwork
-from ..network.peer import RATIONAL, PeerArrays
+from ..network.peer import ALTRUISTIC, IRRATIONAL, RATIONAL, PeerArrays
 from .config import SimulationConfig
 from .lanes import (
     LaneParams,
@@ -160,11 +159,14 @@ class SimState:
     edit_space: EditActionSpace
     sharing_learner: VectorQLearner  # stacked over all replicates' rationals
     edit_learner: VectorQLearner
-    behavior: BatchedBehaviorEngine
     churn: list[ChurnModel]  # one per lane
     metrics: MetricsCollector
     events: list[EventLog | None]  # per replicate
     rational_idx: np.ndarray  # flat slot ids of rational peers
+    rational_counts: list[int]  # rational peers per lane
+    #: Pinned action per slot, -1 = free (:func:`repro.sim.phases.act.pin_actions`).
+    pin_share: np.ndarray  # (R*N,) sharing action index or -1
+    pin_edit: np.ndarray  # (R*N,) edit/vote action index or -1
     scratch: StepScratch
     ctx: PhaseContext
     transfer_hook: Any  # scheme.record_transfers or None
@@ -380,9 +382,13 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         learning_rate=lane_lr,
         discount=lane_gamma,
     )
-    behavior = BatchedBehaviorEngine(
-        types2d, sharing_space, edit_space, sharing_learner, edit_learner
-    )
+    # Paper section IV-B: altruists always share everything and edit and
+    # vote constructively, irrational peers always free-ride and edit and
+    # vote destructively; rational slots (-1) play what they select.
+    by_type = np.full((2, 3), -1, dtype=np.int64)  # (share, edit) x type code
+    by_type[:, ALTRUISTIC] = sharing_space.max_action, edit_space.constructive_action
+    by_type[:, IRRATIONAL] = sharing_space.min_action, edit_space.destructive_action
+    pin_share, pin_edit = by_type[:, peers.types]
     churn = [
         ChurnModel(
             leave_rate=conf.leave_rate,
@@ -416,11 +422,13 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         edit_space=edit_space,
         sharing_learner=sharing_learner,
         edit_learner=edit_learner,
-        behavior=behavior,
         churn=churn,
         metrics=metrics,
         events=events,
         rational_idx=rational_idx,
+        rational_counts=[int((row == RATIONAL).sum()) for row in types2d],
+        pin_share=pin_share,
+        pin_edit=pin_edit,
         scratch=StepScratch.create(n_rep, n),
         ctx=PhaseContext(),
         transfer_hook=getattr(scheme, "record_transfers", None),

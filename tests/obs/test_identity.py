@@ -25,8 +25,7 @@ from repro.sim.engine import run_simulation
 MIX = PopulationMix(rational=0.5, altruistic=0.25, irrational=0.25)
 
 ALL_PHASES = (
-    "churn", "sybil", "act", "collusion", "download",
-    "edit_vote", "learn", "record",
+    "churn", "sybil", "act", "download", "edit_vote", "learn", "record",
 )
 
 

@@ -135,8 +135,8 @@ class TestConfigIntegration:
         holders = [
             state.scheme,
             state.scheme._ledger,
-            state.behavior.sharing_learner,
-            state.behavior.edit_learner,
+            state.sharing_learner,
+            state.edit_learner,
         ]
         assert all(holder.kernels is get_backend("numpy") for holder in holders)
 
@@ -169,8 +169,8 @@ class TestPickling:
         restored = pickle.loads(pickle.dumps(state))
         holders = [
             restored.scheme,
-            restored.behavior.sharing_learner,
-            restored.behavior.edit_learner,
+            restored.sharing_learner,
+            restored.edit_learner,
         ]
         if cfg.scale.sparse:
             holders.append(restored.scheme._ledger)

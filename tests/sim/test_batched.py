@@ -170,19 +170,6 @@ class TestSweepBatching:
         assert [r.config for r in results] == cfgs
 
 
-class TestBehaviorRngModes:
-    def test_single_run_behavior_accepts_its_own_rng(self):
-        """The historical probe pattern: drive the behaviour engine with
-        the simulation's own (buffered) stream or any raw generator."""
-        from repro.sim.engine import CollaborationSimulation
-
-        sim = CollaborationSimulation(tiny())
-        states = np.zeros(sim.rational_idx.size, dtype=np.int64)
-        for rng in (sim.rng, np.random.default_rng(0)):
-            actions = sim.behavior.sharing_actions(states, np.inf, rng)
-            assert actions.shape == (sim.config.n_agents,)
-
-
 class TestWallTimeAmortization:
     def test_batched_wall_time_is_amortized(self):
         results = BatchedSimulation(replicate_configs(tiny(), 2)).run()

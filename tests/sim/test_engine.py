@@ -94,18 +94,16 @@ class TestPhaseProtocol:
             assert sim.state.step_count == 0
 
     def test_training_is_uniform_exploration(self):
-        """At T = inf every sharing action is visited roughly equally."""
+        """At T = inf the act phase plays every sharing action roughly
+        equally often."""
         cfg = tiny_config(n_agents=40, training_steps=200, eval_steps=1)
         sim = CollaborationSimulation(cfg)
         counts = np.zeros(9)
-        rng_probe = np.random.default_rng(0)
         for _ in range(50):
-            rep = sim.scheme.reputation_s()[sim.rational_idx]
-            from repro.core.reputation import reputation_to_state
-
-            states = reputation_to_state(rep)
-            actions = sim.behavior.sharing_actions(states, np.inf, rng_probe)
-            counts += np.bincount(actions, minlength=9)
+            sim.step(np.inf)
+            counts += np.bincount(
+                sim.state.ctx.share_actions[sim.rational_idx], minlength=9
+            )
         freq = counts / counts.sum()
         assert np.all(np.abs(freq - 1 / 9) < 0.05)
 

@@ -5,7 +5,8 @@ churn with both adversary kernels, the sparse scale path at small N and
 a mixed-config three-lane batch — is fingerprinted bit for bit:
 
 * the full end-of-run state (:func:`repro.sim.testing.state_fingerprint`)
-  of each corpus entry, run solo or as its one lane batch;
+  of each corpus entry, run solo or as its one lane batch, one digest
+  per array path (so a drift names the arrays that moved);
 * every article of every lane of each entry: quality, version count,
   constructive/destructive accepted counts and the voters in gather
   order (the state digest cannot see a voter order it does not store);
@@ -129,20 +130,23 @@ def kernel_probe() -> str:
 ENV_KEY = f"numpy {np.__version__} / probe {kernel_probe()}"
 
 
-def fingerprint_digest(fp: dict[str, np.ndarray]) -> str:
-    """sha256 over every (path, dtype, shape, bytes) of a state fingerprint."""
+def array_digest(arr) -> str:
+    """sha256 over one array's dtype, shape and bytes."""
+    arr = np.asarray(arr)
+    return _sha((
+        f"{arr.dtype.str}{arr.shape}",
+        repr(arr.tolist()) if arr.dtype.kind == "O"
+        else np.ascontiguousarray(arr).tobytes(),
+    ))
 
-    def chunks():
-        for path in sorted(fp):
-            arr = np.asarray(fp[path])
-            yield path
-            yield f"{arr.dtype.str}{arr.shape}"
-            yield (
-                repr(arr.tolist()) if arr.dtype.kind == "O"
-                else np.ascontiguousarray(arr).tobytes()
-            )
 
-    return _sha(chunks())
+def fingerprint_digests(fp: dict[str, np.ndarray]) -> dict[str, str]:
+    """``{array path: sha256}`` of a state fingerprint (:func:`array_digest`).
+
+    One digest per array, so a drift names the arrays that moved and a
+    re-record shows which paths were added, removed or changed.
+    """
+    return {path: array_digest(arr) for path, arr in sorted(fp.items())}
 
 
 def article_rows(state):
@@ -248,7 +252,12 @@ def recorded() -> dict:
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_state_fingerprint_unchanged(name):
     expected = recorded()["state"][name]
-    assert fingerprint_digest(state_fingerprint(run_state(CORPUS[name]))) == expected
+    got = fingerprint_digests(state_fingerprint(run_state(CORPUS[name])))
+    moved = sorted(
+        path for path in got.keys() | expected.keys()
+        if got.get(path) != expected.get(path)
+    )
+    assert not moved, f"arrays changed, added or removed: {moved}"
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -260,7 +269,7 @@ def test_article_digest_unchanged(name):
 def test_snapshot_resume_matches_uninterrupted(tmp_path):
     """Pickle every entry at RESUME_AT; a fresh process finishes them all."""
     straight = {
-        name: fingerprint_digest(state_fingerprint(run_state(configs)))
+        name: fingerprint_digests(state_fingerprint(run_state(configs)))
         for name, configs in CORPUS.items()
     }
     for name, configs in CORPUS.items():
@@ -274,12 +283,12 @@ def test_snapshot_resume_matches_uninterrupted(tmp_path):
         "import json, pickle, sys\n"
         "from pathlib import Path\n"
         "from repro.sim.testing import state_fingerprint\n"
-        "from tests.sim.test_golden import RESUME_AT, advance, fingerprint_digest\n"
+        "from tests.sim.test_golden import RESUME_AT, advance, fingerprint_digests\n"
         "out = {}\n"
         "for path in sorted(Path(sys.argv[1]).glob('*.pkl')):\n"
         "    state = pickle.loads(path.read_bytes())\n"
         "    advance(state, RESUME_AT, state.config.total_steps)\n"
-        "    out[path.stem] = fingerprint_digest(state_fingerprint(state))\n"
+        "    out[path.stem] = fingerprint_digests(state_fingerprint(state))\n"
         "print(json.dumps(out))\n"
     )
     proc = subprocess.run(
@@ -317,7 +326,7 @@ def record() -> None:
     states = {name: run_state(configs) for name, configs in sorted(CORPUS.items())}
     entry = {
         "state": {
-            name: fingerprint_digest(state_fingerprint(state))
+            name: fingerprint_digests(state_fingerprint(state))
             for name, state in states.items()
         },
         "articles": {name: article_digest(state) for name, state in states.items()},
