@@ -5,6 +5,8 @@ selection, the Q-learning backup, bandwidth allocation and settlement,
 and one full engine step.  pytest-benchmark calibrates rounds itself.
 """
 
+from itertools import count
+
 import numpy as np
 
 from conftest import bench_config
@@ -16,6 +18,7 @@ from repro.agents.qlearning import (
 from repro.sim.backends import KERNELS
 from repro.sim.engine import CollaborationSimulation
 from repro.sim.phases.download import sample_download_requests_batch
+from repro.sim.rng import CounterDraws
 
 N_AGENTS = 100  # paper scale
 
@@ -68,9 +71,11 @@ def test_download_round(benchmark, rng):
     sharing = (rng.random(N_AGENTS) < 0.6)[None, :]
     offered = rng.random(N_AGENTS)
     capacity = np.ones(N_AGENTS)
+    draws = CounterDraws(rng.integers(0, 2**64, size=1, dtype=np.uint64), N_AGENTS)
+    steps = count()
 
     def round_():
-        req = sample_download_requests_batch([rng], sharing, 1.0)
+        req = sample_download_requests_batch(draws, next(steps), sharing, 1.0)
         reps = np.full(req.n, 0.5)
         shares = KERNELS.grouped_shares(req.source_ids, reps, N_AGENTS)
         return KERNELS.settle_downloads(

@@ -3,7 +3,7 @@
 from .articles import ArticleStore
 from .bandwidth import DownloadRequests
 from .events import EditEvent, EventLog, PunishmentEvent
-from .overlay import ChurnEvent, ChurnModel, OverlayNetwork
+from .overlay import ChurnModel, OverlayNetwork
 from .peer import ALTRUISTIC, IRRATIONAL, RATIONAL, TYPE_NAMES, PeerArrays
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "EditEvent",
     "EventLog",
     "PunishmentEvent",
-    "ChurnEvent",
     "ChurnModel",
     "OverlayNetwork",
     "ALTRUISTIC",

@@ -16,33 +16,32 @@ The collaboration network's documents.  Each article tracks
 One :class:`ArticleStore` holds the articles of ``R`` stacked lanes
 (:mod:`repro.sim.state`): row ``r * A + a`` is article ``a`` of lane
 ``r``.  The books are flat ``(R·A,)`` arrays, and voting rights are a
-padded ``(R·A, W)`` int32 insertion log — founders first, then every
-editor the first time an edit of theirs on the article is accepted —
-``n_voters`` long per row.  The edit-vote phase reads and books whole
-batches of proposals across all lanes at once (:meth:`ArticleStore.gather`,
-:meth:`ArticleStore.book`); Python runs once per row that gains a voter,
-never per article or proposal.
+padded ``(R·A, W)`` int32 table whose rows are kept sorted by peer id —
+``n_voters`` real ids, then padding — with founders drawn at birth and
+every editor added the first time an edit of theirs on the article is
+accepted.  The edit-vote phase reads and books whole batches of
+proposals across all lanes at once (:meth:`ArticleStore.gather`,
+:meth:`ArticleStore.book`); no Python runs per article or proposal.
 
-Gather order
-------------
-The order a row's voters are read in decides which candidates a voter
-subsample keeps and the order of float sums, so it is part of every
-trajectory.  It is the iteration order of a Python ``set`` filled by
-inserting the row's log one voter at a time — the order of the
-per-article voter sets this store replaced, so trajectories are
-unchanged.  It is derived from the log whenever a row gains a voter and
-stored beside it (``voter_order``): a snapshot restores it exactly,
-where a set rebuilt on unpickling may iterate in another order.
+Voter order
+-----------
+Rows are read in ascending id order.  The order decides the order of
+float sums over a proposal's voters, so it is part of every
+trajectory; being a function of the row's contents alone, it survives
+a snapshot unchanged.  Padding cells hold :data:`PAD`, above every id,
+so sorting a whole row keeps its voters first.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["ArticleStore"]
+__all__ = ["ArticleStore", "PAD"]
+
+#: Padding cell of a voter row: above every peer id, so it sorts last.
+PAD = np.iinfo(np.int32).max
 
 
 class ArticleStore:
@@ -76,38 +75,32 @@ class ArticleStore:
         self.n_constructive = np.zeros(rows, dtype=np.int64)
         self.n_destructive = np.zeros(rows, dtype=np.int64)
         self.n_voters = np.full(rows, founders_per_article, dtype=np.int64)
-        self.voter_log = np.empty((rows, founders_per_article), dtype=np.int32)
+        self.voter_ids = np.empty((rows, founders_per_article), dtype=np.int32)
         for r, rng in enumerate(rngs):
             for a in range(self.n_articles):
-                self.voter_log[r * self.n_articles + a] = rng.choice(
+                self.voter_ids[r * self.n_articles + a] = rng.choice(
                     n_peers, size=founders_per_article, replace=False
                 )
-        self.voter_order = np.empty_like(self.voter_log)
-        self._reorder(np.arange(rows))
+        self.voter_ids.sort(axis=1)
 
     def row(self, lane: int, article: int) -> int:
         """Flat row of ``article`` in ``lane``."""
         return lane * self.n_articles + article
 
     def voters(self, lane: int, article: int) -> np.ndarray:
-        """One article's voting-right holders, in gather order."""
+        """One article's voting-right holders, in ascending id order."""
         row = self.row(lane, article)
-        return self.voter_order[row, : self.n_voters[row]]
+        return self.voter_ids[row, : self.n_voters[row]]
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The voters of ``rows``, concatenated in gather order, and counts."""
-        cells, counts, _ = self._cells(rows)
-        return self.voter_order.reshape(-1)[cells], counts
-
-    def _cells(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat indices of the filled cells of ``rows``; counts; run ends."""
+        """The voters of ``rows``, concatenated row by row, and counts."""
         counts = self.n_voters[rows]
         ends = counts.cumsum()
         total = int(ends[-1]) if ends.size else 0
         cells = np.arange(total) + (
-            rows * self.voter_order.shape[1] - (ends - counts)
+            rows * self.voter_ids.shape[1] - (ends - counts)
         ).repeat(counts)
-        return cells, counts, ends
+        return self.voter_ids.reshape(-1)[cells], counts
 
     def book(
         self,
@@ -120,7 +113,7 @@ class ArticleStore:
 
         ``editors`` are lane-local peer ids; ``first_time`` marks the
         editors who held no voting right on their row yet — they gain
-        one, appended to the row's log in proposal order.  Every book
+        one, and each touched row is sorted again.  Every book
         moves by whole numbers, so per-row ``np.bincount`` totals add up
         to exactly what an element-by-element scatter-add would.
         """
@@ -146,32 +139,18 @@ class ArticleStore:
         rank = np.arange(rows.size) - starts[new_run.cumsum() - 1]
         slot = self.n_voters[rows] + rank
         need = int(slot.max()) + 1
-        if need > self.voter_log.shape[1]:
+        if need > self.voter_ids.shape[1]:
             self._widen(need)
-        self.voter_log[rows, slot] = voters
+        self.voter_ids[rows, slot] = voters
         np.add.at(self.n_voters, rows, 1)
-        self._reorder(rows[starts])
+        touched = rows[starts]
+        self.voter_ids[touched] = np.sort(self.voter_ids[touched], axis=1)
 
     def _widen(self, need: int) -> None:
         """Grow the padded width to at least ``need`` (at most ``n_peers``)."""
-        width = self.voter_log.shape[1]
+        width = self.voter_ids.shape[1]
         pad = ((0, 0), (0, min(self.n_peers, max(need, 2 * width)) - width))
-        self.voter_log = np.pad(self.voter_log, pad)
-        self.voter_order = np.pad(self.voter_order, pad)
-
-    def _reorder(self, rows: np.ndarray) -> None:
-        """Re-derive the gather order of ``rows`` from their logs."""
-        cells, counts, ends = self._cells(rows)
-        logged = self.voter_log.reshape(-1)[cells].tolist()
-        # set() inserts from an iterator one key at a time, as the
-        # founders' generator and every later add() did.
-        ordered = [
-            set(iter(logged[lo:hi]))
-            for lo, hi in zip((ends - counts).tolist(), ends.tolist())
-        ]
-        self.voter_order.reshape(-1)[cells] = np.fromiter(
-            chain.from_iterable(ordered), dtype=np.int32, count=cells.size
-        )
+        self.voter_ids = np.pad(self.voter_ids, pad, constant_values=PAD)
 
     # ------------------------------------------------------------------
     # Aggregate views per lane

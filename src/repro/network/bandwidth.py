@@ -49,7 +49,8 @@ class DownloadRequests:
 
 
 def sample_download_requests_overlay(
-    rng: np.random.Generator,
+    u: np.ndarray,
+    words: np.ndarray,
     sharing_mask: np.ndarray,
     overlay,
     download_probability: float | None = None,
@@ -61,13 +62,17 @@ def sample_download_requests_overlay(
     sees its neighbours.  ``overlay`` is a
     :class:`repro.network.overlay.OverlayNetwork`.
 
-    Per requesting peer the source is uniform over its sharing neighbours;
-    peers whose entire neighbourhood shares nothing simply issue no
-    request this step (they are partition-starved — one of the effects an
-    overlay introduces).
+    ``u`` holds one request uniform per peer and ``words`` one hashed
+    ``uint64`` word per peer (the lane's counter-based draws,
+    :mod:`repro.sim.rng`).  A peer requests when its uniform falls below
+    ``P`` (``1/N_S`` when ``download_probability`` is ``None``); its
+    source is uniform over its sharing neighbours,
+    ``((word >> 32) * k) >> 32`` of its ``k`` candidates in ascending id
+    order.  Peers whose entire neighbourhood shares nothing simply issue
+    no request this step (they are partition-starved — one of the
+    effects an overlay introduces).
     """
     sharing_mask = np.asarray(sharing_mask, dtype=bool)
-    n_peers = sharing_mask.size
     n_s = int(sharing_mask.sum())
     empty = DownloadRequests(
         downloader_ids=np.empty(0, dtype=np.int64),
@@ -77,18 +82,19 @@ def sample_download_requests_overlay(
         return empty
     p = 1.0 / n_s if download_probability is None else float(download_probability)
     p = min(max(p, 0.0), 1.0)
-    wants = np.flatnonzero(rng.random(n_peers) < p)
+    wants = np.flatnonzero(u < p)
     if wants.size == 0:
         return empty
+    picks = (words[wants] >> np.uint64(32)).tolist()
     downloaders = []
     sources = []
-    for d in wants:
-        candidates = overlay.reachable_sharers(int(d), sharing_mask)
+    for d, pick in zip(wants.tolist(), picks):
+        candidates = overlay.reachable_sharers(d, sharing_mask)
         candidates = candidates[candidates != d]
         if candidates.size == 0:
             continue
-        downloaders.append(int(d))
-        sources.append(int(candidates[rng.integers(0, candidates.size)]))
+        downloaders.append(d)
+        sources.append(int(candidates[(pick * candidates.size) >> 32]))
     if not downloaders:
         return empty
     return DownloadRequests(

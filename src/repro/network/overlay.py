@@ -15,11 +15,9 @@ arrays so hot code never touches networkx objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["OverlayNetwork", "ChurnModel", "ChurnEvent"]
+__all__ = ["OverlayNetwork", "ChurnModel"]
 
 
 class OverlayNetwork:
@@ -91,35 +89,24 @@ class OverlayNetwork:
         return nbrs[sharing_mask[nbrs]]
 
 
-@dataclass(frozen=True)
-class ChurnEvent:
-    """One churn action applied to the population this step."""
-
-    kind: str  # "leave" | "join" | "whitewash"
-    peer_id: int
-
-
 class ChurnModel:
     """Memoryless churn: each step a peer may leave, rejoin or whitewash.
 
     *Leaving* flips ``online`` off; *joining* flips it back on; a
     *whitewash* models the paper's R_min trade-off — the peer discards its
     identity, which the caller must translate into a contribution reset
-    (fresh identity starts at ``R_min`` again).
+    (fresh identity starts at ``R_min`` again).  Each rate is a scalar or
+    one value per peer (a lane-batched state lifts each lane's rates to
+    its slots), so one model serves every lane of a state.
     """
 
-    def __init__(
-        self,
-        leave_rate: float = 0.0,
-        join_rate: float = 0.0,
-        whitewash_rate: float = 0.0,
-    ) -> None:
+    def __init__(self, leave_rate=0.0, join_rate=0.0, whitewash_rate=0.0) -> None:
         for name, v in (
             ("leave_rate", leave_rate),
             ("join_rate", join_rate),
             ("whitewash_rate", whitewash_rate),
         ):
-            if not 0.0 <= v <= 1.0:
+            if not np.all((0.0 <= np.asarray(v)) & (np.asarray(v) <= 1.0)):
                 raise ValueError(f"{name} must be in [0, 1]")
         self.leave_rate = leave_rate
         self.join_rate = join_rate
@@ -127,25 +114,28 @@ class ChurnModel:
 
     @property
     def active(self) -> bool:
-        return (self.leave_rate + self.join_rate + self.whitewash_rate) > 0.0
+        return bool(np.any(self.leave_rate) or np.any(self.join_rate) or self.whitewashes)
+
+    @property
+    def whitewashes(self) -> bool:
+        return bool(np.any(self.whitewash_rate))
 
     def step(
-        self, rng: np.random.Generator, online: np.ndarray
-    ) -> list[ChurnEvent]:
-        """Sample churn events and apply online/offline flips in place."""
-        events: list[ChurnEvent] = []
-        if not self.active:
-            return events
-        n = online.size
-        u = rng.random(n)
-        leaving = (online & (u < self.leave_rate)).nonzero()[0]
-        joining = (~online & (u < self.join_rate)).nonzero()[0]
+        self, online: np.ndarray, u: np.ndarray, w: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Apply one round of churn in place; return the whitewashed peers.
+
+        ``u`` holds one uniform per peer: an online peer leaves when its
+        uniform falls below ``leave_rate``, an offline one joins when it
+        falls below ``join_rate`` (both decided before either flip).
+        ``w`` holds the whitewash uniforms: a peer online after the
+        flips whitewashes when its uniform falls below
+        ``whitewash_rate``.  Without ``w`` nobody whitewashes.
+        """
+        leaving = online & (u < self.leave_rate)
+        joining = ~online & (u < self.join_rate)
         online[leaving] = False
         online[joining] = True
-        events.extend(ChurnEvent("leave", int(i)) for i in leaving)
-        events.extend(ChurnEvent("join", int(i)) for i in joining)
-        if self.whitewash_rate > 0.0:
-            w = rng.random(n)
-            washing = (online & (w < self.whitewash_rate)).nonzero()[0]
-            events.extend(ChurnEvent("whitewash", int(i)) for i in washing)
-        return events
+        if w is None:
+            return np.empty(0, dtype=np.int64)
+        return (online & (w < self.whitewash_rate)).nonzero()[0]

@@ -2,11 +2,13 @@
 
 A *snapshot* is the full pickled :class:`repro.sim.state.SimState` of an
 in-flight task plus its protocol position, persisted under the store
-root at ``checkpoints/<key>.ckpt``.  Because the state carries every
-RNG's stream position (``BufferedRNG`` pickles its buffer and cursor),
-a resumed task consumes the exact random stream an uninterrupted run
-would — final metrics are **bit-identical**, which is what lets resumed
-results share the content-addressed store with ordinary ones.
+root at ``checkpoints/<key>.ckpt``.  It carries no random-number state:
+every step-path draw is a counter-based hash of the lane key, the
+step count and the draw site (:mod:`repro.sim.rng`), and the draw
+block cache pickles empty, so a resumed task draws from its
+``step_count`` exactly what an uninterrupted run draws — final metrics
+are **bit-identical**, which is what lets resumed results share the
+content-addressed store with ordinary ones.
 
 It is the only saved form of a run in flight.  It pickles any state —
 one lane or many, event logs included — so it restores only into the
@@ -50,8 +52,10 @@ __all__ = [
 #: phases cannot step.  2: the state carries ``collusion_active`` and
 #: ``events_active``.  3: the behaviour engine is gone; the state
 #: carries the pinned actions (``pin_share``, ``pin_edit``) and the
-#: per-lane ``rational_counts`` instead.
-SNAPSHOT_VERSION = 3
+#: per-lane ``rational_counts`` instead.  4: no RNG state (counter-based
+#: draws resume from ``step_count``), sorted voter rows, one per-type
+#: metrics array.
+SNAPSHOT_VERSION = 4
 SNAPSHOT_DIR = "checkpoints"
 _MAGIC = b"RSNP"
 
@@ -92,9 +96,9 @@ def decode_snapshot(blob: bytes, expect_hashes: list[str]) -> tuple[Any, int] | 
     Torn, truncated, version-skewed or wrong-config blobs all decode to
     ``None``: a resume snapshot is an optimization, never a correctness
     dependency, so the safe answer to every anomaly is "start from step
-    0".  The config-hash list must match **in order** — lane order
-    assigns RNG streams, so a permuted state is a different execution
-    even though it shares the (sorted) snapshot key.
+    0".  The config-hash list must match **in order** — a permuted
+    state holds its lanes in another order, so it is a different
+    execution even though it shares the (sorted) snapshot key.
     """
     try:
         if not blob.startswith(_MAGIC):

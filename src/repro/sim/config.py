@@ -22,11 +22,10 @@ __all__ = ["ScaleConfig", "SimulationConfig"]
 class ScaleConfig:
     """Memory-bounded scale path (docs/ARCHITECTURE.md, "Scale path").
 
-    The default configuration reproduces the historical engine exactly:
-    dense pairwise state, unchunked-in-practice kernels (the chunk is far
-    larger than any small-N request batch) and fully gathered metrics.
-    Large-population packs flip ``sparse`` and rely on the thresholded
-    streaming collector; see the ``scale/`` scenario family.
+    The default configuration is the dense engine: dense pairwise state
+    and unchunked-in-practice kernels (the chunk is far larger than any
+    small-N request batch).  Large-population packs flip ``sparse``; see
+    the ``scale/`` scenario family.
     """
 
     #: Store the tit-for-tat private history as a capped sparse ledger
@@ -41,19 +40,12 @@ class ScaleConfig:
     #: peak temporaries without changing results (processing stays in
     #: input order).
     chunk_size: int = 32_768
-    #: Populations at or above this stream per-step metric reductions
-    #: (bincount segment sums) instead of materializing per-type gather
-    #: buffers.  Streams only aggregate differently — summaries are
-    #: statistically identical, bitwise equal only below the threshold.
-    stream_metrics_threshold: int = 10_000
 
     def __post_init__(self) -> None:
         if self.ledger_cap < 1:
             raise ValueError("ledger_cap must be >= 1")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.stream_metrics_threshold < 2:
-            raise ValueError("stream_metrics_threshold must be >= 2")
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ state carries a replicate axis, which yields two front-ends:
   config, or a heterogeneous mix of configs) advanced in lock-step as
   stacked ``(R, N)`` populations, amortizing the Python per-step overhead
   over the whole ensemble.  Lane ``r`` reproduces the sequential run of
-  its config **bit for bit** (each lane owns an independent RNG stream
-  consumed in the sequential order; all cross-lane math is elementwise
-  or grouped by disjoint slot ranges), and an event-collecting lane logs
-  exactly the events its sequential run would.
+  its config **bit for bit** (every draw is a counter-based hash of the
+  lane's own key, the step and a lane-local index; all cross-lane math
+  is elementwise or grouped by disjoint slot ranges), and an
+  event-collecting lane logs exactly the events its sequential run
+  would.
 
 Both front-ends, and the resumable sweep task, drive their state through
 one protocol loop (:func:`_run_protocol`) and turn finished lanes into
@@ -199,7 +200,6 @@ class CollaborationSimulation:
         self.config = config
         self.state = build_sim_state([config])
         s = self.state
-        self.rng = s.rngs[0]
         self.peers = s.peers
         self.overlay = s.overlays[0] if s.overlays is not None else None
         self.scheme = s.scheme
@@ -209,7 +209,7 @@ class CollaborationSimulation:
         self.rational_idx = s.rational_idx
         self.sharing_learner = s.sharing_learner
         self.edit_learner = s.edit_learner
-        self.churn = s.churn[0]
+        self.churn = s.churn
         self.metrics = s.metrics
         self.events = s.events[0]
 

@@ -14,8 +14,9 @@ Bit-identity is preserved lane for lane because every lifted parameter is
 consumed **elementwise** (or gathered per slot/proposal/request): lane
 ``r``'s slots see exactly the scalar values a sequential run of lane
 ``r``'s config would use, combined by the same floating-point operations
-in the same order.  The one non-elementwise site — RNG draws — already
-loops per lane, consuming each lane's own stream.
+in the same order.  Random draws are counter-based hashes of the lane's
+own key and lane-local indices (:mod:`repro.sim.rng`), so they are
+elementwise too.
 
 Uniform batches (all lanes sharing a value) keep plain Python scalars so
 the homogeneous fast path executes the exact pre-lane instruction
@@ -71,14 +72,13 @@ STRUCTURAL_FIELDS: tuple[str, ...] = (
 
 
 #: Scale-section leaves every lane of one batch must share: they pick the
-#: storage code path (sparse on/off), size shared execution chunks, or
-#: gate the one shared metrics collector.  ``ledger_cap`` is deliberately
-#: absent — it lifts per lane like any other scheme knob (the ledger
-#: allocates the widest cap and evicts each row at its own).
+#: storage code path (sparse on/off) or size shared execution chunks.
+#: ``ledger_cap`` is deliberately absent — it lifts per lane like any
+#: other scheme knob (the ledger allocates the widest cap and evicts each
+#: row at its own).
 SCALE_STRUCTURAL_FIELDS: tuple[str, ...] = (
     "sparse",
     "chunk_size",
-    "stream_metrics_threshold",
 )
 
 
@@ -270,11 +270,8 @@ class LaneParams:
     edit_attempt_prob: float | np.ndarray  # per slot (R*N,)
     max_voters: int | np.ndarray  # per lane (R,)
     min_voters: int | np.ndarray  # per lane (R,)
-    # Adversary kernel rates, per lane (R,).
+    # Sybil identity-reset rate, per slot (R*N,).
     sybil_rate: float | np.ndarray
-    #: Per-lane "does this lane even have sybil slots" gate (stream parity:
-    #: a lane without attackers must not draw).
-    sybil_any: np.ndarray  # (R,) bool
     # Utility modifiers, per slot (R*N,).
     u_alpha: float | np.ndarray
     u_beta: float | np.ndarray
@@ -296,7 +293,6 @@ class LaneParams:
 def build_lane_params(
     configs: Sequence[SimulationConfig],
     rational_idx: np.ndarray,
-    sybil_any: np.ndarray,
 ) -> LaneParams:
     """Assemble the :class:`LaneParams` for one batch of lane configs."""
     n = configs[0].n_agents
@@ -317,8 +313,7 @@ def build_lane_params(
         edit_attempt_prob=slot_values(configs, "edit_attempt_prob", n),
         max_voters=lane_values(configs, "max_voters_per_edit", np.int64),
         min_voters=lane_values(configs, "min_voters_per_edit", np.int64),
-        sybil_rate=lane_values(configs, "sybil_rate"),
-        sybil_any=np.asarray(sybil_any, dtype=bool),
+        sybil_rate=slot_values(configs, "sybil_rate", n),
         u_alpha=slot_values(util, "alpha", n),
         u_beta=slot_values(util, "beta", n),
         u_gamma=slot_values(util, "gamma", n),

@@ -63,17 +63,13 @@ class StepStats:
 class MetricsCollector:
     """Fixed-size store of per-step series (optionally replicate-stacked).
 
-    ``streaming=True`` switches the per-type reductions from one gather
-    (copy each type's members, then row means) to one-pass segment sums
-    (``np.bincount`` over a precomputed ``(replicate, type)`` label
-    array).  The streaming path allocates nothing per-peer beyond the
-    label vector — the scale engine flips it on above
-    ``scale.stream_metrics_threshold`` agents, where the per-step
-    ``(4, R·N)`` gather copy stops being free.  Recorded
-    means are statistically identical; they are bitwise identical to
-    the gather path only for single-member types (the accumulation
-    tree differs), which is why the threshold default leaves small
-    populations on the historical path.
+    The 12 per-type series (files, bandwidth, R_S and R_E, by behaviour
+    type) live in one ``(4, R, 3, steps)`` array and are recorded by one
+    weighted ``np.bincount`` over a precomputed (quantity, lane, type)
+    label per value: each label's sum runs over its lane's members in
+    slot order, so a lane's values equal a solo run's bit for bit at
+    every population size.  A type with no members in a lane divides by
+    NaN and records NaN there.
     """
 
     _TYPES = (RATIONAL, ALTRUISTIC, IRRATIONAL)
@@ -83,7 +79,6 @@ class MetricsCollector:
         n_steps: int,
         types: np.ndarray,
         n_replicates: int = 1,
-        streaming: bool = False,
     ):
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
@@ -98,18 +93,15 @@ class MetricsCollector:
         self.n_replicates = int(n_replicates)
         self.types = types.reshape(-1)
         self._n_per_rep = self.types.size // self.n_replicates
-        types2d = self.types.reshape(self.n_replicates, self._n_per_rep)
-        self.streaming = bool(streaming)
         self._cursor = 0
 
         R = self.n_replicates
+        nt = len(self._TYPES)
         shape = (R, self.n_steps)
         self._files_all = np.zeros(shape)
         self._bandwidth_all = np.zeros(shape)
-        self._files_by_type = {t: np.zeros(shape) for t in self._TYPES}
-        self._bandwidth_by_type = {t: np.zeros(shape) for t in self._TYPES}
-        self._rep_s_by_type = {t: np.zeros(shape) for t in self._TYPES}
-        self._rep_e_by_type = {t: np.zeros(shape) for t in self._TYPES}
+        #: (quantity, replicate, type, step): files, bandwidth, R_S, R_E.
+        self._by_type = np.zeros((4, R, nt, self.n_steps))
         self._utility_s_all = np.zeros(shape)
         self._utility_e_all = np.zeros(shape)
         # (replicate, steps, type, constructive) proposal/acceptance counts.
@@ -119,43 +111,18 @@ class MetricsCollector:
         self._votes_successful = np.zeros(shape)
         self._vote_bans = np.zeros(shape)
         self._reputation_resets = np.zeros(shape)
-        if self.streaming:
-            # One (replicate, type) label per slot: per-type means become
-            # bincount segment sums — no per-peer gather at all.
-            pos = np.full(self.types.size, -1, dtype=np.int64)
-            for k, t in enumerate(self._TYPES):
-                pos[self.types == t] = k
-            reps = np.repeat(np.arange(R, dtype=np.int64), self._n_per_rep)
-            self._labels = reps * len(self._TYPES) + pos
-            counts = np.bincount(
-                self._labels, minlength=R * len(self._TYPES)
-            ).reshape(R, len(self._TYPES))
-            self._label_counts = counts.astype(np.float64)
-            self._label_empty = counts == 0
-        else:
-            # Lanes whose type has the same member count k form one group:
-            # its means are one reduction over (4, lanes, k) rows of a
-            # single gather.  A type with no members in a lane records
-            # NaN there, filled in once.
-            self._groups: list[tuple[int, np.ndarray, int, slice]] = []
-            flat_idx: list[np.ndarray] = []
-            lo = 0
-            for t in self._TYPES:
-                members = [np.flatnonzero(row == t) for row in types2d]
-                sizes = np.array([m.size for m in members])
-                for series in (
-                    self._files_by_type,
-                    self._bandwidth_by_type,
-                    self._rep_s_by_type,
-                    self._rep_e_by_type,
-                ):
-                    series[t][sizes == 0] = np.nan
-                for k in sorted(set(sizes[sizes > 0].tolist())):
-                    group = np.flatnonzero(sizes == k)
-                    flat_idx.extend(members[r] + r * self._n_per_rep for r in group)
-                    self._groups.append((t, group, k, slice(lo, lo + group.size * k)))
-                    lo += group.size * k
-            self._flat_idx = np.concatenate(flat_idx)
+        # One (quantity, replicate, type) label per recorded value, in
+        # the order the stacked per-peer rows arrive (type codes are the
+        # positions in _TYPES).
+        lane_type = (
+            np.repeat(np.arange(R, dtype=np.intp), self._n_per_rep) * nt + self.types
+        )
+        self._labels = (
+            np.arange(4, dtype=np.intp)[:, None] * (R * nt) + lane_type
+        ).reshape(-1)
+        counts = np.bincount(lane_type, minlength=R * nt).reshape(R, nt)
+        #: Members per (replicate, type); NaN where a type has none.
+        self._type_counts = np.where(counts > 0, counts, np.nan)
 
     # ------------------------------------------------------------------
     # Public series: single runs see the historical 1-D (row-0) arrays,
@@ -173,21 +140,25 @@ class MetricsCollector:
     def bandwidth_all(self) -> np.ndarray:
         return self._first(self._bandwidth_all)
 
+    def _typed(self, quantity: int) -> dict[int, np.ndarray]:
+        """One quantity's per-type series, built on access (never stored)."""
+        return {t: self._first(self._by_type[quantity, :, t]) for t in self._TYPES}
+
     @property
     def files_by_type(self) -> dict[int, np.ndarray]:
-        return {t: self._first(a) for t, a in self._files_by_type.items()}
+        return self._typed(0)
 
     @property
     def bandwidth_by_type(self) -> dict[int, np.ndarray]:
-        return {t: self._first(a) for t, a in self._bandwidth_by_type.items()}
+        return self._typed(1)
 
     @property
     def rep_s_by_type(self) -> dict[int, np.ndarray]:
-        return {t: self._first(a) for t, a in self._rep_s_by_type.items()}
+        return self._typed(2)
 
     @property
     def rep_e_by_type(self) -> dict[int, np.ndarray]:
-        return {t: self._first(a) for t, a in self._rep_e_by_type.items()}
+        return self._typed(3)
 
     @property
     def utility_s_all(self) -> np.ndarray:
@@ -249,10 +220,11 @@ class MetricsCollector:
         self._bandwidth_all[:, i] = means[1]
         self._utility_s_all[:, i] = means[4]
         self._utility_e_all[:, i] = means[5]
-        if self.streaming:
-            self._record_types_streaming(i, stacked)
-        else:
-            self._record_types_gathered(i, stacked)
+        typed = np.bincount(
+            self._labels, weights=stacked[:4].reshape(-1), minlength=12 * R
+        ).reshape(4, R, 3)
+        typed /= self._type_counts
+        self._by_type[..., i] = typed
         self._proposals[:, i] = np.asarray(stats.proposals).reshape(R, 3, 2)
         self._accepted[:, i] = np.asarray(stats.accepted).reshape(R, 3, 2)
         self._votes_cast[:, i] = np.asarray(stats.votes_cast)
@@ -260,43 +232,6 @@ class MetricsCollector:
         self._vote_bans[:, i] = np.asarray(stats.vote_bans)
         self._reputation_resets[:, i] = np.asarray(stats.reputation_resets)
         self._cursor += 1
-
-    def _record_types_streaming(self, i, stacked) -> None:
-        """Per-type means as one-pass label-segment sums (large N)."""
-        R = self.n_replicates
-        nt = len(self._TYPES)
-        by_type = (
-            self._files_by_type, self._bandwidth_by_type, self._rep_s_by_type, self._rep_e_by_type
-        )
-        for series, arr in zip(by_type, stacked):
-            sums = np.bincount(
-                self._labels, weights=arr.reshape(-1), minlength=R * nt
-            ).reshape(R, nt)
-            means = np.divide(
-                sums,
-                self._label_counts,
-                out=np.full((R, nt), np.nan),
-                where=~self._label_empty,
-            )
-            for k, t in enumerate(self._TYPES):
-                series[t][:, i] = means[:, k]
-
-    def _record_types_gathered(self, i, stacked) -> None:
-        """Per-type means, one reduction per (type, member count) group.
-
-        One gather over the stacked files, bandwidth, R_S and R_E rows
-        serves every group.  Each mean is ``np.add.reduce`` over a
-        contiguous row of the group's k members divided by k — what
-        ``np.mean`` computes — so every lane's values equal a solo run's
-        bit for bit.
-        """
-        g = stacked[:4].reshape(4, -1).take(self._flat_idx, axis=1)
-        for t, lanes, k, cols in self._groups:
-            m = np.add.reduce(g[:, cols].reshape(4, lanes.size, k), axis=2) / k
-            self._files_by_type[t][lanes, i] = m[0]
-            self._bandwidth_by_type[t][lanes, i] = m[1]
-            self._rep_s_by_type[t][lanes, i] = m[2]
-            self._rep_e_by_type[t][lanes, i] = m[3]
 
     @property
     def steps_recorded(self) -> int:
@@ -336,14 +271,13 @@ class MetricsCollector:
             "vote_bans": float(self._vote_bans[r, sl].sum()),
             "reputation_resets": float(self._reputation_resets[r, sl].sum()),
         }
+        typed = self._by_type[:, r, :, sl]  # (quantity, type, window)
         for t in self._TYPES:
             name = TYPE_NAMES[t]
-            out[f"shared_files_{name}"] = _nanmean(self._files_by_type[t][r, sl])
-            out[f"shared_bandwidth_{name}"] = _nanmean(
-                self._bandwidth_by_type[t][r, sl]
-            )
-            out[f"reputation_s_{name}"] = _nanmean(self._rep_s_by_type[t][r, sl])
-            out[f"reputation_e_{name}"] = _nanmean(self._rep_e_by_type[t][r, sl])
+            out[f"shared_files_{name}"] = _nanmean(typed[0, t])
+            out[f"shared_bandwidth_{name}"] = _nanmean(typed[1, t])
+            out[f"reputation_s_{name}"] = _nanmean(typed[2, t])
+            out[f"reputation_e_{name}"] = _nanmean(typed[3, t])
 
         props = self._proposals[r, sl].sum(axis=0)  # (3, 2)
         accs = self._accepted[r, sl].sum(axis=0)

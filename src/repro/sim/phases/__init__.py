@@ -1,8 +1,7 @@
 """Composable per-step phase kernels over an explicit :class:`SimState`.
 
 The old monolithic ``CollaborationSimulation.step()`` is split into
-kernels, each a function of ``(SimState, SimulationConfig)`` driving the
-state's per-replicate RNG streams:
+kernels, each a function of ``(SimState, SimulationConfig)``:
 
 ``churn``      joins / leaves / whitewash identity resets
 ``sybil``      sybil attackers discard identities and rejoin fresh
@@ -31,11 +30,12 @@ the next reader to recompute.  The memos are derived data: the state
 fingerprint never sees them and they pickle empty.
 
 Every kernel is
-batched over the replicate axis: elementwise work runs once on the flat
-``(R * N,)`` slot arrays, and only the irreducibly per-replicate piece —
-the RNG draws — loops over replicates, consuming each replicate's stream
-exactly as a sequential run would, which is what makes batched
-replicates bit-identical to their sequential twins.
+batched over the lane axis: elementwise work runs once on the flat
+``(R * N,)`` slot arrays, and so do the draws — each is a counter-based
+hash of the lane's key, the step, the draw site and a lane-local index
+(:mod:`repro.sim.rng`), one call per site for every lane.  A lane
+therefore draws the same values batched and solo, which is what makes
+batched lanes bit-identical to their sequential twins.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ def step_state(state: SimState, temperature, learn: bool = True) -> None:
     count, lane/agent dimensions, optional tracemalloc delta).  With the
     default disabled tracer the cost is one attribute check — the plain
     kernel sequence runs untouched (overhead budget enforced by
-    ``benchmarks/test_bench_obs.py``).  Tracing never draws from the RNG
-    streams, so traced and untraced runs are bit-identical.
+    ``benchmarks/test_bench_obs.py``).  Tracing never draws, so traced
+    and untraced runs are bit-identical.
     """
     tracer = get_tracer()
     if tracer.enabled:

@@ -7,6 +7,7 @@ import numpy as np
 from ...agents.qlearning import VectorQLearner
 from ...core.reputation import ViewMemo, reputation_to_state
 from ..config import SimulationConfig
+from ..rng import SITE_EDIT, SITE_SHARE, to_below, to_uniform
 from ..state import SimState
 
 __all__ = ["act_phase", "observe_states", "pin_actions", "select_rational"]
@@ -31,59 +32,42 @@ def observe_states(
 
 
 def select_rational(
-    state: SimState, learner: VectorQLearner, states: np.ndarray, temperature
+    state: SimState,
+    learner: VectorQLearner,
+    states: np.ndarray,
+    temperature,
+    site: int,
 ) -> np.ndarray:
-    """Stacked rational action selection, each lane from its own stream.
+    """Stacked rational action selection from counter-based draws.
 
     One learner stacks every lane's rational peers (ordered like
-    ``state.rational_idx``), so selection is one vectorized call.  Each
-    lane draws its uniforms (or ``T = inf`` integers) from its own
-    generator in the order and shapes a solo run draws them, which keeps
-    a batched lane bit-identical to its sequential twin; a lane without
-    rational peers draws nothing.  ``temperature`` is a scalar (the
+    ``state.rational_idx``), so selection is one vectorized call, and
+    each rational slot draws one word from ``site`` at this step (one
+    call serves every lane).  ``temperature`` is a scalar (the
     homogeneous fast path) or a per-lane ``(R,)`` array: ``T = inf``
-    lanes take the uniform-integer path, finite lanes are
-    Boltzmann-sampled in one stacked call with per-row temperatures.
+    rows take a uniform integer over the actions, finite rows are
+    Boltzmann-sampled with their lane's temperature from the word's
+    uniform.
     """
-    rngs = state.rngs
-    counts = state.rational_counts
+    draws = state.draws
+    step = state.step_count
+    ridx = state.rational_idx
     if np.ndim(temperature) == 0:
         if temperature == np.inf:
-            parts = [
-                rngs[r].integers(0, learner.n_actions, size=k)
-                for r, k in enumerate(counts)
-                if k
-            ]
-            return np.concatenate(parts)
-        u = np.concatenate(
-            [rngs[r].random((k, 1)) for r, k in enumerate(counts) if k]
-        )
-        return learner.select_actions(states, temperature, u=u)
+            return draws.integers(step, site, learner.n_actions, ridx)
+        u = draws.uniforms(step, site, ridx)
+        return learner.select_actions(states, temperature, u=u[:, None])
 
-    t = np.asarray(temperature, dtype=np.float64)
-    actions = np.empty(states.size, dtype=np.int64)
-    u_parts: list[np.ndarray] = []
-    finite_spans: list[np.ndarray] = []
-    t_rows: list[np.ndarray] = []
-    start = 0
-    for r, k in enumerate(counts):
-        if not k:
-            continue
-        span = slice(start, start + k)
-        start += k
-        if t[r] == np.inf:
-            actions[span] = rngs[r].integers(0, learner.n_actions, size=k)
-        else:
-            u_parts.append(rngs[r].random((k, 1)))
-            finite_spans.append(np.arange(span.start, span.stop))
-            t_rows.append(np.full(k, t[r]))
-    if u_parts:
-        sub = np.concatenate(finite_spans)
-        actions[sub] = learner.select_actions(
-            states[sub],
-            np.concatenate(t_rows),
-            subset=sub,
-            u=np.concatenate(u_parts),
+    words = draws.words(step, site, ridx)
+    actions = to_below(words, learner.n_actions)
+    t_rows = np.asarray(temperature, dtype=np.float64)[ridx // state.n_agents]
+    finite = (t_rows != np.inf).nonzero()[0]
+    if finite.size:
+        actions[finite] = learner.select_actions(
+            states[finite],
+            t_rows[finite],
+            subset=finite,
+            u=to_uniform(words[finite])[:, None],
         )
     return actions
 
@@ -144,10 +128,10 @@ def act_phase(state: SimState, cfg: SimulationConfig, temperature) -> None:
     ctx.edit_actions = state.pin_edit.copy()
     if ridx.size:
         ctx.share_actions[ridx] = select_rational(
-            state, state.sharing_learner, ctx.states_s, temperature
+            state, state.sharing_learner, ctx.states_s, temperature, SITE_SHARE
         )
         ctx.edit_actions[ridx] = select_rational(
-            state, state.edit_learner, ctx.states_e, temperature
+            state, state.edit_learner, ctx.states_e, temperature, SITE_EDIT
         )
     pin_actions(state)
     bw, files = state.sharing_space.decode(ctx.share_actions)

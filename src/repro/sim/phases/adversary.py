@@ -28,11 +28,11 @@ over :class:`~repro.sim.state.SimState`:
   for ring-mates' proposals and against everyone else's regardless of
   content (ballot stuffing + bad-mouthing).
 
-Both preserve the batched == sequential bit-identity contract:
-per-replicate RNG draws happen in replicate order with
-replicate-independent shapes, and all cross-slot math is elementwise or
-grouped by same-replicate slot pairs (ring ids are offset per replicate
-so they can never alias across replicates).
+Both preserve the batched == sequential bit-identity contract: the
+reset uniforms are counter-based draws keyed by each lane's own key and
+lane-local slots, and all cross-slot math is elementwise or grouped by
+same-replicate slot pairs (ring ids are offset per replicate so they can
+never alias across replicates).
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from ..backends import KERNELS
 from ..config import SimulationConfig
+from ..rng import SITE_SYBIL
 from ..state import SimState
 
 __all__ = ["sybil_phase", "collusion_shares", "collusion_votes"]
@@ -49,37 +50,23 @@ __all__ = ["sybil_phase", "collusion_shares", "collusion_votes"]
 def sybil_phase(state: SimState, cfg: SimulationConfig) -> None:
     """Let sybil attackers discard their identities and rejoin fresh.
 
-    One full-width uniform vector is drawn per attacking lane (stream
-    parity with the churn kernel's style), thresholded on the attacker
-    roster against that lane's own rate; a lane with no attackers or a
-    zero rate draws nothing, exactly like its sequential run.  Resets are
+    One uniform per slot (a counter-based draw) is thresholded on the
+    attacker roster against each slot's lane rate; a state in which no
+    lane has attackers with a positive rate draws nothing.  Resets are
     applied to the scheme in one scatter; they are idempotent
     assignments, so batching them across lanes is equivalent to the
     sequential per-event resets.
     """
-    lanes = state.lanes
-    rate = lanes.sybil_rate  # scalar or per-lane (R,)
-    scalar_rate = np.ndim(rate) == 0
-    if scalar_rate and rate <= 0.0:
+    if not state.sybil_active:
         return
-    if not lanes.sybil_any.any():
-        return
-    n = state.n_agents
-    sybil2d = state.rows(state.sybil_mask)
-    online2d = state.rows(state.peers.online)
-    washed_rows: list[np.ndarray] = []
-    for r in range(state.n_replicates):
-        rate_r = rate if scalar_rate else rate[r]
-        if rate_r <= 0.0 or not lanes.sybil_any[r]:
-            continue
-        u = state.rngs[r].random(n)
-        resets = (sybil2d[r] & (u < rate_r)).nonzero()[0]
-        if resets.size:
-            online2d[r][resets] = True  # a fresh identity rejoins
-            state.sybil_counts[r] += resets.size
-            washed_rows.append(resets + r * n)
-    if washed_rows:
-        state.scheme.reset_identities(np.concatenate(washed_rows))
+    u = state.draws.uniforms(state.step_count, SITE_SYBIL)
+    resets = (state.sybil_mask & (u < state.lanes.sybil_rate)).nonzero()[0]
+    if resets.size:
+        state.peers.online[resets] = True  # a fresh identity rejoins
+        state.sybil_counts += np.bincount(
+            resets // state.n_agents, minlength=state.n_replicates
+        )
+        state.scheme.reset_identities(resets)
 
 
 def collusion_shares(

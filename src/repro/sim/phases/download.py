@@ -8,6 +8,7 @@ from ...core.utility import sharing_utility_values
 from ...network.bandwidth import DownloadRequests, sample_download_requests_overlay
 from ..backends import KERNELS
 from ..config import SimulationConfig
+from ..rng import SITE_REQUEST, SITE_SOURCE, CounterDraws, to_below
 from ..state import SimState
 from .adversary import collusion_shares
 
@@ -23,12 +24,12 @@ _NO_REQUESTS.source_ids.flags.writeable = False
 
 
 def download_phase(state: SimState, cfg: SimulationConfig) -> None:
-    """Sample per-replicate download requests and settle them in one pass.
+    """Sample every lane's download requests and settle them in one pass.
 
-    Requests are drawn per replicate (each from its own stream) and
-    offset into the flat slot space; the share allocation and the settle
-    scatter then run once over all replicates — competition is grouped by
-    source slot, so replicates never interact.  Ends with the sharing
+    Requests are sampled for all lanes at once from the state's
+    counter-based draws, in the flat slot space; the share allocation
+    and the settle scatter then run once over all lanes — competition is
+    grouped by source slot, so lanes never interact.  Ends with the sharing
     utilities and the scheme's sharing-contribution update, matching the
     monolithic engine's ordering (the ledger moves *before* the editing
     phase reads edit eligibility).
@@ -38,7 +39,8 @@ def download_phase(state: SimState, cfg: SimulationConfig) -> None:
     lanes = state.lanes
     mask2d = state.rows(peers.sharing_mask())
     requests = sample_download_requests_batch(
-        state.rngs,
+        state.draws,
+        state.step_count,
         mask2d,
         lanes.download_probability,
         overlays=state.overlays,
@@ -74,63 +76,68 @@ def download_phase(state: SimState, cfg: SimulationConfig) -> None:
 
 
 def sample_download_requests_batch(
-    rngs,
+    draws: CounterDraws,
+    step: int,
     sharing_mask: np.ndarray,
     download_probability: float | None = None,
     overlays=None,
 ) -> DownloadRequests:
-    """Replicate-axis request sampling: one request set over ``R`` stacked runs.
+    """Lane-batched request sampling: one request set over ``R`` stacked lanes.
 
-    ``sharing_mask`` is ``(R, N)``; ``rngs`` holds one generator per
-    replicate.  On the full mesh, a replicate with ``N_S`` sharers draws
-    ``N`` uniforms and each peer requests when its uniform falls below
-    ``P`` (the paper's ``1/N_S`` when ``download_probability`` is
-    ``None``, clipped to ``[0, 1]``).  It then draws one source per
-    requester, uniform over its sharers in ascending id order.  A
-    requester that picked itself shifts to the next sharer, or is dropped
-    when it is the only one.  A replicate with no sharers draws nothing.
-    With ``overlays``, each replicate calls
-    :func:`~repro.network.bandwidth.sample_download_requests_overlay` on
-    its own graph instead.
+    ``sharing_mask`` is ``(R, N)`` and ``draws`` serves the lanes'
+    counter-based draws at ``step``.  On the full mesh, each peer of a
+    lane with ``N_S`` sharers requests when its request uniform
+    (:data:`~repro.sim.rng.SITE_REQUEST`) falls below ``P`` (the paper's
+    ``1/N_S`` when ``download_probability`` is ``None``, clipped to
+    ``[0, 1]``), and picks one source uniform over its lane's sharers in
+    ascending id order from its source word
+    (:data:`~repro.sim.rng.SITE_SOURCE`).  A requester that picked itself
+    shifts to the next sharer, or is dropped when it is the only one.  A
+    lane with no sharers requests nothing.  With ``overlays``, each lane
+    calls :func:`~repro.network.bandwidth.sample_download_requests_overlay`
+    on its own graph with its slots' uniforms and words.
 
-    A replicate's draws come from its own generator only, so its requests
-    equal the ``R = 1`` call on that replicate alone, offset by ``r * N``
-    into the flat ``R * N`` slot space.  One ``settle_downloads`` kernel
-    call (with ``n_peers = R * N``) then settles all replicates at once —
-    requests never cross replicate boundaries because bandwidth
-    competition is grouped by source id.
+    Every draw is a function of the lane's key, the step and the
+    lane-local slot, so a lane's requests equal the ``R = 1`` call on
+    that lane alone, offset by ``r * N`` into the flat ``R * N`` slot
+    space.  One ``settle_downloads`` kernel call (with ``n_peers = R *
+    N``) then settles all lanes at once — requests never cross lane
+    boundaries because bandwidth competition is grouped by source id.
 
-    ``download_probability`` may be a per-replicate ``(R,)`` array (lane
-    batching): each replicate's draw is thresholded against its own
-    probability, exactly as its solo run would be.
+    ``download_probability`` may be a per-lane ``(R,)`` array: each
+    lane's uniforms are thresholded against its own probability, exactly
+    as its solo run's would be.
 
-    The post-draw matching fix-ups run in the ``match_sources`` kernel;
-    the RNG draws themselves never enter a kernel.  Per-requester lane
-    facts (its lane's sharer segment and sharer count) are gathered by
-    the requester's lane, ``slot // N``, from one per-lane vector each.
+    The post-draw matching fix-ups run in the ``match_sources`` kernel.
+    Per-requester lane facts (its lane's sharer segment and sharer
+    count) are gathered by the requester's lane, ``slot // N``, from one
+    per-lane vector each.
     """
     sharing_mask = np.asarray(sharing_mask, dtype=bool)
     if sharing_mask.ndim != 2:
         raise ValueError("sharing_mask must be (n_replicates, n_peers)")
     n_rep, n_peers = sharing_mask.shape
-    if len(rngs) != n_rep:
-        raise ValueError("need one rng per replicate")
-    if np.ndim(download_probability) > 0:
-        lane_ps = download_probability
-    else:
-        lane_ps = (download_probability,) * n_rep
+    if draws.base.size != sharing_mask.size:
+        raise ValueError("need the draws of exactly these lanes")
+    u = draws.uniforms(step, SITE_REQUEST)
+    words = draws.words(step, SITE_SOURCE)
 
     if overlays is not None:
+        lane_ps = (
+            download_probability
+            if np.ndim(download_probability) > 0
+            else (download_probability,) * n_rep
+        )
         dl_parts: list[np.ndarray] = []
         src_parts: list[np.ndarray] = []
         for r in range(n_rep):
+            lane = slice(r * n_peers, (r + 1) * n_peers)
             req = sample_download_requests_overlay(
-                rngs[r], sharing_mask[r], overlays[r], lane_ps[r]
+                u[lane], words[lane], sharing_mask[r], overlays[r], lane_ps[r]
             )
             if req.n:
-                offset = r * n_peers
-                dl_parts.append(req.downloader_ids + offset)
-                src_parts.append(req.source_ids + offset)
+                dl_parts.append(req.downloader_ids + r * n_peers)
+                src_parts.append(req.source_ids + r * n_peers)
         if not dl_parts:
             return _NO_REQUESTS
         return DownloadRequests(
@@ -138,34 +145,28 @@ def sample_download_requests_batch(
             source_ids=np.concatenate(src_parts),
         )
 
-    # Full-mesh fast path: only the RNG draws loop over replicates (each
-    # replicate consumes a uniform vector, then source choices sized to
-    # its requester count); the id arithmetic runs flat across replicates.
-    n_sharers = np.add.reduce(sharing_mask, axis=1)  # N_S per replicate
-    n_sharers_list = n_sharers.tolist()
-    wants = np.zeros((n_rep, n_peers), dtype=bool)
-    for r, n_s in enumerate(n_sharers_list):
-        if n_s == 0:
-            continue
-        p_r = lane_ps[r]
-        p = 1.0 / n_s if p_r is None else float(p_r)
-        p = min(max(p, 0.0), 1.0)
-        wants[r] = rngs[r].random(n_peers) < p
-    downloaders = wants.reshape(-1).nonzero()[0]  # global slot ids
+    # Full mesh: every lane thresholds its slots' uniforms at once.
+    n_sharers = np.add.reduce(sharing_mask, axis=1)  # N_S per lane
+    p = (
+        1.0 / np.maximum(n_sharers, 1)
+        if download_probability is None
+        else download_probability
+    )
+    if np.ndim(p) == 0:
+        wants = u < min(max(float(p), 0.0), 1.0)
+    else:
+        wants = (u.reshape(n_rep, n_peers) < np.clip(p, 0.0, 1.0)[:, None]).reshape(-1)
+    if not n_sharers.all():
+        wants.reshape(n_rep, n_peers)[n_sharers == 0] = False
+    downloaders = wants.nonzero()[0]
     if downloaders.size == 0:
         return _NO_REQUESTS
-    choice_idx = np.concatenate(
-        [
-            rngs[r].integers(0, n_sharers_list[r], size=k)
-            for r, k in enumerate(np.add.reduce(wants, axis=1).tolist())
-            if k
-        ]
-    )
+    lane = downloaders // n_peers
+    req_n_s = n_sharers[lane]
+    choice_idx = to_below(words[downloaders], req_n_s)
     # Each requester's lane segment of the flat (ascending) sharer list.
     sources_flat = sharing_mask.reshape(-1).nonzero()[0]
-    lane = downloaders // n_peers
     req_start = (n_sharers.cumsum() - n_sharers)[lane]
-    req_n_s = n_sharers[lane]
     # With several sharers a self-selection shifts to the next one; a
     # lone sharer cannot download from itself (the request is dropped).
     downloaders, chosen = KERNELS.match_sources(

@@ -9,10 +9,10 @@ booked afterwards), and filtered; voter weights are normalized per
 proposal with the same grouped-share kernel the bandwidth allocator
 uses, and outcomes are counted back with ``np.bincount`` (every count is
 integer-valued, so the counts equal the element-by-element
-scatter-add's) and booked into the store in one call.
-Only the RNG draws (proposer masks, article picks, subsample keys) run
-in per-replicate loops — each replicate consumes its own stream exactly
-as a solo run would.
+scatter-add's) and booked into the store in one call.  The draws
+(proposer uniforms, article picks, subsample keys) are counter-based
+hashes of each lane's key and lane-local indices, one call per site for
+every lane.
 
 Vote success is measured against the *simple* weighted majority
 (>= 0.5), not the adaptive acceptance bar: a voter should not be punished
@@ -30,33 +30,53 @@ from ...network.events import EditEvent, PunishmentEvent
 from ..backends import KERNELS
 from ..config import SimulationConfig
 from ..lanes import take
+from ..rng import SITE_ARTICLE, SITE_PROPOSE, SITE_VOTER_KEY, CounterDraws, to_below
 from ..state import SimState
 from .adversary import collusion_votes
 
-__all__ = ["edit_vote_phase", "proposal_key_order"]
+__all__ = ["edit_vote_phase", "proposal_key_order", "subsample_keys"]
 
 #: Proposals one packed sort handles: ids must fit the 11 bits above a
 #: 53-bit key.
 _SORT_BLOCK = 2047
+_KEY_SHIFT = np.uint64(11)
+_PROP_SHIFT = np.uint64(53)
+
+
+def subsample_keys(
+    draws: CounterDraws,
+    step: int,
+    lanes: np.ndarray,
+    proposers: np.ndarray,
+    voters: np.ndarray,
+    n_agents: int,
+) -> np.ndarray:
+    """One subsample key per (proposer, voter) candidate: ``uint64`` below 2**53.
+
+    Keyed by the lane-local pair ``proposer * N + voter`` at ``step``
+    (:data:`~repro.sim.rng.SITE_VOTER_KEY`), so a candidate's key does
+    not depend on where the gather put it; the top 53 bits of its hashed
+    word (``u >> 11``) leave room for an 11-bit proposal id above it
+    (:func:`proposal_key_order`).
+    """
+    return draws.at(step, SITE_VOTER_KEY, lanes, proposers * n_agents + voters) >> _KEY_SHIFT
 
 
 def proposal_key_order(cand_prop: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """``np.lexsort((keys, cand_prop))`` for proposal-grouped candidates.
 
-    ``cand_prop`` is non-decreasing and every key is a uniform from
-    ``[0, 1)`` on the 2**-53 grid (or 0), so ``key * 2**53`` is an exact
-    integer below 2**53.  Packing ``(proposal << 53) | key * 2**53`` into
-    one uint64 turns the two-key lexsort into one stable argsort, block
-    by block of at most :data:`_SORT_BLOCK` proposals; ties keep their
-    input order, as in the lexsort.
+    ``cand_prop`` is non-decreasing and every key is a ``uint64`` below
+    2**53 (:func:`subsample_keys`, or 0).  Packing ``(proposal << 53) |
+    key`` into one uint64 turns the two-key lexsort into one stable
+    argsort, block by block of at most :data:`_SORT_BLOCK` proposals;
+    ties keep their input order, as in the lexsort.
     """
-    code = (keys * 2.0**53).astype(np.uint64)
     n_blocks = int(cand_prop[-1]) // _SORT_BLOCK + 1 if cand_prop.size else 0
     if n_blocks <= 1:
         # Every proposal id fits the 11 bits: one sort, no block ids.
-        code |= cand_prop.astype(np.uint64) << np.uint64(53)
+        code = keys | (cand_prop.astype(np.uint64) << _PROP_SHIFT)
         return code.argsort(kind="stable")
-    code |= (cand_prop % _SORT_BLOCK).astype(np.uint64) << np.uint64(53)
+    code = keys | ((cand_prop % _SORT_BLOCK).astype(np.uint64) << _PROP_SHIFT)
     bounds = cand_prop.searchsorted(np.arange(n_blocks + 1) * _SORT_BLOCK).tolist()
     order = np.empty(cand_prop.size, dtype=np.int64)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
@@ -65,7 +85,7 @@ def proposal_key_order(cand_prop: np.ndarray, keys: np.ndarray) -> np.ndarray:
 
 
 def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
-    """Draw proposals per replicate, decide them all, book the outcomes.
+    """Draw every lane's proposals, decide them all, book the outcomes.
 
     Lane-varying knobs (attempt probability, voter-count bounds, majority
     band, utility modifiers) come from ``state.lanes`` — thresholds and
@@ -81,13 +101,8 @@ def edit_vote_phase(state: SimState, cfg: SimulationConfig) -> None:
         may_edit = scheme.may_edit() & online
     else:
         may_edit = online
-    n = state.n_agents
-    n_rep = state.n_replicates
-    # Per-replicate proposer draws (stream parity), flat thresholding.
-    u = sc.proposer_u
-    for r in range(n_rep):
-        u[r] = state.rngs[r].random(n)
-    proposer_mask = may_edit & (u.reshape(-1) < lanes.edit_attempt_prob)
+    u = state.draws.uniforms(state.step_count, SITE_PROPOSE)
+    proposer_mask = may_edit & (u < lanes.edit_attempt_prob)
     proposers = proposer_mask.nonzero()[0]
     if proposers.size:
         _voting_rounds(state, cfg, proposers)
@@ -118,17 +133,14 @@ def _voting_rounds(
     max_voters = lanes.max_voters  # scalar, or (R,) for mixed-config lanes
 
     n_prop = proposers.size
+    step = state.step_count
     rep_of_prop = proposers // n
     local_proposers = proposers - rep_of_prop * n
-    # Article picks per replicate (stream parity).
-    article_ids = np.empty(n_prop, dtype=np.int64)
-    lo = 0
-    for r, k in enumerate(np.bincount(rep_of_prop).tolist()):
-        if k:
-            article_ids[lo : lo + k] = state.rngs[r].integers(
-                0, store.n_articles, size=k
-            )
-            lo += k
+    # One article pick per proposer, keyed by its lane-local slot.
+    article_ids = to_below(
+        state.draws.at(step, SITE_ARTICLE, rep_of_prop, local_proposers),
+        store.n_articles,
+    )
     rows = rep_of_prop * store.n_articles + article_ids
 
     # One pass over every proposal's candidate voters: the map from each
@@ -149,23 +161,22 @@ def _voting_rounds(
         # Subsample oversubscribed proposals by the random-keys method:
         # one uniform key per candidate, keep each proposal's
         # ``max_voters`` smallest keys — a uniform without-replacement
-        # draw.  Keys are drawn per replicate (stream parity: a replicate
-        # draws exactly when it has a proposal oversubscribed against
-        # *its own* limit, sized to its kept-candidate count), then one
-        # stable sort by (proposal, key) selects within every proposal;
-        # replicates that drew no keys keep their original candidate
-        # order under key 0.
-        keys = np.zeros(flat_voters.size)
-        # Per lane: oversubscribed proposals, and kept candidates (whole
-        # numbers, summed exactly in float64).
-        over_per_rep = np.bincount(rep_of_prop, weights=over, minlength=n_rep)
-        cand_per_rep = np.bincount(rep_of_prop, weights=voter_counts, minlength=n_rep)
-        lo = 0
-        for r, (n_over, k) in enumerate(zip(over_per_rep.tolist(), cand_per_rep.tolist())):
-            hi = lo + int(k)
-            if n_over:
-                keys[lo:hi] = state.rngs[r].random(hi - lo)
-            lo = hi
+        # draw.  Only the oversubscribed proposals' candidates get keys,
+        # one per (proposer, voter) pair; one stable sort by (proposal,
+        # key) then selects within every proposal, and every other
+        # proposal keeps its candidates in id order under key 0.
+        keys = np.zeros(flat_voters.size, dtype=np.uint64)
+        sel = over[flat_prop].nonzero()[0]
+        sel_prop = flat_prop[sel]
+        sel_lane = rep_of_prop[sel_prop]
+        keys[sel] = subsample_keys(
+            state.draws,
+            step,
+            sel_lane,
+            local_proposers[sel_prop],
+            flat_voters[sel] - sel_lane * n,
+            n,
+        )
         order = proposal_key_order(flat_prop, keys)
         # Sorted positions group by proposal in proposal order, as
         # ``flat_prop`` does, so ``flat_prop`` names each position's

@@ -1,17 +1,95 @@
-"""Reproducible random-number streams.
+"""Reproducible randomness: the build's generators and counter-based draws.
 
-Every simulation run owns exactly one ``numpy.random.Generator`` derived
-from the run's seed through ``SeedSequence``, and parameter sweeps spawn
-*independent* child sequences per run — results are bit-identical no matter
-which executor (serial / threads / processes) ran the sweep or in what
-order the runs finished.
+**Build.**  Constructing a state (types, capacities, overlay seed,
+founders, collusion rings, sybil roster) draws from one plain
+``numpy.random.Generator`` per lane, seeded with the lane's config seed
+(:func:`make_rng`); the state does not keep it.  Parameter sweeps spawn
+*independent* child seeds per run (:func:`spawn_seeds`), so results are
+bit-identical no matter which executor ran the sweep or in what order
+the runs finished.
+
+**Step path.**  Every draw a step makes is a pure function of four
+counters, in the style of Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3" (SC'11)::
+
+    u = mix64(key_lane + i * GAMMA + salt(step, site))
+
+``mix64`` is SplitMix64's output function on NumPy ``uint64``;
+``key_lane`` is derived from the lane's config seed alone
+(:func:`lane_key`); ``step`` is the state's ``step_count``; ``site`` is
+a fixed id per draw site (``SITE_*``); ``i`` is a lane-local slot (or a
+lane-local ``(proposer, voter)`` pair).  A uniform is
+``(u >> 11) * 2**-53`` and a bounded integer ``((u >> 32) * n) >> 32``.
+So a lane draws the same values solo and at any position of any batch,
+a snapshot needs only the step count, and a new draw site shifts no
+existing stream.
+
+:class:`CounterDraws` serves the per-slot sites of one state.  When the
+state is narrow it hashes a block of ``max(1, BLOCK_TARGET // (R * N))``
+steps per site in one call; the block is a cache keyed by step, and the
+block size never changes a value.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_seeds", "spawn_rngs", "BufferedRNG"]
+__all__ = [
+    "make_rng",
+    "spawn_seeds",
+    "spawn_rngs",
+    "mix64",
+    "lane_key",
+    "salt",
+    "to_uniform",
+    "to_below",
+    "CounterDraws",
+    "BLOCK_TARGET",
+    "SITE_SHARE",
+    "SITE_EDIT",
+    "SITE_REQUEST",
+    "SITE_SOURCE",
+    "SITE_PROPOSE",
+    "SITE_ARTICLE",
+    "SITE_VOTER_KEY",
+    "SITE_CHURN",
+    "SITE_WHITEWASH",
+    "SITE_SYBIL",
+]
+
+# Draw sites: one fixed id each.  A new site takes a new id; ids are
+# never reused, so adding a site moves no other stream.
+SITE_SHARE = 0  # act: sharing action (T = inf integer or Boltzmann uniform)
+SITE_EDIT = 1  # act: edit/vote action
+SITE_REQUEST = 2  # download: request uniforms (full mesh and overlay)
+SITE_SOURCE = 3  # download: source picks (full mesh and overlay)
+SITE_PROPOSE = 4  # edit_vote: proposer uniforms
+SITE_ARTICLE = 5  # edit_vote: article picks, one per proposer
+SITE_VOTER_KEY = 6  # edit_vote: subsample keys, one per (proposer, voter)
+SITE_CHURN = 7  # churn: leave/join uniforms
+SITE_WHITEWASH = 8  # churn: whitewash uniforms
+SITE_SYBIL = 9  # sybil: identity-reset uniforms
+#: Sites per step in the salt's counter (room for new sites).
+_SITES_PER_STEP = np.uint64(64)
+
+#: Elements one block call hashes at most: a state with ``R * N`` slots
+#: hashes ``max(1, BLOCK_TARGET // (R * N))`` steps per site per call.
+BLOCK_TARGET = 8192
+
+# Every constant is a NumPy uint64: a Python int mixed into uint64
+# arithmetic could promote or overflow, while uint64 products wrap.
+GAMMA = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_S11 = np.uint64(11)
+_S27 = np.uint64(27)
+_S30 = np.uint64(30)
+_S31 = np.uint64(31)
+_S32 = np.uint64(32)
+_UNIT = 2.0**-53
+#: Spawn key that separates the draw keys from the build's generator,
+#: which is seeded with the same config seed.
+_DRAW_SPAWN_KEY = (0x64726177,)
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
@@ -33,100 +111,129 @@ def spawn_rngs(root_seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(n)]
 
 
-class BufferedRNG:
-    """Uniform-draw buffering facade over one ``numpy.random.Generator``.
+def mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a ``uint64`` array.
 
-    The engine's per-step kernels draw many small uniform vectors from
-    each replicate's stream; every ``Generator.random`` call costs ~10us
-    of argument handling regardless of size.  This facade block-draws
-    ``block`` uniforms at a time and serves contiguous slices, cutting
-    that per-call overhead ~20x while consuming the *same underlying
-    stream deterministically* — two consumers issuing the same sequence
-    of ``random`` calls through a ``BufferedRNG`` see identical values,
-    which is all the engine's seed-for-seed guarantee needs (sequential
-    and batched runs share the kernel code and therefore the call
-    sequence).  Every other Generator method (``integers``, ``choice``,
-    ``shuffle``, ``lognormal``, ...) passes straight through.
+    A bijection of the 64-bit words with full avalanche; ``z`` must be
+    an array the caller owns (it is overwritten and returned).
+    """
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    return z
 
-    The returned arrays are read-only views into the block buffer, valid
-    only until the next refill of the same stream: the block buffer is
-    *reused* across refills (``Generator.random(out=...)`` fills it in
-    place, so the steady state allocates nothing).  The engine's kernels
-    respect that contract — every served view is reduced, compared or
-    copied before the same stream is drawn from again.
 
-    Block-size note: the block draws *pre-consume* the underlying stream,
-    so the interleaving with pass-through calls (``integers``,
-    ``permutation``, ...) — and therefore the run trajectory — depends on
-    the block size.  8192 was confirmed against
-    ``benchmarks/test_bench_kernels.py`` (4096/16384 measure within
-    noise; the refill is ~1% of a step), so it stays put and every
-    recorded trajectory is preserved exactly.
+def lane_key(seed: int | None) -> np.uint64:
+    """The draw key of a lane, derived from its config seed alone."""
+    seq = np.random.SeedSequence(seed, spawn_key=_DRAW_SPAWN_KEY)
+    return seq.generate_state(1, dtype=np.uint64)[0]
+
+
+def salt(steps, site: int) -> np.ndarray:
+    """``salt(step, site)`` for each step of ``steps``: a ``uint64`` array.
+
+    SplitMix64's output at counter ``step * 64 + site + 1``, so every
+    (step, site) pair gets its own well-mixed offset.
+    """
+    z = np.asarray(steps, dtype=np.uint64) * _SITES_PER_STEP
+    z += np.uint64(site + 1)
+    z *= GAMMA
+    return mix64(z)
+
+
+def to_uniform(u: np.ndarray) -> np.ndarray:
+    """Uniforms on ``[0, 1)`` from hashed words: ``(u >> 11) * 2**-53``."""
+    return (u >> _S11) * _UNIT
+
+
+def to_below(u: np.ndarray, n) -> np.ndarray:
+    """Integers uniform on ``[0, n)`` from hashed words (``n < 2**32``).
+
+    ``((u >> 32) * n) >> 32``: the top 32 bits scaled by ``n`` (an int
+    or an array, broadcast against ``u``), as int64.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    return (((u >> _S32) * n) >> _S32).astype(np.int64)
+
+
+class CounterDraws:
+    """The counter-based draws of one state's per-slot sites.
+
+    ``keys`` holds one draw key per lane (:func:`lane_key`), and
+    ``base[r * N + i] = keys[r] + i * GAMMA`` is every slot's counter
+    before the step's salt.  :meth:`words` returns the hashed words of
+    one site at one step for every slot, or for the slots of a fixed
+    index array; :meth:`uniforms` and :meth:`integers` convert them.
+
+    A narrow state (``R * N`` below :data:`BLOCK_TARGET`) hashes a block
+    of steps per site in one call and serves the following steps from
+    it.  The blocks are derived data keyed by step, like the reputation
+    memos: the object has no ``__dict__`` (the state fingerprint walk
+    never reaches it) and pickles empty, so a restored state hashes its
+    first block afresh from ``step_count``.  A wide state (block of one
+    step) hashes every step and keeps no cache.
     """
 
-    __slots__ = ("gen", "_block", "_buf", "_pos")
+    __slots__ = ("keys", "n_agents", "base", "block", "_cache")
 
-    def __init__(self, gen: np.random.Generator, block: int = 8192) -> None:
-        if block < 1:
-            raise ValueError("block must be >= 1")
-        self.gen = gen
-        self._block = int(block)
-        self._buf = np.empty(0, dtype=np.float64)
-        self._pos = 0
+    def __init__(self, keys: np.ndarray, n_agents: int) -> None:
+        self.keys = np.asarray(keys, dtype=np.uint64)
+        self.n_agents = int(n_agents)
+        local = np.arange(self.n_agents, dtype=np.uint64) * GAMMA
+        self.base = (self.keys[:, None] + local).reshape(-1)
+        self.block = max(1, BLOCK_TARGET // self.base.size)
+        #: (site, kind, bound) -> (first step, slot index or None, rows)
+        self._cache: dict = {}
 
-    def random(self, size=None):
-        if size is None:
-            return self.gen.random()
-        shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-        k = 1
-        for dim in shape:
-            k *= int(dim)
-        if self._pos + k > self._buf.size:
-            if k <= self._block:
-                # Steady state: refill the standing block in place (the
-                # values equal a fresh ``random(block)`` call, so the
-                # stream consumption — and every trajectory — is
-                # unchanged; only the allocation disappears).
-                if self._buf.size != self._block:
-                    self._buf = np.empty(self._block, dtype=np.float64)
-                else:
-                    self._buf.flags.writeable = True
-                self.gen.random(out=self._buf)
-            else:
-                # Oversized request: dedicated one-off draw, same as a
-                # plain ``random(k)``.
-                self._buf = self.gen.random(k)
-            self._buf.flags.writeable = False
-            self._pos = 0
-        out = self._buf[self._pos : self._pos + k]
-        self._pos += k
-        return out.reshape(shape) if len(shape) != 1 else out
+    def __reduce__(self):
+        return (CounterDraws, (self.keys, self.n_agents))
 
-    def __getattr__(self, name):
-        return getattr(self.gen, name)
+    def _hash(self, step: int, site: int, idx, n_steps: int) -> np.ndarray:
+        """``(n_steps, width)`` words of ``site`` from ``step`` on."""
+        base = self.base if idx is None else self.base[idx]
+        salts = salt(np.arange(step, step + n_steps), site)
+        return mix64(base + salts[:, None])
 
-    # Pickle support is explicit because ``__slots__`` + ``__getattr__``
-    # is a trap for the default protocol: during unpickling, attribute
-    # lookups run before ``gen`` exists and ``__getattr__`` recurses
-    # forever.  The buffer, its cursor, and the wrapped Generator's
-    # bit-generator state are all carried, so a restored BufferedRNG
-    # continues the *exact* stream — mid-block — that the original would
-    # have produced (mid-run checkpoint resume depends on this).
-    def __getstate__(self):
-        return {
-            "gen": self.gen,
-            "block": self._block,
-            "buf": self._buf,
-            "pos": self._pos,
-        }
+    def _served(self, step: int, site: int, idx, kind, convert) -> np.ndarray:
+        """One step's row of ``site``, converted; cached by block."""
+        if self.block == 1:
+            return convert(self._hash(step, site, idx, 1)[0])
+        entry = self._cache.get((site, kind))
+        if entry is None or entry[1] is not idx or not 0 <= step - entry[0] < self.block:
+            entry = (step, idx, convert(self._hash(step, site, idx, self.block)))
+            self._cache[site, kind] = entry
+        return entry[2][step - entry[0]]
 
-    def __setstate__(self, state):
-        object.__setattr__(self, "gen", state["gen"])
-        object.__setattr__(self, "_block", state["block"])
-        # Unpickled arrays can be zero-copy views over the pickle's
-        # immutable bytes — such a buffer could never be re-marked
-        # writeable for the in-place refill.  Copy into owned memory.
-        buf = np.array(state["buf"], dtype=np.float64)
-        buf.flags.writeable = False
-        object.__setattr__(self, "_buf", buf)
-        object.__setattr__(self, "_pos", state["pos"])
+    def words(self, step: int, site: int, idx: np.ndarray | None = None) -> np.ndarray:
+        """Hashed ``uint64`` words of every slot (or of ``idx``) at ``step``."""
+        return self._served(step, site, idx, "words", _same)
+
+    def uniforms(self, step: int, site: int, idx: np.ndarray | None = None) -> np.ndarray:
+        """Uniforms on ``[0, 1)`` of every slot (or of ``idx``) at ``step``."""
+        return self._served(step, site, idx, "uniform", to_uniform)
+
+    def integers(
+        self, step: int, site: int, n: int, idx: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Integers uniform on ``[0, n)`` of every slot (or of ``idx``)."""
+        return self._served(
+            step, site, idx, ("below", n), lambda u: to_below(u, n)
+        )
+
+    def at(self, step: int, site: int, lanes: np.ndarray, counters: np.ndarray) -> np.ndarray:
+        """Hashed words of ad-hoc lane-local ``counters`` in ``lanes``.
+
+        For sites that draw for a few indices per step (article picks,
+        subsample keys): ``u = mix64(keys[lane] + counter * GAMMA +
+        salt(step, site))``, hashed directly and never cached.
+        """
+        z = np.asarray(counters, dtype=np.uint64) * GAMMA
+        z += self.keys[lanes]
+        z += salt((step,), site)
+        return mix64(z)
+
+
+def _same(u: np.ndarray) -> np.ndarray:
+    return u

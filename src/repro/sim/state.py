@@ -3,7 +3,7 @@
 :class:`SimState` is everything a run mutates, pulled out of the old
 monolithic ``CollaborationSimulation`` so the per-step logic can live in
 small composable phase kernels (:mod:`repro.sim.phases`) that each take
-``(SimState, SimulationConfig)`` and the state's RNG streams.
+``(SimState, SimulationConfig)``.
 
 The state carries an explicit **lane axis** (generalizing PR 2's
 replicate axis): ``R`` stacked populations run as a single state whose
@@ -15,19 +15,18 @@ temperatures, scheme constants, population mixes, churn/adversary rates,
 per-scheme parameters — is lifted into the state's :class:`LaneParams`
 and per-lane scheme parameter arrays.  Every lane's articles live in one
 lane-stacked :class:`~repro.network.articles.ArticleStore`; structured
-per-lane objects — RNG streams, overlay graphs, churn models, event
-logs — stay per-lane lists.  ``R = 1`` is the plain single simulation: every array
-has its historical shape and the kernels execute the exact operation
-sequence the monolithic engine used, so results are bit-identical.
+per-lane objects — overlay graphs, event logs — stay per-lane lists.
+``R = 1`` is the plain single simulation.
 
-Seed-for-seed guarantee: lane ``r`` of a batched state consumes its own
-generator (seeded with its config's seed) through *exactly* the same
-draw sites, shapes and order as a sequential run of that config, both
-during construction (types -> capacities -> overlay -> founders ->
-adversary rosters) and in every phase kernel.  Batched lane ``r``
-therefore reproduces the sequential run bit for bit — including in
-mixed-config batches, because all lane-varying parameters are applied
-elementwise within each lane's slots.
+Seed-for-seed guarantee: construction draws each lane's populations
+from a generator seeded with its config's seed, in one fixed order
+(types -> capacities -> overlay seed -> founders -> adversary rosters),
+and every step-path draw is a counter-based hash of the lane's key, the
+step, the draw site and a lane-local index (:mod:`repro.sim.rng`).  A
+lane therefore draws the same values solo and at any position of any
+batch, and since every lane-varying parameter is applied elementwise
+within each lane's slots, batched lane ``r`` reproduces the sequential
+run of its config bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .lanes import (
     slot_values,
 )
 from .metrics import MetricsCollector
-from .rng import BufferedRNG, make_rng
+from .rng import CounterDraws, lane_key, make_rng
 
 __all__ = [
     "SimState",
@@ -91,7 +90,6 @@ class StepScratch:
     votes_successful: np.ndarray  # (R,)
     vote_bans: np.ndarray  # (R,)
     reputation_resets: np.ndarray  # (R,)
-    proposer_u: np.ndarray  # (R, N) per-replicate proposer uniforms
 
     @classmethod
     def create(cls, n_replicates: int, n_agents: int) -> "StepScratch":
@@ -105,7 +103,6 @@ class StepScratch:
             votes_successful=np.zeros(n_replicates),
             vote_bans=np.zeros(n_replicates),
             reputation_resets=np.zeros(n_replicates),
-            proposer_u=np.empty((n_replicates, n_agents)),
         )
 
     def reset(self) -> None:
@@ -150,7 +147,9 @@ class SimState:
     configs: list[SimulationConfig]  # one per lane
     n_replicates: int
     n_agents: int  # peers per replicate
-    rngs: list  # one independent BufferedRNG stream per replicate
+    #: Counter-based step-path draws (lane keys and a per-site block
+    #: cache; derived data, pickled without the cache).
+    draws: CounterDraws
     peers: PeerArrays  # flat R*N slots
     scheme: Any  # replicate-aware incentive scheme
     overlays: list[OverlayNetwork] | None  # per replicate, None = full mesh
@@ -159,7 +158,7 @@ class SimState:
     edit_space: EditActionSpace
     sharing_learner: VectorQLearner  # stacked over all replicates' rationals
     edit_learner: VectorQLearner
-    churn: list[ChurnModel]  # one per lane
+    churn: ChurnModel  # every lane's churn rates, per slot
     metrics: MetricsCollector
     events: list[EventLog | None]  # per replicate
     rational_idx: np.ndarray  # flat slot ids of rational peers
@@ -174,6 +173,9 @@ class SimState:
     lanes: LaneParams = None  # type: ignore[assignment]  # set by build
     #: Any lane has churn enabled (static; gates the churn kernel).
     churn_active: bool = False
+    #: Any lane has sybil attackers with a positive rate (static; gates
+    #: the sybil kernel).
+    sybil_active: bool = False
     #: Any lane has collusion rings (static; gates the collusion kernels).
     collusion_active: bool = False
     #: Any lane keeps an event log (static; gates the edit/vote mirror).
@@ -242,12 +244,14 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
 
     The configs must agree on the structural dimensions
     (:data:`repro.sim.lanes.STRUCTURAL_FIELDS` plus the resolved scheme
-    class); any other field may differ per lane.  Construction consumes
-    each lane's generator in the same order a sequential
-    ``CollaborationSimulation(config)`` would: population types, then
+    class); any other field may differ per lane.  Construction draws
+    from one plain generator per lane, seeded with the lane's config
+    seed and dropped afterwards, in the order a sequential
+    ``CollaborationSimulation(config)`` draws: population types, then
     heterogeneous capacities, then the overlay seed, then article
     founders, then (when that lane enables them) collusion rings and the
-    sybil roster — the seed-for-seed guarantee starts here.
+    sybil roster — the seed-for-seed guarantee starts here.  The step
+    path draws by counter from the lane keys in ``state.draws``.
     """
     if not configs:
         raise ValueError("need at least one config")
@@ -255,11 +259,7 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
     assert_lane_compatible(configs)
     n_rep = len(configs)
     n = cfg.n_agents
-    # Uniform draws are block-buffered per stream (the kernels issue many
-    # small vectors per step); sequential and batched runs share the
-    # kernel code and therefore the draw sequence, so buffering preserves
-    # the seed-for-seed guarantee.
-    rngs = [BufferedRNG(make_rng(conf.seed)) for conf in configs]
+    rngs = [make_rng(conf.seed) for conf in configs]
 
     types2d = np.stack([configs[r].mix.build(n, rngs[r]) for r in range(n_rep)])
     peers = PeerArrays.create(types2d)
@@ -389,31 +389,22 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
     by_type[:, ALTRUISTIC] = sharing_space.max_action, edit_space.constructive_action
     by_type[:, IRRATIONAL] = sharing_space.min_action, edit_space.destructive_action
     pin_share, pin_edit = by_type[:, peers.types]
-    churn = [
-        ChurnModel(
-            leave_rate=conf.leave_rate,
-            join_rate=conf.join_rate,
-            whitewash_rate=conf.whitewash_rate,
-        )
-        for conf in configs
-    ]
-    metrics = MetricsCollector(
-        cfg.total_steps,
-        types2d,
-        streaming=n >= cfg.scale.stream_metrics_threshold,
+    churn = ChurnModel(
+        leave_rate=slot_values(configs, "leave_rate", n),
+        join_rate=slot_values(configs, "join_rate", n),
+        whitewash_rate=slot_values(configs, "whitewash_rate", n),
     )
+    metrics = MetricsCollector(cfg.total_steps, types2d)
     events = [EventLog() if conf.collect_events else None for conf in configs]
-    lanes = build_lane_params(
-        configs,
-        rational_idx,
-        sybil_any=sybil_mask.reshape(n_rep, n).any(axis=1),
-    )
+    lanes = build_lane_params(configs, rational_idx)
 
     return SimState(
         configs=list(configs),
         n_replicates=n_rep,
         n_agents=n,
-        rngs=rngs,
+        draws=CounterDraws(
+            np.array([lane_key(conf.seed) for conf in configs], dtype=np.uint64), n
+        ),
         peers=peers,
         scheme=scheme,
         overlays=overlays,
@@ -433,7 +424,8 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         ctx=PhaseContext(),
         transfer_hook=getattr(scheme, "record_transfers", None),
         lanes=lanes,
-        churn_active=any(model.active for model in churn),
+        churn_active=churn.active,
+        sybil_active=bool((sybil_mask & (lanes.sybil_rate > 0.0)).any()),
         collusion_active=bool((collusion_rings >= 0).any()),
         events_active=any(log is not None for log in events),
         collusion_rings=collusion_rings,

@@ -3,10 +3,9 @@
 * **State fingerprinting** — :func:`collect_arrays` walks an arbitrary
   object graph (a :class:`~repro.sim.state.SimState`, a scheme, a
   learner) and returns every reachable numpy array keyed by its
-  attribute path; :func:`state_fingerprint` adds each lane's RNG stream
-  position, and :func:`compare_fingerprints` diffs two such maps bit
-  for bit.  The golden behaviour lock (``tests/sim/test_golden.py``)
-  builds on them.
+  attribute path; :func:`state_fingerprint` walks a whole state, and
+  :func:`compare_fingerprints` diffs two such maps bit for bit.  The
+  golden behaviour lock (``tests/sim/test_golden.py``) builds on them.
 
 * **Config generation** — :func:`random_config` draws valid random
   :class:`~repro.sim.config.SimulationConfig` objects covering every
@@ -93,22 +92,12 @@ def state_fingerprint(state: Any) -> dict[str, np.ndarray]:
     """All run state of a :class:`~repro.sim.state.SimState`, as arrays.
 
     The generic walk covers the peers, scheme books, learner Q-tables,
-    article stores, metrics buffers and counters; on top of it each
-    lane's RNG position is recorded explicitly (``BufferedRNG`` uses
-    ``__slots__``, so the walk cannot see it): the PCG64 stream state
-    plus the buffer cursor.  Kernels never draw randomness, so a kernel
-    change that did — or that changed a draw's *size* — shifts these
-    and fails the comparison.
+    article stores, metrics buffers and counters.  The step path's draws
+    hold no state beyond ``step_count`` (:mod:`repro.sim.rng`), and
+    their block cache, like the reputation memos, is invisible to the
+    walk.
     """
-    fp = collect_arrays(state, "state")
-    for r, rng in enumerate(getattr(state, "rngs", [])):
-        gen = getattr(rng, "gen", rng)
-        inner = gen.bit_generator.state.get("state", {})
-        fp[f"rng[{r}].state"] = np.asarray(
-            [int(inner.get("state", 0)), int(inner.get("inc", 0))], dtype=object
-        )
-        fp[f"rng[{r}].pos"] = np.asarray([getattr(rng, "_pos", -1)])
-    return fp
+    return collect_arrays(state, "state")
 
 
 def compare_fingerprints(
@@ -251,6 +240,5 @@ def random_config(rng: random.Random) -> SimulationConfig:
             "scale.sparse": rng.random() < 0.5,
             "scale.ledger_cap": rng.randint(1, 256),
             "scale.chunk_size": rng.randint(1, 65536),
-            "scale.stream_metrics_threshold": rng.randint(2, 50_000),
         })
     return cfg

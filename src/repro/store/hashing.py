@@ -39,8 +39,10 @@ __all__ = [
 #: way that must invalidate previously stored keys.  v2: the ``scale``
 #: section joined :class:`~repro.sim.config.SimulationConfig` — every
 #: config now canonicalizes with its scale leaves, so pre-scale keys must
-#: not alias the (behaviourally identical) defaults.
-CONFIG_SCHEMA_VERSION = 2
+#: not alias the (behaviourally identical) defaults.  v3: counter-based
+#: draws, sorted voter rows and one per-type metrics path — the same
+#: config now gives a different run, so v2 records must not alias it.
+CONFIG_SCHEMA_VERSION = 3
 
 _INF = "__inf__"
 _NEG_INF = "__-inf__"

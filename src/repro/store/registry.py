@@ -444,7 +444,7 @@ def _adversary_sybil(
 
 # ----------------------------------------------------------------------
 # Scale packs: the memory-bounded large-N path (sparse incentive ledgers,
-# chunked kernels, streaming metrics — see docs/ARCHITECTURE.md)
+# chunked kernels — see docs/ARCHITECTURE.md)
 # ----------------------------------------------------------------------
 def _scale_base(
     n_agents: int, fast: bool, fast_agents: int, **overrides

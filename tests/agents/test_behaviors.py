@@ -3,14 +3,12 @@
 Paper section IV-B: rational peers learn, altruists always share
 everything and edit and vote constructively, irrational peers always
 free-ride and edit and vote destructively.  The act phase selects the
-rational peers' actions from their lanes' streams and then applies one
+rational peers' actions from counter-based draws and then applies one
 pinned action per slot (:func:`repro.sim.phases.act.pin_actions`): the
-fixed types are pinned at state build and draw nothing, and online
-collusion-ring members are pinned to the ring policy.  The cases run
+fixed types are pinned at state build and are never selected for, and
+online collusion-ring members are pinned to the ring policy.  The cases run
 the phases on small states, one or two lanes.
 """
-
-import copy
 
 import numpy as np
 import pytest
@@ -21,8 +19,8 @@ from repro.network.peer import ALTRUISTIC, IRRATIONAL, RATIONAL
 from repro.sim.config import SimulationConfig
 from repro.sim.phases import act_phase, learn_phase
 from repro.sim.phases.act import select_rational
+from repro.sim.rng import SITE_EDIT, SITE_SHARE
 from repro.sim.state import build_sim_state
-from repro.sim.testing import state_fingerprint
 
 FIXED_ONLY = PopulationMix(0.0, 0.5, 0.5)
 MIXED = PopulationMix(0.5, 0.25, 0.25)
@@ -37,37 +35,30 @@ def small(**overrides) -> SimulationConfig:
     return SimulationConfig(**params)
 
 
-def stream(state, lane: int):
-    """Lane ``lane``'s stream position: generator state and buffer cursor."""
-    fp = state_fingerprint(state)
-    return fp[f"rng[{lane}].state"].tolist(), fp[f"rng[{lane}].pos"].tolist()
-
-
 def own_draws(state, temperature):
     """The sharing and edit actions the rational peers select, unpinned.
 
-    Drawn on a copy of ``state`` in the order the act phase draws them,
-    so the real state's stream is left where it was.
+    The draws are counter-based, so selecting on ``state`` itself moves
+    nothing the act phase then draws.
     """
-    probe = copy.deepcopy(state)
-    states = np.zeros(probe.rational_idx.size, dtype=np.int64)
-    share = select_rational(probe, probe.sharing_learner, states, temperature)
-    edit = select_rational(probe, probe.edit_learner, states, temperature)
+    states = np.zeros(state.rational_idx.size, dtype=np.int64)
+    share = select_rational(state, state.sharing_learner, states, temperature, SITE_SHARE)
+    edit = select_rational(state, state.edit_learner, states, temperature, SITE_EDIT)
     return share, edit
 
 
 class TestBehaviorEngine:
     def test_fixed_types_constant_actions(self):
-        """Fixed types play their pins, whatever T, and draw nothing: the
-        stream of an all-fixed lane stays where it was, its neighbour
-        lane's rational peers draw."""
+        """Fixed types play their pins, whatever T, and are never selected
+        for: only the neighbour lane's rational peers draw."""
         cfg = small(mix=FIXED_ONLY)
         for temperature in (1.0, np.inf):
             state = build_sim_state([cfg, small(mix=MIXED, seed=4)])
-            before = [stream(state, r) for r in range(2)]
+            assert (state.rational_idx >= cfg.n_agents).all()
+            share, edit_draw = own_draws(state, temperature)
             act_phase(state, state.config, temperature)
-            assert stream(state, 0) == before[0]
-            assert stream(state, 1) != before[1]
+            assert np.array_equal(state.ctx.share_actions[state.rational_idx], share)
+            assert np.array_equal(state.ctx.edit_actions[state.rational_idx], edit_draw)
             types, ctx = state.peers.types, state.ctx
             sharing, edit = state.sharing_space, state.edit_space
             alt, irr = types == ALTRUISTIC, types == IRRATIONAL
@@ -100,7 +91,6 @@ class TestBehaviorEngine:
         edit_pin = (free.ctx.edit_actions[slot] + 1) % free.edit_space.n_actions
         pinned.pin_share[slot], pinned.pin_edit[slot] = share_pin, edit_pin
         act_phase(pinned, cfg, 1.0)
-        assert stream(pinned, 0) == stream(free, 0)
         assert pinned.ctx.share_actions[slot] == share_pin
         assert pinned.ctx.edit_actions[slot] == edit_pin
         others = np.arange(cfg.n_agents) != slot

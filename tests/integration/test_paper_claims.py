@@ -178,12 +178,18 @@ class TestFig5RationalStability:
         assert abs(a - b) < 0.15
 
     def test_bandwidth_shared_more_than_articles(self):
-        """Paper Figure 5: bandwidth ~0.54-0.68 vs articles ~0.21-0.29."""
-        res = run_sweep([cfg(mix=PopulationMix(0.4, 0.3, 0.3), seed=SEEDS[1])])[0]
-        assert (
-            res.summary["shared_bandwidth_rational"]
-            > res.summary["shared_files_rational"]
+        """Paper Figure 5: bandwidth ~0.54-0.68 vs articles ~0.21-0.29.
+
+        A mean over 12 seeds, run as one lane batch: a single seed's
+        margin is positive in only 18 of 20 seeds (100-119; mean 0.087,
+        sd 0.072), so one seed cannot carry the claim.
+        """
+        results = run_sweep(
+            [cfg(mix=PopulationMix(0.4, 0.3, 0.3), seed=s) for s in range(200, 212)]
         )
+        bw = np.mean([r.summary["shared_bandwidth_rational"] for r in results])
+        files = np.mean([r.summary["shared_files_rational"] for r in results])
+        assert bw > files
 
 
 def test_fig4_population_mix():

@@ -25,7 +25,7 @@ def store():
 
 def book_one(store, row, editor, constructive):
     """Book one accepted edit the way the edit-vote phase does."""
-    held = editor in store.voter_order[row, : store.n_voters[row]].tolist()
+    held = editor in store.voter_ids[row, : store.n_voters[row]].tolist()
     store.book(
         np.array([row]), np.array([editor]), np.array([constructive]),
         np.array([not held]),
@@ -33,9 +33,9 @@ def book_one(store, row, editor, constructive):
 
 
 class ReferenceArticles:
-    """The per-article voter sets the store replaced, driven by the same
-    calls: founders through a generator into ``set.update``, then one
-    ``add`` per accepted edit."""
+    """Per-article voter sets driven by the same calls: founders through
+    a generator into ``set.update``, then one ``add`` per accepted
+    edit; read back sorted by id."""
 
     def __init__(self, n_articles, n_peers, rngs, founders_per_article):
         self.voter_ids = []
@@ -54,8 +54,7 @@ class ReferenceArticles:
         self.voter_ids[row].add(int(editor))
 
     def voter_array(self, row):
-        ids = self.voter_ids[row]
-        return np.fromiter(ids, dtype=np.int64, count=len(ids))
+        return np.array(sorted(self.voter_ids[row]), dtype=np.int64)
 
 
 class TestBootstrap:
@@ -213,7 +212,7 @@ class TestOutcomes:
         for editor in newcomers:
             book_one(store, 4, editor, True)
         assert sorted(store.voters(0, 4).tolist()) == list(range(20))
-        assert store.voter_log.shape[1] == 20  # never wider than n_peers
+        assert store.voter_ids.shape[1] == 20  # never wider than n_peers
         assert store.n_voters[:4].tolist() == [4, 4, 4, 4]
 
 
@@ -231,7 +230,7 @@ class TestSampling:
         store = make_store(lanes=3, n_articles=5)
         assert store.n_lanes == 3 and store.quality.shape == (15,)
         assert store.row(2, 4) == 14
-        assert store.voter_order.shape == store.voter_log.shape == (15, 4)
+        assert store.voter_ids.shape == (15, 4)
 
 
 def _accept_batches(seed, lanes, n_articles, n_peers, n_batches):
@@ -253,7 +252,8 @@ def _accept_batches(seed, lanes, n_articles, n_peers, n_batches):
 
 
 class TestGatherOrder:
-    """The stored gather order equals the replaced sets' iteration order."""
+    """Every row holds its reference set's voters, sorted by id, through
+    widening rows and a pickle round trip."""
 
     @settings(max_examples=40, deadline=None)
     @given(

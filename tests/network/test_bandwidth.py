@@ -13,12 +13,20 @@ from hypothesis import strategies as st
 from repro.network.bandwidth import DownloadRequests
 from repro.sim.backends import KERNELS
 from repro.sim.phases.download import sample_download_requests_batch
+from repro.sim.rng import CounterDraws
+
+
+def random_draws(rng, n_lanes, n_peers) -> tuple[CounterDraws, int]:
+    """Counter-based draws with lane keys and a step taken from ``rng``."""
+    keys = rng.integers(0, 2**64, size=n_lanes, dtype=np.uint64)
+    return CounterDraws(keys, n_peers), int(rng.integers(0, 2**31))
 
 
 def sample_one(rng, sharing_mask, download_probability=None) -> DownloadRequests:
     """One lane's requests: the batch sampler at ``R = 1``."""
+    draws, step = random_draws(rng, 1, sharing_mask.size)
     return sample_download_requests_batch(
-        [rng], sharing_mask[None, :], download_probability
+        draws, step, sharing_mask[None, :], download_probability
     )
 
 
@@ -93,23 +101,26 @@ class TestSampleDownloadRequestsBatch:
     def test_lanes_equal_their_solo_draws(self, seed):
         """R = 3 with per-lane P: lane 0 has no sharers, lane 1 has P = 0.
 
-        Each lane's requests are its ``R = 1`` draws on its own generator,
-        offset by ``r * N``; each generator ends where its solo call left
-        it, and no request crosses a lane.  The requesting lane comes
-        last, so its sharers sit behind another lane's in the flat slots.
+        Each lane's requests are its ``R = 1`` draws under its own key,
+        offset by ``r * N``, and no request crosses a lane.  The
+        requesting lane comes last, so its sharers sit behind another
+        lane's in the flat slots.
         """
         n = 12
-        masks = np.random.default_rng(seed).random((3, n)) < 0.6
+        rng = np.random.default_rng(seed)
+        masks = rng.random((3, n)) < 0.6
         masks[0] = False
         masks[1:, :2] = True  # lanes 1 and 2 always have sharers
         p = np.array([0.5, 0.0, 0.8])
+        draws, step = random_draws(rng, 3, n)
 
-        def lane_rngs():
-            return [np.random.default_rng([seed, r]) for r in range(3)]
-
-        batch_rngs, solo_rngs = lane_rngs(), lane_rngs()
-        req = sample_download_requests_batch(batch_rngs, masks, p)
-        solo = [sample_one(solo_rngs[r], masks[r], p[r]) for r in range(3)]
+        req = sample_download_requests_batch(draws, step, masks, p)
+        solo = [
+            sample_download_requests_batch(
+                CounterDraws(draws.keys[r : r + 1], n), step, masks[r : r + 1], p[r]
+            )
+            for r in range(3)
+        ]
 
         assert solo[0].n == 0 and solo[1].n == 0 and solo[2].n > 0
         np.testing.assert_array_equal(
@@ -121,8 +132,7 @@ class TestSampleDownloadRequestsBatch:
             np.concatenate([s.source_ids + r * n for r, s in enumerate(solo)]),
         )
         assert np.all(req.downloader_ids // n == req.source_ids // n)
-        for a, b in zip(batch_rngs, solo_rngs):
-            assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestSettleDownloads:
     def test_conservation(self):

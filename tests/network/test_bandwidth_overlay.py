@@ -7,6 +7,16 @@ from repro.network.bandwidth import sample_download_requests_overlay
 from repro.network.overlay import OverlayNetwork
 
 
+def sample(rng, sharing, overlay, download_probability=None):
+    """One lane's overlay requests from uniforms and words drawn by ``rng``."""
+    n = sharing.size
+    u = rng.random(n)
+    words = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    return sample_download_requests_overlay(
+        u, words, sharing, overlay, download_probability
+    )
+
+
 @pytest.fixture
 def small_world(rng):
     return OverlayNetwork(20, kind="smallworld", rng=rng, degree=4)
@@ -15,9 +25,7 @@ def small_world(rng):
 class TestOverlaySampling:
     def test_sources_are_neighbours(self, small_world, rng):
         sharing = np.ones(20, dtype=bool)
-        req = sample_download_requests_overlay(
-            rng, sharing, small_world, download_probability=1.0
-        )
+        req = sample(rng, sharing, small_world, download_probability=1.0)
         for d, s in zip(req.downloader_ids, req.source_ids):
             assert s in small_world.neighbors(int(d)).tolist()
             assert s != d
@@ -25,9 +33,7 @@ class TestOverlaySampling:
     def test_sources_share(self, small_world, rng):
         sharing = np.zeros(20, dtype=bool)
         sharing[::3] = True
-        req = sample_download_requests_overlay(
-            rng, sharing, small_world, download_probability=1.0
-        )
+        req = sample(rng, sharing, small_world, download_probability=1.0)
         assert np.all(sharing[req.source_ids])
 
     def test_starved_peers_skip(self, rng):
@@ -35,16 +41,12 @@ class TestOverlaySampling:
         # Only peer 0 shares; any peer not adjacent to 0 is starved.
         sharing = np.zeros(6, dtype=bool)
         sharing[0] = True
-        req = sample_download_requests_overlay(
-            rng, sharing, overlay, download_probability=1.0
-        )
+        req = sample(rng, sharing, overlay, download_probability=1.0)
         neighbours_of_0 = set(overlay.neighbors(0).tolist())
         assert set(req.downloader_ids.tolist()) <= neighbours_of_0
 
     def test_no_sharers(self, small_world, rng):
-        req = sample_download_requests_overlay(
-            rng, np.zeros(20, dtype=bool), small_world, 1.0
-        )
+        req = sample(rng, np.zeros(20, dtype=bool), small_world, 1.0)
         assert req.n == 0
 
     def test_full_overlay_equivalent_support(self, rng):
@@ -53,7 +55,7 @@ class TestOverlaySampling:
         sharing = np.ones(10, dtype=bool)
         seen = set()
         for _ in range(50):
-            req = sample_download_requests_overlay(rng, sharing, overlay, 1.0)
+            req = sample(rng, sharing, overlay, 1.0)
             seen.update(req.source_ids.tolist())
         assert seen == set(range(10))
 

@@ -8,6 +8,7 @@ to an uninterrupted run.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -71,7 +72,7 @@ class TestEncodeDecode:
         assert decode_snapshot(b"garbage", ["h1"]) is None
         assert decode_snapshot(blob[: len(blob) // 2], ["h1"]) is None
         assert decode_snapshot(blob, ["other"]) is None
-        # Order matters: lane order assigns RNG streams.
+        # Order matters: a permuted batch is another execution.
         two = encode_snapshot({}, 5, ["h1", "h2"])
         assert decode_snapshot(two, ["h2", "h1"]) is None
 
@@ -182,9 +183,9 @@ class TestBitIdenticalResume:
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_resume_keeps_voter_order_at_paper_scale(self, tmp_path, seed):
-        # At N=100 the articles' voter rows grow large enough that a
-        # voter order rebuilt on unpickling differs from the live one;
-        # both seeds diverged while the order was a Python set's.
+        # At N=100 the articles' voter rows grow large and widen; the
+        # order they are read in must survive the snapshot (both seeds
+        # diverged while that order was a Python set's).
         configs = [
             SimulationConfig(
                 n_agents=100, n_articles=30, training_steps=300,
@@ -224,6 +225,54 @@ class TestBitIdenticalResume:
         assert not task.resumed
         straight = ResumableTask(configs).run()
         assert_summaries_equal(results[0].summary, straight[0].summary)
+
+
+class TestResumeMidBlock:
+    """A snapshot carries no draw state: resumed from ``step_count``, a
+    run draws what the uninterrupted run drew, whether the snapshot fell
+    inside a block of hashed steps or on its boundary."""
+
+    @staticmethod
+    def _configs(n_lanes):
+        return [
+            SimulationConfig(
+                n_agents=16, n_articles=4, founders_per_article=2,
+                training_steps=300 if n_lanes == 1 else 150,
+                eval_steps=300 if n_lanes == 1 else 50,
+                seed=40 + r, t_eval=0.5 + r, leave_rate=0.05, join_rate=0.3,
+                whitewash_rate=0.02, sybil_fraction=0.125, sybil_rate=0.1,
+            )
+            for r in range(n_lanes)
+        ]
+
+    @pytest.mark.parametrize("n_lanes", [1, 4])
+    def test_resume_inside_and_at_a_block_boundary(self, n_lanes):
+        from repro.sim.state import build_sim_state
+        from repro.sim.testing import compare_fingerprints, state_fingerprint
+        from tests.sim.test_golden import advance
+
+        configs = self._configs(n_lanes)
+        total = configs[0].total_steps
+        straight = build_sim_state(configs)
+        block = straight.draws.block
+        assert block == 8192 // (16 * n_lanes) and 1 < block < total
+        advance(straight, 0, total)
+        for at in (block // 2 + 3, block):
+            state = build_sim_state(configs)
+            advance(state, 0, at)
+            assert state.draws._cache  # mid-run, the blocks are cached
+            restored = pickle.loads(pickle.dumps(state))
+            assert restored.draws._cache == {}
+            assert restored.step_count == at
+            advance(restored, at, total)
+            assert compare_fingerprints(
+                state_fingerprint(straight), state_fingerprint(restored)
+            ) == []
+            for r in range(n_lanes):
+                assert_summaries_equal(
+                    restored.metrics.summary(0, total, replicate=r),
+                    straight.metrics.summary(0, total, replicate=r),
+                )
 
 
 class TestCrashResume:

@@ -43,7 +43,7 @@ class TestBuildState:
         assert state.n_replicates == 1
         assert state.peers.types.shape == (12,)
         assert state.peers.n == 12
-        assert len(state.rngs) == state.articles.n_lanes == 1
+        assert state.draws.keys.size == state.articles.n_lanes == 1
         assert state.articles.quality.shape == (tiny().n_articles,)
 
     def test_replicates_stack_flat(self):
@@ -53,7 +53,7 @@ class TestBuildState:
         assert state.peers.n == 36
         assert state.scheme.n_slots == 36
         assert state.metrics.n_replicates == 3
-        assert len(state.rngs) == state.articles.n_lanes == 3
+        assert state.draws.keys.size == state.articles.n_lanes == 3
         assert state.articles.quality.shape == (3 * tiny().n_articles,)
 
     def test_rejects_structural_differences(self):

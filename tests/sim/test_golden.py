@@ -1,15 +1,16 @@
 """Behaviour lock: committed digests of engine state and sweep summaries.
 
 A small corpus of short runs — the four schemes plain, each scheme under
-churn with both adversary kernels, the sparse scale path at small N and
-a mixed-config three-lane batch — is fingerprinted bit for bit:
+churn with both adversary kernels, the sparse scale path at small N, a
+small-world overlay and a mixed-config three-lane batch — is
+fingerprinted bit for bit:
 
 * the full end-of-run state (:func:`repro.sim.testing.state_fingerprint`)
   of each corpus entry, run solo or as its one lane batch, one digest
   per array path (so a drift names the arrays that moved);
 * every article of every lane of each entry: quality, version count,
-  constructive/destructive accepted counts and the voters in gather
-  order (the state digest cannot see a voter order it does not store);
+  constructive/destructive accepted counts and the voters in the order
+  the edit-vote phase reads them (ascending id);
 * the same state after a snapshot round trip: each entry pickled at
   step :data:`RESUME_AT`, restored in one fresh process and run to the
   end there;
@@ -90,11 +91,11 @@ CORPUS: dict[str, list[SimulationConfig]] = {
     "sparse-scale": [
         _base(
             seed=13, n_agents=24, scheme="tft",
-            scale=ScaleConfig(
-                sparse=True, ledger_cap=4, chunk_size=5,
-                stream_metrics_threshold=16,
-            ),
+            scale=ScaleConfig(sparse=True, ledger_cap=4, chunk_size=5),
         )
+    ],
+    "overlay-smallworld": [
+        _base(seed=14, overlay_kind="smallworld", overlay_degree=4)
     ],
     "lanes-mixed": [
         _base(seed=21),
@@ -152,8 +153,8 @@ def fingerprint_digests(fp: dict[str, np.ndarray]) -> dict[str, str]:
 def article_rows(state):
     """``(lane, article, quality, versions, good, bad, voters)`` per article.
 
-    ``voters`` are the article's voting-right holders in gather order,
-    the order the edit-vote phase reads them in.
+    ``voters`` are the article's voting-right holders in the order the
+    edit-vote phase reads them in (ascending id).
     """
     store = state.articles
     for r in range(store.n_lanes):

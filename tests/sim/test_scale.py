@@ -1,4 +1,4 @@
-"""Scale-path coverage: sparse ledgers, chunked kernels, streaming metrics.
+"""Scale-path coverage: sparse ledgers and chunked kernels.
 
 The contract of the scale path is layered:
 
@@ -162,32 +162,6 @@ class TestLaneBatchedScale:
         a = tiny(seed=1, scheme="tft", scale=ScaleConfig(sparse=True, ledger_cap=8))
         b = tiny(seed=2, scheme="tft", scale=ScaleConfig(sparse=True, ledger_cap=16))
         assert len(BatchedSimulation([a, b]).run()) == 2
-
-
-class TestStreamingMetrics:
-    def test_streaming_summaries_close_to_gathered(self):
-        base = tiny()
-        streamed = base.with_(**{"scale.stream_metrics_threshold": 2})
-        a, b = run_simulation(base), run_simulation(streamed)
-        for key, want in a.summary.items():
-            got = b.summary[key]
-            if isinstance(want, float) and math.isnan(want):
-                assert math.isnan(got)
-            else:
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9), key
-
-    def test_streaming_batched_matches_sequential(self):
-        cfg = tiny(seed=42).with_(**{"scale.stream_metrics_threshold": 2})
-        configs = [cfg, cfg.with_(seed=43, t_eval=0.5)]
-        batched = BatchedSimulation(configs).run()
-        for got, conf in zip(batched, configs):
-            assert_summaries_identical(got, run_simulation(conf), "stream: ")
-
-    def test_threshold_is_structural(self):
-        with pytest.raises(ValueError, match="stream_metrics_threshold"):
-            BatchedSimulation(
-                [tiny(), tiny().with_(**{"scale.stream_metrics_threshold": 2})]
-            )
 
 
 class TestSparseLedgerUnit:
@@ -448,5 +422,3 @@ class TestScaleConfigPlumbing:
             ScaleConfig(ledger_cap=0)
         with pytest.raises(ValueError, match="chunk_size"):
             ScaleConfig(chunk_size=0)
-        with pytest.raises(ValueError, match="stream_metrics_threshold"):
-            ScaleConfig(stream_metrics_threshold=1)
