@@ -53,8 +53,8 @@ __all__ = [
 #: ``events_active``.  3: the behaviour engine is gone; the state
 #: carries the pinned actions (``pin_share``, ``pin_edit``) and the
 #: per-lane ``rational_counts`` instead.  4: no RNG state (counter-based
-#: draws resume from ``step_count``), sorted voter rows, one per-type
-#: metrics array.
+#: draws resume from ``step_count``; no ``rational_counts``), sorted voter
+#: rows, one per-type metrics array.
 SNAPSHOT_VERSION = 4
 SNAPSHOT_DIR = "checkpoints"
 _MAGIC = b"RSNP"

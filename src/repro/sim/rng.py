@@ -184,7 +184,7 @@ class CounterDraws:
         local = np.arange(self.n_agents, dtype=np.uint64) * GAMMA
         self.base = (self.keys[:, None] + local).reshape(-1)
         self.block = max(1, BLOCK_TARGET // self.base.size)
-        #: (site, kind, bound) -> (first step, slot index or None, rows)
+        #: (site, conversion) -> (first step, index array or None, rows)
         self._cache: dict = {}
 
     def __reduce__(self):

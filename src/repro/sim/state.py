@@ -162,7 +162,6 @@ class SimState:
     metrics: MetricsCollector
     events: list[EventLog | None]  # per replicate
     rational_idx: np.ndarray  # flat slot ids of rational peers
-    rational_counts: list[int]  # rational peers per lane
     #: Pinned action per slot, -1 = free (:func:`repro.sim.phases.act.pin_actions`).
     pin_share: np.ndarray  # (R*N,) sharing action index or -1
     pin_edit: np.ndarray  # (R*N,) edit/vote action index or -1
@@ -417,7 +416,6 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
         metrics=metrics,
         events=events,
         rational_idx=rational_idx,
-        rational_counts=[int((row == RATIONAL).sum()) for row in types2d],
         pin_share=pin_share,
         pin_edit=pin_edit,
         scratch=StepScratch.create(n_rep, n),
