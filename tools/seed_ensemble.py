@@ -4,7 +4,7 @@
 Usage::
 
     PYTHONPATH=src python tools/seed_ensemble.py run --out ENSEMBLE.json \\
-        [--seeds 20] [--first-seed 1000] [--only NAME ...]
+        [--seeds 20] [--first-seed 1000]
     PYTHONPATH=src python tools/seed_ensemble.py compare A.json B.json \\
         [--alpha 0.05] [--markdown]
 
@@ -54,6 +54,7 @@ GATE: dict[str, dict] = {
 
 
 def gate_configs(name: str, seeds: list[int]) -> list:
+    """One ``SimulationConfig`` of the gate config ``name`` per seed."""
     from repro.agents.population import PopulationMix
     from repro.sim.config import SimulationConfig
 
@@ -64,13 +65,14 @@ def gate_configs(name: str, seeds: list[int]) -> list:
 
 
 def run(args) -> int:
+    """Run the gate's configs on the ``repro`` on the path; write the file."""
     import numpy as np
 
     import repro
     from repro.sim._sweep import run_sweep
 
     seeds = list(range(args.first_seed, args.first_seed + args.seeds))
-    names = args.only or list(GATE)
+    names = list(GATE)
     configs = [c for name in names for c in gate_configs(name, seeds)]
     results = run_sweep(configs, executor="serial")
     src = Path(repro.__file__).resolve().parents[2]
@@ -106,6 +108,7 @@ def _by_metric(ensemble: dict) -> dict[str, dict[str, list[float]]]:
 
 
 def compare(args) -> int:
+    """Test two ensemble files pair by pair; 1 if Holm rejects any pair."""
     from repro.analysis.stats import ensemble_equivalence
 
     a, b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
@@ -133,13 +136,13 @@ def compare(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Parse the command line and run the chosen subcommand."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run the gate's configs on this checkout")
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seeds", type=int, default=20)
     p_run.add_argument("--first-seed", type=int, default=1000)
-    p_run.add_argument("--only", nargs="+", choices=list(GATE), metavar="NAME")
     p_run.set_defaults(fn=run)
     p_cmp = sub.add_parser("compare", help="compare two ensemble files")
     p_cmp.add_argument("a")
