@@ -5,8 +5,7 @@ Usage::
 
     PYTHONPATH=src python tools/seed_ensemble.py run --out ENSEMBLE.json \\
         [--seeds 20] [--first-seed 1000]
-    PYTHONPATH=src python tools/seed_ensemble.py compare A.json B.json \\
-        [--alpha 0.05] [--markdown]
+    PYTHONPATH=src python tools/seed_ensemble.py compare A.json B.json
 
 ``run`` imports ``repro`` from ``PYTHONPATH``, so pointing it at another
 checkout's ``src`` runs that checkout's engine on the same configs.  It
@@ -17,10 +16,11 @@ commit and the NumPy version, to ``--out``.
 
 ``compare`` tests the two ensembles per (config, summary metric) with
 :func:`repro.analysis.stats.ensemble_equivalence` (Welch's p and Hedges'
-g, Holm-Bonferroni across every pair) and prints one row per tested
-pair.  It exits 1 when any pair is rejected, so a behaviour re-baseline
-can be gated on it: run the parent and the change on the same seeds,
-commit both files, compare.
+g, Holm-Bonferroni across every pair at family-wise alpha 0.05) and
+prints the 15 tested pairs with the smallest p.  It exits 1 when any
+pair is rejected, so a behaviour re-baseline can be gated on it: run
+the parent and the change on the same seeds, commit both files,
+compare.
 """
 
 from __future__ import annotations
@@ -115,22 +115,19 @@ def compare(args) -> int:
     if a["seeds"] != b["seeds"]:
         print("the ensembles ran different seeds", file=sys.stderr)
         return 2
-    rows = ensemble_equivalence(_by_metric(a), _by_metric(b), alpha=args.alpha)
+    rows = ensemble_equivalence(_by_metric(a), _by_metric(b))
     tested = sorted((r for r in rows if not r.equal), key=lambda r: r.p)
     rejected = [r for r in rows if r.reject]
-    if args.markdown:
-        print("| config | metric | mean A | mean B | Hedges' g | p | Holm |")
-        print("|---|---|---|---|---|---|---|")
-        line = "| {} | {} | {:.6g} | {:.6g} | {:+.3f} | {:.3g} | {} |"
-    else:
-        line = "{:<22} {:<40} {:>12.6g} {:>12.6g} {:>+8.3f} {:>9.3g} {}"
-    for r in tested[: args.top]:
-        print(line.format(r.config, r.metric, r.mean_a, r.mean_b, r.g, r.p,
-                          "reject" if r.reject else "-"))
+    print(f"{'config':<22} {'metric':<40} {'mean A':>12} {'mean B':>12} {'g':>8} {'p':>9} Holm")
+    for r in tested[:15]:
+        print(
+            f"{r.config:<22} {r.metric:<40} {r.mean_a:>12.6g} {r.mean_b:>12.6g} "
+            f"{r.g:>+8.3f} {r.p:>9.3g} {'reject' if r.reject else '-'}"
+        )
     print(
         f"\n{len(rows)} pairs over {len(a['configs'])} configs x {len(a['seeds'])} seeds: "
         f"{len(rows) - len(tested)} equal untested, {len(tested)} tested, "
-        f"{len(rejected)} rejected (Holm, family-wise alpha {args.alpha})"
+        f"{len(rejected)} rejected (Holm, family-wise alpha 0.05)"
     )
     return 1 if rejected else 0
 
@@ -147,9 +144,6 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="compare two ensemble files")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
-    p_cmp.add_argument("--alpha", type=float, default=0.05)
-    p_cmp.add_argument("--top", type=int, default=15, help="rows printed, smallest p first")
-    p_cmp.add_argument("--markdown", action="store_true")
     p_cmp.set_defaults(fn=compare)
     args = parser.parse_args(argv)
     return args.fn(args)
