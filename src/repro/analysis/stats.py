@@ -17,8 +17,16 @@ __all__ = [
     "hedges_g",
     "holm_reject",
     "PairTest",
+    "EQUIVALENCE_ALPHA",
+    "EQUIVALENCE_RTOL",
     "ensemble_equivalence",
 ]
+
+#: Family-wise error rate of :func:`ensemble_equivalence`'s Holm step.
+EQUIVALENCE_ALPHA = 0.05
+#: Relative tolerance under which :func:`ensemble_equivalence` calls two
+#: means equal without a test.
+EQUIVALENCE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -158,13 +166,14 @@ class PairTest:
     p: float
     #: Hedges' g of side b against side a (NaN when undefined).
     g: float
-    #: Decided equal without a test: both all-NaN, or means within ``rtol``.
+    #: Decided equal without a test: both all-NaN, or means within
+    #: :data:`EQUIVALENCE_RTOL`.
     equal: bool
     #: Rejected by Holm-Bonferroni across every tested pair.
     reject: bool
 
 
-def _pair(config, metric, a, b, rtol) -> PairTest:
+def _pair(config, metric, a, b) -> PairTest:
     xa = np.asarray(a, dtype=np.float64)
     xb = np.asarray(b, dtype=np.float64)
     fa, fb = xa[~np.isnan(xa)], xb[~np.isnan(xb)]
@@ -176,7 +185,7 @@ def _pair(config, metric, a, b, rtol) -> PairTest:
     if not fa.size or not fb.size:
         # Defined on one side only: a difference no test is needed for.
         return PairTest(config, metric, mean_a, mean_b, 0.0, g, False, False)
-    if abs(mean_a - mean_b) <= rtol * max(abs(mean_a), abs(mean_b)):
+    if abs(mean_a - mean_b) <= EQUIVALENCE_RTOL * max(abs(mean_a), abs(mean_b)):
         return PairTest(config, metric, mean_a, mean_b, float("nan"), g, True, False)
     _, p = welch_t_test(fa, fb)
     if np.isnan(p):
@@ -188,22 +197,20 @@ def _pair(config, metric, a, b, rtol) -> PairTest:
 def ensemble_equivalence(
     a: dict[str, dict[str, list[float]]],
     b: dict[str, dict[str, list[float]]],
-    alpha: float = 0.05,
-    rtol: float = 1e-9,
 ) -> list[PairTest]:
     """Compare two seed ensembles per (config, summary metric).
 
     ``a`` and ``b`` map a config name to ``{metric: per-seed values}``;
     both must name the same configs and metrics.  A pair is equal when
-    both sides are all-NaN or their means agree within relative
-    tolerance ``rtol`` (a reordered float sum moves a constant metric by
-    a few ULPs, which no test should see).  Every other pair gets
-    Welch's two-sided p (:func:`welch_t_test`; a metric defined on one
-    side only, or constant on both sides at different values, gets
-    p = 0) and Hedges' g (:func:`hedges_g`).  Holm-Bonferroni then runs
-    across all tested pairs of all configs together, at family-wise
-    ``alpha`` (:func:`holm_reject`).  Rows come back sorted by config
-    and metric.
+    both sides are all-NaN or their means agree within the relative
+    tolerance :data:`EQUIVALENCE_RTOL` (a reordered float sum moves a
+    constant metric by a few ULPs, which no test should see).  Every
+    other pair gets Welch's two-sided p (:func:`welch_t_test`; a metric
+    defined on one side only, or constant on both sides at different
+    values, gets p = 0) and Hedges' g (:func:`hedges_g`).
+    Holm-Bonferroni then runs across all tested pairs of all configs
+    together, at family-wise :data:`EQUIVALENCE_ALPHA`
+    (:func:`holm_reject`).  Rows come back sorted by config and metric.
     """
     if sorted(a) != sorted(b):
         raise ValueError("the ensembles must name the same configs")
@@ -212,11 +219,11 @@ def ensemble_equivalence(
         if sorted(a[config]) != sorted(b[config]):
             raise ValueError(f"{config}: the ensembles must name the same metrics")
         rows.extend(
-            _pair(config, metric, a[config][metric], b[config][metric], rtol)
+            _pair(config, metric, a[config][metric], b[config][metric])
             for metric in sorted(a[config])
         )
     tested = [i for i, row in enumerate(rows) if not row.equal]
-    rejected = holm_reject([rows[i].p for i in tested], alpha)
+    rejected = holm_reject([rows[i].p for i in tested], EQUIVALENCE_ALPHA)
     for i, reject in zip(tested, rejected):
         rows[i] = dataclasses.replace(rows[i], reject=bool(reject))
     return rows

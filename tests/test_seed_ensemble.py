@@ -63,3 +63,12 @@ def test_gate_configs_build_valid_configs():
     assert (base.training_steps, base.eval_steps) == (10_000, 3_000)
     mix = seed_ensemble.gate_configs("fig4-mix-0.2-0.6-0.2", [1])[0].mix
     assert (mix.rational, mix.altruistic, mix.irrational) == (0.2, 0.6, 0.2)
+
+
+def test_the_committed_ensembles_ran_the_gate_seeds_and_configs():
+    paths = sorted((ROOT / "docs" / "rebaseline").glob("*.json"))
+    assert len(paths) == 2
+    for path in paths:
+        ensemble = json.loads(path.read_text())
+        assert ensemble["seeds"] == list(seed_ensemble.SEEDS)
+        assert sorted(ensemble["configs"]) == sorted(seed_ensemble.GATE)

@@ -3,24 +3,22 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/seed_ensemble.py run --out ENSEMBLE.json \\
-        [--seeds 20] [--first-seed 1000]
+    PYTHONPATH=src python tools/seed_ensemble.py run --out ENSEMBLE.json
     PYTHONPATH=src python tools/seed_ensemble.py compare A.json B.json
 
 ``run`` imports ``repro`` from ``PYTHONPATH``, so pointing it at another
 checkout's ``src`` runs that checkout's engine on the same configs.  It
-runs every config of :data:`GATE` over seeds ``first-seed ..
-first-seed + seeds - 1`` as one serial sweep (each config's seeds form
-one lane batch) and writes every seed's evaluation summary, plus the
-commit and the NumPy version, to ``--out``.
+runs every config of :data:`GATE` over the fixed :data:`SEEDS` as one
+serial sweep (each config's seeds form one lane batch) and writes every
+seed's evaluation summary, plus the commit and the NumPy version, to
+``--out``.
 
 ``compare`` tests the two ensembles per (config, summary metric) with
 :func:`repro.analysis.stats.ensemble_equivalence` (Welch's p and Hedges'
 g, Holm-Bonferroni across every pair at family-wise alpha 0.05) and
 prints the 15 tested pairs with the smallest p.  It exits 1 when any
 pair is rejected, so a behaviour re-baseline can be gated on it: run
-the parent and the change on the same seeds, commit both files,
-compare.
+the parent and the change, commit both files, compare.
 """
 
 from __future__ import annotations
@@ -30,6 +28,10 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+#: The gate's seeds.  Fixed, so a rejected re-baseline cannot be
+#: re-run on other seeds until it passes.
+SEEDS = range(1000, 1020)
 
 #: The gate's configs: the paper's default at the full 10k + 3k
 #: protocol, and the schemes, a figure mix, churn with both adversary
@@ -71,7 +73,7 @@ def run(args) -> int:
     import repro
     from repro.sim._sweep import run_sweep
 
-    seeds = list(range(args.first_seed, args.first_seed + args.seeds))
+    seeds = list(SEEDS)
     names = list(GATE)
     configs = [c for name in names for c in gate_configs(name, seeds)]
     results = run_sweep(configs, executor="serial")
@@ -109,7 +111,7 @@ def _by_metric(ensemble: dict) -> dict[str, dict[str, list[float]]]:
 
 def compare(args) -> int:
     """Test two ensemble files pair by pair; 1 if Holm rejects any pair."""
-    from repro.analysis.stats import ensemble_equivalence
+    from repro.analysis.stats import EQUIVALENCE_ALPHA, ensemble_equivalence
 
     a, b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
     if a["seeds"] != b["seeds"]:
@@ -127,7 +129,7 @@ def compare(args) -> int:
     print(
         f"\n{len(rows)} pairs over {len(a['configs'])} configs x {len(a['seeds'])} seeds: "
         f"{len(rows) - len(tested)} equal untested, {len(tested)} tested, "
-        f"{len(rejected)} rejected (Holm, family-wise alpha 0.05)"
+        f"{len(rejected)} rejected (Holm, family-wise alpha {EQUIVALENCE_ALPHA})"
     )
     return 1 if rejected else 0
 
@@ -138,8 +140,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run the gate's configs on this checkout")
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seeds", type=int, default=20)
-    p_run.add_argument("--first-seed", type=int, default=1000)
     p_run.set_defaults(fn=run)
     p_cmp = sub.add_parser("compare", help="compare two ensemble files")
     p_cmp.add_argument("a")
