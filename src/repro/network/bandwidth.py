@@ -66,12 +66,14 @@ def sample_download_requests_overlay(
     ``uint64`` word per peer (the lane's counter-based draws,
     :mod:`repro.sim.rng`).  A peer requests when its uniform falls below
     ``P`` (``1/N_S`` when ``download_probability`` is ``None``); its
-    source is uniform over its sharing neighbours,
-    ``((word >> 32) * k) >> 32`` of its ``k`` candidates in ascending id
-    order.  Peers whose entire neighbourhood shares nothing simply issue
+    source is uniform over its sharing neighbours: the candidate at
+    ``to_below(word, k)`` (:func:`repro.sim.rng.to_below`) of its ``k``
+    candidates in ascending id order.  Peers whose entire neighbourhood shares nothing simply issue
     no request this step (they are partition-starved — one of the
     effects an overlay introduces).
     """
+    from ..sim.rng import to_below  # repro.sim imports this package
+
     sharing_mask = np.asarray(sharing_mask, dtype=bool)
     n_s = int(sharing_mask.sum())
     empty = DownloadRequests(
@@ -85,16 +87,15 @@ def sample_download_requests_overlay(
     wants = np.flatnonzero(u < p)
     if wants.size == 0:
         return empty
-    picks = (words[wants] >> np.uint64(32)).tolist()
     downloaders = []
     sources = []
-    for d, pick in zip(wants.tolist(), picks):
+    for d in wants.tolist():
         candidates = overlay.reachable_sharers(d, sharing_mask)
         candidates = candidates[candidates != d]
         if candidates.size == 0:
             continue
         downloaders.append(d)
-        sources.append(int(candidates[(pick * candidates.size) >> 32]))
+        sources.append(int(candidates[to_below(words[d], candidates.size)]))
     if not downloaders:
         return empty
     return DownloadRequests(

@@ -42,8 +42,8 @@ def select_rational(
 
     One learner stacks every lane's rational peers (ordered like
     ``state.rational_idx``), so selection is one vectorized call, and
-    each rational slot draws one word from ``site`` at this step (one
-    call serves every lane).  ``temperature`` is a scalar (the
+    each rational slot takes its own slot's word of ``site`` at this
+    step (one call serves every lane).  ``temperature`` is a scalar (the
     homogeneous fast path) or a per-lane ``(R,)`` array: ``T = inf``
     rows take a uniform integer over the actions, finite rows are
     Boltzmann-sampled with their lane's temperature from the word's
@@ -54,11 +54,11 @@ def select_rational(
     ridx = state.rational_idx
     if np.ndim(temperature) == 0:
         if temperature == np.inf:
-            return draws.integers(step, site, learner.n_actions, ridx)
-        u = draws.uniforms(step, site, ridx)
+            return draws.integers(step, site, learner.n_actions)[ridx]
+        u = draws.uniforms(step, site)[ridx]
         return learner.select_actions(states, temperature, u=u[:, None])
 
-    words = draws.words(step, site, ridx)
+    words = draws.words(step, site)[ridx]
     actions = to_below(words, learner.n_actions)
     t_rows = np.asarray(temperature, dtype=np.float64)[ridx // state.n_agents]
     finite = (t_rows != np.inf).nonzero()[0]

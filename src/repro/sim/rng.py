@@ -152,7 +152,8 @@ def to_below(u: np.ndarray, n) -> np.ndarray:
     """Integers uniform on ``[0, n)`` from hashed words (``n < 2**32``).
 
     ``((u >> 32) * n) >> 32``: the top 32 bits scaled by ``n`` (an int
-    or an array, broadcast against ``u``), as int64.
+    or an array, broadcast against ``u``), as int64.  ``u`` may also be
+    one ``np.uint64`` word, which gives one ``np.int64``.
     """
     n = np.asarray(n, dtype=np.uint64)
     return (((u >> _S32) * n) >> _S32).astype(np.int64)
@@ -164,8 +165,10 @@ class CounterDraws:
     ``keys`` holds one draw key per lane (:func:`lane_key`), and
     ``base[r * N + i] = keys[r] + i * GAMMA`` is every slot's counter
     before the step's salt.  :meth:`words` returns the hashed words of
-    one site at one step for every slot, or for the slots of a fixed
-    index array; :meth:`uniforms` and :meth:`integers` convert them.
+    one site at one step for every slot; :meth:`uniforms` and
+    :meth:`integers` convert them.  A site that draws for some slots
+    only indexes the full row, so a slot's draw never depends on which
+    other slots draw.
 
     A narrow state (``R * N`` below :data:`BLOCK_TARGET`) hashes a block
     of steps per site in one call and serves the following steps from
@@ -184,43 +187,38 @@ class CounterDraws:
         local = np.arange(self.n_agents, dtype=np.uint64) * GAMMA
         self.base = (self.keys[:, None] + local).reshape(-1)
         self.block = max(1, BLOCK_TARGET // self.base.size)
-        #: (site, conversion) -> (first step, index array or None, rows)
+        #: (site, conversion) -> (first step, converted rows)
         self._cache: dict = {}
 
     def __reduce__(self):
         return (CounterDraws, (self.keys, self.n_agents))
 
-    def _hash(self, step: int, site: int, idx, n_steps: int) -> np.ndarray:
-        """``(n_steps, width)`` words of ``site`` from ``step`` on."""
-        base = self.base if idx is None else self.base[idx]
+    def _hash(self, step: int, site: int, n_steps: int) -> np.ndarray:
+        """``(n_steps, R * N)`` words of ``site`` from ``step`` on."""
         salts = salt(np.arange(step, step + n_steps), site)
-        return mix64(base + salts[:, None])
+        return mix64(self.base + salts[:, None])
 
-    def _served(self, step: int, site: int, idx, kind, convert) -> np.ndarray:
+    def _served(self, step: int, site: int, kind, convert) -> np.ndarray:
         """One step's row of ``site``, converted; cached by block."""
         if self.block == 1:
-            return convert(self._hash(step, site, idx, 1)[0])
+            return convert(self._hash(step, site, 1)[0])
         entry = self._cache.get((site, kind))
-        if entry is None or entry[1] is not idx or not 0 <= step - entry[0] < self.block:
-            entry = (step, idx, convert(self._hash(step, site, idx, self.block)))
+        if entry is None or not 0 <= step - entry[0] < self.block:
+            entry = (step, convert(self._hash(step, site, self.block)))
             self._cache[site, kind] = entry
-        return entry[2][step - entry[0]]
+        return entry[1][step - entry[0]]
 
-    def words(self, step: int, site: int, idx: np.ndarray | None = None) -> np.ndarray:
-        """Hashed ``uint64`` words of every slot (or of ``idx``) at ``step``."""
-        return self._served(step, site, idx, "words", _same)
+    def words(self, step: int, site: int) -> np.ndarray:
+        """Hashed ``uint64`` words of every slot at ``step``."""
+        return self._served(step, site, "words", _same)
 
-    def uniforms(self, step: int, site: int, idx: np.ndarray | None = None) -> np.ndarray:
-        """Uniforms on ``[0, 1)`` of every slot (or of ``idx``) at ``step``."""
-        return self._served(step, site, idx, "uniform", to_uniform)
+    def uniforms(self, step: int, site: int) -> np.ndarray:
+        """Uniforms on ``[0, 1)`` of every slot at ``step``."""
+        return self._served(step, site, "uniform", to_uniform)
 
-    def integers(
-        self, step: int, site: int, n: int, idx: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Integers uniform on ``[0, n)`` of every slot (or of ``idx``)."""
-        return self._served(
-            step, site, idx, ("below", n), lambda u: to_below(u, n)
-        )
+    def integers(self, step: int, site: int, n: int) -> np.ndarray:
+        """Integers uniform on ``[0, n)`` of every slot at ``step``."""
+        return self._served(step, site, ("below", n), lambda u: to_below(u, n))
 
     def at(self, step: int, site: int, lanes: np.ndarray, counters: np.ndarray) -> np.ndarray:
         """Hashed words of ad-hoc lane-local ``counters`` in ``lanes``.

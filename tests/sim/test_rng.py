@@ -121,23 +121,17 @@ class TestCounterDraws:
 
     def test_block_size_never_changes_a_value(self):
         """B = 1 (hash per step) and B = BLOCK_TARGET agree at every
-        step, for every conversion, on all slots and on an index subset;
-        steps are served out of order, across block boundaries."""
+        step, for every conversion, with two conversions of one site
+        cached side by side; steps are served out of order, across
+        block boundaries."""
         per_step, blocked = _draws([3, 4], 20), _draws([3, 4], 20)
         per_step.block, blocked.block = 1, BLOCK_TARGET
-        idx = np.array([1, 7, 22, 39])
         for step in [0, 1, 2, 5, BLOCK_TARGET - 1, BLOCK_TARGET, 3, 2 * BLOCK_TARGET + 1]:
             for a, b in (
                 (per_step.words(step, SITE_SOURCE), blocked.words(step, SITE_SOURCE)),
                 (per_step.uniforms(step, SITE_REQUEST), blocked.uniforms(step, SITE_REQUEST)),
-                (
-                    per_step.integers(step, SITE_EDIT, 4, idx),
-                    blocked.integers(step, SITE_EDIT, 4, idx),
-                ),
-                (
-                    per_step.uniforms(step, SITE_EDIT, idx),
-                    blocked.uniforms(step, SITE_EDIT, idx),
-                ),
+                (per_step.integers(step, SITE_EDIT, 4), blocked.integers(step, SITE_EDIT, 4)),
+                (per_step.uniforms(step, SITE_EDIT), blocked.uniforms(step, SITE_EDIT)),
             ):
                 assert np.array_equal(a, b)
         assert per_step._cache == {}
@@ -156,6 +150,10 @@ class TestCounterDraws:
         assert to_uniform(u).tolist() == [0.0, 0.0, 1.0 - 2.0**-53, 0.5]
         assert to_below(u, 10).tolist() == [0, 0, 9, 5]
         assert to_below(u, np.array([1, 2, 3, 4])).tolist() == [0, 0, 2, 2]
+        # One word (the overlay sampler's per-requester pick) converts alike.
+        for word, expected in zip(u, [0, 0, 6, 3]):
+            pick = to_below(word, 7)
+            assert isinstance(pick, np.int64) and pick == expected
 
     def test_pickles_without_its_cache(self):
         draws = _draws([1, 2], 8)
