@@ -24,14 +24,13 @@ import warnings
 from typing import Any
 
 from .sim._sweep import run_sweep as _run_sweep
-from .sim.config import ScaleConfig, SimulationConfig
+from .sim.config import SimulationConfig
 from .sim.engine import SimulationResult, run_simulation
 from .store._runstore import RunStore
 from .store.compose import compose_scenarios
 
 __all__ = [
     "SimulationConfig",
-    "ScaleConfig",
     "SimulationResult",
     "RunStore",
     "run",

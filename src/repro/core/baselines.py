@@ -89,15 +89,18 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
     ``epsilon + given[i, j]`` — strangers receive only the optimistic-
     unchoke floor ``epsilon``.
 
-    Storage has two modes sharing one book-keeping code path:
+    Storage has two modes sharing one book-keeping code path, picked by
+    ``ledger_cap``:
 
-    * **dense** (default): the historical ``(R, N, N)`` matrix — exact,
-      but O(N²) memory, capping populations at a few thousand peers;
-    * **sparse** (``sparse=True``): a
+    * **dense** (``None``, the default): the historical ``(R, N, N)``
+      matrix — exact, but O(N²) memory, capping populations at a few
+      thousand peers;
+    * **capped** (an int, or a per-slot array): a
       :class:`~repro.core.sparse.SparseInteractionLedger` of at most
       ``ledger_cap`` partners per peer — O(N·cap) memory, bit-identical
       to the dense matrix while no row overflows its cap (the engine's
-      scale packs run 50k+ peers this way).
+      scale packs run 50k+ peers this way), but slower than the dense
+      gather at small N.
 
     Per-peer service totals (what ``reputation_s`` normalizes) are
     maintained *incrementally* in both modes — decayed and accumulated by
@@ -115,9 +118,7 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
         optimistic_floor: float = 0.05,
         history_decay: float = 0.995,
         n_replicates: int = 1,
-        sparse: bool = False,
-        ledger_cap: int | np.ndarray = 64,
-        chunk_size: int = 32_768,
+        ledger_cap: int | np.ndarray | None = None,
     ) -> None:
         # Lane batches pass ``optimistic_floor`` as a per-slot (R*N,)
         # array and ``history_decay`` as a per-replicate (R,) array; both
@@ -146,16 +147,12 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
             else float(history_decay)
         )
         self.kernels = _kernels()
-        self.sparse = bool(sparse)
-        if self.sparse:
+        if ledger_cap is not None:
             # Capped interaction rows: O(N·cap) instead of O(N²).  The
             # cap may be a per-slot array (lane batching lifts it like
             # every other per-lane knob).
             self._ledger = SparseInteractionLedger(
-                n_peers,
-                n_replicates=self.n_replicates,
-                cap=ledger_cap,
-                chunk_size=chunk_size,
+                n_peers, n_replicates=self.n_replicates, cap=ledger_cap
             )
             self._given = None
         else:
@@ -196,7 +193,7 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
         """Direct-experience matrix: ``(N, N)`` for a single run (the
         historical shape), ``(R, N, N)`` when replicates are stacked.
 
-        The sparse mode materializes the dense matrix on demand — an
+        The capped mode materializes the dense matrix on demand — an
         introspection convenience, not a hot path.
         """
         dense = (
@@ -259,7 +256,7 @@ class PrivateHistoryScheme(_UndifferentiatedEditingMixin):
         decay = self.history_decay
         # Decay pairwise cells and totals with the same per-replicate
         # scaling; both modes execute identical total-side operations, so
-        # sparse and dense runs see bit-identical reputations.
+        # capped and dense runs see bit-identical reputations.
         if self.n_replicates == 1:
             if self._given is None:
                 self._ledger.decay_rows(decay)

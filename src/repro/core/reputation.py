@@ -213,7 +213,7 @@ class ViewMemo:
     states by the reputation array they came from (compared by
     identity, and held, so the key cannot be recycled).  A memo is
     derived data, not run state: it has no ``__dict__``, so the state
-    fingerprint walk (:func:`repro.sim.testing.collect_arrays`) never
+    fingerprint walk of the golden tests (``collect_arrays``) never
     reaches it, and it pickles empty, so a restored scheme or state
     derives its first view afresh.
     """

@@ -18,15 +18,16 @@ CSR-style fixed-width rows, no per-step Python dicts:
   ``(-1, 0.0)``).
 
 Memory is ``n_slots * cap * 16`` bytes — ``O(N)`` for a fixed cap — and
-every operation is vectorized and **chunked**: lookups and accumulations
-process at most ``chunk_size`` rows at a time, so the peak working set is
-bounded by the chunk, not the request count.  Their ``(m, w)``
-temporaries span only the *live width* ``w``: the widest live row of the
-ledger (lookups) or of the chunk (accumulations), at least 1.  Rows are
-compact, so no column past it can match; decay still scales the full
-width, which is faster than a strided live-width view.  Neither chunking
-nor the live width changes results (all per-chunk work is elementwise or
-row-local, and chunks are processed in input order).
+every operation is vectorized and **chunked**: lookups and the
+classification pass of accumulations scan at most :data:`LEDGER_CHUNK`
+requests at a time, so the peak working set is bounded by the chunk, not
+the request count.  Their ``(m, w)`` temporaries span only the *live
+width* ``w``: the widest live row of the ledger (lookups) or of the chunk
+(accumulations), at least 1.  Rows are compact, so no column past it can
+match; decay still scales the full width, which is faster than a strided
+live-width view.  Neither the chunk nor the live width changes a result:
+lookups are row-local, and one ``add`` classifies every request against
+the state at the start of the call before it changes any row.
 
 Exactness contract
 ------------------
@@ -51,7 +52,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SparseInteractionLedger"]
+__all__ = ["LEDGER_CHUNK", "SparseInteractionLedger"]
+
+#: Requests per vectorized scan in ``lookup``/``add``: bounds the
+#: ``(chunk, live width)`` temporaries.  No chunk size changes a result.
+LEDGER_CHUNK = 32_768
 
 
 class SparseInteractionLedger:
@@ -68,10 +73,6 @@ class SparseInteractionLedger:
         (lane batching lifts the cap like any other per-lane knob); the
         allocation width is then ``max(cap)`` and each row evicts at its
         own cap, exactly as a solo ledger with that scalar cap would.
-    chunk_size:
-        Rows per vectorized chunk in ``lookup``/``add`` — bounds the
-        ``(chunk, live width)`` temporaries; pure execution knob, results
-        are identical for any positive value.
     """
 
     def __init__(
@@ -79,12 +80,9 @@ class SparseInteractionLedger:
         n_local: int,
         n_replicates: int = 1,
         cap: int | np.ndarray = 64,
-        chunk_size: int = 32_768,
     ) -> None:
         if n_local < 1 or n_replicates < 1:
             raise ValueError("need n_local >= 1 and n_replicates >= 1")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         cap_arr = np.asarray(cap)
         if np.any(cap_arr < 1):
             raise ValueError("ledger cap must be >= 1")
@@ -105,7 +103,6 @@ class SparseInteractionLedger:
             self.n_slots,
         ):
             raise ValueError("per-slot cap must have shape (n_slots,)")
-        self.chunk_size = int(chunk_size)
         # The engine's kernel instance, imported late (repro.sim imports
         # this module); ``lookup``/``add`` run its ledger kernels.
         from ..sim.backends import KERNELS
@@ -131,7 +128,7 @@ class SparseInteractionLedger:
         cols = np.asarray(cols, dtype=np.int64)
         w = max(int(self.counts.max()), 1)
         return self.kernels.ledger_lookup(
-            self.partners[:, :w], self.amounts[:, :w], rows, cols, self.chunk_size
+            self.partners[:, :w], self.amounts[:, :w], rows, cols, LEDGER_CHUNK
         )
 
     def add(
@@ -155,7 +152,7 @@ class SparseInteractionLedger:
             rows,
             cols,
             amounts,
-            self.chunk_size,
+            LEDGER_CHUNK,
         )
 
     # ------------------------------------------------------------------

@@ -54,8 +54,9 @@ __all__ = [
 #: carries the pinned actions (``pin_share``, ``pin_edit``) and the
 #: per-lane ``rational_counts`` instead.  4: no RNG state (counter-based
 #: draws resume from ``step_count``; no ``rational_counts``), sorted voter
-#: rows, one per-type metrics array.
-SNAPSHOT_VERSION = 4
+#: rows, one per-type metrics array.  5: the tft scheme and its ledger
+#: lost their ``sparse`` and ``chunk_size`` attributes.
+SNAPSHOT_VERSION = 5
 SNAPSHOT_DIR = "checkpoints"
 _MAGIC = b"RSNP"
 

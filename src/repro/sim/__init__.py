@@ -1,7 +1,7 @@
 """Simulation engine: config, RNG streams, metrics, phase-kernel engine
 (single-run and lane-batched), sweeps, scenarios."""
 
-from .config import ScaleConfig, SimulationConfig
+from .config import SimulationConfig
 from .engine import (
     BatchedSimulation,
     CollaborationSimulation,
@@ -22,7 +22,6 @@ from ._sweep import (
 )
 
 __all__ = [
-    "ScaleConfig",
     "SimulationConfig",
     "CollaborationSimulation",
     "BatchedSimulation",

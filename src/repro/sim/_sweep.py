@@ -387,7 +387,7 @@ def plan_lane_batches(
         )
         batch = groups.get(key)
         # A batch's width is the min over its members' derived widths:
-        # non-structural knobs (e.g. a per-lane ledger_cap) can grow the
+        # non-structural knobs (e.g. a per-lane tft_ledger_cap) can grow the
         # footprint mid-group, and the ledger allocates every row at the
         # batch's widest cap — so a heavy lane narrows the batch it joins.
         # The width is per *open batch*, not per key: once a heavy batch

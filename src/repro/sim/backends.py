@@ -225,44 +225,39 @@ class NumpyKernels:
         add_amounts: np.ndarray,
         chunk_size: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Chunked classify/accumulate/insert with decay-eviction.
+        """Classify, accumulate, insert with decay-eviction: one rule per call.
 
-        Per chunk: classification against the chunk-start state, hits
-        accumulated first, then misses inserted (evicting the smallest
-        stored amount of any full row).  Eviction choices depend on
-        this order.  Classification scans only the chunk's live width
-        (its widest row, at least 1): rows are compact, so no column past
-        it can match.
+        Every request is classified against the state at the start of
+        the call, at most ``chunk_size`` requests per scan, each scan over
+        its chunk's live width (its widest row, at least 1: rows are
+        compact, so no column past it can match).  Then every hit
+        accumulates and every miss is inserted in one pass, evicting the
+        smallest stored amount of any full row.  No row changes before
+        classification ends, so ``chunk_size`` bounds the temporaries
+        and never changes a result.
         """
-        ev_rows: list[np.ndarray] = []
-        ev_amts: list[np.ndarray] = []
+        live = add_amounts != 0.0  # dense cells ignore +0.0; don't spend capacity
+        if not live.all():
+            rows, cols, add_amounts = rows[live], cols[live], add_amounts[live]
+        hit = np.empty(rows.size, dtype=bool)
+        pos = np.empty(rows.size, dtype=np.int64)
         for lo in range(0, rows.size, chunk_size):
             r = rows[lo : lo + chunk_size]
-            c = cols[lo : lo + chunk_size]
-            a = add_amounts[lo : lo + chunk_size]
-            live = a != 0.0  # dense cells ignore +0.0; don't spend capacity
-            if not live.all():
-                r, c, a = r[live], c[live], a[live]
-            if not r.size:
-                continue
             w = max(int(counts[r].max()), 1)
-            hit, pos = _first_match(partners[r, :w] == c[:, None])
-            if hit.any():
-                # (row, pos) targets are distinct within a call (pairs are
-                # unique), so fancy-index accumulation is exact.
-                amounts[r[hit], pos[hit]] += a[hit]
-            miss = ~hit
-            if miss.any():
-                got = self._ledger_insert(
-                    partners, amounts, counts, row_cap, r[miss], c[miss], a[miss]
-                )
-                if got is not None:
-                    ev_rows.append(got[0])
-                    ev_amts.append(got[1])
-        if not ev_rows:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, np.empty(0, dtype=np.float64)
-        return np.concatenate(ev_rows), np.concatenate(ev_amts)
+            hit[lo : lo + chunk_size], pos[lo : lo + chunk_size] = _first_match(
+                partners[r, :w] == cols[lo : lo + chunk_size, None]
+            )
+        if hit.any():
+            # (row, pos) targets are distinct within a call (pairs are
+            # unique), so fancy-index accumulation is exact.
+            amounts[rows[hit], pos[hit]] += add_amounts[hit]
+        miss = ~hit
+        if miss.any():
+            return self._ledger_insert(
+                partners, amounts, counts, row_cap,
+                rows[miss], cols[miss], add_amounts[miss],
+            )
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
     @staticmethod
     def _ledger_insert(
@@ -273,8 +268,11 @@ class NumpyKernels:
         rows: np.ndarray,
         cols: np.ndarray,
         add_amounts: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Append new partners; evict the smallest entry of any full row."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Append new partners; evict the smallest entry of any full row.
+
+        Returns the evicted ``(rows, amounts)``, empty when no row overflows.
+        """
         from ..core.params import gather_param
 
         order = np.argsort(rows, kind="stable")
@@ -295,8 +293,6 @@ class NumpyKernels:
             amounts[sr[ok], slot[ok]] = add_amounts[src]
             np.add.at(counts, sr[ok], 1)
         overflow = (~ok).nonzero()[0]
-        if not overflow.size:
-            return None
         # Decay-eviction (rare; the approximation regime): replace the
         # smallest stored amount — stale partners have decayed furthest.
         ev_rows = np.empty(overflow.size, dtype=np.int64)

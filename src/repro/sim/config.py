@@ -10,42 +10,12 @@ documented at their field definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 from ..agents.population import PopulationMix
 from ..core.params import PaperConstants
 
-__all__ = ["ScaleConfig", "SimulationConfig"]
-
-
-@dataclass(frozen=True)
-class ScaleConfig:
-    """Memory-bounded scale path (docs/ARCHITECTURE.md, "Scale path").
-
-    The default configuration is the dense engine: dense pairwise state
-    and unchunked-in-practice kernels (the chunk is far larger than any
-    small-N request batch).  Large-population packs flip ``sparse``; see
-    the ``scale/`` scenario family.
-    """
-
-    #: Store the tit-for-tat private history as a capped sparse ledger
-    #: (O(N·cap)) instead of the dense (R, N, N) matrix (O(N²)).  Bit-
-    #: identical to dense while no peer exceeds ``ledger_cap`` distinct
-    #: partners; beyond that the smallest (most-decayed) entry is evicted.
-    sparse: bool = False
-    #: Partners remembered per peer on the sparse path.  Lane batching
-    #: lifts this per lane like any other non-structural knob.
-    ledger_cap: int = 64
-    #: Rows per vectorized chunk in the sparse-ledger kernels; bounds
-    #: peak temporaries without changing results (processing stays in
-    #: input order).
-    chunk_size: int = 32_768
-
-    def __post_init__(self) -> None:
-        if self.ledger_cap < 1:
-            raise ValueError("ledger_cap must be >= 1")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+__all__ = ["SimulationConfig"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +56,12 @@ class SimulationConfig:
     #: Geometric decay of the tit-for-tat private history per settlement
     #: round (BitTorrent-style rolling rate estimate).
     tft_history_decay: float = 0.995
+    #: Storage of the tit-for-tat private history.  ``None`` keeps the
+    #: exact dense ``(N, N)`` matrix; an int keeps at most that many
+    #: partners per peer in a capped ledger (O(N·cap) memory, evicting
+    #: the smallest entry of a full row; see docs/ARCHITECTURE.md,
+    #: "Scale path").  The large-N packs set 64.
+    tft_ledger_cap: int | None = None
 
     # --- learning (paper: 10 states, T=inf then T=1, 10k training) ----
     n_states: int = 10
@@ -159,9 +135,6 @@ class SimulationConfig:
     #: which models only the R_min reputation trade-off.
     sybil_rate: float = 0.0
 
-    # --- scale path (off by default; see docs/ARCHITECTURE.md) --------
-    scale: ScaleConfig = field(default_factory=ScaleConfig)
-
     # --- bookkeeping ---------------------------------------------------
     seed: int = 0
     collect_events: bool = False
@@ -170,6 +143,18 @@ class SimulationConfig:
     measure_window: float = 0.5
 
     def __post_init__(self) -> None:
+        # Canonical hashing maps 7.0 to 7 and a dataclass to a dict, so a
+        # mistyped field would hash as the valid config and fail only
+        # when run: check every field against its annotation first.
+        for name, kinds in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if not isinstance(value, kinds) or (
+                isinstance(value, bool) and bool not in kinds
+            ):
+                allowed = " or ".join(
+                    "None" if k is type(None) else k.__name__ for k in kinds
+                )
+                raise TypeError(f"{name} must be {allowed}, got {value!r}")
         if self.n_agents < 2:
             raise ValueError("n_agents must be >= 2")
         if self.n_states < 1:
@@ -204,6 +189,8 @@ class SimulationConfig:
             raise ValueError("tft_optimistic_floor must be positive")
         if not 0.0 < self.tft_history_decay <= 1.0:
             raise ValueError("tft_history_decay must be in (0, 1]")
+        if self.tft_ledger_cap is not None and self.tft_ledger_cap < 1:
+            raise ValueError("tft_ledger_cap must be None or >= 1")
         if self.scheme not in ("auto", "reputation", "none", "tft", "karma"):
             raise ValueError(
                 f"unknown scheme {self.scheme!r}; "
@@ -219,20 +206,7 @@ class SimulationConfig:
 
     # ------------------------------------------------------------------
     def with_(self, **changes: Any) -> "SimulationConfig":
-        """Functional update, e.g. ``config.with_(seed=7)``.
-
-        Dotted ``scale.<leaf>`` keys update the nested section in place,
-        so CLI overrides and scenario modifiers can reach it without
-        constructing a :class:`ScaleConfig`::
-
-            config.with_(**{"scale.sparse": True, "scale.ledger_cap": 64})
-        """
-        nested = {
-            k.split(".", 1)[1]: v for k, v in changes.items() if k.startswith("scale.")
-        }
-        if nested:
-            changes = {k: v for k, v in changes.items() if not k.startswith("scale.")}
-            changes["scale"] = replace(changes.get("scale", self.scale), **nested)
+        """Functional update, e.g. ``config.with_(seed=7)``."""
         return replace(self, **changes)
 
     @property
@@ -242,3 +216,15 @@ class SimulationConfig:
     def describe(self) -> str:
         scheme = "incentive" if self.incentives_enabled else "no-incentive"
         return f"{scheme} | {self.mix.describe()} | seed={self.seed}"
+
+
+def _kinds(hint: Any) -> tuple[type, ...]:
+    """The types a field annotated ``hint`` accepts (ints in float fields)."""
+    kinds = get_args(hint) or (hint,)
+    return kinds + (int,) if float in kinds else kinds
+
+
+#: Field name -> accepted types; bools pass only where ``bool`` is listed.
+_FIELD_KINDS = {
+    name: _kinds(hint) for name, hint in get_type_hints(SimulationConfig).items()
+}

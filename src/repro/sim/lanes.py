@@ -37,7 +37,6 @@ from .config import SimulationConfig
 
 __all__ = [
     "STRUCTURAL_FIELDS",
-    "SCALE_STRUCTURAL_FIELDS",
     "structural_key",
     "assert_lane_compatible",
     "estimate_lane_state_bytes",
@@ -71,23 +70,25 @@ STRUCTURAL_FIELDS: tuple[str, ...] = (
 )
 
 
-#: Scale-section leaves every lane of one batch must share: they pick the
-#: storage code path (sparse on/off) or size shared execution chunks.
-#: ``ledger_cap`` is deliberately absent — it lifts per lane like any
-#: other scheme knob (the ledger allocates the widest cap and evicts each
-#: row at its own).
-SCALE_STRUCTURAL_FIELDS: tuple[str, ...] = (
-    "sparse",
-    "chunk_size",
-)
+def _exact_tft(config: SimulationConfig) -> bool | None:
+    """Whether a tft ``config`` keeps the dense history; ``None`` for other schemes.
+
+    The tft storage is structural: one batch holds one storage, so exact
+    and capped lanes never share a batch (a full-width exact lane would
+    widen every capped row to N - 1).  Int caps lift per lane like any
+    other scheme knob (the ledger allocates the widest cap and evicts
+    each row at its own).
+    """
+    if config.resolved_scheme != "tft":
+        return None
+    return config.tft_ledger_cap is None
 
 
 def structural_key(config: SimulationConfig) -> tuple:
     """Hashable batch-compatibility key: configs batch iff keys match."""
-    return (
-        tuple(getattr(config, f) for f in STRUCTURAL_FIELDS)
-        + tuple(getattr(config.scale, f) for f in SCALE_STRUCTURAL_FIELDS)
-        + (config.resolved_scheme,)
+    return tuple(getattr(config, f) for f in STRUCTURAL_FIELDS) + (
+        config.resolved_scheme,
+        _exact_tft(config),
     )
 
 
@@ -102,13 +103,10 @@ def assert_lane_compatible(configs: Sequence[SimulationConfig]) -> None:
             for f in STRUCTURAL_FIELDS
             if getattr(other, f) != getattr(configs[0], f)
         ]
-        bad += [
-            f"scale.{f}"
-            for f in SCALE_STRUCTURAL_FIELDS
-            if getattr(other.scale, f) != getattr(configs[0].scale, f)
-        ]
         if configs[0].resolved_scheme != other.resolved_scheme:
             bad.append("scheme")
+        elif _exact_tft(other) != _exact_tft(configs[0]):
+            bad.append("tft_ledger_cap (None against an int)")
         raise ValueError(
             "lane configs must share the structural dimensions; "
             f"these differ: {', '.join(bad)}"
@@ -130,13 +128,13 @@ def estimate_lane_state_bytes(config: SimulationConfig) -> int:
     planner from stacking thousands of ``(N, N)`` tit-for-tat matrices —
     the lane-width memory hazard — not to model the allocator.  Counts
     the per-slot vectors, the scheme's pairwise state (quadratic dense,
-    ``N * cap`` sparse) and the per-step metric series.
+    ``N * cap`` capped) and the per-step metric series.
     """
     n = config.n_agents
     bytes_ = _PER_SLOT_ARRAYS * 8 * n
     if config.resolved_scheme == "tft":
-        if config.scale.sparse:
-            cap = min(config.scale.ledger_cap, max(n - 1, 1))
+        if config.tft_ledger_cap is not None:
+            cap = min(config.tft_ledger_cap, max(n - 1, 1))
             bytes_ += n * cap * 16  # int64 partner + float64 amount
         else:
             bytes_ += n * n * 8

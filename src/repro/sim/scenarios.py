@@ -9,12 +9,11 @@ benchmarks and smoke tests while preserving the protocol (train at
 from __future__ import annotations
 
 from ..agents.population import PopulationMix, mixture_sweep
-from .config import ScaleConfig, SimulationConfig
+from .config import SimulationConfig
 
 __all__ = [
     "base_config",
     "scale_config",
-    "scale_peak_bytes",
     "fig3_configs",
     "mixture_configs",
     "fig6_configs",
@@ -41,7 +40,7 @@ def base_config(fast: bool = False, **overrides) -> SimulationConfig:
 
 
 def scale_config(n_agents: int, **overrides) -> SimulationConfig:
-    """The canonical large-N sparse workload, shared by every scale gate.
+    """The canonical large-N workload, shared by every scale gate.
 
     One definition serves the ``scale/`` scenario packs and the scale
     memory tests (``tests/sim/test_scale_memory.py``, which the nightly
@@ -50,7 +49,8 @@ def scale_config(n_agents: int, **overrides) -> SimulationConfig:
     one place.  Workload knobs scale with the population
     (more articles, thinner per-peer edit pressure) so per-step totals
     stay proportionate; the horizon is short because large populations
-    measure steady-state service, not learning curves.
+    measure steady-state service, not learning curves.  A tft run keeps
+    its history in the capped ledger (64 partners per peer).
     """
     cfg = SimulationConfig(
         n_agents=n_agents,
@@ -59,42 +59,9 @@ def scale_config(n_agents: int, **overrides) -> SimulationConfig:
         training_steps=120,
         eval_steps=80,
         edit_attempt_prob=0.01,
-        scale=ScaleConfig(sparse=True, ledger_cap=64),
+        tft_ledger_cap=64,
     )
     return cfg.with_(**overrides) if overrides else cfg
-
-
-def scale_peak_bytes(
-    n_agents: int, steps: int = 5, **overrides
-) -> tuple[int, int]:
-    """(tracemalloc peak, resident ledger bytes) of a short scale run.
-
-    The one measurement recipe behind the scale memory tests
-    (``tests/sim/test_scale_memory.py``): build a
-    :func:`scale_config` simulation, step it ``steps`` times, and read
-    the traced allocation peak (numpy routes its buffers through the
-    traced allocator).  The second element is the sparse ledger's
-    resident bytes, ``0`` for schemes without one.
-    """
-    import tracemalloc
-
-    from .engine import CollaborationSimulation
-
-    cfg = scale_config(n_agents, training_steps=steps, eval_steps=1, **overrides)
-    tracemalloc.start()
-    try:
-        sim = CollaborationSimulation(cfg)
-        for _ in range(steps):
-            sim.step(float("inf"))
-        _, peak = tracemalloc.get_traced_memory()
-        ledger_bytes = (
-            sim.scheme._ledger.nbytes
-            if getattr(sim.scheme, "sparse", False)
-            else 0
-        )
-    finally:
-        tracemalloc.stop()
-    return peak, ledger_bytes
 
 
 def fig3_configs(

@@ -308,14 +308,9 @@ def build_sim_state(configs: list[SimulationConfig]) -> SimState:
             optimistic_floor=slot_values(configs, "tft_optimistic_floor", n),
             history_decay=lane_values(configs, "tft_history_decay"),
             n_replicates=n_rep,
-            # Scale path: sparse/chunking are structural (one storage
-            # layout per batch); the cap lifts per lane like any other
-            # scheme knob.
-            sparse=cfg.scale.sparse,
-            ledger_cap=slot_values(
-                [conf.scale for conf in configs], "ledger_cap", n, np.int64
-            ),
-            chunk_size=cfg.scale.chunk_size,
+            # ``None`` (dense) or an int is structural, one storage per
+            # batch; int caps lift per lane like any other scheme knob.
+            ledger_cap=slot_values(configs, "tft_ledger_cap", n, np.int64),
         )
     elif scheme_name == "karma":
         scheme = KarmaScheme(

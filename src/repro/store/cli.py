@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..analysis.report import aggregate_stored_runs, render_stored_table
-from ..sim.config import ScaleConfig, SimulationConfig
+from ..sim.config import SimulationConfig
 from ..sim.engine import SimulationResult
 from ..sim.scenarios import base_config
 from ..sim._sweep import SweepFailure, run_sweep
@@ -54,13 +54,13 @@ from ._runstore import RunStore, StoredRun
 
 __all__ = ["build_parser", "main"]
 
-# --set reaches every scalar config field plus the scale section's leaves
-# as dotted keys (``--set scale.sparse=true``); the remaining structured
-# fields (mix, constants) need real objects and are set by scenario
-# builders instead.
-_CONFIG_FIELDS = (
-    {f.name for f in dataclasses.fields(SimulationConfig)} - {"mix", "constants", "scale"}
-) | {f"scale.{f.name}" for f in dataclasses.fields(ScaleConfig)}
+# --set reaches every scalar config field (``--set tft_ledger_cap=64``);
+# the structured fields (mix, constants) need real objects and are set by
+# scenario builders instead.
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(SimulationConfig)} - {
+    "mix",
+    "constants",
+}
 _DEFAULT_METRICS = ("shared_files", "shared_bandwidth")
 _DEFAULT_SEEDS = 3
 
@@ -105,7 +105,7 @@ def _parse_set(
         if not valid:
             known = ", ".join(sorted(all_fields if allow_dotted else _CONFIG_FIELDS))
             raise SystemExit(f"error: unknown config field {key!r}; fields: {known}")
-        if allow_dotted and key in ("mix", "constants", "scale"):
+        if allow_dotted and key in ("mix", "constants"):
             # A structured field can never equal a scalar filter value;
             # without this the query would silently match nothing.
             raise SystemExit(

@@ -21,7 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
-from typing import Any
+from typing import Any, get_type_hints
 
 from ..sim.config import SimulationConfig
 
@@ -42,7 +42,10 @@ __all__ = [
 #: not alias the (behaviourally identical) defaults.  v3: counter-based
 #: draws, sorted voter rows and one per-type metrics path — the same
 #: config now gives a different run, so v2 records must not alias it.
-CONFIG_SCHEMA_VERSION = 3
+#: v4: the ``scale`` section is gone (one ``tft_ledger_cap`` field), so
+#: v3 manifests are skipped by the version check, never revived into an
+#: unknown-field error.
+CONFIG_SCHEMA_VERSION = 4
 
 _INF = "__inf__"
 _NEG_INF = "__-inf__"
@@ -97,20 +100,24 @@ def revive_floats(obj: Any) -> Any:
     return obj
 
 
-def _revive_dataclass(cls: type, data: dict) -> Any:
-    """Rebuild a (possibly nested) config dataclass from plain dicts."""
-    import typing
+def _revive_dataclass(cls: type, data: dict, path: str = "") -> Any:
+    """Rebuild a (possibly nested) config dataclass from plain dicts.
 
-    hints = typing.get_type_hints(cls)
+    Unknown keys are rejected at every depth, named by dotted path.
+    """
+    hints = get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - names)
+    if unknown:
+        raise ValueError(
+            "unknown config fields: " + ", ".join(path + k for k in unknown)
+        )
     kwargs: dict[str, Any] = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue  # field added since the dict was written: keep default
-        value = data[f.name]
-        hint = hints.get(f.name)
+    for name, value in data.items():
+        hint = hints[name]
         if dataclasses.is_dataclass(hint) and isinstance(value, dict):
-            value = _revive_dataclass(hint, value)
-        kwargs[f.name] = value
+            value = _revive_dataclass(hint, value, f"{path}{name}.")
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -121,15 +128,11 @@ def config_from_dict(data: dict) -> SimulationConfig:
     the same bytes (integral floats come back as ints, which the
     canonicalizer re-normalizes identically), so grid manifests and
     payload config dicts rebuild configs that hash to their stored keys.
-    Unknown keys are rejected (they would silently change the run), and
-    missing keys fall back to field defaults.
+    Unknown keys at any depth are rejected (they would silently change
+    the run), and missing keys fall back to field defaults.
     """
     if not isinstance(data, dict):
         raise TypeError(f"config dict expected, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(SimulationConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {', '.join(sorted(unknown))}")
     return _revive_dataclass(SimulationConfig, revive_floats(data))
 
 

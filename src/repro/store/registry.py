@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from ..agents.population import PopulationMix
 from ..core.params import PaperConstants, ReputationParams, ServiceParams
-from ..sim.config import ScaleConfig, SimulationConfig
+from ..sim.config import SimulationConfig
 from ..sim.rng import spawn_seeds
 from ..sim.scenarios import (
     ROOT_SEED,
@@ -524,16 +524,9 @@ def _scale_sparse_shootout(
         training_steps=300 if not fast else 60,
         eval_steps=200 if not fast else 40,
     )
-    dense = base.with_(scale=ScaleConfig(sparse=False))
     return [
-        cfg.with_(seed=s)
-        for cfg in (
-            [dense]
-            + [
-                base.with_(scale=ScaleConfig(sparse=True, ledger_cap=cap))
-                for cap in caps
-            ]
-        )
+        base.with_(tft_ledger_cap=cap, seed=s)
+        for cap in (None, *caps)
         for s in _seeds(n_seeds)
     ]
 

@@ -17,7 +17,7 @@ from repro.core.incentives import NoIncentiveScheme, ReputationIncentiveScheme
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import CollaborationSimulation
 from repro.sim.phases import step_state
-from repro.sim.testing import compare_fingerprints, state_fingerprint
+from tests.sim.testing import compare_fingerprints, state_fingerprint
 
 N = 12
 

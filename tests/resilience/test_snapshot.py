@@ -248,7 +248,7 @@ class TestResumeMidBlock:
     @pytest.mark.parametrize("n_lanes", [1, 4])
     def test_resume_inside_and_at_a_block_boundary(self, n_lanes):
         from repro.sim.state import build_sim_state
-        from repro.sim.testing import compare_fingerprints, state_fingerprint
+        from tests.sim.testing import compare_fingerprints, state_fingerprint
         from tests.sim.test_golden import advance
 
         configs = self._configs(n_lanes)

@@ -94,6 +94,29 @@ class TestParseSubmitConfigs:
         with pytest.raises(SchemaError):
             parse_submit({"config": payload})
 
+    def test_unknown_nested_field_rejected(self, tiny):
+        payload = canonical_config_dict(tiny())
+        payload["constants"]["service"]["edit_threshold_typo"] = 0.5
+        with pytest.raises(SchemaError, match="constants.service.edit_threshold_typo"):
+            parse_submit({"config": payload})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"mix": {"rational": 1.0, "altruistic": 0.0, "irrational": 0.0}},
+            {"constants": 3},
+            {"n_agents": 100.0},
+            {"seed": 4.0},
+            {"tft_ledger_cap": 0},
+        ],
+    )
+    def test_mistyped_scenario_overrides_rejected(self, overrides):
+        """Each of these hashed as a valid config but failed when run."""
+        with pytest.raises(SchemaError, match=next(iter(overrides))):
+            parse_submit(
+                {"scenario": "base/default", "fast": True, "overrides": overrides}
+            )
+
 
 class TestParseSubmitPolicy:
     def test_empty_expansion_rejected(self):

@@ -18,11 +18,11 @@ import pytest
 
 from repro.sim._sweep import plan_lane_batches, run_sweep
 from repro.sim.backends import KERNELS, NumpyKernels, get_backend
-from repro.sim.config import ScaleConfig, SimulationConfig
+from repro.sim.config import SimulationConfig
 from repro.sim.engine import CollaborationSimulation
 from repro.sim.phases import step_state
 from repro.sim.state import build_sim_state
-from repro.sim.testing import compare_fingerprints, state_fingerprint
+from tests.sim.testing import compare_fingerprints, state_fingerprint
 from tests.conftest import assert_summaries_equal
 
 KERNEL_NAMES = (
@@ -57,10 +57,7 @@ CASES = {
         set(KERNEL_NAMES) - {"ledger_lookup", "ledger_add"},
     ),
     "sparse-tft": (
-        _config(
-            scheme="tft", seed=4,
-            scale=ScaleConfig(sparse=True, ledger_cap=4, chunk_size=5),
-        ),
+        _config(scheme="tft", seed=4, tft_ledger_cap=4),
         set(KERNEL_NAMES),
     ),
 }
@@ -172,7 +169,7 @@ class TestPickling:
             restored.sharing_learner,
             restored.edit_learner,
         ]
-        if cfg.scale.sparse:
+        if cfg.tft_ledger_cap is not None:
             holders.append(restored.scheme._ledger)
         assert all(holder.kernels is KERNELS for holder in holders)
         with wrapped_kernels() as calls:

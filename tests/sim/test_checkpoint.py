@@ -84,9 +84,7 @@ class TestCheckpoint:
         assert snaps.path("ck").exists()
 
 
-def make_tft_sim(seed=9, n_agents=20, steps=50, **scale_kw):
-    from repro.sim.config import ScaleConfig
-
+def make_tft_sim(seed=9, n_agents=20, steps=50, ledger_cap=None):
     cfg = SimulationConfig(
         n_agents=n_agents,
         n_articles=5,
@@ -94,7 +92,7 @@ def make_tft_sim(seed=9, n_agents=20, steps=50, **scale_kw):
         eval_steps=30,
         scheme="tft",
         seed=seed,
-        scale=ScaleConfig(**scale_kw),
+        tft_ledger_cap=ledger_cap,
     )
     sim = CollaborationSimulation(cfg)
     for _ in range(steps):
@@ -115,7 +113,7 @@ class TestTftLedgerCheckpoint:
         assert np.array_equal(state.scheme.reputation_s(), sim.scheme.reputation_s())
 
     def test_sparse_roundtrip_restores_ledger(self):
-        sim = make_tft_sim(sparse=True, ledger_cap=19)
+        sim = make_tft_sim(ledger_cap=19)
         state = restore(snapshot_of(sim), sim.config)
         led, want = state.scheme._ledger, sim.scheme._ledger
         assert np.array_equal(led.partners, want.partners)

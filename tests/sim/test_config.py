@@ -1,11 +1,19 @@
 """Tests for the simulation configuration."""
 
 import pickle
+from typing import get_args, get_type_hints
 
 import pytest
 
 from repro.agents.population import PopulationMix
 from repro.sim.config import SimulationConfig
+
+#: Every int-annotated field, ``tft_ledger_cap`` (``int | None``) included.
+INT_FIELDS = sorted(
+    name
+    for name, hint in get_type_hints(SimulationConfig).items()
+    if hint is int or int in get_args(hint)
+)
 
 
 class TestSimulationConfig:
@@ -56,3 +64,47 @@ class TestSimulationConfig:
     def test_describe(self):
         assert "incentive" in SimulationConfig().describe()
         assert "no-incentive" in SimulationConfig(incentives_enabled=False).describe()
+
+
+class TestFieldTypes:
+    """Canonical hashing maps 7.0 to 7 and a dataclass to a dict, so a
+    mistyped field must fail at construction, not when run."""
+
+    def test_int_fields_are_found(self):
+        assert {"seed", "n_agents", "training_steps", "founders_per_article",
+                "n_states", "tft_ledger_cap"} <= set(INT_FIELDS)
+
+    @pytest.mark.parametrize("bad", [7.0, True])
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_int_fields_reject_floats_and_bools(self, name, bad):
+        with pytest.raises(TypeError, match=name):
+            SimulationConfig(**{name: bad})
+
+    def test_structured_fields_need_their_classes(self):
+        mix = {"rational": 1.0, "altruistic": 0.0, "irrational": 0.0}
+        with pytest.raises(TypeError, match="mix"):
+            SimulationConfig(mix=mix)
+        with pytest.raises(TypeError, match="mix"):
+            SimulationConfig().with_(mix=mix)
+        with pytest.raises(TypeError, match="constants"):
+            SimulationConfig(constants=3)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"incentives_enabled": 1}, {"scheme": 3}, {"t_eval": True}, {"t_eval": "1"}],
+    )
+    def test_other_kinds_checked(self, kwargs):
+        with pytest.raises(TypeError, match=next(iter(kwargs))):
+            SimulationConfig(**kwargs)
+
+    def test_float_fields_take_ints(self):
+        cfg = SimulationConfig(t_eval=2, capacity_sigma=0, download_probability=1)
+        assert cfg == SimulationConfig(
+            t_eval=2.0, capacity_sigma=0.0, download_probability=1.0
+        )
+
+    def test_ledger_cap_takes_none_or_a_positive_int(self):
+        assert SimulationConfig().tft_ledger_cap is None
+        assert SimulationConfig(tft_ledger_cap=1).tft_ledger_cap == 1
+        with pytest.raises(ValueError, match="tft_ledger_cap"):
+            SimulationConfig(tft_ledger_cap=0)

@@ -1,7 +1,7 @@
 """The state-fingerprint helpers behind the golden behaviour lock.
 
-:func:`~repro.sim.testing.state_fingerprint` and
-:func:`~repro.sim.testing.compare_fingerprints` must see every slot
+:func:`~tests.sim.testing.state_fingerprint` and
+:func:`~tests.sim.testing.compare_fingerprints` must see every slot
 array of a built state, and a one-ulp difference in any of them.  The
 state holds no random-number stream: its draws are counter-based
 (:mod:`repro.sim.rng`), and their block cache is invisible to the walk.
@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.agents.population import PopulationMix
 from repro.sim.config import SimulationConfig
-from repro.sim.testing import (
+from tests.sim.testing import (
     collect_arrays,
     compare_fingerprints,
     state_fingerprint,

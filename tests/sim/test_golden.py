@@ -1,11 +1,11 @@
 """Behaviour lock: committed digests of engine state and sweep summaries.
 
 A small corpus of short runs — the four schemes plain, each scheme under
-churn with both adversary kernels, the sparse scale path at small N, a
+churn with both adversary kernels, the capped tft ledger at small N, a
 small-world overlay and a mixed-config three-lane batch — is
 fingerprinted bit for bit:
 
-* the full end-of-run state (:func:`repro.sim.testing.state_fingerprint`)
+* the full end-of-run state (:func:`tests.sim.testing.state_fingerprint`)
   of each corpus entry, run solo or as its one lane batch, one digest
   per array path (so a drift names the arrays that moved);
 * every article of every lane of each entry: quality, version count,
@@ -46,10 +46,10 @@ import numpy as np
 import pytest
 
 from repro.agents.population import PopulationMix
-from repro.sim.config import ScaleConfig, SimulationConfig
+from repro.sim.config import SimulationConfig
 from repro.sim.engine import BatchedSimulation, CollaborationSimulation
 from repro.sim.phases import step_state
-from repro.sim.testing import state_fingerprint
+from tests.sim.testing import state_fingerprint
 from repro.sim._sweep import run_sweep
 from repro.store import config_hash, get_scenario, iter_scenarios
 
@@ -88,12 +88,7 @@ CORPUS: dict[str, list[SimulationConfig]] = {
         f"churn-adversaries-{scheme}": [_base(scheme=scheme, **_CHURN_ADVERSARIES)]
         for scheme in ("none", "tft", "karma")
     },
-    "sparse-scale": [
-        _base(
-            seed=13, n_agents=24, scheme="tft",
-            scale=ScaleConfig(sparse=True, ledger_cap=4, chunk_size=5),
-        )
-    ],
+    "sparse-scale": [_base(seed=13, n_agents=24, scheme="tft", tft_ledger_cap=4)],
     "overlay-smallworld": [
         _base(seed=14, overlay_kind="smallworld", overlay_degree=4)
     ],
@@ -283,7 +278,7 @@ def test_snapshot_resume_matches_uninterrupted(tmp_path):
     code = (
         "import json, pickle, sys\n"
         "from pathlib import Path\n"
-        "from repro.sim.testing import state_fingerprint\n"
+        "from tests.sim.testing import state_fingerprint\n"
         "from tests.sim.test_golden import RESUME_AT, advance, fingerprint_digests\n"
         "out = {}\n"
         "for path in sorted(Path(sys.argv[1]).glob('*.pkl')):\n"

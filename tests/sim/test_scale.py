@@ -1,16 +1,17 @@
-"""Scale-path coverage: sparse ledgers and chunked kernels.
+"""Scale-path coverage: the capped tft ledger and its chunked kernels.
 
 The contract of the scale path is layered:
 
-* **exactness** — with a cap no row can overflow, a sparse run is
-  bit-identical to its dense twin (same accumulation order, same
-  reputations, same trajectories) across every scheme;
-* **neutrality** — ``scale.chunk_size`` is a pure execution knob: any
-  positive value yields the same run;
+* **exactness** — with a cap no row can overflow
+  (``tft_ledger_cap = N``), a capped run is bit-identical to its dense
+  twin (``None``: same accumulation order, same reputations, same
+  trajectories) across every scheme;
+* **neutrality** — the ledger kernels' chunk bounds temporaries only:
+  any chunk size gives the same ledger, evictions included;
 * **boundedness** — in the eviction regime rows never exceed their cap
   and the engine keeps running;
-* **batching** — sparse params thread through lanes like every other
-  knob (``ledger_cap`` lifts per lane), and the planner derives a
+* **batching** — int caps lift per lane like every other knob, dense
+  and capped lanes never share a batch, and the planner derives a
   memory-safe default lane width from the per-lane footprint.
 """
 
@@ -24,10 +25,16 @@ from hypothesis import strategies as st
 from repro.agents.population import PopulationMix
 from repro.core.sparse import SparseInteractionLedger
 from repro.sim.backends import KERNELS, NumpyKernels
-from repro.sim.config import ScaleConfig, SimulationConfig
-from repro.sim.engine import BatchedSimulation, run_simulation
-from repro.sim.lanes import estimate_lane_state_bytes
+from repro.sim.config import SimulationConfig
+from repro.sim.engine import (
+    BatchedSimulation,
+    CollaborationSimulation,
+    run_simulation,
+)
+from repro.sim.lanes import estimate_lane_state_bytes, structural_key
 from repro.sim._sweep import default_lane_width, plan_lane_batches
+from repro.store.hashing import config_hash
+from tests.sim.test_golden import CORPUS
 
 MIX = PopulationMix(rational=0.5, altruistic=0.25, irrational=0.25)
 
@@ -66,12 +73,12 @@ def assert_summaries_identical(a, b, label=""):
 
 
 class TestSparseDenseEquivalence:
-    """Exact regime: cap >= population, so nothing ever evicts."""
+    """Exact regime: ``tft_ledger_cap = N`` against ``None``, bit for bit."""
 
     @pytest.mark.parametrize("scheme", ["reputation", "none", "tft", "karma"])
     def test_bit_identical_across_schemes(self, scheme):
         dense = tiny(scheme=scheme)
-        sparse = dense.with_(scale=ScaleConfig(sparse=True, ledger_cap=24))
+        sparse = dense.with_(tft_ledger_cap=24)
         assert_summaries_identical(
             run_simulation(dense), run_simulation(sparse), f"{scheme}: "
         )
@@ -86,16 +93,13 @@ class TestSparseDenseEquivalence:
             sybil_fraction=0.25,
             sybil_rate=0.1,
         )
-        sparse = dense.with_(scale=ScaleConfig(sparse=True, ledger_cap=24))
+        sparse = dense.with_(tft_ledger_cap=24)
         assert_summaries_identical(run_simulation(dense), run_simulation(sparse))
 
     def test_sparse_state_matches_dense_matrix(self):
-        from repro.sim.engine import CollaborationSimulation
-
         dense = CollaborationSimulation(tiny(scheme="tft"))
-        sparse = CollaborationSimulation(
-            tiny(scheme="tft").with_(scale=ScaleConfig(sparse=True, ledger_cap=24))
-        )
+        sparse = CollaborationSimulation(tiny(scheme="tft", tft_ledger_cap=24))
+        assert dense.scheme._ledger is None and sparse.scheme._given is None
         for _ in range(30):
             dense.step(float("inf"))
             sparse.step(float("inf"))
@@ -106,21 +110,35 @@ class TestSparseDenseEquivalence:
 
 
 class TestChunkNeutrality:
-    @pytest.mark.parametrize("scheme", ["reputation", "tft"])
-    def test_chunk_size_never_changes_results(self, scheme):
-        wide = tiny(scheme=scheme, scale=ScaleConfig(sparse=(scheme == "tft"),
-                                                     ledger_cap=24))
-        narrow = wide.with_(**{"scale.chunk_size": 3})
-        assert_summaries_identical(
-            run_simulation(wide), run_simulation(narrow), f"{scheme}: "
-        )
+    def test_chunk_size_never_changes_the_ledger(self, monkeypatch):
+        """Every ledger_add of the golden eviction-regime run (N = 24,
+        cap 4), replayed at each chunk size from 1 to N, leaves the same
+        books and evicts the same entries as one unchunked call."""
+        cfg = CORPUS["sparse-scale"][0]
+        add = KERNELS.ledger_add
+        evicting = 0
+
+        def replay(partners, amounts, counts, row_cap, rows, cols, adds, chunk_size):
+            nonlocal evicting
+            outcomes = []
+            for chunk in range(1, cfg.n_agents + 1):
+                books = (partners.copy(), amounts.copy(), counts.copy())
+                evicted = add(*books, row_cap, rows, cols, adds, chunk)
+                outcomes.append([_bits(a) for a in (*books, *evicted)])
+            assert all(o == outcomes[0] for o in outcomes[1:])
+            got = add(partners, amounts, counts, row_cap, rows, cols, adds, chunk_size)
+            assert [_bits(a) for a in (partners, amounts, counts, *got)] == outcomes[0]
+            evicting += bool(got[0].size)
+            return got
+
+        monkeypatch.setattr(KERNELS, "ledger_add", replay)
+        CollaborationSimulation(cfg).run()
+        assert evicting > 0  # the eviction regime, where order could matter
 
 
 class TestEvictionRegime:
     def test_capped_run_completes_and_stays_bounded(self):
-        cfg = tiny(scheme="tft", scale=ScaleConfig(sparse=True, ledger_cap=4))
-        from repro.sim.engine import CollaborationSimulation
-
+        cfg = tiny(scheme="tft", tft_ledger_cap=4)
         sim = CollaborationSimulation(cfg)
         for _ in range(50):
             sim.step(float("inf"))
@@ -131,9 +149,7 @@ class TestEvictionRegime:
 
     def test_capped_run_stays_statistically_close_to_dense(self):
         dense = run_simulation(tiny(scheme="tft"))
-        capped = run_simulation(
-            tiny(scheme="tft", scale=ScaleConfig(sparse=True, ledger_cap=6))
-        )
+        capped = run_simulation(tiny(scheme="tft", tft_ledger_cap=6))
         assert capped.summary["shared_bandwidth"] == pytest.approx(
             dense.summary["shared_bandwidth"], abs=0.15
         )
@@ -142,26 +158,29 @@ class TestEvictionRegime:
 class TestLaneBatchedScale:
     def test_sparse_lanes_bit_identical_to_sequential(self):
         configs = [
-            tiny(seed=70, scheme="tft",
-                 scale=ScaleConfig(sparse=True, ledger_cap=24)),
-            tiny(seed=71, scheme="tft",
-                 scale=ScaleConfig(sparse=True, ledger_cap=8)),
-            tiny(seed=72, scheme="tft", tft_history_decay=0.9,
-                 scale=ScaleConfig(sparse=True, ledger_cap=24)),
+            tiny(seed=70, scheme="tft", tft_ledger_cap=24),
+            tiny(seed=71, scheme="tft", tft_ledger_cap=8),
+            tiny(seed=72, scheme="tft", tft_history_decay=0.9, tft_ledger_cap=24),
         ]
         batched = BatchedSimulation(configs).run()
         for got, cfg in zip(batched, configs):
             assert_summaries_identical(got, run_simulation(cfg), "lane: ")
 
     def test_sparse_flag_is_structural(self):
-        sparse = tiny(scale=ScaleConfig(sparse=True))
-        with pytest.raises(ValueError, match="scale.sparse"):
-            BatchedSimulation([tiny(), sparse])
+        """Dense (``None``) and capped tft lanes never share a batch."""
+        dense = tiny(scheme="tft")
+        capped = tiny(seed=2, scheme="tft", tft_ledger_cap=8)
+        with pytest.raises(ValueError, match="tft_ledger_cap"):
+            BatchedSimulation([dense, capped])
+        tasks = plan_lane_batches([(dense, [0]), (capped, [1]), (dense.with_(seed=3), [2])])
+        assert [[i for _, (i,) in task] for task in tasks] == [[0, 2], [1]]
 
     def test_ledger_cap_is_not_structural(self):
-        a = tiny(seed=1, scheme="tft", scale=ScaleConfig(sparse=True, ledger_cap=8))
-        b = tiny(seed=2, scheme="tft", scale=ScaleConfig(sparse=True, ledger_cap=16))
+        a = tiny(seed=1, scheme="tft", tft_ledger_cap=8)
+        b = tiny(seed=2, scheme="tft", tft_ledger_cap=16)
         assert len(BatchedSimulation([a, b]).run()) == 2
+        # Schemes without a tft history ignore the field.
+        assert structural_key(tiny(tft_ledger_cap=8)) == structural_key(tiny())
 
 
 class TestSparseLedgerUnit:
@@ -170,7 +189,7 @@ class TestSparseLedgerUnit:
         assert led.lookup(np.array([3]), np.array([5])).tolist() == [0.0]
 
     def test_add_accumulates_and_looks_up(self):
-        led = SparseInteractionLedger(8, cap=4, chunk_size=2)
+        led = SparseInteractionLedger(8, cap=4)
         rows = np.array([0, 0, 1, 5, 0])
         cols = np.array([1, 2, 3, 6, 1])
         # Pairs unique per call: split the duplicate (0, 1) across calls.
@@ -222,32 +241,19 @@ class TestSparseLedgerUnit:
 
 
 def reference_ledger_add(led, rows, cols, add_amounts):
-    """``ledger_add`` classifying every chunk against all allocated columns."""
-    ev_rows, ev_amts = [], []
-    for lo in range(0, rows.size, led.chunk_size):
-        r = rows[lo : lo + led.chunk_size]
-        c = cols[lo : lo + led.chunk_size]
-        a = add_amounts[lo : lo + led.chunk_size]
-        live = a != 0.0
-        r, c, a = r[live], c[live], a[live]
-        if not r.size:
-            continue
-        match = led.partners[r] == c[:, None]
-        hit = match.any(axis=1)
-        if hit.any():
-            led.amounts[r[hit], match.argmax(axis=1)[hit]] += a[hit]
-        miss = ~hit
-        if miss.any():
-            got = NumpyKernels._ledger_insert(
-                led.partners, led.amounts, led.counts, led.row_cap,
-                r[miss], c[miss], a[miss],
-            )
-            if got is not None:
-                ev_rows.append(got[0])
-                ev_amts.append(got[1])
-    if not ev_rows:
+    """``ledger_add`` classifying the whole call against all allocated
+    columns of its start state, then inserting every miss in one pass."""
+    live = add_amounts != 0.0
+    r, c, a = rows[live], cols[live], add_amounts[live]
+    match = led.partners[r] == c[:, None]
+    hit = match.any(axis=1)
+    led.amounts[r[hit], match.argmax(axis=1)[hit]] += a[hit]
+    miss = ~hit
+    if not miss.any():
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-    return np.concatenate(ev_rows), np.concatenate(ev_amts)
+    return NumpyKernels._ledger_insert(
+        led.partners, led.amounts, led.counts, led.row_cap, r[miss], c[miss], a[miss]
+    )
 
 
 def reference_remove_partner(led, rep, local):
@@ -274,7 +280,7 @@ def _bits(a):
 
 
 class TestLiveWidthLedger:
-    """Live-width scans give what the same calls give on full-width rows."""
+    """Chunked live-width scans give what one full-width scan gives."""
 
     @given(seed=st.integers(0, 2**32 - 1), per_slot_cap=st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -284,8 +290,8 @@ class TestLiveWidthLedger:
         n_slots = n_local * n_rep
         cap = rng.integers(1, 7, n_slots) if per_slot_cap else int(rng.integers(1, 9))
         chunk = int(rng.integers(1, 9))
-        led = SparseInteractionLedger(n_local, n_rep, cap=cap, chunk_size=chunk)
-        ref = SparseInteractionLedger(n_local, n_rep, cap=cap, chunk_size=chunk)
+        led = SparseInteractionLedger(n_local, n_rep, cap=cap)
+        ref = SparseInteractionLedger(n_local, n_rep, cap=cap)
         for _ in range(30):
             op = int(rng.integers(6))
             if op <= 2:
@@ -299,7 +305,10 @@ class TestLiveWidthLedger:
                 amounts = rng.choice([0.0, 0.25, 1.0, 3.0], rows.size) * rng.choice(
                     [1.0, 1e-3], rows.size
                 )
-                got = led.add(rows, cols, amounts)
+                got = KERNELS.ledger_add(
+                    led.partners, led.amounts, led.counts, led.row_cap,
+                    rows, cols, amounts, chunk,
+                )
                 want = reference_ledger_add(ref, rows, cols, amounts)
                 assert _bits(got[0]) == _bits(want[0])
                 assert _bits(got[1]) == _bits(want[1])
@@ -327,7 +336,7 @@ class TestLiveWidthLedger:
             assert _bits(led.lookup(q_rows, q_cols)) == _bits(full)
 
     def test_all_empty_ledger(self):
-        led = SparseInteractionLedger(6, n_replicates=2, cap=4, chunk_size=3)
+        led = SparseInteractionLedger(6, n_replicates=2, cap=4)
         rows, cols = np.array([0, 7, 11]), np.array([1, 2, 3])
         assert led.lookup(rows, cols).tolist() == [0.0, 0.0, 0.0]
         ev = led.add(rows, cols, np.zeros(3))  # zeros leave it empty
@@ -357,7 +366,7 @@ class TestLiveWidthLedger:
 class TestFootprintPlanner:
     def test_dense_tft_estimate_is_quadratic_sparse_is_not(self):
         dense = tiny(scheme="tft", n_agents=2000)
-        sparse = dense.with_(scale=ScaleConfig(sparse=True, ledger_cap=64))
+        sparse = dense.with_(tft_ledger_cap=64)
         assert estimate_lane_state_bytes(dense) > 2000 * 2000 * 8
         assert estimate_lane_state_bytes(sparse) < estimate_lane_state_bytes(dense) / 4
 
@@ -388,9 +397,8 @@ class TestFootprintPlanner:
     def test_derived_width_tracks_the_heaviest_lane(self):
         """A late huge-ledger-cap lane must shrink the group's width —
         the ledger allocates every row at the widest cap in the batch."""
-        light = tiny(scheme="tft", n_agents=1000,
-                     scale=ScaleConfig(sparse=True, ledger_cap=8))
-        heavy = light.with_(**{"scale.ledger_cap": 999})
+        light = tiny(scheme="tft", n_agents=1000, tft_ledger_cap=8)
+        heavy = light.with_(tft_ledger_cap=999)
         assert default_lane_width(heavy) < default_lane_width(light)
         budget = estimate_lane_state_bytes(heavy) * 2
         pending = [(c.with_(seed=s), [s])
@@ -402,23 +410,24 @@ class TestFootprintPlanner:
         assert [len(t) for t in tasks] == [2, 3]
 
 
-class TestScaleConfigPlumbing:
-    def test_dotted_with_updates_nested_section(self):
-        cfg = tiny().with_(**{"scale.sparse": True, "scale.ledger_cap": 9})
-        assert cfg.scale == ScaleConfig(sparse=True, ledger_cap=9)
+class TestLedgerCapField:
+    def test_cap_changes_the_store_hash(self):
+        assert len({
+            config_hash(tiny(tft_ledger_cap=cap)) for cap in (None, 32, 64)
+        }) == 3
 
-    def test_scale_changes_the_store_hash(self):
-        from repro.store.hashing import config_hash
-
-        assert config_hash(tiny()) != config_hash(
-            tiny(scale=ScaleConfig(sparse=True))
-        )
-        assert config_hash(tiny()) != config_hash(
-            tiny(scale=ScaleConfig(ledger_cap=32))
-        )
+    def test_storage_follows_the_cap(self):
+        dense = CollaborationSimulation(tiny(scheme="tft")).scheme
+        capped = CollaborationSimulation(tiny(scheme="tft", tft_ledger_cap=5)).scheme
+        assert dense._ledger is None and dense._given.shape == (1, 24, 24)
+        assert capped._given is None and capped._ledger.cap == 5
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="ledger_cap"):
-            ScaleConfig(ledger_cap=0)
-        with pytest.raises(ValueError, match="chunk_size"):
-            ScaleConfig(chunk_size=0)
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="tft_ledger_cap"):
+                tiny(tft_ledger_cap=cap)
+
+    @pytest.mark.parametrize("cap", [4.0, True, "8"])
+    def test_cap_must_be_an_int_or_none(self, cap):
+        with pytest.raises(TypeError, match="tft_ledger_cap"):
+            tiny(tft_ledger_cap=cap)

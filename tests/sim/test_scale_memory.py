@@ -1,12 +1,11 @@
-"""The scale path's memory gates: sparse tit-for-tat stays O(N).
+"""The scale path's memory gates: capped tit-for-tat stays O(N).
 
-Peak traced allocation of a sparse tit-for-tat run must grow
+Peak traced allocation of a capped tit-for-tat run must grow
 **sub-quadratically** in the population (doubling N must cost well
 under the 4x a dense history matrix would), and must stay a small
 fraction of the dense equivalent.  Each peak comes from
-``repro.sim.scenarios.scale_peak_bytes``, the one measurement recipe
-over the canonical ``scale_config`` workload (tit-for-tat, ledger cap
-64, 5 steps).
+:func:`_peak_bytes`, the one measurement recipe over the canonical
+``scale_config`` workload (tit-for-tat, ledger cap 64, 5 steps).
 
 Sizes default small enough for tier-1; the nightly ``scale-smoke`` CI
 job re-runs this file with ``SCALE_BENCH_AGENTS=10000`` to exercise a
@@ -14,11 +13,12 @@ genuinely large population (see .github/workflows/ci.yml).
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 
 from repro.sim.engine import CollaborationSimulation
-from repro.sim.scenarios import scale_config, scale_peak_bytes
+from repro.sim.scenarios import scale_config
 
 #: Population for the large size; the growth test pairs it with half.
 SCALE_AGENTS = int(os.environ.get("SCALE_BENCH_AGENTS", "3000"))
@@ -35,8 +35,19 @@ def _scale_config(n_agents, **overrides):
 
 
 def _peak_bytes(n_agents) -> int:
-    peak, _ = scale_peak_bytes(n_agents, SCALE_STEPS, scheme="tft", seed=4)
-    return peak
+    """Traced allocation peak of a short tft scale run.
+
+    numpy routes its buffers through the traced allocator, so the peak
+    covers the whole engine state, ledger included.
+    """
+    tracemalloc.start()
+    try:
+        sim = CollaborationSimulation(_scale_config(n_agents))
+        for _ in range(SCALE_STEPS):
+            sim.step(float("inf"))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_sparse_peak_memory_grows_subquadratically():

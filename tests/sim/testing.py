@@ -9,9 +9,9 @@
 
 * **Config generation** — :func:`random_config` draws valid random
   :class:`~repro.sim.config.SimulationConfig` objects covering every
-  structured corner (float sentinels, nested dataclasses, dotted
-  ``scale.*`` updates) for the store's hashing round-trip property
-  suite.
+  structured corner (float sentinels, nested dataclasses, the
+  optional ``tft_ledger_cap``) for the store's hashing round-trip
+  property suite.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ from typing import Any
 
 import numpy as np
 
-from ..agents.population import PopulationMix
-from ..core.params import (
+from repro.agents.population import PopulationMix
+from repro.core.params import (
     ContributionParams,
     PaperConstants,
     ReputationParams,
     ServiceParams,
     UtilityParams,
 )
-from ..core.reputation import REPUTATION_FUNCTIONS
-from .config import SimulationConfig
+from repro.core.reputation import REPUTATION_FUNCTIONS
+from repro.sim.config import SimulationConfig
 
 __all__ = [
     "collect_arrays",
@@ -193,7 +193,7 @@ def random_config(rng: random.Random) -> SimulationConfig:
     t_train = rng.choice(
         [float("inf"), float("-inf"), float("nan"), rng.uniform(0.1, 10.0)]
     )
-    cfg = SimulationConfig(
+    return SimulationConfig(
         n_agents=rng.randint(2, 500),
         mix=_eighths(rng),
         incentives_enabled=rng.random() < 0.5,
@@ -205,6 +205,7 @@ def random_config(rng: random.Random) -> SimulationConfig:
         karma_floor=rng.uniform(0.001, 0.5),
         tft_optimistic_floor=rng.uniform(0.001, 0.5),
         tft_history_decay=rng.uniform(0.5, 1.0),
+        tft_ledger_cap=rng.choice([None, rng.randint(1, 256)]),
         n_states=rng.randint(1, 30),
         training_steps=rng.randint(0, 10_000),
         eval_steps=rng.randint(1, 5_000),
@@ -233,12 +234,3 @@ def random_config(rng: random.Random) -> SimulationConfig:
         seed=rng.randint(0, 2**31),
         measure_window=rng.uniform(0.1, 1.0),
     )
-    if rng.random() < 0.5:
-        # Exercise the dotted scale.* update path the CLI and scenario
-        # modifiers use, not just the ScaleConfig constructor.
-        cfg = cfg.with_(**{
-            "scale.sparse": rng.random() < 0.5,
-            "scale.ledger_cap": rng.randint(1, 256),
-            "scale.chunk_size": rng.randint(1, 65536),
-        })
-    return cfg

@@ -1,6 +1,7 @@
 """Tests for canonical config hashing."""
 
 import json
+import re
 
 import pytest
 
@@ -139,6 +140,25 @@ class TestConfigFromDict:
         d = canonical_config_dict(cfg())
         d["not_a_field"] = 1
         with pytest.raises(ValueError, match="unknown config fields"):
+            config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path", ["mix.bogus", "constants.service.edit_threshold_typo", "scale"]
+    )
+    def test_unknown_keys_rejected_at_every_depth(self, path):
+        d = canonical_config_dict(cfg())
+        *parents, leaf = path.split(".")
+        node = d
+        for key in parents:
+            node = node[key]
+        node[leaf] = {"spars": True} if leaf == "scale" else 1
+        with pytest.raises(ValueError, match=re.escape(path)):
+            config_from_dict(d)
+
+    def test_mistyped_values_rejected(self):
+        d = canonical_config_dict(cfg())
+        d["n_agents"] = 20.0  # hashes as 20, but cannot run
+        with pytest.raises(TypeError, match="n_agents"):
             config_from_dict(d)
 
     def test_non_dict_rejected(self):

@@ -6,9 +6,9 @@ joining, store cache hits — rests on one invariant::
     config_hash(config_from_dict(canonical_config_dict(cfg))) == config_hash(cfg)
 
 for *every* expressible config, including the awkward corners: nested
-dataclasses (constants, mix, scale), float sentinels (inf/-inf/nan),
-integral floats that canonicalize to JSON ints, and dotted ``scale.*``
-updates.  The seeded generator lives in :mod:`repro.sim.testing`
+dataclasses (constants, mix), float sentinels (inf/-inf/nan), integral
+floats that canonicalize to JSON ints, and the optional
+``tft_ledger_cap``.  The seeded generator lives in ``tests/sim/testing.py``
 (shared with the backend-equivalence suite) and draws hundreds of valid
 random configs; each goes through the full wire cycle (canonical dict ->
 JSON text -> parsed dict -> revived config), exactly what a config
@@ -20,7 +20,7 @@ import json
 import random
 
 from repro.sim.config import SimulationConfig
-from repro.sim.testing import random_config
+from tests.sim.testing import random_config
 from repro.store.hashing import (
     canonical_config_dict,
     canonical_json,
@@ -77,7 +77,8 @@ class TestRoundTripProperty:
         )
         assert any(c.t_eval == int(c.t_eval) for c in configs
                    if not math.isinf(c.t_eval))
-        assert any(c.scale.sparse for c in configs)
+        assert any(c.tft_ledger_cap is None for c in configs)
+        assert any(c.tft_ledger_cap is not None for c in configs)
         assert len({c.scheme for c in configs}) == len(_SCHEMES)
         assert any(c.mix.irrational > 0 for c in configs)
 

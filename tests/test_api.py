@@ -65,10 +65,8 @@ class TestFacade:
         )
 
     def test_config_classes_are_the_real_ones(self):
-        from repro.sim.config import ScaleConfig
-
         assert api.SimulationConfig is SimulationConfig
-        assert api.ScaleConfig is ScaleConfig
+        assert "ScaleConfig" not in api.__all__
 
 
 @pytest.mark.parametrize("module", ["repro.api", "repro.store.cli"])

@@ -17,6 +17,9 @@ drives the full client lifecycle over actual sockets:
 * a fresh grid of structurally compatible configs (computed as one lane
   batch by a service worker) returns, for every config, exactly the
   summary an in-process ``repro.api.run`` of the stored config gives;
+* two malformed submissions (a config dict with a misspelled nested key,
+  a scenario override with an integral float in an int field) get a 400
+  and leave no store record, job or queued unit behind;
 * ``/metrics`` exposes the service counters;
 * SIGTERM shuts the server down gracefully (exit code 0).
 
@@ -61,6 +64,17 @@ LANE_GRID = [
         (103, {"download_probability": 0.6}),
         (104, {"edit_attempt_prob": 0.15}),
     )
+]
+
+
+#: Submissions that would hash as valid configs (the misspelled key
+#: dropped, 100.0 canonicalized to 100) but do not say what they mean or
+#: cannot run: the service must answer 400 and enqueue nothing.
+_TYPO = canonical_config_dict(LANE_GRID[0])
+_TYPO["constants"]["service"]["edit_treshold"] = 0.5
+MALFORMED = [
+    {"config": _TYPO},
+    {"scenario": SCENARIO, "fast": True, "overrides": {"n_agents": 100.0}},
 ]
 
 
@@ -236,6 +250,22 @@ def main(argv: list[str]) -> int:
                     f"differs from an in-process run"
                 )
 
+        _, before = _request(base, "GET", "/healthz")
+        for i, body in enumerate(MALFORMED):
+            status, reply = _request(base, "POST", "/jobs", body=body)
+            if status != 400:
+                failures.append(f"malformed submit #{i}: expected 400, got {status} {reply}")
+        _, after = _request(base, "GET", "/healthz")
+        for key in ("jobs", "queue_depth", "inflight_units"):
+            if after.get(key) != before.get(key):
+                failures.append(
+                    f"malformed submits moved {key}: {before.get(key)} -> {after.get(key)}"
+                )
+        records = len(store)
+        store.refresh()
+        if len(store) != records:
+            failures.append("malformed submits grew the store")
+
         status, _ = _request(base, "GET", "/jobs")
         if status != 200:
             failures.append(f"list jobs: {status}")
@@ -269,7 +299,8 @@ def main(argv: list[str]) -> int:
     print(
         f"OK: served {SCENARIO} ({view.get('total')} configs), "
         f"{len(events)} SSE events, cache-hit resubmit, "
-        f"{len(LANE_GRID)}-config lane grid == in-process runs, clean shutdown"
+        f"{len(LANE_GRID)}-config lane grid == in-process runs, "
+        f"{len(MALFORMED)} malformed submits rejected, clean shutdown"
     )
     return 0
 
