@@ -111,7 +111,7 @@ class TestParseSubmitConfigs:
         ],
     )
     def test_mistyped_scenario_overrides_rejected(self, overrides):
-        """Each of these hashed as a valid config but failed when run."""
+        """The first four hashed as valid configs and failed only when run."""
         with pytest.raises(SchemaError, match=next(iter(overrides))):
             parse_submit(
                 {"scenario": "base/default", "fast": True, "overrides": overrides}

@@ -102,9 +102,3 @@ class TestFieldTypes:
         assert cfg == SimulationConfig(
             t_eval=2.0, capacity_sigma=0.0, download_probability=1.0
         )
-
-    def test_ledger_cap_takes_none_or_a_positive_int(self):
-        assert SimulationConfig().tft_ledger_cap is None
-        assert SimulationConfig(tft_ledger_cap=1).tft_ledger_cap == 1
-        with pytest.raises(ValueError, match="tft_ledger_cap"):
-            SimulationConfig(tft_ledger_cap=0)

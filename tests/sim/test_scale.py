@@ -426,8 +426,3 @@ class TestLedgerCapField:
         for cap in (0, -3):
             with pytest.raises(ValueError, match="tft_ledger_cap"):
                 tiny(tft_ledger_cap=cap)
-
-    @pytest.mark.parametrize("cap", [4.0, True, "8"])
-    def test_cap_must_be_an_int_or_none(self, cap):
-        with pytest.raises(TypeError, match="tft_ledger_cap"):
-            tiny(tft_ledger_cap=cap)
